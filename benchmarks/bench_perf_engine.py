@@ -353,6 +353,24 @@ def test_broadcast_fanout_cost(benchmark):
     benchmark(one_write)
 
 
+def test_wire_size_dict_payload(benchmark):
+    """Pricing a fabric-shaped WRITE: n=4 slots of 64 ``key: (seq, value)``
+    pairs each.  The message is new every round (cold message cache), the
+    register entries are the ones the previous rounds already measured."""
+    from repro.core.base import WriteMessage
+    from repro.core.register import RegisterArray, TimestampedValue
+    from repro.net.message import HEADER_BYTES, INT_BYTES
+
+    slot = {f"key-{k:03d}": (k + 1, bytes(16)) for k in range(64)}
+    reg = RegisterArray([TimestampedValue(node + 1, dict(slot)) for node in range(4)])
+    expected = HEADER_BYTES + 4 * (INT_BYTES + 64 * (7 + INT_BYTES + 16))
+
+    def price_one_message():
+        return WriteMessage(reg=reg).wire_size()
+
+    assert benchmark(price_one_message) == expected
+
+
 def test_metrics_disabled_run(benchmark):
     """Write cost with the collector disabled (the near-free path)."""
     from repro import ClusterConfig, SimBackend

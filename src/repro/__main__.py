@@ -786,6 +786,17 @@ _COMMANDS = {
 }
 
 
+def _command_usage(command: str) -> str:
+    """The section of the module usage text that documents ``command``."""
+    lines = (__doc__ or "").splitlines()
+    headers = (f"``{command}``", f"``{command} ")
+    start = next(i for i, line in enumerate(lines) if line.startswith(headers))
+    end = start + 1
+    while end < len(lines) and lines[end].startswith("    "):
+        end += 1
+    return "\n".join(lines[start:end])
+
+
 def main(argv: list[str] | None = None) -> int:
     """Dispatch ``python -m repro`` subcommands."""
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -797,6 +808,9 @@ def main(argv: list[str] | None = None) -> int:
     if handler is None:
         print(f"unknown command {command!r}; choose from {sorted(_COMMANDS)}")
         return 2
+    if "-h" in argv[1:] or "--help" in argv[1:]:
+        print(_command_usage(command))
+        return 0
     return handler(argv[1:])
 
 

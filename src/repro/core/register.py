@@ -20,7 +20,7 @@ corrupted-but-lattice-consistent information is absorbed by ``max``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
 from repro.errors import ConfigurationError
@@ -39,14 +39,27 @@ class TimestampedValue:
     value:
         The written object value (opaque to the algorithms; benchmarks use
         ``bytes`` so that message-size accounting is meaningful).
+
+    A pair is shared *by reference* along its whole life — the writer's
+    ``reg``, every ``reg.copy()``, every message carrying it, every
+    receiver's ``merge_from`` — so :func:`repro.net.message.measure_size`
+    memoises its measured size in the non-compared ``_size`` slot: a
+    register value is priced once per write, not once per message.  The
+    memo is sound because ``value`` is never mutated in place: writers and
+    fault injectors that change a value build a fresh pair (a mutable
+    ``value`` such as the sharded fabric's slot dict is copied before each
+    write).  Code that must mutate ``value`` in place has to replace the
+    pair instead.
     """
 
     ts: int
     value: Any = None
+    _size: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.ts < 0:
             raise ConfigurationError(f"timestamp must be non-negative, got {self.ts}")
+        object.__setattr__(self, "_size", None)
 
     def precedes_or_equals(self, other: "TimestampedValue") -> bool:
         """The paper's ``⪯`` on pairs: compare write indices only."""

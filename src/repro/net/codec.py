@@ -24,7 +24,7 @@ import struct
 from typing import Any
 
 from repro.core.register import RegisterArray, TimestampedValue
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.net.message import Message
 
 __all__ = ["encode_message", "decode_message", "register_message", "CodecError"]
@@ -49,6 +49,13 @@ _T_TSVALUE = b"V"
 _T_REGARRAY = b"R"
 _T_TASKDESC = b"D"
 _T_MESSAGE = b"M"
+
+#: Deepest container/message nesting accepted, on both sides: a value
+#: nested deeper is not encodable, and a datagram claiming such a value
+#: is malformed.  Real messages nest under ten levels; the bound keeps a
+#: hostile datagram of nested one-element tuples from exhausting the
+#: interpreter's recursion limit.
+MAX_NESTING = 64
 
 #: Message type registry: class name → class (populated lazily).
 _MESSAGE_TYPES: dict[str, type[Message]] = {}
@@ -101,8 +108,12 @@ def _pack_length(buffer: bytearray, length: int) -> None:
     buffer += struct.pack(">I", length)
 
 
-def _encode_value(buffer: bytearray, value: Any) -> None:
+def _encode_value(buffer: bytearray, value: Any, depth: int = 0) -> None:
     from repro.core.ss_always import TaskDescriptor
+
+    if depth > MAX_NESTING:
+        raise CodecError(f"cannot encode a value nested deeper than {MAX_NESTING}")
+    depth += 1
 
     if value is None:
         buffer += _T_NONE
@@ -131,28 +142,28 @@ def _encode_value(buffer: bytearray, value: Any) -> None:
         buffer += _T_TUPLE
         _pack_length(buffer, len(value))
         for item in value:
-            _encode_value(buffer, item)
+            _encode_value(buffer, item, depth)
     elif isinstance(value, frozenset):
         buffer += _T_FROZENSET
         _pack_length(buffer, len(value))
         # Deterministic order so equal sets encode identically.
         for item in sorted(value, key=repr):
-            _encode_value(buffer, item)
+            _encode_value(buffer, item, depth)
     elif isinstance(value, TimestampedValue):
         buffer += _T_TSVALUE
-        _encode_value(buffer, value.ts)
-        _encode_value(buffer, value.value)
+        _encode_value(buffer, value.ts, depth)
+        _encode_value(buffer, value.value, depth)
     elif isinstance(value, RegisterArray):
         buffer += _T_REGARRAY
         _pack_length(buffer, len(value))
         for entry in value:
-            _encode_value(buffer, entry.ts)
-            _encode_value(buffer, entry.value)
+            _encode_value(buffer, entry.ts, depth)
+            _encode_value(buffer, entry.value, depth)
     elif isinstance(value, TaskDescriptor):
         buffer += _T_TASKDESC
-        _encode_value(buffer, value.node)
-        _encode_value(buffer, value.sns)
-        _encode_value(buffer, value.vc)
+        _encode_value(buffer, value.node, depth)
+        _encode_value(buffer, value.sns, depth)
+        _encode_value(buffer, value.vc, depth)
     elif isinstance(value, Message):
         name = type(value).__name__.encode("ascii")
         buffer += _T_MESSAGE
@@ -161,7 +172,7 @@ def _encode_value(buffer: bytearray, value: Any) -> None:
         fields = dataclasses.fields(value)
         _pack_length(buffer, len(fields))
         for field in fields:
-            _encode_value(buffer, getattr(value, field.name))
+            _encode_value(buffer, getattr(value, field.name), depth)
     else:
         raise CodecError(f"cannot encode value of type {type(value).__name__}")
 
@@ -207,9 +218,33 @@ class _Reader:
     def take_length(self) -> int:
         return struct.unpack(">I", self.take(4))[0]
 
+    def take_text(self, encoding: str) -> str:
+        payload = self.take(self.take_length())
+        try:
+            return payload.decode(encoding)
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"bad {encoding} payload {payload!r}") from exc
 
-def _decode_value(reader: _Reader) -> Any:
+
+def _rebuild(cls: type, *args: Any, **fields: Any) -> Any:
+    """Construct a decoded object from its decoded fields.
+
+    The constructors validate (a timestamp must be a non-negative number,
+    a register array non-empty); on a datagram that is malformed input,
+    not a configuration mistake.
+    """
+    try:
+        return cls(*args, **fields)
+    except (TypeError, ValueError, ConfigurationError) as exc:
+        raise CodecError(f"cannot rebuild {cls.__name__}: {exc}") from exc
+
+
+def _decode_value(reader: _Reader, depth: int = 0) -> Any:
     from repro.core.ss_always import TaskDescriptor
+
+    if depth > MAX_NESTING:
+        raise CodecError(f"datagram nests values deeper than {MAX_NESTING}")
+    depth += 1
 
     tag = reader.take(1)
     if tag == _T_NONE:
@@ -229,33 +264,33 @@ def _decode_value(reader: _Reader) -> Any:
     if tag == _T_BYTES:
         return reader.take(reader.take_length())
     if tag == _T_STR:
-        return reader.take(reader.take_length()).decode("utf-8")
+        return reader.take_text("utf-8")
     if tag == _T_TUPLE:
         count = reader.take_length()
-        return tuple(_decode_value(reader) for _ in range(count))
+        return tuple(_decode_value(reader, depth) for _ in range(count))
     if tag == _T_FROZENSET:
         count = reader.take_length()
-        return frozenset(_decode_value(reader) for _ in range(count))
+        return frozenset(_decode_value(reader, depth) for _ in range(count))
     if tag == _T_TSVALUE:
-        ts = _decode_value(reader)
-        value = _decode_value(reader)
-        return TimestampedValue(ts=ts, value=value)
+        ts = _decode_value(reader, depth)
+        value = _decode_value(reader, depth)
+        return _rebuild(TimestampedValue, ts=ts, value=value)
     if tag == _T_REGARRAY:
         count = reader.take_length()
         entries = []
         for _ in range(count):
-            ts = _decode_value(reader)
-            value = _decode_value(reader)
-            entries.append(TimestampedValue(ts=ts, value=value))
-        return RegisterArray(entries)
+            ts = _decode_value(reader, depth)
+            value = _decode_value(reader, depth)
+            entries.append(_rebuild(TimestampedValue, ts=ts, value=value))
+        return _rebuild(RegisterArray, entries)
     if tag == _T_TASKDESC:
-        node = _decode_value(reader)
-        sns = _decode_value(reader)
-        vc = _decode_value(reader)
+        node = _decode_value(reader, depth)
+        sns = _decode_value(reader, depth)
+        vc = _decode_value(reader, depth)
         return TaskDescriptor(node=node, sns=sns, vc=vc)
     if tag == _T_MESSAGE:
         _ensure_registry()
-        name = reader.take(reader.take_length()).decode("ascii")
+        name = reader.take_text("ascii")
         message_cls = _MESSAGE_TYPES.get(name)
         if message_cls is None:
             raise CodecError(f"unknown message type {name!r}")
@@ -265,13 +300,10 @@ def _decode_value(reader: _Reader) -> Any:
             raise CodecError(
                 f"{name}: expected {len(fields)} fields, got {field_count}"
             )
-        kwargs = {
-            field.name: _decode_value(reader) for field in fields
-        }
-        try:
-            return message_cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise CodecError(f"cannot rebuild {name}: {exc}") from exc
+        return _rebuild(
+            message_cls,
+            **{field.name: _decode_value(reader, depth) for field in fields},
+        )
     raise CodecError(f"unknown tag {tag!r}")
 
 

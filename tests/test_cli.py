@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import _COMMANDS, main
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 from check_trace_schema import validate  # noqa: E402
@@ -20,6 +20,17 @@ class TestCli:
     def test_help_flag(self, capsys):
         assert main(["--help"]) == 0
         assert "figures" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_command_help_prints_its_usage_section(self, capsys, command, flag):
+        assert main([command, flag]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"``{command}")
+        body = out.splitlines()[1:]
+        assert body and all(line.startswith("    ") for line in body)
+        # Only this command's section: no other command header leaks in.
+        assert out.count("\n``") == 0
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -1,5 +1,9 @@
 """Tests for the binary wire codec (round-trips, malformed input)."""
 
+import dataclasses
+import random
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +19,13 @@ from repro.core.ss_always import (
     TaskDescriptor,
 )
 from repro.core.ss_nonblocking import GossipMessage
-from repro.net.codec import CodecError, decode_message, encode_message
+from repro.net.codec import (
+    MAX_NESTING,
+    CodecError,
+    decode_message,
+    encode_message,
+)
+from repro.net.message import Message
 from repro.stabilization.reset import EpochEnvelope, ResetCommitMessage
 
 
@@ -98,15 +108,11 @@ class TestMalformedInput:
     def test_unknown_message_type(self):
         data = bytearray(b"M")
         name = b"NoSuchMessage"
-        import struct
-
         data += struct.pack(">I", len(name)) + name + struct.pack(">I", 0)
         with pytest.raises(CodecError):
             decode_message(bytes(data))
 
     def test_non_message_top_level(self):
-        import struct
-
         payload = b"i" + struct.pack(">I", 1) + b"5"
         with pytest.raises(CodecError):
             decode_message(payload)
@@ -118,3 +124,124 @@ class TestMalformedInput:
     def test_empty_input(self):
         with pytest.raises(CodecError):
             decode_message(b"")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"s" + struct.pack(">I", 2) + b"\xff\xfe",  # not utf-8
+            b"V" + b"N" + b"N",  # TimestampedValue(ts=None)
+            b"V" + b"i" + struct.pack(">I", 2) + b"-1" + b"N",  # negative ts
+            b"R" + struct.pack(">I", 0),  # empty register array
+        ],
+        ids=["bad-utf8", "ts-none", "ts-negative", "empty-regarray"],
+    )
+    def test_constructor_rejections_are_codec_errors(self, payload):
+        wrapped = (
+            b"M"
+            + struct.pack(">I", len(b"WriteMessage"))
+            + b"WriteMessage"
+            + struct.pack(">I", 1)
+            + payload
+        )
+        with pytest.raises(CodecError):
+            decode_message(wrapped)
+
+    def test_non_ascii_type_name(self):
+        with pytest.raises(CodecError):
+            decode_message(b"M" + struct.pack(">I", 2) + b"\xc3\xa9")
+
+    def test_nesting_bound_holds_on_both_sides(self):
+        """12 000 nested one-element tuples fit one 60 kB datagram."""
+        one_tuple = b"t" + struct.pack(">I", 1)
+        with pytest.raises(CodecError, match="deeper"):
+            decode_message(one_tuple * 12_000 + b"N")
+
+        def nested(levels):
+            value = None
+            for _ in range(levels):
+                value = (value,)
+            return GossipMessage(entry=TimestampedValue(1, value))
+
+        deep = nested(MAX_NESTING - 2)  # message and pair are two levels
+        assert decode_message(encode_message(deep)) == deep
+        with pytest.raises(CodecError, match="deeper"):
+            encode_message(nested(MAX_NESTING - 1))
+
+
+class TestFuzz:
+    """``decode_message`` returns a message or raises ``CodecError`` —
+    nothing else may escape to the UDP transport's datagram callback."""
+
+    INPUTS = 60_000
+
+    @staticmethod
+    def sample_field(rng, depth=0):
+        choice = rng.randrange(12 if depth < 2 else 8)
+        if choice == 0:
+            return None
+        if choice == 1:
+            return rng.random() < 0.5
+        if choice == 2:
+            return rng.randrange(-5, 2**40)
+        if choice == 3:
+            return rng.random()
+        if choice == 4:
+            return rng.randbytes(rng.randrange(6))
+        if choice == 5:
+            return rng.choice(["", "snap", "héllo", "鍵"])
+        if choice == 6:
+            return TimestampedValue(rng.randrange(50), rng.randbytes(2))
+        if choice == 7:
+            return TaskDescriptor(rng.randrange(4), rng.randrange(9), (1, 2))
+        nested = [TestFuzz.sample_field(rng, depth + 1) for _ in range(2)]
+        if choice == 8:
+            return tuple(nested)
+        if choice == 9:
+            return frozenset(nested)
+        if choice == 10:
+            return reg((1, nested[0]), (0, nested[1]))
+        return GossipMessage(entry=TimestampedValue(3, nested[0]))
+
+    def test_mutated_encodings_decode_or_raise_codec_error(self):
+        from repro.net import codec
+
+        codec._ensure_registry()
+        rng = random.Random(20190729)
+        corpus = []
+        for name in sorted(codec._MESSAGE_TYPES):
+            message_cls = codec._MESSAGE_TYPES[name]
+            for _ in range(4):
+                message = message_cls(
+                    **{
+                        field.name: self.sample_field(rng)
+                        for field in dataclasses.fields(message_cls)
+                    }
+                )
+                encoded = encode_message(message)
+                assert decode_message(encoded) == message
+                corpus.append(encoded)
+
+        decoded = rejected = 0
+        for _ in range(self.INPUTS):
+            base = rng.choice(corpus)
+            mode = rng.randrange(4)
+            if mode == 0:
+                data = rng.randbytes(rng.randrange(1, 64))
+            elif mode == 1:
+                data = base[: rng.randrange(len(base))]
+            else:
+                mutated = bytearray(base)
+                for _ in range(rng.randrange(1, 4)):
+                    mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+                data = bytes(mutated)
+            try:
+                result = decode_message(data)
+            except CodecError:
+                rejected += 1
+            else:
+                assert isinstance(result, Message)
+                decoded += 1
+        # Both outcomes occur: a mutated payload byte still decodes, a
+        # mutated tag or length does not.
+        assert decoded > self.INPUTS // 100
+        assert rejected > self.INPUTS // 2

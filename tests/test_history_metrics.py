@@ -1,12 +1,17 @@
 """Unit tests for history recording, metrics, and message sizing."""
 
-import pytest
+import dataclasses
 
+import pytest
+from reference_sizer import reference_measure_size
+
+from repro import ClusterConfig, SimBackend
 from repro.analysis.history import SNAPSHOT, WRITE, HistoryRecorder
 from repro.analysis.metrics import MetricsCollector
 from repro.core.base import SnapshotResult, WriteMessage
 from repro.core.register import RegisterArray, TimestampedValue
 from repro.errors import HistoryError
+from repro.fault import TransientFaultInjector
 from repro.net.message import HEADER_BYTES, INT_BYTES, measure_size
 
 
@@ -201,6 +206,87 @@ class TestMessageSizing:
         write = WriteMessage(reg=reg)
         gossip = GossipMessage(entry=reg[0])
         assert gossip.wire_size() < write.wire_size() / (n / 2)
+
+    def test_shared_entry_is_measured_once(self):
+        """copy()/merge_from pass the pair by reference, so the size a
+        pair remembers serves every array and message that carries it."""
+
+        class CountingBytes(bytes):
+            lengths_taken = 0
+
+            def __len__(self):
+                CountingBytes.lengths_taken += 1
+                return super().__len__()
+
+        entry = TimestampedValue(2, CountingBytes(b"payload"))
+        writer = RegisterArray(3)
+        writer[0] = entry
+        copied = writer.copy()
+        receiver = RegisterArray(3)
+        receiver.merge_from(writer)
+        assert copied[0] is entry and receiver[0] is entry
+
+        sizes = [
+            WriteMessage(reg=reg).wire_size()
+            for reg in (writer, copied, receiver, receiver.copy())
+        ]
+        assert CountingBytes.lengths_taken == 1
+        assert len(set(sizes)) == 1
+        assert sizes[0] == HEADER_BYTES + reference_measure_size(writer)
+
+    def test_entry_memo_is_not_part_of_equality(self):
+        small = TimestampedValue(1, (True, 2))
+        large = TimestampedValue(1, (1, 2))
+        assert small == large and hash(small) == hash(large)
+        assert measure_size(small) == INT_BYTES + 1 + INT_BYTES
+        assert measure_size(large) == INT_BYTES + 2 * INT_BYTES
+        # Measured or not, the pair compares, hashes and prints the same.
+        fresh = TimestampedValue(1, (1, 2))
+        assert fresh == large and hash(fresh) == hash(large)
+        assert repr(fresh) == repr(large) == "TimestampedValue(ts=1, value=(1, 2))"
+
+    def test_replace_yields_unmeasured_instances(self):
+        entry = TimestampedValue(1, b"four")
+        message = WriteMessage(reg=RegisterArray([entry]))
+        assert message.wire_size() == HEADER_BYTES + INT_BYTES + 4
+        wider = RegisterArray([TimestampedValue(1, b"sixteen bytes...")])
+        replaced = dataclasses.replace(message, reg=wider)
+        assert "_wire_size" not in replaced.__dict__
+        assert replaced.wire_size() == HEADER_BYTES + INT_BYTES + 16
+        assert message.wire_size() == HEADER_BYTES + INT_BYTES + 4
+        # The same holds one level down, for the pair's own memo.
+        assert measure_size(dataclasses.replace(entry, value=b"sixty")) == (
+            INT_BYTES + 5
+        )
+
+    def test_scrambled_in_flight_packet_reports_corrupted_size(self):
+        cluster = SimBackend("ss-nonblocking", ClusterConfig(n=4, seed=3))
+        cluster.write_sync(0, bytes(100))
+        network = cluster.network
+        for _ in range(200):
+            before = [
+                m for c in network.channels() for m in c.in_flight_messages()
+            ]
+            if any(m.kind == "GOSSIP" for m in before):
+                break
+            cluster.kernel.run(max_events=1)
+        before_ids = {id(m) for m in before}
+        assert all(
+            m.wire_size() == HEADER_BYTES + reference_measure_size(m)
+            for m in before
+        )
+
+        TransientFaultInjector(cluster, seed=1).scramble_channels(
+            drop_probability=0.0
+        )
+        after = [m for c in network.channels() for m in c.in_flight_messages()]
+        replaced = [m for m in after if id(m) not in before_ids]
+        assert replaced, "no in-flight gossip was scrambled"
+        for message in after:
+            assert message.wire_size() == HEADER_BYTES + reference_measure_size(
+                message
+            )
+        assert any(m.entry.value == b"\xba\xad" for m in replaced)
 
     def test_snapshot_result(self):
         reg = RegisterArray(2)

@@ -5,10 +5,15 @@ cross-validation (specialized vs exhaustive), end-to-end linearizability
 of randomized executions, and recovery from arbitrary corruption.
 """
 
+import collections
+import dataclasses
+import enum
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference_sizer import reference_measure_size
 
 from repro import ChannelConfig, ClusterConfig, SimBackend
 from repro.analysis.history import SNAPSHOT, WRITE, HistoryRecorder
@@ -20,7 +25,8 @@ from repro.analysis.linearizability import (
 from repro.core.base import SnapshotResult
 from repro.core.register import RegisterArray, TimestampedValue
 from repro.fault import TransientFaultInjector
-from repro.net.message import measure_size
+from repro.net import codec
+from repro.net.message import HEADER_BYTES, measure_size
 
 # Simulation-heavy properties get fewer, deadline-free examples.
 SIM_SETTINGS = settings(
@@ -95,6 +101,111 @@ class TestLatticeLaws:
                      st.lists(st.integers(), max_size=5)))
     def test_measure_size_non_negative(self, obj):
         assert measure_size(obj) >= 0
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+    BLUE = 2
+
+
+_Point = collections.namedtuple("_Point", "x y")
+
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from(_Colour),
+    st.floats(allow_nan=False),
+    st.binary(max_size=12),
+    st.text(max_size=8),
+)
+
+
+def _timestamped(values):
+    return st.builds(TimestampedValue, st.integers(0, 50), values)
+
+
+#: Values that may sit in a set or be a dict key.
+_hashables = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(tuple),
+        st.builds(_Point, inner, inner),
+        st.frozensets(inner, max_size=3),
+        _timestamped(inner),
+    ),
+    max_leaves=6,
+)
+
+_payloads = st.recursive(
+    _hashables,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.sets(_hashables, max_size=3),
+        st.dictionaries(_hashables, inner, max_size=3),
+        st.dictionaries(_hashables, inner, max_size=3).map(
+            collections.OrderedDict
+        ),
+        _timestamped(inner),
+        st.lists(_timestamped(inner), min_size=1, max_size=4).map(RegisterArray),
+    ),
+    max_leaves=12,
+)
+
+codec._ensure_registry()
+MESSAGE_CLASSES = sorted(codec._MESSAGE_TYPES.values(), key=lambda c: c.__name__)
+
+
+class TestSizerEquivalence:
+    """``measure_size`` prices exactly what the recursive model priced."""
+
+    @given(_payloads)
+    def test_payloads_match_reference_cold_and_warm(self, payload):
+        expected = reference_measure_size(payload)
+        assert measure_size(payload) == expected  # entry memos cold
+        assert measure_size(payload) == expected  # ... and warm
+
+    @pytest.mark.parametrize(
+        "message_cls", MESSAGE_CLASSES, ids=lambda c: c.__name__
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_every_message_class_matches_reference(self, message_cls, data):
+        message = message_cls(
+            **{
+                field.name: data.draw(_payloads, label=field.name)
+                for field in dataclasses.fields(message_cls)
+            }
+        )
+        expected = reference_measure_size(message)
+        assert measure_size(message) == expected
+        assert message.wire_size() == HEADER_BYTES + expected
+        assert message.wire_size() == HEADER_BYTES + expected
+        # A copy shares the (now measured) entries but not the message cache.
+        assert dataclasses.replace(message).wire_size() == HEADER_BYTES + expected
+
+    def test_subclasses_fall_through_in_ladder_order(self):
+        @dataclasses.dataclass(frozen=True)
+        class Tagged(TimestampedValue):
+            tag: str = "t"
+
+        class Wide(RegisterArray):
+            pass
+
+        entry = Tagged(3, b"abc")
+        samples = [
+            _Colour.RED,
+            _Point(True, "é"),
+            collections.OrderedDict(a=_Colour.BLUE),
+            collections.defaultdict(list, {1: [2.0]}),
+            entry,  # priced as a pair, not field by field
+            Wide([entry, TimestampedValue(0)]),
+            Tagged,  # a class object is opaque, dataclass or not
+            object(),
+        ]
+        for sample in samples:
+            assert measure_size(sample) == reference_measure_size(sample), sample
 
 
 class TestCheckerCrossValidation:
