@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any
 
 from repro.errors import HistoryError
@@ -70,6 +71,14 @@ class OperationRecord:
             and self.responded_at < other.invoked_at
         )
 
+    def check_instants(self) -> None:
+        """Raise :class:`HistoryError` if the response precedes the invocation."""
+        if self.responded_at is not None and self.responded_at < self.invoked_at:
+            raise HistoryError(
+                f"operation {self.op_id} responded at {self.responded_at}, "
+                f"before its invocation at {self.invoked_at}"
+            )
+
 
 class HistoryRecorder:
     """Collects operation records during a run."""
@@ -124,11 +133,14 @@ class HistoryRecorder:
     # -- views ---------------------------------------------------------------
 
     def records(self, completed_only: bool = False) -> list[OperationRecord]:
-        """All records, invocation-ordered."""
-        records = sorted(self._records.values(), key=lambda r: r.op_id)
+        """All records, invocation-ordered.
+
+        Op ids come from a monotone counter and the dict is
+        insertion-ordered, so its values already are in op-id order.
+        """
         if completed_only:
-            records = [r for r in records if r.completed]
-        return records
+            return [r for r in self._records.values() if r.completed]
+        return list(self._records.values())
 
     def writes(self, completed_only: bool = False) -> list[OperationRecord]:
         """The write records."""
@@ -153,27 +165,29 @@ class HistoryRecorder:
         ``sequential=False`` for algorithms that explicitly admit
         concurrent local clients (``CONCURRENT_CLIENTS``, the amortized
         variant) — overlap is then the intended workload shape and only
-        the per-record invariants enforced at recording time apply.
+        the per-record check (no response before its invocation) applies.
         """
-        if not sequential:
-            return
-        by_node: dict[int, list[OperationRecord]] = {}
-        for record in self.records():
-            by_node.setdefault(record.node_id, []).append(record)
-        for node_id, records in by_node.items():
-            records.sort(key=lambda r: r.invoked_at)
-            for earlier, later in zip(records, records[1:]):
-                if earlier.responded_at is None:
-                    if earlier is not records[-1]:
-                        raise HistoryError(
-                            f"node {node_id}: operation {earlier.op_id} never "
-                            f"responded but {later.op_id} was invoked after it"
-                        )
-                elif earlier.responded_at > later.invoked_at:
-                    raise HistoryError(
-                        f"node {node_id}: operations {earlier.op_id} and "
-                        f"{later.op_id} overlap; clients must be sequential"
-                    )
+        last_of_node: dict[int, OperationRecord] = {}
+        for record in sorted(
+            self._records.values(), key=attrgetter("invoked_at")
+        ):
+            record.check_instants()
+            if not sequential:
+                continue
+            earlier = last_of_node.get(record.node_id)
+            last_of_node[record.node_id] = record
+            if earlier is None:
+                continue
+            if earlier.responded_at is None:
+                raise HistoryError(
+                    f"node {record.node_id}: operation {earlier.op_id} never "
+                    f"responded but {record.op_id} was invoked after it"
+                )
+            if earlier.responded_at > record.invoked_at:
+                raise HistoryError(
+                    f"node {record.node_id}: operations {earlier.op_id} and "
+                    f"{record.op_id} overlap; clients must be sequential"
+                )
 
     def snapshot_results(self) -> list[Any]:
         """The results of all completed snapshots (SnapshotResult objects)."""

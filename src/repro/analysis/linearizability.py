@@ -1,32 +1,36 @@
 """Linearizability checking for SWMR snapshot-object histories.
 
-Two checkers with very different cost/completeness trade-offs:
+:func:`check_snapshot_history` is a **specialized checker** exploiting
+the SWMR snapshot semantics.  Each write by node ``i`` carries a unique,
+per-writer-increasing timestamp, so a snapshot result is fully described
+by its vector clock.  The checker verifies the classic conditions:
+per-writer timestamp monotonicity, total ⪯-order (comparability) of
+snapshot vectors, real-time order among snapshots, real-time order
+between writes and snapshots in both directions, and value agreement.
 
-* :func:`check_snapshot_history` — a **specialized polynomial checker**
-  exploiting the SWMR snapshot semantics.  Each write by node ``i``
-  carries a unique, per-writer-increasing timestamp, so a snapshot result
-  is fully described by its vector clock.  The checker verifies the
-  classic necessary-and-jointly-sufficient conditions: per-writer
-  timestamp monotonicity, total ⪯-order (comparability) of snapshot
-  vectors, real-time order among snapshots, real-time order between
-  writes and snapshots in both directions, and value agreement.
-* :func:`check_exhaustive` — a **Wing & Gill style exhaustive checker**
-  (memoized DFS over linearization prefixes) that works directly from the
-  sequential specification.  Exponential, so only for small histories;
-  the property-based tests cross-validate the specialized checker
-  against it.
+The real-time conditions are checked by one **sort-and-sweep** over
+invocation and response instants.  Each of them only ever needs the
+*largest* timestamp that responded before an invocation, so the sweep
+carries two frontiers — the per-writer maximum over responded writes
+and the component-wise maximum over responded snapshot vectors — and
+compares each operation against them once, at its invocation:
+O(m log m + m·n) for m operations on n nodes (``docs/verification.md``
+argues why the frontiers lose nothing, and states what the conditions
+do not cover).  The pairwise formulation it replaced and
+the exhaustive Wing & Gill search survive as test oracles in
+``tests/reference_checker.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from operator import attrgetter, lt
 from typing import Iterable, Sequence
 
 from repro.analysis.history import SNAPSHOT, WRITE, OperationRecord
 from repro.errors import HistoryError
 
-__all__ = ["CheckReport", "check_snapshot_history", "check_exhaustive"]
+__all__ = ["CheckReport", "check_snapshot_history"]
 
 
 @dataclass(slots=True)
@@ -83,47 +87,44 @@ def check_snapshot_history(
         *values* survive, so a history window opened after a reset
         legitimately observes survivor values at ts 0.  The history must
         still not span the reset itself (per-writer timestamps restart).
+
+    Raises :class:`~repro.errors.HistoryError` on records that are not a
+    history at all: a response before its invocation, a write by a node
+    outside ``range(n)``, a completed snapshot without a result or with
+    a vector of the wrong length.
     """
     report = CheckReport()
-    records = list(records)
     # Aborted operations (e.g. rejected by a global reset) impose no
     # constraints: an aborted write is treated like a pending one (it may
     # or may not have taken effect); an aborted snapshot returned nothing.
-    writes = [r for r in records if r.kind == WRITE and not r.aborted]
-    snapshots = [
-        r
-        for r in records
-        if r.kind == SNAPSHOT and r.completed and not r.aborted
-    ]
-
-    # 1. Per-writer timestamps: unique and increasing in invocation order.
-    writes_by_node: dict[int, list[OperationRecord]] = {}
-    for write in writes:
-        writes_by_node.setdefault(write.node_id, []).append(write)
-    write_table: dict[tuple[int, int], OperationRecord] = {}
-    for node_id, node_writes in writes_by_node.items():
-        node_writes.sort(key=lambda r: r.invoked_at)
-        previous_ts = 0
-        for write in node_writes:
-            if write.result is None:
-                continue  # pending write: no timestamp evidence
-            ts = write.result
-            if ts <= previous_ts:
-                report.fail(
-                    f"write ts not increasing at node {node_id}: "
-                    f"{ts} after {previous_ts} (op {write.op_id})"
+    # A write without a result carries no timestamp evidence either.
+    ops: list[OperationRecord] = []
+    snapshots: list[OperationRecord] = []
+    for record in records:
+        record.check_instants()
+        if record.aborted:
+            continue
+        if record.kind == WRITE and record.result is not None:
+            if not 0 <= record.node_id < n:
+                raise HistoryError(
+                    f"write op {record.op_id}: node {record.node_id} is "
+                    f"outside 0..{n - 1}"
                 )
-            previous_ts = max(previous_ts, ts)
-            write_table[(node_id, ts)] = write
-
-    # 2. Snapshot structural sanity.
-    for snap in snapshots:
-        vc = snap.result.vector_clock
-        if len(vc) != n:
-            raise HistoryError(
-                f"snapshot op {snap.op_id}: vector of length {len(vc)}, "
-                f"expected {n}"
-            )
+            ops.append(record)
+        elif record.kind == SNAPSHOT and record.completed:
+            # 2. Snapshot structural sanity.
+            if record.result is None:
+                raise HistoryError(
+                    f"snapshot op {record.op_id} completed without a result"
+                )
+            vc = record.result.vector_clock
+            if len(vc) != n:
+                raise HistoryError(
+                    f"snapshot op {record.op_id}: vector of length {len(vc)}, "
+                    f"expected {n}"
+                )
+            snapshots.append(record)
+            ops.append(record)
 
     # 3. Snapshots must be totally ordered by ⪯ (atomicity).
     ordered = sorted(snapshots, key=lambda s: (sum(s.result.vector_clock),))
@@ -135,36 +136,82 @@ def check_snapshot_history(
                 f"{later.result.vector_clock}"
             )
 
-    # 4. Real-time order among snapshots.
-    for first in snapshots:
-        for second in snapshots:
-            if first.precedes(second) and not _vc_leq(
-                first.result.vector_clock, second.result.vector_clock
-            ):
-                report.fail(
-                    f"snapshot {second.op_id} (after {first.op_id} in real "
-                    f"time) returned an older vector"
-                )
+    # The sweep: visit invocations in time order, first folding into the
+    # frontiers every response *strictly* before the invocation at hand
+    # (so at an equal instant the invocation goes first and the two
+    # operations count as concurrent, exactly ``OperationRecord.precedes``).
+    #   written[i]  — largest ts over responded writes by node i
+    #   scanned[i]  — largest entry i over responded snapshots' vectors
+    # with the operation holding each maximum kept as the witness.
+    written = [0] * n
+    scanned = [0] * n
+    written_by: list[OperationRecord | None] = [None] * n
+    scanned_by: list[OperationRecord | None] = [None] * n
+    last_ts = [0] * n
+    write_table: dict[tuple[int, int], OperationRecord] = {}
+    responses = sorted(
+        (op for op in ops if op.responded_at is not None),
+        key=attrgetter("responded_at"),
+    )
+    responded, total = 0, len(responses)
+    for op in sorted(ops, key=attrgetter("invoked_at")):
+        invoked_at = op.invoked_at
+        while responded < total and responses[responded].responded_at < invoked_at:
+            done = responses[responded]
+            responded += 1
+            if done.kind == WRITE:
+                if done.result > written[done.node_id]:
+                    written[done.node_id] = done.result
+                    written_by[done.node_id] = done
+            else:
+                for node_id, ts in enumerate(done.result.vector_clock):
+                    if ts > scanned[node_id]:
+                        scanned[node_id] = ts
+                        scanned_by[node_id] = done
 
-    # 5. Real-time order between writes and snapshots.
-    for write in writes:
-        if write.result is None:
-            continue
-        ts = write.result
-        node_id = write.node_id
-        for snap in snapshots:
-            vc = snap.result.vector_clock
-            if write.precedes(snap) and vc[node_id] < ts:
+        if op.kind == WRITE:
+            node_id, ts = op.node_id, op.result
+            # 1. Per-writer timestamps: unique and increasing in
+            #    invocation order.
+            if ts <= last_ts[node_id]:
                 report.fail(
-                    f"snapshot {snap.op_id} misses write {write.op_id} "
-                    f"(node {node_id}, ts {ts}) that preceded it; "
-                    f"saw ts {vc[node_id]}"
+                    f"write ts not increasing at node {node_id}: "
+                    f"{ts} after {last_ts[node_id]} (op {op.op_id})"
                 )
-            if snap.precedes(write) and vc[node_id] >= ts:
+            else:
+                last_ts[node_id] = ts
+            write_table[(node_id, ts)] = op
+            # 5b. No snapshot that already responded may contain it.
+            seer = scanned_by[node_id]
+            if seer is not None and scanned[node_id] >= ts:
                 report.fail(
-                    f"snapshot {snap.op_id} saw future write {write.op_id} "
+                    f"snapshot {seer.op_id} saw future write {op.op_id} "
                     f"(node {node_id}, ts {ts}) invoked after it responded"
                 )
+            continue
+
+        vc = op.result.vector_clock
+        # 5a. Every write that already responded is in the vector.
+        if any(map(lt, vc, written)):
+            for node_id, seen in enumerate(vc):
+                missed = written_by[node_id]
+                if missed is not None and seen < missed.result:
+                    report.fail(
+                        f"snapshot {op.op_id} misses write {missed.op_id} "
+                        f"(node {node_id}, ts {missed.result}) that preceded "
+                        f"it; saw ts {seen}"
+                    )
+        # 4. Real-time order among snapshots: not below any vector that
+        #    already responded.
+        if any(map(lt, vc, scanned)):
+            for node_id, seen in enumerate(vc):
+                newer = scanned_by[node_id]
+                if newer is not None and seen < scanned[node_id]:
+                    report.fail(
+                        f"snapshot {op.op_id} (after {newer.op_id} in real "
+                        f"time) returned an older vector"
+                    )
+                    break
 
     # 6. Value agreement: returned values match the writes they cite.
     if check_values:
@@ -188,73 +235,3 @@ def check_snapshot_history(
                     )
 
     return report
-
-
-def check_exhaustive(records: Iterable[OperationRecord], n: int) -> bool:
-    """Exhaustive (Wing & Gill) linearizability check for small histories.
-
-    Searches for a permutation of the completed operations that respects
-    real-time order and the sequential snapshot-object specification
-    (every snapshot returns exactly the register state produced by the
-    writes linearized before it).  Memoized on the set of linearized
-    operations; practical up to roughly a dozen operations.
-    """
-    ops = [r for r in records if r.completed and not r.aborted]
-    total = len(ops)
-    if total > 20:
-        raise HistoryError(
-            f"exhaustive checker given {total} operations; it is meant for "
-            "small cross-validation histories (<= 20)"
-        )
-    # Precompute the real-time precedence relation as bitmasks.
-    must_precede = [0] * total  # bit j set => ops[j] must come before ops[i]
-    for i, later in enumerate(ops):
-        for j, earlier in enumerate(ops):
-            if i != j and earlier.precedes(later):
-                must_precede[i] |= 1 << j
-
-    # Per-writer order: writes by the same node in ts order (SWMR).
-    write_indices: dict[int, list[int]] = {}
-    for index, op in enumerate(ops):
-        if op.kind == WRITE:
-            write_indices.setdefault(op.node_id, []).append(index)
-    for indices in write_indices.values():
-        indices.sort(key=lambda idx: ops[idx].result)
-        for previous, current in zip(indices, indices[1:]):
-            must_precede[current] |= 1 << previous
-
-    full_mask = (1 << total) - 1
-
-    def register_state(mask: int) -> tuple[int, ...]:
-        """Vector clock implied by the writes linearized in ``mask``."""
-        state = [0] * n
-        for index in range(total):
-            if mask & (1 << index) and ops[index].kind == WRITE:
-                op = ops[index]
-                state[op.node_id] = max(state[op.node_id], op.result)
-        return tuple(state)
-
-    @lru_cache(maxsize=None)
-    def search(mask: int) -> bool:
-        if mask == full_mask:
-            return True
-        state = register_state(mask)
-        for index in range(total):
-            bit = 1 << index
-            if mask & bit:
-                continue
-            if must_precede[index] & ~mask:
-                continue  # some predecessor not yet linearized
-            op = ops[index]
-            if op.kind == SNAPSHOT:
-                expected = list(state)
-                if tuple(op.result.vector_clock) != tuple(expected):
-                    continue
-            if search(mask | bit):
-                return True
-        return False
-
-    try:
-        return search(0)
-    finally:
-        search.cache_clear()

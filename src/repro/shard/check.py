@@ -58,6 +58,17 @@ def _vc_leq(a: "ComposedSnapshot", b: "ComposedSnapshot") -> bool:
     )
 
 
+def _holder_above(
+    cut: "ComposedSnapshot", fronts: dict[int, list[tuple[int, int | None]]]
+) -> int | None:
+    """The cut holding a frontier entry that ``cut``'s vector is below."""
+    for sid, front in fronts.items():
+        for (ts, holder), got in zip(front, cut.shard_vectors[sid]):
+            if got < ts:
+                return holder
+    return None
+
+
 def check_composed_records(fabric: "ShardedFabric") -> list[str]:
     """Check composed cuts against each other and the per-key writes."""
     failures: list[str] = []
@@ -84,43 +95,77 @@ def check_composed_records(fabric: "ShardedFabric") -> list[str]:
                     f"are ⪯-incomparable"
                 )
 
-    # 2. Real-time order between cuts: a cut that responded before
-    #    another was invoked must be ⪯ it (same epoch) and must not show
-    #    a larger seq for any key (any epoch — seqs survive migration).
-    for i, first in enumerate(composed):
-        for j, second in enumerate(composed):
-            if i == j or not first.responded < second.invoked:
+    # 2 + 3. Real-time order, by the same sort-and-sweep as the
+    #    single-object checker: visit invocations in time order, first
+    #    folding in every response strictly before the one at hand.
+    #      written[key]       — largest seq over responded writes
+    #      seen[key]          — largest seq over responded cuts, and the cut
+    #      newest[epoch][sid] — per vector entry, the largest value over
+    #                           that epoch's responded cuts, and the cut
+    #    A cut is compared against all three at its invocation: it must
+    #    be ⪰ the responded cuts of its epoch, must not show a smaller seq
+    #    for any key (any epoch — seqs survive migration), and must
+    #    contain every responded write (condition 5a of the single-object
+    #    checker, restated over per-key seqs).  A write is compared
+    #    against ``seen`` at its invocation: no responded cut may already
+    #    contain it (condition 5b).
+    written: dict[Any, int] = {}
+    seen: dict[Any, tuple[int, int]] = {}
+    newest: dict[int, dict[int, list[tuple[int, int | None]]]] = {}
+    ops = [(cut, j) for j, cut in enumerate(composed)]
+    ops += [(w, None) for w in fabric.writes]
+    responses = sorted(ops, key=lambda op: op[0].responded)
+    responded = 0
+    for op, j in sorted(ops, key=lambda op: op[0].invoked):
+        while (
+            responded < len(responses)
+            and responses[responded][0].responded < op.invoked
+        ):
+            done, i = responses[responded]
+            responded += 1
+            if i is None:
+                written[done.key] = max(written.get(done.key, 0), done.seq)
                 continue
-            if first.epoch == second.epoch and not _vc_leq(first, second):
-                failures.append(
-                    f"composed cut {j} (after {i} in real time) returned "
-                    f"an older vector"
-                )
             for key, (seq, _) in items[i].items():
-                other = items[j].get(key)
-                if other is None or other[0] < seq:
-                    failures.append(
-                        f"composed cut {j} (after {i} in real time) lost "
-                        f"key {key!r}: seq {seq} regressed to "
-                        f"{other[0] if other else 'absent'}"
-                    )
+                if key not in seen or seq > seen[key][0]:
+                    seen[key] = (seq, i)
+            fronts = newest.setdefault(done.epoch, {})
+            for sid, vc in done.shard_vectors.items():
+                front = fronts.setdefault(sid, [(0, None)] * len(vc))
+                for k, ts in enumerate(vc):
+                    if ts > front[k][0]:
+                        front[k] = (ts, i)
 
-    # 3. Write containment: effects respect real-time order in both
-    #    directions (conditions 5a/5b of the single-object checker,
-    #    restated over per-key seqs).
-    for w in fabric.writes:
-        for j, cut in enumerate(composed):
-            entry = items[j].get(w.key)
-            seen = entry[0] if entry is not None else 0
-            if w.responded < cut.invoked and seen < w.seq:
+        if j is None:
+            seq, i = seen.get(op.key, (0, None))
+            if i is not None and seq >= op.seq:
                 failures.append(
-                    f"composed cut {j} misses write {w.key!r}#{w.seq} "
-                    f"that preceded it (saw seq {seen})"
-                )
-            if cut.responded < w.invoked and seen >= w.seq:
-                failures.append(
-                    f"composed cut {j} saw future write {w.key!r}#{w.seq} "
+                    f"composed cut {i} saw future write {op.key!r}#{op.seq} "
                     f"invoked after it responded"
+                )
+            continue
+
+        older_than = _holder_above(op, newest.get(op.epoch, {}))
+        if older_than is not None:
+            failures.append(
+                f"composed cut {j} (after {older_than} in real time) "
+                f"returned an older vector"
+            )
+        for key, (seq, i) in seen.items():
+            entry = items[j].get(key)
+            if entry is None or entry[0] < seq:
+                failures.append(
+                    f"composed cut {j} (after {i} in real time) lost "
+                    f"key {key!r}: seq {seq} regressed to "
+                    f"{entry[0] if entry else 'absent'}"
+                )
+        for key, seq in written.items():
+            entry = items[j].get(key)
+            got = entry[0] if entry is not None else 0
+            if got < seq:
+                failures.append(
+                    f"composed cut {j} misses write {key!r}#{seq} "
+                    f"that preceded it (saw seq {got})"
                 )
 
     # 4. Per-key seqs are unique and increase in execution order (the

@@ -87,6 +87,35 @@ class TestHistoryRecorder:
         history.respond(b, now=3.0)
         history.validate_well_formed()
 
+    def test_well_formedness_rejects_response_before_invocation(self):
+        # A per-record check: it applies to concurrent-client histories too.
+        history = HistoryRecorder()
+        a = history.invoke(0, WRITE, now=5.0)
+        history.respond(a, now=4.0)
+        for sequential in (True, False):
+            with pytest.raises(HistoryError, match="before its invocation"):
+                history.validate_well_formed(sequential=sequential)
+
+    def test_well_formedness_orders_each_node_by_invocation_instant(self):
+        # Recorded out of time order, but sequential on the clock.
+        history = HistoryRecorder()
+        late = history.invoke(0, WRITE, now=5.0)
+        history.respond(late, now=6.0)
+        early = history.invoke(0, WRITE, now=1.0)
+        history.respond(early, now=2.0)
+        history.validate_well_formed()
+
+    def test_records_are_in_op_id_order(self):
+        history = HistoryRecorder()
+        ids = [history.invoke(k % 3, WRITE, now=float(10 - k)) for k in range(10)]
+        history.respond(ids[7], now=20.0)
+        history.respond(ids[2], now=21.0)
+        assert [r.op_id for r in history.records()] == ids
+        assert [r.op_id for r in history.records(completed_only=True)] == [
+            ids[2],
+            ids[7],
+        ]
+
 
 class TestMetricsCollector:
     def test_record_and_snapshot(self):

@@ -1,12 +1,10 @@
-"""Unit tests for both linearizability checkers on hand-built histories."""
+"""Unit tests for the sweep checker and the exhaustive oracle on hand-built histories."""
 
 import pytest
+from reference_checker import check_exhaustive
 
 from repro.analysis.history import SNAPSHOT, WRITE, HistoryRecorder
-from repro.analysis.linearizability import (
-    check_exhaustive,
-    check_snapshot_history,
-)
+from repro.analysis.linearizability import check_snapshot_history
 from repro.core.base import SnapshotResult
 from repro.errors import HistoryError
 
@@ -133,6 +131,64 @@ class TestSpecializedChecker:
                 ]
             )
             assert check_snapshot_history(records, n=2).ok
+
+    def test_equal_instants_are_concurrent(self):
+        # Real-time order is strict: a response and an invocation at the
+        # same instant leave the two operations concurrent, both ways.
+        records = build(
+            [
+                (0, WRITE, 0.0, 2.0, 1, "v1"),
+                (1, SNAPSHOT, 2.0, 3.0, snap_result((0, 0)), None),
+                (1, SNAPSHOT, 4.0, 5.0, snap_result((1, 1)), None),
+                (1, WRITE, 5.0, 6.0, 1, "v1"),
+            ]
+        )
+        assert check_snapshot_history(records, n=2).ok
+
+    def test_one_violation_per_operation_names_the_frontier_witness(self):
+        # Three writes precede the snapshot; only the newest one it
+        # misses (the frontier) is reported, once.
+        records = build(
+            [
+                (0, WRITE, 0.0, 1.0, 1, "v1"),
+                (0, WRITE, 2.0, 3.0, 2, "v2"),
+                (0, WRITE, 4.0, 5.0, 3, "v3"),
+                (1, SNAPSHOT, 6.0, 7.0, snap_result((0, 0)), None),
+            ]
+        )
+        report = check_snapshot_history(records, n=2)
+        assert report.violations == [
+            "snapshot 4 misses write 3 (node 0, ts 3) that preceded it; "
+            "saw ts 0"
+        ]
+
+    def test_pending_and_aborted_operations_constrain_nothing(self):
+        history = HistoryRecorder()
+        pending = history.invoke(0, WRITE, "v1", now=0.0)
+        aborted = history.invoke(1, WRITE, "v1", now=0.0)
+        history.abort(aborted, now=1.0)
+        lost = history.invoke(2, SNAPSHOT, now=0.0)
+        history.abort(lost, now=1.0)
+        for vc in [(0, 0, 0), (1, 0, 0), (1, 1, 0)]:
+            op = history.invoke(2, SNAPSHOT, now=2.0)
+            history.respond(op, result=snap_result(vc), now=3.0)
+        assert pending in {r.op_id for r in history.pending()}
+        assert check_snapshot_history(history.records(), n=3).ok
+
+    def test_response_before_invocation_raises(self):
+        records = build([(0, WRITE, 5.0, 4.0, 1, "v1")])
+        with pytest.raises(HistoryError, match="before its invocation"):
+            check_snapshot_history(records, n=1)
+
+    def test_completed_snapshot_without_result_raises(self):
+        records = build([(0, SNAPSHOT, 0.0, 1.0, None, None)])
+        with pytest.raises(HistoryError, match="without a result"):
+            check_snapshot_history(records, n=1)
+
+    def test_write_by_unknown_node_raises(self):
+        records = build([(3, WRITE, 0.0, 1.0, 1, "v1")])
+        with pytest.raises(HistoryError, match="outside"):
+            check_snapshot_history(records, n=3)
 
 
 class TestExhaustiveChecker:

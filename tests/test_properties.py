@@ -1,32 +1,45 @@
 """Property-based tests (hypothesis) for core invariants.
 
 Covers: the register join-semilattice laws, channel non-forgery, checker
-cross-validation (specialized vs exhaustive), end-to-end linearizability
-of randomized executions, and recovery from arbitrary corruption.
+cross-validation (sweep vs the pairwise and exhaustive oracles),
+end-to-end linearizability of randomized executions, and recovery from
+arbitrary corruption.
 """
 
 import collections
 import dataclasses
 import enum
 import random
+import time
+import types
 
+import broken_algorithms  # noqa: F401  (registers "broken-first-ack")
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference_checker import (
+    check_exhaustive,
+    reference_check_composed_records,
+    reference_check_snapshot_history,
+)
 from reference_sizer import reference_measure_size
 
 from repro import ChannelConfig, ClusterConfig, SimBackend
-from repro.analysis.history import SNAPSHOT, WRITE, HistoryRecorder
-from repro.analysis.invariants import definition1_consistent
-from repro.analysis.linearizability import (
-    check_exhaustive,
-    check_snapshot_history,
+from repro.analysis.history import (
+    SNAPSHOT,
+    WRITE,
+    HistoryRecorder,
+    OperationRecord,
 )
+from repro.analysis.invariants import definition1_consistent
+from repro.analysis.linearizability import check_snapshot_history
 from repro.core.base import SnapshotResult
 from repro.core.register import RegisterArray, TimestampedValue
 from repro.fault import TransientFaultInjector
 from repro.net import codec
 from repro.net.message import HEADER_BYTES, measure_size
+from repro.shard.check import check_composed_records
+from repro.shard.fabric import ComposedSnapshot, WriteRecord
 
 # Simulation-heavy properties get fewer, deadline-free examples.
 SIM_SETTINGS = settings(
@@ -261,6 +274,344 @@ class TestCheckerCrossValidation:
         specialized = check_snapshot_history(records, n=3, check_values=False)
         if not specialized.ok:
             assert not check_exhaustive(records, n=3), specialized.summary()
+
+
+def _snapshot_of(vc):
+    return SnapshotResult(
+        values=tuple(f"v{ts}" if ts else None for ts in vc),
+        vector_clock=tuple(vc),
+    )
+
+
+def linearizable_history(rng, n, ops, loose_ends=True):
+    """A random history that *is* linearizable, on an integer time grid.
+
+    Every operation takes effect at one instant inside its interval and
+    the instants never decrease, so the order they are drawn in is a
+    linearization.  Each node's operations are sequential; intervals of
+    different nodes overlap freely and — the grid being coarse — often
+    start or end at the same instant.  With ``loose_ends`` a node may
+    finish on a pending operation, and some operations are aborted.
+    """
+    records = []
+    state = [0] * n
+    free_at = [0] * n
+    stuck = set()
+    instant = 0
+    while len(records) < ops and len(stuck) < n:
+        node = rng.choice([k for k in range(n) if k not in stuck])
+        instant = max(instant, free_at[node]) + rng.randint(0, 2)
+        record = OperationRecord(
+            op_id=len(records) + 1,
+            node_id=node,
+            kind=WRITE if rng.random() < 0.5 else SNAPSHOT,
+            invoked_at=rng.randint(free_at[node], instant),
+            responded_at=instant + rng.randint(0, 3),
+        )
+        fate = rng.random() if loose_ends else 1.0
+        if fate < 0.03:
+            record.responded_at = None
+            stuck.add(node)
+        elif fate < 0.08:
+            record.aborted = True
+        if record.kind == WRITE:
+            # Pending and aborted writes take effect too: they may.
+            state[node] += 1
+            record.argument = f"v{state[node]}"
+            if fate >= 0.08:
+                record.result = state[node]
+        elif fate >= 0.08:
+            record.result = _snapshot_of(state)
+        if record.responded_at is not None:
+            free_at[node] = record.responded_at
+        records.append(record)
+    return records
+
+
+def mutate_history(rng, records):
+    """Copy ``records`` with one field of one operation nudged."""
+    kind = rng.choice(["invoked_at", "responded_at", "vector_entry", "write_ts"])
+    eligible = [
+        index
+        for index, r in enumerate(records)
+        if kind == "invoked_at"
+        or (kind == "responded_at" and r.completed)
+        or (kind == "vector_entry" and r.kind == SNAPSHOT and r.result)
+        or (kind == "write_ts" and r.kind == WRITE and r.result)
+    ]
+    if not eligible:
+        return records
+    records = list(records)
+    index = rng.choice(eligible)
+    record = records[index] = dataclasses.replace(records[index])
+    step = rng.choice([-3, -2, -1, 1, 2, 3])
+    unit = 1 if step > 0 else -1
+    if kind == "invoked_at":
+        record.invoked_at = max(0, record.invoked_at + step)
+        if record.completed:
+            record.invoked_at = min(record.invoked_at, record.responded_at)
+    elif kind == "responded_at":
+        record.responded_at = max(record.invoked_at, record.responded_at + step)
+    elif kind == "write_ts":
+        record.result = max(1, record.result + unit)
+    else:
+        vc = list(record.result.vector_clock)
+        k = rng.randrange(len(vc))
+        vc[k] = max(0, vc[k] + unit)
+        record.result = _snapshot_of(vc)
+    return records
+
+
+_HISTORY_KEYWORDS = (
+    "not increasing",
+    "incomparable",
+    "older vector",
+    "misses write",
+    "saw future write",
+    "cites write",
+)
+_COMPOSED_KEYWORDS = (
+    "not increasing",
+    "incomparable",
+    "older vector",
+    "lost key",
+    "misses write",
+    "saw future write",
+)
+
+
+def _conditions_hit(violations, keywords):
+    return {k for k in keywords if any(k in v for v in violations)}
+
+
+class TestSweepMatchesPairwiseOracle:
+    """The sort-and-sweep checkers reach the pairwise oracles' verdicts.
+
+    Violation *counts* differ on purpose (the sweep reports one per
+    offending operation, the oracle one per pair), so the comparison is
+    the verdict and which conditions were violated.
+    """
+
+    @staticmethod
+    def assert_same_verdict(records, n):
+        sweep = check_snapshot_history(records, n=n)
+        oracle = reference_check_snapshot_history(records, n=n)
+        assert sweep.ok == oracle.ok, (sweep.summary(), oracle.summary())
+        assert _conditions_hit(sweep.violations, _HISTORY_KEYWORDS) == (
+            _conditions_hit(oracle.violations, _HISTORY_KEYWORDS)
+        ), (sweep.summary(), oracle.summary())
+        return sweep.ok
+
+    @given(
+        seed=st.integers(min_value=0, max_value=1_000_000),
+        n=st.integers(min_value=1, max_value=5),
+        ops=st.integers(min_value=1, max_value=40),
+        mutations=st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_valid_and_mutated_histories(self, seed, n, ops, mutations):
+        rng = random.Random(seed)
+        records = linearizable_history(rng, n, ops)
+        assert self.assert_same_verdict(records, n), "generator is broken"
+        for _ in range(mutations):
+            records = mutate_history(rng, records)
+            self.assert_same_verdict(records, n)
+
+    def test_broken_algorithm_histories(self):
+        """Real non-linearizable runs: the first-ack-only snapshot reads
+        a stale node on some schedules and misses a completed write."""
+        verdicts = set()
+        for seed in range(20):
+            cluster = SimBackend(
+                "broken-first-ack", ClusterConfig(n=5, seed=seed), start=False
+            )
+            cluster.network.channel(0, 3).blocked = True
+            cluster.network.channel(0, 4).blocked = True
+
+            async def scenario():
+                for round_ in range(4):
+                    writes = [
+                        cluster.spawn(cluster.write(0, f"a{round_}")),
+                        cluster.spawn(cluster.write(1, f"b{round_}")),
+                    ]
+                    for task in writes:
+                        await task
+                    await cluster.kernel.sleep(0.5)
+                    mixed = [
+                        cluster.spawn(cluster.snapshot(4)),
+                        cluster.spawn(cluster.snapshot(3)),
+                        cluster.spawn(cluster.write(2, f"c{round_}")),
+                    ]
+                    for task in mixed:
+                        await task
+
+            cluster.run_until(scenario(), max_events=500_000)
+            verdicts.add(
+                self.assert_same_verdict(cluster.history.records(), 5)
+            )
+        assert verdicts == {True, False}  # the scenario does bite
+
+    def test_sweep_is_not_quadratic(self):
+        """40 000 operations: minutes pairwise (12 s for the first 10 000,
+        and quadratic), 0.1 s swept.  The limit is fifty times the
+        expected cost — a guard against the pair loops coming back, not a
+        stopwatch race."""
+        rng = random.Random(16)
+        records = linearizable_history(rng, 4, 40_000, loose_ends=False)
+        assert len(records) == 40_000
+        stale = mutate_stale_snapshot(records)
+        started = time.perf_counter()
+        report = check_snapshot_history(records, n=4)
+        rejected = check_snapshot_history(stale, n=4)
+        assert time.perf_counter() - started < 5.0
+        assert report.ok, report.summary()
+        assert "misses write" in rejected.summary()
+
+    # -- composed cuts -----------------------------------------------------
+
+    @given(
+        seed=st.integers(min_value=0, max_value=1_000_000),
+        ops=st.integers(min_value=1, max_value=40),
+        mutations=st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_valid_and_mutated_composed_cuts(self, seed, ops, mutations):
+        rng = random.Random(seed)
+        fabric = composed_records(rng, ops)
+        assert check_composed_records(fabric) == []
+        assert reference_check_composed_records(fabric) == []
+        for _ in range(mutations):
+            mutate_composed(rng, fabric)
+            sweep = check_composed_records(fabric)
+            oracle = reference_check_composed_records(fabric)
+            assert _conditions_hit(sweep, _COMPOSED_KEYWORDS) == (
+                _conditions_hit(oracle, _COMPOSED_KEYWORDS)
+            ), (sweep, oracle)
+
+
+def mutate_stale_snapshot(records):
+    """Copy ``records`` with the last snapshot that saw anything made to
+    forget one write that responded before it was invoked."""
+    records = list(records)
+    for index in range(len(records) - 1, -1, -1):
+        record = records[index]
+        if record.kind != SNAPSHOT:
+            continue
+        for write in records[:index]:
+            if (
+                write.kind == WRITE
+                and write.precedes(record)
+                and write.result == record.result.vector_clock[write.node_id]
+            ):
+                vc = list(record.result.vector_clock)
+                vc[write.node_id] -= 1
+                records[index] = dataclasses.replace(
+                    record, result=_snapshot_of(vc)
+                )
+                return records
+    raise AssertionError("no snapshot follows a write it shows")
+
+
+_SHARDS, _SLOTS, _KEYS = 2, 2, 6
+
+
+def composed_records(rng, ops):
+    """Linearizable fabric-level records: keyed writes and composed cuts.
+
+    Same construction as :func:`linearizable_history`.  Key ``k`` lives in
+    slot ``(k % _SHARDS, k // _SHARDS % _SLOTS)``; once, mid-run, the epoch
+    is bumped — shard vectors restart while per-key seqs carry over, as
+    after a split.
+    """
+    writes, cuts = [], []
+    epoch = 0
+    bump_at = rng.randrange(ops + 1)
+    seqs = [0] * _KEYS
+    vectors = {sid: [0] * _SLOTS for sid in range(_SHARDS)}
+    slots = {sid: [{} for _ in range(_SLOTS)] for sid in range(_SHARDS)}
+    instant = 0
+    for step in range(ops):
+        if step == bump_at:
+            epoch += 1
+            vectors = {sid: [0] * _SLOTS for sid in range(_SHARDS)}
+        instant += rng.randint(0, 2)
+        invoked = instant - rng.randint(0, 3)
+        responded = instant + rng.randint(0, 3)
+        if rng.random() < 0.6:
+            key = rng.randrange(_KEYS)
+            sid, slot = key % _SHARDS, key // _SHARDS % _SLOTS
+            seqs[key] += 1
+            vectors[sid][slot] += 1
+            slots[sid][slot][key] = (seqs[key], f"{key}#{seqs[key]}")
+            writes.append(
+                WriteRecord(
+                    key=key,
+                    seq=seqs[key],
+                    slot=(sid, slot),
+                    epoch=epoch,
+                    invoked=invoked,
+                    responded=responded,
+                    ts=vectors[sid][slot],
+                )
+            )
+        else:
+            cuts.append(
+                ComposedSnapshot(
+                    epoch=epoch,
+                    invoked=invoked,
+                    responded=responded,
+                    shard_vectors={s: tuple(v) for s, v in vectors.items()},
+                    shard_slots={
+                        s: tuple(dict(m) or None for m in maps)
+                        for s, maps in slots.items()
+                    },
+                    rounds=2,
+                    fenced=False,
+                )
+            )
+    return types.SimpleNamespace(writes=writes, composed=cuts)
+
+
+def mutate_composed(rng, fabric):
+    """Nudge one field of one fabric-level record, in place in the lists."""
+    step = rng.choice([-3, -2, -1, 1, 2, 3])
+    unit = 1 if step > 0 else -1
+    what = rng.choice(["instant", "instant", "seq", "vector", "entry"])
+    if what == "instant":
+        records = rng.choice([fabric.writes, fabric.composed])
+    else:
+        records = fabric.writes if what == "seq" else fabric.composed
+    if not records:
+        return
+    index = rng.randrange(len(records))
+    record = records[index]
+    if what == "instant":
+        if rng.random() < 0.5:
+            change = {"invoked": min(record.invoked + step, record.responded)}
+        else:
+            change = {"responded": max(record.responded + step, record.invoked)}
+    elif what == "seq":
+        change = {"seq": max(1, record.seq + unit)}
+    elif what == "vector":
+        sid = rng.randrange(_SHARDS)
+        vc = list(record.shard_vectors[sid])
+        k = rng.randrange(_SLOTS)
+        vc[k] = max(0, vc[k] + unit)
+        change = {"shard_vectors": {**record.shard_vectors, sid: tuple(vc)}}
+    else:
+        sid = rng.randrange(_SHARDS)
+        k = rng.randrange(_SLOTS)
+        slot_map = dict(record.shard_slots[sid][k] or {})
+        if not slot_map:
+            return
+        key = rng.choice(sorted(slot_map))
+        seq, value = slot_map.pop(key)
+        if rng.random() < 0.7:  # else the key is dropped from the cut
+            slot_map[key] = (max(1, seq + unit), value)
+        maps = list(record.shard_slots[sid])
+        maps[k] = slot_map or None
+        change = {"shard_slots": {**record.shard_slots, sid: tuple(maps)}}
+    records[index] = dataclasses.replace(record, **change)
 
 
 class TestEndToEndLinearizability:
