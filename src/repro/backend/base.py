@@ -19,6 +19,8 @@ Harnesses program against the contract::
     start()     launch the do-forever loops
     write()/snapshot()   invoke operations, recorded in .history
     submit_write()/submit_snapshot()   pipelined (non-awaiting) submission
+    submit()    the dispatch discipline under both (FIFO per node, or
+                immediate for CONCURRENT_CLIENTS algorithms)
     pipeline()  a depth-k client window over the submit path
     inject()    a TransientFaultInjector bound to this deployment
     partition()/heal()   connectivity control (real or modeled)
@@ -240,7 +242,7 @@ class ClusterBackend:
         self._started = False
         self._closed = False
         #: Tail of the per-node pipelined-operation chain (see
-        #: :meth:`submit_write`): node id → the most recently submitted
+        #: :meth:`submit`): node id → the most recently submitted
         #: operation's task.  Submissions to a node run strictly FIFO.
         self._op_chains: dict[int, Any] = {}
         #: Algorithms that batch concurrent local operations into shared
@@ -356,8 +358,19 @@ class ClusterBackend:
 
     # -- pipelined operation submission ------------------------------------
 
-    def _submit(self, node_id: int, factory) -> Any:
-        """Chain one operation onto ``node_id``'s FIFO dispatch queue.
+    def submit(
+        self, node_id: int, factory: Callable[[], Awaitable[Any]]
+    ) -> Any:
+        """Dispatch ``factory()`` as one operation of ``node_id``'s client.
+
+        The one place that decides *when* a submitted operation may start:
+        :meth:`submit_write`, :meth:`submit_snapshot` and the sharded
+        fabric all delegate here, so no caller re-implements the
+        discipline or branches on the algorithm.  The coroutine
+        ``factory()`` builds starts when the operation is dispatched, and
+        everything it does before its first suspension runs in that one
+        step — the fabric relies on this to update a slot's key map and
+        enqueue the new value at the algorithm atomically.
 
         Returns a task handle (``SimTask`` on the simulator,
         ``asyncio.Task`` on the live backends) that completes with the
@@ -407,11 +420,11 @@ class ClusterBackend:
         and can have several operations in flight (see
         :meth:`pipeline` for a bounded-depth client window).
         """
-        return self._submit(node_id, lambda: self.write(node_id, value))
+        return self.submit(node_id, lambda: self.write(node_id, value))
 
     def submit_snapshot(self, node_id: int) -> Any:
         """Pipelined :meth:`snapshot`: enqueue and return a task handle."""
-        return self._submit(node_id, lambda: self.snapshot(node_id))
+        return self.submit(node_id, lambda: self.snapshot(node_id))
 
     @property
     def concurrent_clients(self) -> bool:

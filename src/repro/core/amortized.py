@@ -16,14 +16,35 @@ Concretely, on top of the self-stabilizing non-blocking object:
   observable by any snapshot — they linearize immediately before the
   batch's final write, which is exactly the "never-observed write"
   case the linearizability checker admits.
-* **Scan sharing.**  All locally pending snapshots share query rounds.
-  Each round is literally the DGFR loop body — capture ``prev``, bump
-  ``ssn``, run one majority query, return ``reg`` iff ``prev = reg`` —
-  but one round's interference-free success resolves *every* scan that
-  was pending when the round began.  Scans enqueued mid-round wait for
-  the next round, which preserves real-time order.  The termination
-  class is unchanged: non-blocking (a scan can be starved by an endless
-  stream of remote writes), demonstrated by the same E12-style probe.
+* **Scan sharing on an equivalence quorum.**  All locally pending
+  snapshots share rounds, and a round succeeds when every reply of its
+  majority reports exactly the view the round broadcast — ``prev`` for a
+  SNAPSHOT round, ``lReg`` for a WRITE round — and returns *that* view
+  (Garg et al.'s equivalence quorum).  This is weaker than Algorithm 1's
+  ``prev = reg`` (which trips on *any* delivery during the round, acked
+  or not) and strictly implied by it: a server merges the query before
+  replying, so every reply is ⪰ ``prev``, and ``prev = reg`` after the
+  merge forces every reply to equal ``prev``.  It is sound by the same
+  quorum-intersection argument: each server's view is monotone, any two
+  majorities share a server, and a matching reply was sent after the
+  round began (it echoes the round's fresh ``ssn``, or contains the
+  round's fresh own timestamp) — so the returned view contains every
+  write that completed before the round began, and the views returned
+  by any two rounds are ⪯-comparable in real-time order.
+* **A write round is also a collect.**  WRITE acks already carry each
+  server's merged ``reg``, so a group-commit round resolves the scans
+  pending at its start by the same test instead of alternating with a
+  separate SNAPSHOT round; a SNAPSHOT round runs only when no local
+  write is pending.  Scans enqueued mid-round wait for the next round,
+  which preserves real-time order.  The termination class is unchanged:
+  non-blocking (a scan can be starved by an endless stream of remote
+  writes), demonstrated by the same E12-style probe.
+
+After a transient fault the test reads only replies that already passed
+Algorithm 1's own ack filters (``ssnJ = ssn``, ``regJ ⪰ lReg``) and
+compares timestamps only (the paper's ``⪯``), so it is exposed to
+exactly the stale in-transit acks Algorithm 1 is, for exactly as long:
+Theorem 1's O(1)-cycle recovery carries over unchanged.
 
 Because operations must genuinely overlap for batching to pay off, this
 variant sets :attr:`AmortizedSnapshot.CONCURRENT_CLIENTS`, which tells
@@ -43,7 +64,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.base import SnapshotResult, WriteAckMessage, WriteMessage
-from repro.core.register import TimestampedValue
+from repro.core.register import RegisterArray, TimestampedValue
 from repro.core.ss_nonblocking import SelfStabilizingNonBlocking
 from repro.net.message import Message
 from repro.net.quorum import AckCollector, broadcast_until
@@ -129,15 +150,16 @@ class AmortizedSnapshot(SelfStabilizingNonBlocking):
     async def _engine(self) -> None:
         """Run shared rounds until no local operation is pending.
 
-        Alternates one write round and one scan round per lap so neither
-        kind starves the other locally (a scan can still be starved by
+        A write round carries the pending scans with it, so a scan-only
+        round runs just when no local write is waiting; neither kind
+        starves the other locally (a scan can still be starved by
         *remote* writers — the inherited non-blocking guarantee).
         """
         try:
             while self._pending_writes or self._pending_scans:
                 if self._pending_writes:
                     await self._write_round()
-                if self._pending_scans:
+                else:
                     await self._scan_round()
         finally:
             self._engine_task = None
@@ -148,9 +170,11 @@ class AmortizedSnapshot(SelfStabilizingNonBlocking):
         Timestamps are assigned per write so each caller gets a distinct,
         per-writer-monotone index; only the last value is installed, so
         the earlier writes of the batch are never observed (they
-        linearize immediately before the final one).
+        linearize immediately before the final one).  The acks double as
+        a collect of ``l_reg`` for the scans pending at the round's start.
         """
         batch, self._pending_writes = self._pending_writes, []
+        scans, self._pending_scans = self._pending_scans, []
         for op in batch:
             self.ts += 1
             self.reg[self.node_id] = TimestampedValue(self.ts, op.value)
@@ -168,31 +192,41 @@ class AmortizedSnapshot(SelfStabilizingNonBlocking):
             await broadcast_until(
                 self, lambda: WriteMessage(reg=self.reg.copy()), collector
             )
-            replies = collector.reply_messages()
-        self.merge(msg.reg for msg in replies)
+            views = [msg.reg for msg in collector.reply_messages()]
+        self.merge(views)
         for op in batch:
             op.event.set()
+        self._settle_scans(scans, l_reg, views)
 
     async def _scan_round(self) -> None:
-        """One shared DGFR query round for every scan pending at its start.
-
-        On interference (``prev != reg`` after the round) the batch is
-        re-enqueued at the *front* so it merges with newly arrived scans
-        in the next round; the engine loop interleaves write rounds in
-        between, so pending local writes still make progress.
-        """
+        """One shared SNAPSHOT round for every scan pending at its start."""
         batch, self._pending_scans = self._pending_scans, []
         prev = self.reg.copy()
         self.ssn += 1
         if self.obs is not None:
             self.obs.phase("snapshot.batch_round")
-        await self._query_round()
-        if prev == self.reg:
-            result = SnapshotResult.from_registers(self.reg)
-            for op in batch:
+        self._settle_scans(batch, prev, await self._query_round())
+
+    def _settle_scans(
+        self,
+        scans: list[_PendingOp],
+        view: RegisterArray,
+        replies: list[RegisterArray],
+    ) -> None:
+        """Resolve ``scans`` with ``view`` iff a majority reported exactly it.
+
+        Otherwise the batch is re-enqueued at the *front*, so it merges
+        with newly arrived scans in the next round.
+        """
+        if not scans:
+            return
+        clock = view.vector_clock()
+        if all(reply.vector_clock() == clock for reply in replies):
+            result = SnapshotResult.from_registers(view)
+            for op in scans:
                 op.resolve(result)
         else:
-            self._pending_scans = batch + self._pending_scans
+            self._pending_scans = scans + self._pending_scans
 
     # -- lifecycle ------------------------------------------------------------------
 

@@ -104,13 +104,14 @@ class DgfrNonBlocking(SnapshotAlgorithm):
         finally:
             self._end_operation("snapshot")
 
-    async def _query_round(self) -> None:
+    async def _query_round(self) -> list[RegisterArray]:
         """Lines 20–21: one ``repeat broadcast SNAPSHOT until majority``.
 
         The ack filter implements line 20's ``ssnJ = ssn`` against the
         *current* value of ``ssn`` — matching the paper's use of the
         mutable variable, which is what heals corrupted in-transit acks in
-        the self-stabilizing variant.
+        the self-stabilizing variant.  Returns the collected replies'
+        register views, already merged into ``reg``.
         """
 
         def matches(sender: int, msg: Message) -> bool:
@@ -124,5 +125,6 @@ class DgfrNonBlocking(SnapshotAlgorithm):
                 lambda: SnapshotMessage(reg=self.reg.copy(), ssn=self.ssn),
                 collector,
             )
-            replies = collector.reply_messages()
-        self.merge(msg.reg for msg in replies)
+            views = [msg.reg for msg in collector.reply_messages()]
+        self.merge(views)
+        return views

@@ -6,12 +6,12 @@ after each phase:
 
 * **linearizability** of the recorded history
   (:func:`~repro.analysis.linearizability.check_snapshot_history`) before
-  every corruption burst and at the end of the run;
+  every corruption burst or detectable restart and at the end of the run;
 * **Definition-1 invariants**
   (:func:`~repro.analysis.invariants.definition1_consistent`) after each
-  corruption burst's recovery window and at the end (self-stabilizing
-  algorithms only — corruption is skipped for algorithms that do not
-  claim recovery);
+  corruption burst's — and each detectable restart's — recovery window
+  and at the end (self-stabilizing algorithms only — corruption is
+  skipped for algorithms that do not claim recovery);
 * **per-operation termination bounds**: an operation invoked while a
   majority is alive and the network unpartitioned must complete within
   :data:`OP_TERMINATION_BOUND` simulated time units.
@@ -78,12 +78,26 @@ class SpecOutcome:
         )
 
     def fingerprint(self) -> dict:
-        """JSON-safe identity of the run, for replay comparison."""
+        """JSON-safe identity of the run, for replay comparison.
+
+        Equal to its own ``json.loads(json.dumps(...))``, so a replay
+        can compare a fresh fingerprint against a recorded one.
+        """
         return {
             "sim_time": self.sim_time,
             "events_processed": self.events_processed,
-            "history": [list(entry) for entry in self.history],
+            "history": _json_safe(self.history),
         }
+
+
+def _json_safe(value):
+    """``value`` as JSON represents it; ``bytes`` (corruption bursts write
+    them into registers, snapshots return them) become tagged hex."""
+    if isinstance(value, bytes):
+        return {"bytes": value.hex()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value
 
 
 def _normalize_result(result) -> object:
@@ -271,13 +285,27 @@ class _SpecRun:
         else:
             self.injector.scramble_channels()
         self.applied += 1
+        await self._recover(f"event {index}: post-corruption")
+
+    def _restore_liveness(self) -> None:
+        """Full connectivity, every node taking steps again."""
+        cluster = self.cluster
         self._heal()
         for node in range(cluster.config.n):
             if cluster.node(node).crashed:
                 cluster.resume(node)
-        cluster.tracker.reset()
-        await cluster.tracker.wait_cycles(_RECOVERY_CYCLES)
-        self._check_invariants(f"event {index}: post-corruption recovery")
+
+    async def _recover(self, context: str) -> None:
+        """The window after an event that rewrote state wholesale.
+
+        Restore liveness, grant the algorithm its recovery cycles, check
+        Definition 1, then void the history: what was recorded before
+        and during recovery imposes nothing on what follows.
+        """
+        self._restore_liveness()
+        self.cluster.tracker.reset()
+        await self.cluster.tracker.wait_cycles(_RECOVERY_CYCLES)
+        self._check_invariants(f"{context} recovery")
         self._void_history()
 
     def _crash(self, node: int) -> None:
@@ -289,15 +317,24 @@ class _SpecRun:
         cluster.crash(node)
         self.applied += 1
 
-    def _resume(self, node: int, mode: str) -> None:
+    async def _resume(self, index: int, node: int, mode: str) -> None:
         cluster = self.cluster
         crashed = [p.node_id for p in cluster.processes if p.crashed]
         if not crashed:
             self.skipped += 1
             return
         target = crashed[node % len(crashed)]
+        # A detectable restart wipes ts/reg/ssn: to the rest of the
+        # system it is a transient fault at one node (a write invoked
+        # there inside the next gossip period reuses ts 1), so it gets
+        # the evidence window a corruption burst gets.
+        wiped = mode == "restart" and self.stabilizing
+        if wiped:
+            self._check_history(f"event {index}: pre-restart")
         cluster.resume(target, restart=(mode == "restart"))
         self.applied += 1
+        if wiped:
+            await self._recover(f"event {index}: post-restart")
 
     def _partition(self, group: tuple[int, ...]) -> None:
         cluster = self.cluster
@@ -321,7 +358,7 @@ class _SpecRun:
             elif kind == "crash":
                 self._crash(event.node)
             elif kind == "resume":
-                self._resume(event.node, event.mode)
+                await self._resume(index, event.node, event.mode)
             elif kind == "partition":
                 self._partition(event.group)
             elif kind == "heal":
@@ -338,10 +375,7 @@ class _SpecRun:
                 await cluster.kernel.sleep(event.gap)
         # Final phase: restore full connectivity and liveness, settle,
         # then check everything one last time.
-        self._heal()
-        for node in range(cluster.config.n):
-            if cluster.node(node).crashed:
-                cluster.resume(node)
+        self._restore_liveness()
         if self.stabilizing:
             await cluster.tracker.wait_cycles(4)
         else:

@@ -9,10 +9,11 @@ north star needs orders of magnitude more.  This package scales *out*:
 * :mod:`repro.shard.epoch` — the agreement seam deciding successor
   maps (:class:`EpochDecider`; the self-stabilizing multivalued
   consensus of ROADMAP item 5 slots in here).
-* :mod:`repro.shard.fabric` — the :class:`ShardedFabric`: per-slot
-  serialized keyed writes and scans, composed cross-shard snapshots via
-  double collect with a fenced fallback, and online shard splits that
-  never lose or duplicate an in-flight operation.
+* :mod:`repro.shard.fabric` — the :class:`ShardedFabric`: keyed writes
+  and scans submitted under each cluster's own dispatch discipline,
+  composed cross-shard snapshots via double collect with a writes-only
+  fence, and online shard splits that never lose or duplicate an
+  in-flight operation.
 * :mod:`repro.shard.check` — two-layer linearizability checking
   (per-shard histories + composed cuts).
 * :mod:`repro.shard.load` / :mod:`repro.shard.chaos` /

@@ -158,8 +158,8 @@ class ShardChaosCampaign:
             self.report.events += 1
             if index == split_at:
                 # The split runs while prior operations may still be
-                # queued — exactly the in-flight-across-epochs case the
-                # hop path must handle.
+                # in flight or waiting for admission — they drain, or
+                # route under the new epoch once the gate reopens.
                 await self._do_split()
             action = self.rng.choice(weighted)
             result = action()

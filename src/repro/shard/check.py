@@ -7,8 +7,8 @@ Two layers, matching the fabric's two-layer guarantee:
   (:func:`repro.analysis.linearizability.check_snapshot_history`)
   unchanged: per-writer timestamp monotonicity, total ⪯-order of
   snapshot vectors, real-time order, value agreement.  Because each key
-  lives in exactly one slot and the fabric serializes that slot's
-  writes, per-shard atomicity *is* per-key atomicity.
+  lives in exactly one slot and the fabric is that slot's only writer,
+  per-shard atomicity *is* per-key atomicity.
 * **composed** — the cross-shard cuts and fabric-level writes must
   linearize with each other: composed vectors within an epoch must be
   ⪯-comparable and respect real-time order; each key's sequence number
@@ -36,7 +36,9 @@ def check_shard_histories(fabric: "ShardedFabric") -> list[str]:
     for shard_id in sorted(fabric.shard_ids):
         backend = fabric.shard(shard_id)
         try:
-            backend.history.validate_well_formed()
+            backend.history.validate_well_formed(
+                sequential=not backend.concurrent_clients
+            )
         except Exception as exc:  # noqa: BLE001 - folded into the report
             failures.append(f"shard{shard_id}: malformed history: {exc}")
             continue
@@ -109,7 +111,15 @@ def check_composed_records(fabric: "ShardedFabric") -> list[str]:
     #    checker, restated over per-key seqs).  A write is compared
     #    against ``seen`` at its invocation: no responded cut may already
     #    contain it (condition 5b).
+    #
+    # 4. Per-key seqs are unique, and a write that responded strictly
+    #    before another to the same key was invoked has the smaller seq
+    #    (``written`` at the later one's invocation).  Nothing is read
+    #    off the order of ``fabric.writes``: a group commit completes
+    #    several writes at one instant and their records are appended in
+    #    whatever order the scheduler resumes them.
     written: dict[Any, int] = {}
+    taken: set[tuple[Any, int]] = set()
     seen: dict[Any, tuple[int, int]] = {}
     newest: dict[int, dict[int, list[tuple[int, int | None]]]] = {}
     ops = [(cut, j) for j, cut in enumerate(composed)]
@@ -137,6 +147,16 @@ def check_composed_records(fabric: "ShardedFabric") -> list[str]:
                         front[k] = (ts, i)
 
         if j is None:
+            if (op.key, op.seq) in taken:
+                failures.append(
+                    f"write seq not unique for key {op.key!r}: #{op.seq}"
+                )
+            taken.add((op.key, op.seq))
+            if written.get(op.key, 0) >= op.seq:
+                failures.append(
+                    f"write seq not increasing for key {op.key!r}: "
+                    f"#{op.seq} invoked after #{written[op.key]} responded"
+                )
             seq, i = seen.get(op.key, (0, None))
             if i is not None and seq >= op.seq:
                 failures.append(
@@ -167,18 +187,6 @@ def check_composed_records(fabric: "ShardedFabric") -> list[str]:
                     f"composed cut {j} misses write {key!r}#{seq} "
                     f"that preceded it (saw seq {got})"
                 )
-
-    # 4. Per-key seqs are unique and increase in execution order (the
-    #    fabric is each key's single sequential writer).
-    last_seq: dict[Any, int] = {}
-    for w in fabric.writes:
-        previous = last_seq.get(w.key, 0)
-        if w.seq <= previous:
-            failures.append(
-                f"write seq not increasing for key {w.key!r}: "
-                f"{w.seq} after {previous}"
-            )
-        last_seq[w.key] = max(previous, w.seq)
 
     return failures
 

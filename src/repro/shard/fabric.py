@@ -4,36 +4,50 @@ A :class:`ShardedFabric` runs ``K`` full snapshot-object deployments —
 each a :class:`~repro.backend.base.ClusterBackend` on any substrate —
 behind the consistent-hash :class:`~repro.shard.ring.ShardMap`.  Client
 keys route to one register *slot* ``(shard, node)``; the fabric is the
-slot's single sequential writer, exactly the paper's SWMR model with the
-fabric playing the clients' role, so every per-shard guarantee (Definition
-1 atomicity, self-stabilization, crash tolerance) applies per key
+slot's single writer, exactly the paper's SWMR model with the fabric
+playing the clients' role, so every per-shard guarantee (Definition 1
+atomicity, self-stabilization, crash tolerance) applies per key
 unchanged.
 
 Three mechanisms make the composition more than K disjoint objects:
 
-* **per-slot FIFO chains** — operations on a slot dispatch strictly in
-  submission order (the read-modify-write of the slot's key→value map
-  must serialize), while slots — and therefore shards — run genuinely
-  concurrently.  This is the scaling axis E19 measures.
+* **one submission discipline, the backend's** — a keyed write, a keyed
+  read and a collect each pass the admission gate, route under the
+  *installed* map, and hand the slot's cluster a coroutine factory
+  through :meth:`ClusterBackend.submit
+  <repro.backend.base.ClusterBackend.submit>`.  The backend alone
+  decides when it starts (FIFO per node for the sequential algorithms,
+  at once for the round-sharing ones), so the fabric keeps no queue of
+  its own and never asks which algorithm it fronts.  The slot's
+  key→value map is read, extended and handed to the algorithm *inside*
+  that factory, in one step: two same-instant writes to different keys
+  of one slot then publish in the order they extend the map, whichever
+  order their tasks happen to start in.  Per-key order needs no queue
+  either: a write takes its sequence number at submission and the map
+  keeps the highest, so pipelined writes to one key end at the last
+  one submitted.
 * **composed snapshots** — a globally-consistent cut across all shards.
   Per-shard snapshots are atomic and their vector clocks monotone, so a
   *double collect* (two rounds of parallel per-shard snapshots returning
   identical vectors) proves every shard's state was unchanged between
   the two rounds' linearization points, i.e. the composed vector is the
   true global state at any instant in between — the same argument as the
-  stacked double-collect scan, lifted one level.  Under write pressure
-  the optimistic rounds may never agree, so after ``max_rounds`` the
-  fabric *fences*: it briefly closes the admission gate, drains in-flight
-  operations, and takes one trivially-stable collect (the
-  always-terminating flavour of the same trade-off the paper's
-  Algorithm 2 makes).
+  stacked double-collect scan, lifted one level.  A double collect
+  cannot succeed while writes keep landing, so a compose that finds
+  fabric writes in flight — when invoked, or after a round that did not
+  agree — or that runs out of optimistic rounds *fences*: it closes
+  admission to **writes only**, waits for the writes already admitted,
+  and takes one parallel collect of a state that can no longer move —
+  the paper's Algorithm 3 trade-off (pause writers briefly so snapshots
+  terminate).  Keyed reads keep flowing throughout.
 * **epoch-stamped reconfiguration** — a shard split installs a successor
   :class:`ShardMap` (epoch + 1, decided through the
   :class:`~repro.shard.epoch.EpochDecider` seam) only at a drained
-  quiescent point; queued operations re-check the installed map when
-  they execute and *hop* to a key's new home if it migrated.  No
-  operation is lost (the gate only pauses, never drops) and none is
-  duplicated (an operation executes exactly once, at its final slot).
+  quiescent point (reads and writes both paused).  An operation routes
+  *after* it is admitted, so one submitted before or during a split
+  simply runs at its key's new home under the new epoch.  No operation
+  is lost (the gate only pauses, never drops) and none is duplicated
+  (an operation executes exactly once, at its final slot).
   State moves by taking the drained point as the transfer point and
   re-publishing moved entries through ordinary paper writes — the same
   snapshot-as-linearization-point handoff as
@@ -150,6 +164,47 @@ class SplitReport:
     transfer_vector: tuple[tuple[int, tuple[int, ...]], ...]
 
 
+class _Admission:
+    """One class of fabric operations: a gate in front, a count behind.
+
+    ``async with admission:`` waits at the gate, then counts the
+    operation as in flight until the block exits.  :meth:`drain` closes
+    the gate and returns once nothing admitted is still running;
+    :meth:`open` lets the waiters through again.
+    """
+
+    def __init__(self, kernel: Any) -> None:
+        self._kernel = kernel
+        self._gate = kernel.create_gate(True)
+        self.inflight = 0
+        self._idle: Any = None
+
+    async def __aenter__(self) -> None:
+        # Re-test after waking: another admin section may have closed
+        # the gate again before this waiter got to run.
+        while not self._gate.is_open:
+            await self._gate.passthrough()
+        self.inflight += 1
+
+    async def __aexit__(self, *exc_info: object) -> None:
+        self.inflight -= 1
+        if self.inflight == 0 and self._idle is not None:
+            self._idle.set()
+
+    def close(self) -> None:
+        self._gate.close()
+
+    def open(self) -> None:
+        self._gate.open()
+
+    async def drain(self) -> None:
+        self._gate.close()
+        if self.inflight:
+            self._idle = self._kernel.create_event()
+            await self._idle.wait()
+            self._idle = None
+
+
 class ShardedFabric:
     """K snapshot clusters behind one consistent-hash router.
 
@@ -201,22 +256,15 @@ class ShardedFabric:
         #: Authoritative per-slot key→(seq, value) maps.  The fabric is
         #: each slot's single writer (SWMR), so this is the writer's own
         #: copy of its register contents — what the paper's node keeps
-        #: in ``reg[i]`` — not a cache that can go stale.
+        #: in ``reg[i]`` — not a cache that can go stale.  A published
+        #: map is never mutated; each write installs a fresh dict.
         self._slots: dict[tuple[int, int], dict[Any, tuple[int, Any]]] = {}
         self._key_seq: dict[Any, int] = {}
-        #: Per-slot FIFO dispatch chains: every operation touching a
-        #: slot — writes, key scans, composed collects — dispatches in
-        #: submission order, honouring the model's one-sequential-client
-        #: -per-node assumption (the same discipline as
-        #: :meth:`ClusterBackend._submit`).
-        self._chains: dict[tuple[int, int], Any] = {}
+        #: Admission, per operation class.  A fenced compose pauses
+        #: writes only; a split pauses both.  Pausing never drops.
+        self._reads = _Admission(self.kernel)
+        self._writes = _Admission(self.kernel)
         self._admin_chain: Any = None
-        #: Admission gate: closed while a split or fenced compose holds
-        #: the fabric quiescent.  Closing *pauses* admissions; nothing
-        #: is ever dropped.
-        self._gate = self.kernel.create_gate(True)
-        self._inflight = 0
-        self._drain_event: Any = None
         self._closed = False
         #: Fabric-level operation records for the composed checker.
         self.writes: list[WriteRecord] = []
@@ -255,74 +303,18 @@ class ShardedFabric:
             if obs is not None:
                 obs.label = f"shard{shard_id}"
 
-    # -- per-slot FIFO chains ----------------------------------------------
-
-    def _chain(
-        self,
-        slot: tuple[int, int],
-        coro_factory: Callable[[], Awaitable[Any]],
-        name: str,
-    ) -> Any:
-        previous = self._chains.get(slot)
-
-        async def chained() -> Any:
-            if previous is not None:
-                try:
-                    await previous
-                except BaseException:  # noqa: BLE001 - reported on its own handle
-                    pass
-            return await coro_factory()
-
-        task = self.kernel.create_task(chained(), name=name)
-        self._chains[slot] = task
-        return task
-
-    async def _admitted(
-        self,
-        key: Any,
-        slot: tuple[int, int],
-        body: Callable[[int, int], Awaitable[Any]],
-    ) -> Any:
-        """Gate + epoch re-check + in-flight accounting around ``body``.
-
-        Runs at the head of every chained operation.  If the key's home
-        moved while the operation was queued (an epoch change installed
-        a successor map), the operation *hops*: it re-chains itself at
-        the key's new slot and completes there — executed exactly once,
-        under the new epoch.
-        """
-        if self._closed:
-            raise ReproError("fabric is closed")
-        await self._gate.passthrough()
-        current = self.map.slot(key, self.n)
-        if current != slot:
-            return await self._chain(
-                current,
-                lambda: self._admitted(key, current, body),
-                name=f"hop@{current}",
-            )
-        self._inflight += 1
-        try:
-            return await body(*current)
-        finally:
-            self._inflight -= 1
-            if self._inflight == 0 and self._drain_event is not None:
-                self._drain_event.set()
-
     # -- operations --------------------------------------------------------
 
     def submit_write(self, key: Any, value: Any) -> Any:
-        """Pipelined write: enqueue at the key's slot, return a task."""
-        slot = self.slot_of(key)
-        invoked = self.kernel.now
+        """Pipelined write: returns a task completing with the key's seq.
 
-        async def body(shard_id: int, node: int) -> int:
-            return await self._write_at(shard_id, node, key, value, invoked)
-
-        return self._chain(
-            slot,
-            lambda: self._admitted(key, slot, body),
-            name=f"w@{slot}",
+        The sequence number is taken here, at submission, so writes one
+        caller pipelines to one key keep their program order whatever
+        order their tasks start in.
+        """
+        seq = self._key_seq[key] = self._key_seq.get(key, 0) + 1
+        return self.kernel.create_task(
+            self._write(key, seq, value, self.kernel.now), name=f"w:{key}"
         )
 
     async def write(self, key: Any, value: Any) -> int:
@@ -331,49 +323,55 @@ class ShardedFabric:
 
     def submit_scan(self, key: Any) -> Any:
         """Pipelined shard-local read of ``key`` (an atomic shard scan)."""
-        slot = self.slot_of(key)
-
-        async def body(shard_id: int, node: int) -> KeyView:
-            result = await self._shards[shard_id].snapshot(node)
-            entry = (result.values[node] or {}).get(key)
-            if entry is None:
-                return KeyView(key, 0, None, False, shard_id, self.epoch)
-            return KeyView(
-                key, entry[0], entry[1], True, shard_id, self.epoch
-            )
-
-        return self._chain(
-            slot,
-            lambda: self._admitted(key, slot, body),
-            name=f"s@{slot}",
-        )
+        return self.kernel.create_task(self._read(key), name=f"s:{key}")
 
     async def scan(self, key: Any) -> KeyView:
         """Read ``key`` through an atomic scan of its shard."""
         return await self.submit_scan(key)
 
-    async def _write_at(
-        self, shard_id: int, node: int, key: Any, value: Any, invoked: float
+    async def _write(
+        self, key: Any, seq: int, value: Any, invoked: float
     ) -> int:
-        seq = self._key_seq.get(key, 0) + 1
-        self._key_seq[key] = seq
-        slot = (shard_id, node)
-        state = dict(self._slots.get(slot, {}))
-        state[key] = (seq, value)
-        self._slots[slot] = state
-        ts = await self._shards[shard_id].write(node, state)
-        self.writes.append(
-            WriteRecord(
-                key=key,
-                seq=seq,
-                slot=slot,
-                epoch=self.epoch,
-                invoked=invoked,
-                responded=self.kernel.now,
-                ts=ts,
+        if self._closed:
+            raise ReproError("fabric is closed")
+        async with self._writes:
+            slot = shard_id, node = self.slot_of(key)
+            backend = self._shards[shard_id]
+
+            async def publish() -> int:
+                # No suspension between extending the slot's map and
+                # enqueueing it at the algorithm: a task hop here would
+                # let a same-instant write of another key publish its
+                # larger map first and this one overwrite it.
+                state = self._slots.get(slot, {})
+                if state.get(key, (0, None))[0] < seq:
+                    state = self._slots[slot] = {**state, key: (seq, value)}
+                return await backend.write(node, state)
+
+            ts = await backend.submit(node, publish)
+            self.writes.append(
+                WriteRecord(
+                    key=key,
+                    seq=seq,
+                    slot=slot,
+                    epoch=self.epoch,
+                    invoked=invoked,
+                    responded=self.kernel.now,
+                    ts=ts,
+                )
             )
-        )
-        return seq
+            return seq
+
+    async def _read(self, key: Any) -> KeyView:
+        if self._closed:
+            raise ReproError("fabric is closed")
+        async with self._reads:
+            shard_id, node = self.slot_of(key)
+            result = await self._shards[shard_id].submit_snapshot(node)
+            entry = (result.values[node] or {}).get(key)
+            if entry is None:
+                return KeyView(key, 0, None, False, shard_id, self.epoch)
+            return KeyView(key, entry[0], entry[1], True, shard_id, self.epoch)
 
     # -- composed snapshots ------------------------------------------------
 
@@ -384,35 +382,17 @@ class ShardedFabric:
     async def _collect(self, map_: ShardMap) -> dict[int, Any] | None:
         """One parallel round of per-shard snapshots under ``map_``.
 
-        Collects route through each shard's node-0 slot chain so they
-        serialize with that slot's keyed operations (one sequential
-        client per node).  Returns ``None`` if an epoch change
-        interleaved.
+        A collect is a read at each shard's node 0.  Returns ``None`` if
+        an epoch change was installed while it waited for admission.
         """
-        tasks = {
-            shard_id: self._chain(
-                (shard_id, 0),
-                (lambda sid=shard_id: self._collect_one(sid)),
-                name=f"c@{shard_id}",
-            )
-            for shard_id in map_.shard_ids
-        }
-        results: dict[int, Any] = {}
-        for shard_id, task in tasks.items():
-            results[shard_id] = await task
-        if self.map is not map_:
-            return None
-        return results
-
-    async def _collect_one(self, shard_id: int) -> Any:
-        await self._gate.passthrough()
-        self._inflight += 1
-        try:
-            return await self._shards[shard_id].snapshot(0)
-        finally:
-            self._inflight -= 1
-            if self._inflight == 0 and self._drain_event is not None:
-                self._drain_event.set()
+        async with self._reads:
+            if self.map is not map_:
+                return None
+            tasks = {
+                shard_id: self._shards[shard_id].submit_snapshot(0)
+                for shard_id in map_.shard_ids
+            }
+            return {shard_id: await task for shard_id, task in tasks.items()}
 
     async def compose_snapshot(
         self, max_rounds: int | None = None, fence: bool = True
@@ -422,15 +402,16 @@ class ShardedFabric:
         Runs up to ``max_rounds`` optimistic double-collects; if writers
         keep the composed vector moving and ``fence`` is true (the
         default, the always-terminating flavour), falls back to a brief
-        admission fence.  With ``fence=False`` the compose is
-        non-blocking only: it retries until a clean double collect
-        succeeds, like the stacked scan.
+        write fence — without spending a round whenever fabric writes
+        are in flight, since a double collect cannot succeed then.  With
+        ``fence=False`` the compose is non-blocking only: it retries
+        until a clean double collect succeeds, like the stacked scan.
         """
         if max_rounds is None:
             max_rounds = self.MAX_OPTIMISTIC_ROUNDS
         invoked = self.kernel.now
         rounds = 0
-        while True:
+        while not (fence and (self._writes.inflight or rounds >= max_rounds)):
             map_ = self.map
             first = await self._collect(map_)
             if first is None:
@@ -447,27 +428,28 @@ class ShardedFabric:
                 return self._record_compose(
                     map_, second, invoked, rounds, fenced=False
                 )
-            if fence and rounds >= max_rounds:
-                return await self._admin(
-                    lambda: self._fenced_compose(invoked, rounds)
-                )
+        return await self._admin(lambda: self._fenced_compose(invoked, rounds))
 
     async def _fenced_compose(
         self, invoked: float, optimistic_rounds: int
     ) -> ComposedSnapshot:
-        """Drain in-flight operations, then one trivially-stable collect."""
-        await self._quiesce()
+        """Pause writes, wait for those in flight, one stable collect.
+
+        With no fabric write admitted, no shard's vector can move (a
+        split cannot interleave either — both run on the admin chain),
+        so every per-shard snapshot returns that shard's one settled
+        state and the parallel collect is a cut at any instant inside
+        the fence.  Keyed reads are not paused.
+        """
+        await self._writes.drain()
         try:
             map_ = self.map
-            results = {
-                sid: await self._shards[sid].snapshot(0)
-                for sid in map_.shard_ids
-            }
+            results = await self._collect(map_)
             return self._record_compose(
                 map_, results, invoked, optimistic_rounds + 1, fenced=True
             )
         finally:
-            self._release()
+            self._writes.open()
 
     def _record_compose(
         self,
@@ -497,15 +479,14 @@ class ShardedFabric:
     # -- quiescence + admin serialization ----------------------------------
 
     async def _quiesce(self) -> None:
-        """Close the admission gate and wait until nothing is in flight."""
-        self._gate.close()
-        if self._inflight:
-            self._drain_event = self.kernel.create_event()
-            await self._drain_event.wait()
-            self._drain_event = None
+        """Pause every admission and wait until nothing is in flight."""
+        self._reads.close()
+        await self._writes.drain()
+        await self._reads.drain()
 
     def _release(self) -> None:
-        self._gate.open()
+        self._reads.open()
+        self._writes.open()
 
     async def _admin(self, factory: Callable[[], Awaitable[Any]]) -> Any:
         """Serialize administrative sections (splits, fenced composes)."""
@@ -531,8 +512,9 @@ class ShardedFabric:
         The successor map is decided through the epoch seam, installed
         only after the fabric drains, and every moved entry is
         re-published at its new home through ordinary writes before
-        admissions resume — in-flight and queued operations re-route via
-        the hop path, so none is lost or duplicated across the split.
+        admissions resume — operations held at the gate route under the
+        new map once admitted, so none is lost or duplicated across the
+        split.
         """
         return await self._admin(lambda: self._do_split(new_shard_id))
 

@@ -239,21 +239,27 @@ class ShardLoadGenerator:
                 continue
             kind, key = self._draw_op()
             window.append(self._submit(kind, key))
-        for task in window:
+        await self._drain(window)
+
+    @staticmethod
+    async def _drain(tasks: list[Any]) -> None:
+        for task in tasks:
             try:
                 await task
-            except Exception:
+            except Exception:  # counted by _submit's done callback
                 pass
 
     async def _open_generator(self, deadline: float) -> None:
         kernel = self.fabric.kernel
         rate = self.spec.rate
+        tasks: list[Any] = []
         while True:
             await kernel.sleep(self.rng.expovariate(rate))
             if kernel.now >= deadline:
-                return
+                break
             kind, key = self._draw_op()
-            self._submit(kind, key)
+            tasks.append(self._submit(kind, key))
+        await self._drain(tasks)
 
     async def _composer(self, deadline: float) -> None:
         """Take composed cuts at even intervals while the load runs."""
@@ -291,12 +297,6 @@ class ShardLoadGenerator:
         else:
             await self._open_generator(deadline)
         await composer
-        # Drain: every per-slot chain tail subsumes its predecessors.
-        for tail in list(self.fabric._chains.values()):
-            try:
-                await tail
-            except Exception:
-                pass
 
     # -- reporting ---------------------------------------------------------
 

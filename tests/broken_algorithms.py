@@ -8,6 +8,7 @@ twice with two distinct classes.  A plain helper module is imported
 exactly once through ``sys.path`` (see ``conftest.py``).
 """
 
+from repro.core.amortized import AmortizedSnapshot
 from repro.core.cluster import register_algorithm
 from repro.core.dgfr_nonblocking import DgfrNonBlocking
 
@@ -42,3 +43,18 @@ class BrokenFirstAckOnly(DgfrNonBlocking):
 
 
 register_algorithm("broken-first-ack", BrokenFirstAckOnly)
+
+
+class BrokenAlwaysEquivalent(AmortizedSnapshot):
+    """Deliberately wrong: the shared round's success test is always
+    true — a round returns the view it broadcast whether or not every
+    reply of its majority reported exactly that view.  A write a reply
+    already carried is then missing from the returned view, which is
+    stale only if that write had completed: a race between rounds of
+    different nodes that takes real concurrency to hit."""
+
+    def _settle_scans(self, scans, view, replies) -> None:
+        super()._settle_scans(scans, view, [])
+
+
+register_algorithm("broken-always-equivalent", BrokenAlwaysEquivalent)

@@ -288,16 +288,27 @@ def reference_check_composed_records(fabric: "ShardedFabric") -> list[str]:
                     f"invoked after it responded"
                 )
 
-    # 4. Per-key seqs are unique and increase in execution order (the
-    #    fabric is each key's single sequential writer).
-    last_seq: dict[Any, int] = {}
+    # 4. Per-key seqs are unique, and a write that responded strictly
+    #    before another to the same key was invoked has the smaller seq.
+    #    (Not "increasing in list order": same-instant completions are
+    #    appended to ``fabric.writes`` in scheduler order.)
+    taken: set[tuple[Any, int]] = set()
     for w in fabric.writes:
-        previous = last_seq.get(w.key, 0)
-        if w.seq <= previous:
+        if (w.key, w.seq) in taken:
             failures.append(
-                f"write seq not increasing for key {w.key!r}: "
-                f"{w.seq} after {previous}"
+                f"write seq not unique for key {w.key!r}: #{w.seq}"
             )
-        last_seq[w.key] = max(previous, w.seq)
+        taken.add((w.key, w.seq))
+    for first in fabric.writes:
+        for second in fabric.writes:
+            if (
+                first.key == second.key
+                and first.responded < second.invoked
+                and first.seq >= second.seq
+            ):
+                failures.append(
+                    f"write seq not increasing for key {second.key!r}: "
+                    f"#{second.seq} invoked after #{first.seq} responded"
+                )
 
     return failures

@@ -8,13 +8,17 @@ self-stabilization claim — the fuzz executor corrupts it like any other
 ``ss-`` algorithm.
 """
 
+import random
+
 import pytest
 
 from repro import ClusterConfig, SimBackend
 from repro.analysis.linearizability import check_snapshot_history
-from repro.config import ChannelConfig
+from repro.config import ChannelConfig, scenario_config
 from repro.core.amortized import AmortizedSnapshot
 from repro.core.cluster import ALGORITHMS
+from repro.core.register import TimestampedValue
+from repro.sim.kernel import TieBreak
 
 
 def make(n=4, seed=0, **kwargs):
@@ -151,6 +155,106 @@ class TestLinearizability:
 
         cluster.run_until(workload())
         cluster.history.validate_well_formed(sequential=False)  # passes
+
+
+class TestEquivalenceQuorum:
+    """A round succeeds iff its majority reported exactly the broadcast view."""
+
+    def pending(self, cluster):
+        from repro.core.amortized import _PendingOp
+
+        return _PendingOp(cluster.kernel)
+
+    def test_unanimous_replies_return_the_broadcast_view(self):
+        cluster = make()
+        node = cluster.node(0)
+        view = node.reg.copy()
+        view[1] = TimestampedValue(3, "x")
+        # A delivery during the round moved ``reg`` past the view: today's
+        # test ignores it, Algorithm 1's ``prev = reg`` would retry.
+        node.reg[2] = TimestampedValue(9, "late")
+        op = self.pending(cluster)
+        node._settle_scans([op], view, [view.copy() for _ in range(3)])
+        assert op.event.is_set()
+        assert op.result.vector_clock == (0, 3, 0, 0)
+
+    def test_one_differing_reply_requeues_the_batch_at_the_front(self):
+        cluster = make()
+        node = cluster.node(0)
+        view = node.reg.copy()
+        ahead = view.copy()
+        ahead[3] = TimestampedValue(1, "unseen")
+        first, later = self.pending(cluster), self.pending(cluster)
+        node._pending_scans = [later]
+        node._settle_scans([first], view, [view.copy(), ahead, view.copy()])
+        assert not first.event.is_set()
+        assert node._pending_scans == [first, later]
+
+    def test_write_round_resolves_the_scans_pending_at_its_start(self):
+        """The acks of a group commit are a collect: no SNAPSHOT round."""
+        cluster = SimBackend(
+            "amortized", ClusterConfig(n=4, seed=19), tie_break=TieBreak.FIFO
+        )
+        node = cluster.node(0)
+
+        async def workload():
+            return await cluster.kernel.gather(
+                [cluster.write(0, "v"), cluster.snapshot(0)]
+            )
+
+        ts, result = cluster.run_until(workload())
+        assert (ts, result.values[0], result.vector_clock[0]) == (1, "v", 1)
+        assert node.ssn == 0
+        report = check_snapshot_history(cluster.history.records(), 4)
+        assert report.ok, report.summary()
+
+
+def stress(algorithm, n, loss, seed, clients=12, depth=4, ops=40):
+    """12 closed-loop clients x depth 4 against one cluster, 50:50 mix,
+    delays spread 60:1 so rounds of different nodes interleave freely."""
+    cluster = SimBackend(
+        algorithm,
+        scenario_config(n=n, seed=seed, min_delay=0.05, max_delay=3.0, loss=loss),
+    )
+    rng = random.Random(seed)
+
+    async def client(index):
+        pipe = cluster.pipeline(depth)
+        for op in range(ops):
+            node = rng.randrange(n)
+            if rng.random() < 0.5:
+                await pipe.write(node, (index, op))
+            else:
+                await pipe.snapshot(node)
+        await pipe.drain()
+
+    async def workload():
+        await cluster.kernel.gather([client(i) for i in range(clients)])
+
+    cluster.run_until(workload(), max_events=5_000_000)
+    cluster.history.validate_well_formed(sequential=False)
+    return check_snapshot_history(cluster.history.records(), n)
+
+
+class TestEngineAtomicityStress:
+    """The equivalence-quorum engine under real concurrency, with teeth:
+    the same seeds must reject an engine whose success test is always
+    true (the ledger workload caught that one on 1 seed of 20)."""
+
+    SEEDS = range(5)
+
+    @pytest.mark.parametrize("loss", [0.0, 0.1])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_linearizable_and_rejects_the_always_true_engine(self, n, loss):
+        import broken_algorithms  # noqa: F401  (registers the engine)
+
+        rejected = 0
+        for seed in self.SEEDS:
+            report = stress("amortized", n, loss, seed)
+            assert report.ok, (seed, report.summary())
+            broken = stress("broken-always-equivalent", n, loss, seed)
+            rejected += not broken.ok
+        assert rejected > len(self.SEEDS) // 2
 
 
 class TestFuzzRegressionSeeds:

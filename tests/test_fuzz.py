@@ -176,6 +176,25 @@ class TestExecutor:
         assert outcome.ok, outcome.failures
         assert outcome.checks >= 4  # pre-corruption + post-recovery + finals
 
+    def test_detectable_restart_gets_an_evidence_window(self):
+        """A restart wipes ``ts``; a write invoked at that node inside one
+        gossip period reuses index 1.  Like a corruption burst, the
+        restart closes the history before it and reopens it after the
+        recovery cycles."""
+        events = (
+            ScenarioEvent(kind="write", node=1, value="w0"),
+            ScenarioEvent(kind="crash", node=1),
+            ScenarioEvent(kind="resume", node=1, mode="restart"),
+            ScenarioEvent(kind="write", node=1, value="w1"),
+            ScenarioEvent(kind="snapshot", node=2),
+        )
+        for algorithm in ("ss-nonblocking", "amortized"):
+            outcome = run_spec(ScenarioSpec(algorithm=algorithm, n=3, events=events))
+            assert outcome.ok, (algorithm, outcome.failures)
+            # pre-restart history, post-restart invariants, the two finals
+            assert outcome.checks == 4
+            assert [entry[2] for entry in outcome.history] == ["w1", None]
+
     def test_crash_guard_never_kills_majority(self):
         events = tuple(
             ScenarioEvent(kind="crash", node=node) for node in range(4)
@@ -249,6 +268,25 @@ class TestCampaignAndReplay:
         assert payload["version"] == 1
         loaded, _ = load_counterexample(path)
         assert loaded == spec
+
+    def test_bytes_valued_outcome_round_trips(self, tmp_path):
+        """A corruption burst leaves ``bytes`` in the registers and the
+        next snapshot returns them; the file must still be JSON."""
+        events = (
+            ScenarioEvent(kind="write", node=0, value="w0"),
+            ScenarioEvent(kind="corrupt", mode="registers"),
+            ScenarioEvent(kind="snapshot", node=2),
+        )
+        spec = ScenarioSpec(algorithm="ss-nonblocking", n=3, events=events)
+        outcome = run_spec(spec)
+        (snapshot,) = outcome.history
+        assert all(isinstance(value, bytes) for value in snapshot[3][1])
+        path = tmp_path / "ce.json"
+        write_counterexample(path, spec, outcome)
+        loaded, payload = load_counterexample(path)
+        assert loaded == spec
+        assert payload["fingerprint"] == outcome.fingerprint()
+        assert replay_counterexample(path).fingerprint_matches
 
     def test_load_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "other.json"

@@ -17,10 +17,50 @@ def drive(fabric, coro):
     return fabric.kernel.run_until_complete(coro, max_events=2_000_000)
 
 
-def make(shards=2, seed=0, **kwargs):
+def make(shards=2, seed=0, algorithm="ss-nonblocking", **kwargs):
     return build_sim_fabric(
-        shards, "ss-nonblocking", ClusterConfig(n=4, seed=seed), **kwargs
+        shards, algorithm, ClusterConfig(n=4, seed=seed), **kwargs
     )
+
+
+#: The two submission disciplines a backend can own: FIFO per node, and
+#: immediate dispatch into shared rounds.
+DISCIPLINES = pytest.mark.parametrize(
+    "algorithm", ["ss-nonblocking", "amortized"]
+)
+
+
+def keys_of_one_slot(fabric, count):
+    """``count`` distinct keys that all route to one register slot."""
+    by_slot = {}
+    for i in range(64 * count):
+        keys = by_slot.setdefault(fabric.slot_of(f"k{i}"), [])
+        keys.append(f"k{i}")
+        if len(keys) == count:
+            return keys
+    raise AssertionError("ring never filled a slot")
+
+
+def writes_across_a_split(fabric):
+    """Ops in flight across a split all execute exactly once."""
+
+    async def body():
+        for i in range(16):
+            await fabric.write(f"k{i}", 0)
+        # Submit writes concurrently with the split: some are admitted
+        # before it and drain, the rest route under the new epoch.
+        handles = [fabric.submit_write(f"k{i}", 1) for i in range(16)]
+        await fabric.split()
+        return [await handle for handle in handles]
+
+    # Exactly once: every key reaches seq 2, never 3.
+    assert drive(fabric, body()) == [2] * 16
+    by_key = {}
+    for record in fabric.writes:
+        by_key.setdefault(record.key, []).append(record.seq)
+    assert all(seqs == [1, 2] for seqs in by_key.values())
+    assert {record.epoch for record in fabric.writes} == {0, 1}
+    assert fabric.check() == []
 
 
 class TestKeyedOperations:
@@ -127,6 +167,111 @@ class TestComposedSnapshot:
         assert 1 <= cut.rounds <= ShardedFabric.MAX_OPTIMISTIC_ROUNDS
 
 
+@DISCIPLINES
+class TestOneSubmissionDiscipline:
+    """The fabric keeps no queue: the backend orders, the slot map merges."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_instant_writes_to_one_slot_all_reach_the_next_cut(
+        self, algorithm, seed
+    ):
+        """The slot map's read-modify-write and the algorithm's enqueue are
+        one step; with a task hop between them, whichever write started
+        last would publish a map missing the others' keys."""
+        fabric = make(shards=2, seed=seed, algorithm=algorithm)
+        keys = keys_of_one_slot(fabric, 8)
+
+        async def body():
+            handles = [fabric.submit_write(key, key) for key in keys]
+            for handle in handles:
+                await handle
+            return await fabric.compose_snapshot()
+
+        cut = drive(fabric, body())
+        assert {key: cut.get(key) for key in keys} == {k: k for k in keys}
+        assert fabric.check() == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pipelined_writes_to_one_key_keep_program_order(
+        self, algorithm, seed
+    ):
+        fabric = make(shards=2, seed=seed, algorithm=algorithm)
+
+        async def body():
+            first = fabric.submit_write("k", 1)
+            second = fabric.submit_write("k", 2)
+            seqs = (await first, await second)
+            return seqs, await fabric.scan("k"), await fabric.compose_snapshot()
+
+        seqs, view, cut = drive(fabric, body())
+        assert seqs == (1, 2)
+        assert view.value == 2 and view.seq == 2
+        assert cut.get("k") == 2
+        assert fabric.check() == []
+
+    def test_compose_fences_at_once_when_writes_are_in_flight(self, algorithm):
+        fabric = make(algorithm=algorithm)
+
+        async def body():
+            handle = fabric.submit_write("a", 1)
+            await fabric.kernel.sleep(0.1)  # admitted, round trip pending
+            cut = await fabric.compose_snapshot()
+            return cut, handle.done()
+
+        cut, write_done = drive(fabric, body())
+        assert cut.fenced and cut.rounds == 1
+        assert write_done and cut.get("a") == 1
+        assert fabric.check() == []
+
+    def test_keyed_reads_flow_while_a_fence_holds_writes(self, algorithm):
+        fabric = make(algorithm=algorithm)
+
+        async def body():
+            await fabric.write("a", 1)
+            await fabric._writes.drain()  # a fenced compose, held by hand
+            try:
+                held = fabric.submit_write("a", 2)
+                view = await fabric.scan("a")
+                assert not held.done()
+            finally:
+                fabric._writes.open()
+            return view, await held
+
+        view, seq = drive(fabric, body())
+        assert view.value == 1 and seq == 2
+        assert fabric.check() == []
+
+
+def test_same_seed_same_history_behind_a_k4_amortized_fabric():
+    def digest():
+        fabric = make(shards=4, seed=9, algorithm="amortized")
+
+        async def client(i):
+            for j in range(6):
+                await fabric.write(f"k{(5 * i + j) % 16}", (i, j))
+                await fabric.scan(f"k{(3 * i + j) % 16}")
+
+        async def body():
+            tasks = [
+                fabric.kernel.create_task(client(i), name=f"c{i}")
+                for i in range(6)
+            ]
+            await fabric.compose_snapshot()
+            await fabric.kernel.gather(tasks)
+
+        drive(fabric, body())
+        assert fabric.check() == []
+        return [
+            [
+                (r.node_id, r.kind, r.invoked_at, r.responded_at, repr(r.result))
+                for r in backend.history.records()
+            ]
+            for backend in fabric.backends()
+        ]
+
+    assert digest() == digest()
+
+
 class TestOnlineSplit:
     def test_split_moves_keys_without_losing_them(self):
         fabric = make(shards=2, seed=3)
@@ -147,26 +292,10 @@ class TestOnlineSplit:
         assert fabric.check() == []
 
     def test_epoch_routing_no_lost_or_duplicated_ops(self):
-        """Ops in flight across a split all execute exactly once."""
-        fabric = make(shards=2, seed=7)
+        writes_across_a_split(make(shards=2, seed=7))
 
-        async def body():
-            for i in range(16):
-                await fabric.write(f"k{i}", 0)
-            # Queue writes concurrently with the split: some hop epochs.
-            handles = [fabric.submit_write(f"k{i}", 1) for i in range(16)]
-            report = await fabric.split()
-            results = [await handle for handle in handles]
-            return report, results
-
-        report, results = drive(fabric, body())
-        # Exactly once: every key reaches seq 2, never 3.
-        assert results == [2] * 16
-        by_key = {}
-        for record in fabric.writes:
-            by_key.setdefault(record.key, []).append(record.seq)
-        assert all(seqs == [1, 2] for seqs in by_key.values())
-        assert fabric.check() == []
+    def test_epoch_routing_under_concurrent_dispatch(self):
+        writes_across_a_split(make(shards=2, seed=7, algorithm="amortized"))
 
     def test_migrated_keys_resume_their_seq(self):
         fabric = make(shards=1, seed=11)
