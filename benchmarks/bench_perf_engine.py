@@ -1,68 +1,21 @@
-"""Performance-engine benchmarks and the ``BENCH_PR1.json`` baseline.
+"""Performance-engine benchmarks.
 
-Two uses:
-
-* ``pytest benchmarks/bench_perf_engine.py`` — pytest-benchmark targets
-  for the hot paths the fast-path engine optimizes (kernel dispatch,
-  broadcast fan-out, metrics-off runs, parallel sweep parity).
-* ``python benchmarks/bench_perf_engine.py`` — regenerate
-  ``BENCH_PR1.json`` at the repository root: current numbers for every
-  tracked metric, the frozen pre-optimization *seed* baseline measured on
-  the same workloads, and the resulting speedups.  Later PRs re-run this
-  to defend the perf trajectory.
-
-The seed baseline below was measured on the unoptimized seed revision
-(commit ``93e12d6``) via a git worktree, interleaved back-to-back with
-the optimized tree on the same host (best of two rounds per revision, to
-cancel load drift on this 1-CPU container); it is frozen here so
-speedups stay comparable run-over-run.
+``pytest benchmarks/bench_perf_engine.py`` — pytest-benchmark targets
+for the hot paths the fast-path engine optimizes (kernel dispatch,
+broadcast fan-out, metrics-off runs, parallel sweep parity) and the
+structural obs-off budget tests.  Tracked numbers live in the perf
+ledger (``python3 -m ledger``), which also freezes the PR-1 figures for
+continuity.
 """
 
-import json
-import sys
 import time
-from pathlib import Path
 
 import pytest
-
-#: Pre-optimization numbers measured on the seed revision (same host,
-#: same workloads as ``collect_metrics``).  Times are seconds per
-#: operation; rates are per second.
-SEED_BASELINE = {
-    "kernel_events_per_sec": 837002.7,
-    "write_op_cost_n4": 1.819164800e-04,
-    "write_op_cost_n16": 7.811933550e-04,
-    "write_op_cost_n32": 1.819780390e-03,
-    "snapshot_op_cost_n8": 2.572122200e-03,
-    "model_checker_schedules_per_sec": 1827.60,
-    "sweep_serial_seconds": 9.3233,
-}
-
-#: Keys BENCH_PR1.json must carry (CI validates this set).
-REQUIRED_METRICS = (
-    "kernel_events_per_sec",
-    "write_op_cost_n4",
-    "write_op_cost_n16",
-    "write_op_cost_n32",
-    "snapshot_op_cost_n8",
-    "model_checker_schedules_per_sec",
-    "sweep_serial_seconds",
-    "sweep_jobs4_seconds",
-)
 
 _SWEEP_SEEDS = (0, 1, 2, 3)
 
 
-# -- measurement workloads (shared by pytest targets and the JSON writer) ----
-
-
-def _best(fn, repeats=3):
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
+# -- measurement workloads ---------------------------------------------------
 
 
 def kernel_tick_workload(events=20_000, kernel=None):
@@ -207,36 +160,6 @@ def dispatch_line_events(cls, events):
     return count
 
 
-def measure_write_op_cost(n, ops=100, warmup=20):
-    """Mean seconds per completed write on an idle n-node cluster."""
-    from repro import ClusterConfig, SimBackend
-
-    cluster = SimBackend(
-        "ss-nonblocking", ClusterConfig(n=n, seed=0), start=False
-    )
-    counter = iter(range(10**9))
-    for _ in range(warmup):
-        cluster.write_sync(0, next(counter))
-    start = time.perf_counter()
-    for _ in range(ops):
-        cluster.write_sync(0, next(counter))
-    return (time.perf_counter() - start) / ops
-
-
-def measure_snapshot_op_cost(n=8, ops=50, warmup=5):
-    """Mean seconds per completed snapshot (ss-always, δ=2)."""
-    from repro import ClusterConfig, SimBackend
-
-    cluster = SimBackend("ss-always", ClusterConfig(n=n, seed=0, delta=2))
-    cluster.write_sync(0, b"x")
-    for _ in range(warmup):
-        cluster.snapshot_sync(1)
-    start = time.perf_counter()
-    for _ in range(ops):
-        cluster.snapshot_sync(1)
-    return (time.perf_counter() - start) / ops
-
-
 def model_checker_workload(max_runs=50):
     from repro.verify import explore_snapshot_scenario
 
@@ -263,32 +186,6 @@ def measure_sweep(jobs):
     elapsed = time.perf_counter() - start
     assert len(results) == len(cells) and all(r for r in results)
     return elapsed, results
-
-
-def collect_metrics():
-    """Measure every tracked metric; returns the BENCH_PR1 metrics dict."""
-    metrics = {}
-    events = 20_000
-    metrics["kernel_events_per_sec"] = events / _best(
-        lambda: kernel_tick_workload(events), repeats=5
-    )
-    for n in (4, 16, 32):
-        metrics[f"write_op_cost_n{n}"] = min(
-            measure_write_op_cost(n, ops=200 if n <= 16 else 100)
-            for _ in range(2)
-        )
-    metrics["snapshot_op_cost_n8"] = min(
-        measure_snapshot_op_cost() for _ in range(2)
-    )
-    metrics["model_checker_schedules_per_sec"] = 50 / _best(
-        lambda: model_checker_workload(50), repeats=3
-    )
-    serial_elapsed, serial_rows = measure_sweep(jobs=1)
-    parallel_elapsed, parallel_rows = measure_sweep(jobs=4)
-    assert parallel_rows == serial_rows, "parallel sweep diverged from serial"
-    metrics["sweep_serial_seconds"] = serial_elapsed
-    metrics["sweep_jobs4_seconds"] = parallel_elapsed
-    return metrics
 
 
 # -- pytest-benchmark targets -------------------------------------------------
@@ -519,81 +416,3 @@ def test_parallel_sweep_matches_serial():
     serial_elapsed, serial_rows = measure_sweep(jobs=1)
     parallel_elapsed, parallel_rows = measure_sweep(jobs=4)
     assert parallel_rows == serial_rows
-
-
-# -- BENCH_PR1.json writer ----------------------------------------------------
-
-
-def write_baseline(path):
-    """Measure everything and write the BENCH_PR1.json baseline file."""
-    import multiprocessing
-    import platform
-
-    metrics = collect_metrics()
-    speedup = {
-        "kernel_events_per_sec": metrics["kernel_events_per_sec"]
-        / SEED_BASELINE["kernel_events_per_sec"],
-        "write_op_cost_n4": SEED_BASELINE["write_op_cost_n4"]
-        / metrics["write_op_cost_n4"],
-        "write_op_cost_n16": SEED_BASELINE["write_op_cost_n16"]
-        / metrics["write_op_cost_n16"],
-        "write_op_cost_n32": SEED_BASELINE["write_op_cost_n32"]
-        / metrics["write_op_cost_n32"],
-        "snapshot_op_cost_n8": SEED_BASELINE["snapshot_op_cost_n8"]
-        / metrics["snapshot_op_cost_n8"],
-        "model_checker_schedules_per_sec": metrics[
-            "model_checker_schedules_per_sec"
-        ]
-        / SEED_BASELINE["model_checker_schedules_per_sec"],
-        "sweep_serial_seconds": SEED_BASELINE["sweep_serial_seconds"]
-        / metrics["sweep_serial_seconds"],
-        "sweep_jobs4_vs_serial": metrics["sweep_serial_seconds"]
-        / metrics["sweep_jobs4_seconds"],
-        "sweep_jobs4_vs_seed_serial": SEED_BASELINE["sweep_serial_seconds"]
-        / metrics["sweep_jobs4_seconds"],
-    }
-    payload = {
-        "pr": 1,
-        "description": (
-            "Fast-path simulation engine + parallel experiment runner: "
-            "current measurements, the frozen pre-optimization seed "
-            "baseline, and speedups (rates: higher is better; *_cost/"
-            "*_seconds: baseline/current, so >1 is faster)."
-        ),
-        "host": {
-            "python": platform.python_version(),
-            "cpu_count": multiprocessing.cpu_count(),
-            "platform": platform.platform(),
-        },
-        "sweep": {
-            "experiments": "e01-e15",
-            "seeds": list(_SWEEP_SEEDS),
-            "jobs_parallel": 4,
-            "note": (
-                "--jobs 4 wall-clock only beats serial on multi-core "
-                "hosts; on a 1-CPU host (see host.cpu_count) the pool "
-                "adds pure overhead, so the parity assertion (parallel "
-                "rows == serial rows) is the meaningful gate there."
-            ),
-        },
-        "metrics": {key: metrics[key] for key in REQUIRED_METRICS},
-        "seed_baseline": dict(SEED_BASELINE),
-        "speedup": speedup,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-    return payload
-
-
-def main(argv):
-    out = argv[1] if len(argv) > 1 else str(
-        Path(__file__).resolve().parent.parent / "BENCH_PR1.json"
-    )
-    payload = write_baseline(out)
-    print(f"wrote {out}")
-    for key, value in payload["speedup"].items():
-        print(f"  speedup {key}: {value:.2f}x")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv))

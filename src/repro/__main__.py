@@ -67,29 +67,20 @@ capability outright (e.g. ``--jobs 2`` on a live backend) raises a
     switches to open-loop arrivals at R ops per time unit; ``--mix W:S``
     sets the writers:scanners ratio and ``--skew X`` concentrates
     traffic on low node ids; ``--n N`` sizes the cluster and
-    ``--budget`` is the submission window in simulated time units.
-    ``--sweep`` ladders the offered rate to locate the saturation knee
-    and writes the result to ``BENCH_PR5.json`` (``--out FILE``
-    overrides).  ``--batch N`` coalesces up to N messages per channel
-    into one wire bundle (``ChannelConfig.batch_window``; works with
-    every mode and backend).  ``--batch-series`` runs the PR 10
-    comparison — baseline vs the ``amortized`` variant vs amortized
-    plus a transport batch window, one ladder each — and writes
-    ``BENCH_PR10.json``.  ``--shards K`` drives the same keyed workload
-    against a K-shard fabric instead of one cluster (see
-    ``docs/sharding.md``).
-``shard``
-    Sharded-fabric campaigns (see ``docs/sharding.md``): drive a keyed
-    closed-loop workload against ``--shards K`` independent clusters
-    behind the consistent-hash router, taking composed cross-shard
-    snapshots mid-run and checking every per-shard history *and* the
-    composed cuts for linearizability.  ``--skew X`` applies Zipf key
-    popularity (hot shards); ``--duration U`` (alias of ``--budget``)
-    sets the submission window.  ``--sweep`` runs the E19 scaling ladder
-    (K = 1, 2, 4, 8 at fixed n, with the consensus-backed epoch decider
-    installed) and writes ``BENCH_PR8.json``
-    (``--out FILE`` overrides).  ``chaos --shards K`` likewise runs the
-    sharded chaos storm: crashes, online shard splits with live key
+    ``--budget`` (alias ``--duration``) is the submission window in
+    simulated time units.  ``--sweep`` ladders the offered rate to
+    locate the saturation knee and prints the table.  ``--batch N``
+    coalesces up to N messages per channel into one wire bundle
+    (``ChannelConfig.batch_window``; works with every mode and
+    backend).  ``--shards K`` points the same driver at a K-shard
+    fabric (see ``docs/sharding.md``): operations target keys behind
+    the consistent-hash router (``--skew X`` becomes Zipf key
+    popularity, i.e. hot shards), composed cross-shard snapshots are
+    taken mid-run, and every per-shard history *and* the composed cuts
+    are checked for linearizability.  ``--sweep`` does not combine with
+    ``--shards`` (the rate ladder is sized for one cluster; the K
+    ladder is ``experiments e19``).  ``chaos --shards K`` likewise runs
+    the sharded chaos storm: crashes, online shard splits with live key
     migration, and composed cuts under fire.
 
 ``top``
@@ -489,15 +480,7 @@ def _cmd_load(args: list[str]) -> int:
         reject_removed_spellings,
     )
     from repro.harness.parallel import extract_jobs
-    from repro.load import (
-        LoadSpec,
-        batch_series,
-        parse_mix,
-        run_load_campaigns,
-        sweep_rates,
-        write_batch_bench,
-        write_bench,
-    )
+    from repro.load import LoadSpec, parse_mix, run_load_campaigns, sweep_rates
     from repro.obs.cli import (
         clamp_jobs_for_capture,
         extract_obs_flags,
@@ -521,17 +504,13 @@ def _cmd_load(args: list[str]) -> int:
     rate: float | None = None
     write_fraction, skew = 0.8, 0.0
     sweep = False
-    series = False
-    out: str | None = None
     it = iter(rest)
     leftover: list[str] = []
     for arg in it:
         if arg == "--sweep":
             sweep = True
-        elif arg == "--batch-series":
-            series = True
         elif arg in ("--clients", "--depth", "--rate", "--mix", "--skew",
-                     "--n", "--out"):
+                     "--n"):
             value = next(it, None)
             if value is None:
                 raise SystemExit(f"{arg} requires a value")
@@ -545,59 +524,21 @@ def _cmd_load(args: list[str]) -> int:
                 write_fraction = parse_mix(value)
             elif arg == "--skew":
                 skew = float(value)
-            elif arg == "--n":
-                n = int(value)
             else:
-                out = value
+                n = int(value)
         else:
             leftover.append(arg)
     reject_removed_spellings(leftover)
     if leftover:
         raise SystemExit(f"load: unexpected arguments {leftover}")
+    if sweep and shards is not None:
+        raise SystemExit(
+            "load: --sweep does not combine with --shards (the rate ladder "
+            "is sized for one cluster; the K ladder is `experiments e19`)"
+        )
     algorithm = options.algorithm or "ss-nonblocking"
     jobs = clamp_jobs_for_capture(obs_flags, jobs)
-    if shards is not None:
-        from repro.shard import ShardLoadSpec, run_shard_load_campaigns
-
-        spec = ShardLoadSpec(
-            mode="open" if rate is not None else "closed",
-            clients=clients,
-            depth=depth,
-            rate=rate,
-            duration=float(options.budget),
-            write_fraction=write_fraction,
-            skew=skew,
-        )
-        with observe_cli(obs_flags):
-            reports = run_shard_load_campaigns(
-                options.seeds,
-                shards=shards,
-                algorithm=algorithm,
-                budget=options.budget,
-                backend=backend,
-                spec=spec,
-                n=n,
-                batch=batch,
-            )
-            ok = print_reports(options.seeds, reports)
-        return 0 if ok else 1
     with observe_cli(obs_flags):
-        if series:
-            results = batch_series(
-                backend=backend,
-                n=n,
-                duration=float(options.budget),
-                seed=options.seeds[0],
-                batch=batch if batch is not None else 8,
-                progress=True,
-            )
-            for result in results:
-                print(result.summary())
-                for failure in result.failures:
-                    print("FAILURE:", failure)
-            path = write_batch_bench(out or "BENCH_PR10.json", results)
-            print(f"wrote {path}")
-            return 0 if all(result.ok for result in results) else 1
         if sweep:
             result = sweep_rates(
                 backend=backend,
@@ -612,8 +553,6 @@ def _cmd_load(args: list[str]) -> int:
             print(result.summary())
             for failure in result.failures:
                 print("FAILURE:", failure)
-            path = write_bench(out or "BENCH_PR5.json", [result])
-            print(f"wrote {path}")
             return 0 if result.ok else 1
         spec = LoadSpec(
             mode="open" if rate is not None else "closed",
@@ -632,77 +571,9 @@ def _cmd_load(args: list[str]) -> int:
             spec=spec,
             n=n,
             batch=batch,
+            shards=shards,
         )
         ok = print_reports(options.seeds, reports)
-    return 0 if ok else 1
-
-
-def _cmd_shard(args: list[str]) -> int:
-    from repro.harness.campaign import (
-        extract_backend,
-        extract_campaign_flags,
-        print_reports,
-        reject_removed_spellings,
-    )
-    from repro.shard import (
-        ShardLoadSpec,
-        run_shard_load_campaigns,
-        shard_scaling_series,
-        write_shard_bench,
-    )
-
-    backend, args = extract_backend(args, default="sim")
-    shards, args = _extract_shards(args)
-    args = [
-        "--budget" + arg.removeprefix("--duration") if
-        arg == "--duration" or arg.startswith("--duration=") else arg
-        for arg in args
-    ]
-    options, rest = extract_campaign_flags(args, default_budget=60)
-    sweep = False
-    skew = 0.0
-    out: str | None = None
-    it = iter(rest)
-    leftover: list[str] = []
-    for arg in it:
-        if arg == "--sweep":
-            sweep = True
-        elif arg in ("--skew", "--out"):
-            value = next(it, None)
-            if value is None:
-                raise SystemExit(f"{arg} requires a value")
-            if arg == "--skew":
-                skew = float(value)
-            else:
-                out = value
-        else:
-            leftover.append(arg)
-    reject_removed_spellings(leftover)
-    if leftover:
-        raise SystemExit(f"shard: unexpected arguments {leftover}")
-    algorithm = options.algorithm or "ss-nonblocking"
-    if sweep:
-        print(f"E19 scaling series on {backend!r} ({algorithm})…")
-        reports = shard_scaling_series(
-            backend=backend,
-            algorithm=algorithm,
-            duration=float(options.budget),
-            seed=options.seeds[0],
-            progress=True,
-        )
-        path = write_shard_bench(out or "BENCH_PR8.json", reports)
-        print(f"wrote {path}")
-        return 0 if all(report.ok for report in reports) else 1
-    spec = ShardLoadSpec(skew=skew, duration=float(options.budget))
-    reports = run_shard_load_campaigns(
-        options.seeds,
-        shards=shards if shards is not None else 4,
-        algorithm=algorithm,
-        budget=options.budget,
-        backend=backend,
-        spec=spec,
-    )
-    ok = print_reports(options.seeds, reports)
     return 0 if ok else 1
 
 
@@ -779,7 +650,6 @@ _COMMANDS = {
     "replay": _cmd_replay,
     "latency": _cmd_latency,
     "load": _cmd_load,
-    "shard": _cmd_shard,
     "top": _cmd_top,
     "backends": _cmd_backends,
     "demo": _cmd_demo,

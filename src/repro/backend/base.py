@@ -549,9 +549,9 @@ class OperationPipeline:
     def admit(self, task: Any) -> Any:
         """Add an already-submitted task to the window (no back-pressure).
 
-        For callers (like the load driver) that submit through
-        ``submit_write``/``submit_snapshot`` themselves — to timestamp
-        the submission — after :meth:`reserve` freed a slot.
+        For callers that submit through ``submit_write``/
+        ``submit_snapshot`` themselves — to timestamp the submission —
+        after :meth:`reserve` freed a slot.
         """
         self._window.append(task)
         return task

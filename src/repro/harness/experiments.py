@@ -39,8 +39,11 @@ from repro.harness.recovery import (
     e20_reset_coordinator_crash,
 )
 from repro.harness.report import print_table
-from repro.load.experiments import e17_throughput_vs_n, e18_delta_vs_throughput
-from repro.shard.experiments import e19_throughput_vs_shards
+from repro.load.experiments import (
+    e17_throughput_vs_n,
+    e18_delta_vs_throughput,
+    e19_throughput_vs_shards,
+)
 
 __all__ = [
     "BACKEND_AWARE",

@@ -1,14 +1,15 @@
 """``repro.load``: saturation load generation for snapshot deployments.
 
-Open- and closed-loop workload drivers
+One open-/closed-loop workload driver
 (:class:`~repro.load.driver.LoadSpec`, :func:`~repro.load.driver.run_load`)
-run concurrent multi-writer/multi-scanner clients against any backend,
-with per-operation latency quantiles, a writers:scanners contention dial,
-and pipelined clients that keep ``depth`` operations in flight.
-:func:`~repro.load.sweep.sweep_rates` ladders the offered rate to locate
-the saturation knee, and E17/E18 turn the measurements into registered
-experiments.  See ``docs/benchmarking.md`` for the load model and how to
-read the outputs.
+runs concurrent multi-writer/multi-scanner clients against a single
+cluster — or, with ``shards=K``, against a K-shard fabric — on any
+backend, with per-operation latency quantiles, a writers:scanners
+contention dial, and pipelined clients that keep ``depth`` operations in
+flight.  :func:`~repro.load.sweep.sweep_rates` ladders the offered rate
+to locate the saturation knee, and E17/E18/E19 turn the measurements
+into registered experiments.  See ``docs/benchmarking.md`` for the load
+model and how to read the outputs.
 
 Quick start::
 
@@ -20,44 +21,46 @@ Quick start::
 or, from the CLI::
 
     python -m repro load --backend sim --clients 8 --depth 4
-    python -m repro load --backend sim --sweep     # writes BENCH_PR5.json
+    python -m repro load --backend sim --sweep     # offered-rate ladder + knee
+    python -m repro load --shards 4                # the same driver, keyed
 """
 
 from repro.load.driver import (
     CLOSED,
     OPEN,
+    LoadGenerator,
     LoadReport,
     LoadSpec,
     parse_mix,
     run_load,
     run_load_campaigns,
 )
-from repro.load.experiments import e17_throughput_vs_n, e18_delta_vs_throughput
+from repro.load.experiments import (
+    e17_throughput_vs_n,
+    e18_delta_vs_throughput,
+    e19_throughput_vs_shards,
+)
 from repro.load.sweep import (
     KNEE_EFFICIENCY,
     SweepResult,
-    batch_series,
     default_rate_ladder,
     sweep_rates,
-    write_batch_bench,
-    write_bench,
 )
 
 __all__ = [
     "CLOSED",
     "OPEN",
     "KNEE_EFFICIENCY",
+    "LoadGenerator",
     "LoadReport",
     "LoadSpec",
     "SweepResult",
-    "batch_series",
     "default_rate_ladder",
     "e17_throughput_vs_n",
     "e18_delta_vs_throughput",
+    "e19_throughput_vs_shards",
     "parse_mix",
     "run_load",
     "run_load_campaigns",
     "sweep_rates",
-    "write_batch_bench",
-    "write_bench",
 ]

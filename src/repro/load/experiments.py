@@ -1,7 +1,8 @@
-"""Load-generation experiments: E17 (throughput vs n) and E18 (δ vs load).
+"""Load-generation experiments: E17 (throughput vs n), E18 (δ vs load)
+and E19 (throughput vs shard count).
 
 Everything before the load driver measured *unloaded* operation costs —
-one client, one round trip at a time.  These two experiments measure the
+one client, one round trip at a time.  These experiments measure the
 paper's algorithms as deployed systems under saturation:
 
 * **E17** — closed-loop capacity as the cluster grows, serial
@@ -14,8 +15,13 @@ paper's algorithms as deployed systems under saturation:
   its *message* cost; here we measure what a saturated mixed workload
   actually experiences — aggregate throughput and snapshot tail latency
   as δ grows.
+* **E19** — the scaling claim behind the sharded fabric: one n-node
+  cluster saturates at ≈1 op/u (the ``load --sweep`` knee at n=4), so K
+  *independent* clusters behind the consistent-hash router should
+  saturate at ≈K× that — the shards share no quorum, no register and no
+  message channel, only the simulated timeline.
 
-Both experiments are backend-aware (``--backend asyncio|udp`` runs the
+All three are backend-aware (``--backend asyncio|udp`` runs the
 same workload on live substrates) and, like every registered experiment,
 pure functions of their seed.
 """
@@ -25,7 +31,11 @@ from __future__ import annotations
 from repro.config import scenario_config
 from repro.load.driver import CLOSED, LoadSpec, run_load
 
-__all__ = ["e17_throughput_vs_n", "e18_delta_vs_throughput"]
+__all__ = [
+    "e17_throughput_vs_n",
+    "e18_delta_vs_throughput",
+    "e19_throughput_vs_shards",
+]
 
 
 def e17_throughput_vs_n(
@@ -144,3 +154,55 @@ def e18_delta_vs_throughput(
             }
         )
     return rows
+
+
+def e19_throughput_vs_shards(
+    backend=None, ks=(1, 2, 4, 8), duration=60.0, seed=0
+):
+    """E19 / sharding — aggregate saturated throughput vs shard count.
+
+    A saturated closed-loop keyed workload against K-shard fabrics at
+    n=4 per shard, with composed cross-shard cuts taken mid-run and the
+    full two-layer linearizability check on every run.  Clients scale
+    with K (8 per shard, depth 2) so the offered concurrency covers the
+    fabric's ``K × n`` register slots at every rung; uniform key
+    popularity lets the ring spread them evenly.  ``speedup_vs_k1`` is
+    against the first rung of the series — at K=1, the single-cluster
+    capacity.
+    """
+    backend = backend or "sim"
+    reports = [
+        run_load(
+            backend=backend,
+            algorithm="ss-nonblocking",
+            config=scenario_config(n=4, seed=seed, delta=2),
+            spec=LoadSpec(
+                mode=CLOSED,
+                clients=8 * shards,
+                depth=2,
+                duration=duration,
+                write_fraction=0.8,
+                composes=2,
+                seed=seed,
+            ),
+            shards=shards,
+        )
+        for shards in ks
+    ]
+    return [
+        {
+            "shards": report.shards,
+            "clients": report.spec.clients,
+            "completed": report.completed,
+            "throughput": round(report.throughput, 3),
+            "speedup_vs_k1": round(
+                report.throughput / reports[0].throughput, 2
+            ),
+            "p50": round(report.latency["all"]["p50"], 2),
+            "p99": round(report.latency["all"]["p99"], 2),
+            "imbalance": round(report.imbalance, 3),
+            "composed_cuts": report.composes,
+            "linearizable": report.ok,
+        }
+        for report in reports
+    ]

@@ -14,17 +14,14 @@ sustains ≈ 0.5 op/unit and an ``n``-node cluster saturates near
 ``n/2`` op/unit aggregate — :func:`default_rate_ladder` straddles that
 prediction so the knee is visible in every sweep.
 
-``python -m repro load --sweep`` runs this and serializes the result
-into ``BENCH_PR5.json`` (same shape as the other ``BENCH_*.json``
-baselines: ``pr``/``description``/``host`` plus the sweep tables).
+``python -m repro load --sweep`` runs this and prints the ladder; the
+claims it supports (a located knee, the amortized variant's flat median
+past it) are asserted on the live code in ``tests/test_load.py``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any
 
 from repro.config import scenario_config
 from repro.errors import ConfigurationError
@@ -33,11 +30,8 @@ from repro.load.driver import OPEN, LoadReport, LoadSpec, run_load
 __all__ = [
     "KNEE_EFFICIENCY",
     "SweepResult",
-    "batch_series",
     "default_rate_ladder",
     "sweep_rates",
-    "write_batch_bench",
-    "write_bench",
 ]
 
 #: A rung counts as "keeping up" while achieved ≥ this fraction of offered.
@@ -61,8 +55,6 @@ class SweepResult:
     backend: str
     algorithm: str
     n: int
-    #: Transport batch window the sweep ran with (``None`` = unbatched).
-    batch: int | None = None
     points: list[LoadReport] = field(default_factory=list)
 
     @property
@@ -88,23 +80,6 @@ class SweepResult:
     def saturated_throughput(self) -> float:
         """Best achieved throughput anywhere on the ladder (the capacity)."""
         return max((point.throughput for point in self.points), default=0.0)
-
-    def rows(self) -> list[dict[str, Any]]:
-        """The ladder as flat table rows (what BENCH_PR5.json stores)."""
-        return [point.row() for point in self.points]
-
-    def to_dict(self) -> dict[str, Any]:
-        """Serializable summary: knee, capacity, and the full ladder."""
-        return {
-            "backend": self.backend,
-            "algorithm": self.algorithm,
-            "n": self.n,
-            "batch": self.batch,
-            "knee_rate": self.knee_rate,
-            "saturated_throughput": round(self.saturated_throughput, 3),
-            "linearizable": self.ok,
-            "points": self.rows(),
-        }
 
     def summary(self) -> str:
         """Multi-line human-readable sweep table."""
@@ -149,7 +124,6 @@ def sweep_rates(
     delta: float = 2,
     batch: int | None = None,
     time_scale: float = 0.002,
-    progress: bool = False,
 ) -> SweepResult:
     """Run the offered-rate ladder and locate the saturation knee.
 
@@ -161,7 +135,7 @@ def sweep_rates(
     rates = rates if rates is not None else default_rate_ladder(n)
     if not rates:
         raise ConfigurationError("sweep needs at least one offered rate")
-    result = SweepResult(backend=backend, algorithm=algorithm, n=n, batch=batch)
+    result = SweepResult(backend=backend, algorithm=algorithm, n=n)
     for rate in rates:
         spec = LoadSpec(
             mode=OPEN,
@@ -179,145 +153,4 @@ def sweep_rates(
             time_scale=time_scale,
         )
         result.points.append(report)
-        if progress:
-            print(f"  {report.summary()}")
     return result
-
-
-def batch_series(
-    backend: str = "sim",
-    n: int = 4,
-    *,
-    duration: float = 60.0,
-    seed: int = 0,
-    batch: int = 8,
-    time_scale: float = 0.002,
-    progress: bool = False,
-) -> list[SweepResult]:
-    """The PR 10 amortized-batching series: three sweeps on one ladder.
-
-    1. ``ss-nonblocking`` unbatched — the pre-batching baseline whose
-       knee sits near 1 op/u at n=4;
-    2. ``amortized`` unbatched — operation batching alone (concurrent
-       local ops share quorum rounds);
-    3. ``amortized`` with a transport batch window — operation *and*
-       message coalescing.
-
-    All three run the same offered-rate ladder, seed, and mix, so rows
-    compare directly; every rung is linearizability-checked.
-    """
-    variants: list[tuple[str, int | None]] = [
-        ("ss-nonblocking", None),
-        ("amortized", None),
-        ("amortized", batch),
-    ]
-    results = []
-    for algorithm, window in variants:
-        if progress:
-            label = f"batch={window}" if window else "unbatched"
-            print(f"sweeping {algorithm} ({label}) on {backend!r}…")
-        results.append(
-            sweep_rates(
-                backend=backend,
-                algorithm=algorithm,
-                n=n,
-                duration=duration,
-                seed=seed,
-                batch=window,
-                time_scale=time_scale,
-                progress=progress,
-            )
-        )
-    return results
-
-
-def write_batch_bench(
-    path: str | Path,
-    sweeps: list[SweepResult],
-    extra: dict[str, Any] | None = None,
-) -> Path:
-    """Write ``BENCH_PR10.json`` in the house baseline-file shape.
-
-    The headline is the best sweep of the series (highest saturated
-    throughput — the amortized/batched configuration when it wins).
-    """
-    import os
-    import platform
-
-    path = Path(path)
-    best = max(
-        sweeps, key=lambda s: s.saturated_throughput, default=None
-    ) if sweeps else None
-    payload: dict[str, Any] = {
-        "pr": 10,
-        "description": (
-            "Amortized constant-round batching: offered-rate sweeps for "
-            "the ss-nonblocking baseline, the amortized variant "
-            "(concurrent local ops share quorum rounds), and amortized "
-            "plus a transport batch window, all on one ladder.  Every "
-            "rung is linearizability-checked; saturated_throughput is "
-            "measured capacity in ops per simulated time unit."
-        ),
-        "host": {
-            "python": platform.python_version(),
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-        },
-        "sweeps": [sweep.to_dict() for sweep in sweeps],
-    }
-    if best is not None:
-        payload["headline"] = {
-            "backend": best.backend,
-            "algorithm": best.algorithm,
-            "n": best.n,
-            "batch": best.batch,
-            "knee_rate": best.knee_rate,
-            "saturated_throughput": round(best.saturated_throughput, 3),
-            "linearizable": all(sweep.ok for sweep in sweeps),
-        }
-    if extra:
-        payload.update(extra)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
-
-
-def write_bench(
-    path: str | Path,
-    sweeps: list[SweepResult],
-    extra: dict[str, Any] | None = None,
-) -> Path:
-    """Write ``BENCH_PR5.json`` in the house baseline-file shape."""
-    import os
-    import platform
-
-    path = Path(path)
-    best = sweeps[0] if sweeps else None
-    payload: dict[str, Any] = {
-        "pr": 5,
-        "description": (
-            "Saturation load generation: open-loop offered-rate sweeps "
-            "per backend with achieved throughput and p50/p99 latency per "
-            "rung; knee_rate is the last offer the deployment kept up "
-            "with (achieved >= 0.9x offered), saturated_throughput its "
-            "measured capacity in ops per simulated time unit."
-        ),
-        "host": {
-            "python": platform.python_version(),
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-        },
-        "sweeps": [sweep.to_dict() for sweep in sweeps],
-    }
-    if best is not None:
-        payload["headline"] = {
-            "backend": best.backend,
-            "algorithm": best.algorithm,
-            "n": best.n,
-            "knee_rate": best.knee_rate,
-            "saturated_throughput": round(best.saturated_throughput, 3),
-            "linearizable": best.ok,
-        }
-    if extra:
-        payload.update(extra)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path

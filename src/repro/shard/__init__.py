@@ -16,10 +16,11 @@ north star needs orders of magnitude more.  This package scales *out*:
   in-flight operation.
 * :mod:`repro.shard.check` — two-layer linearizability checking
   (per-shard histories + composed cuts).
-* :mod:`repro.shard.load` / :mod:`repro.shard.chaos` /
-  :mod:`repro.shard.experiments` — the keyed load driver with the
-  Zipf hot-shard dial, the split-under-storm endurance campaign, and
-  the E19 scaling experiment behind ``BENCH_PR8.json``.
+* :mod:`repro.shard.chaos` — the split-under-storm endurance campaign.
+
+Keyed load with the Zipf hot-shard dial is the one load driver's
+``run_load(..., shards=K)`` (:mod:`repro.load`), which also carries the
+E19 scaling experiment.
 
 Most callers want :class:`repro.client.SnapshotClient`, which wraps a
 fabric behind a three-method facade.
@@ -32,11 +33,6 @@ from repro.shard.chaos import (
 )
 from repro.shard.check import check_fabric
 from repro.shard.epoch import EpochDecider, LocalEpochDecider
-from repro.shard.experiments import (
-    e19_throughput_vs_shards,
-    shard_scaling_series,
-    write_shard_bench,
-)
 from repro.shard.fabric import (
     ComposedSnapshot,
     KeyView,
@@ -45,12 +41,6 @@ from repro.shard.fabric import (
     build_sim_fabric,
     create_fabric,
     run_on_fabric,
-)
-from repro.shard.load import (
-    ShardLoadReport,
-    ShardLoadSpec,
-    run_shard_load,
-    run_shard_load_campaigns,
 )
 from repro.shard.ring import DEFAULT_VNODES, ShardMap, key_bytes, stable_hash
 
@@ -61,22 +51,15 @@ __all__ = [
     "KeyView",
     "LocalEpochDecider",
     "ShardChaosReport",
-    "ShardLoadReport",
-    "ShardLoadSpec",
     "ShardMap",
     "ShardedFabric",
     "SplitReport",
     "build_sim_fabric",
     "check_fabric",
     "create_fabric",
-    "e19_throughput_vs_shards",
     "key_bytes",
     "run_on_fabric",
     "run_shard_chaos",
     "run_shard_chaos_campaigns",
-    "run_shard_load",
-    "run_shard_load_campaigns",
-    "shard_scaling_series",
     "stable_hash",
-    "write_shard_bench",
 ]

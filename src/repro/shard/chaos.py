@@ -11,8 +11,8 @@ post-split fabric is exactly as correct as the pre-split one.
 Crashes follow the paper's failure model: a crashed node stops acting
 as a client, so the campaign routes new operations around keys whose
 slot node is down (shard quorums keep the object available — crashing
-a minority never blocks the other slots).  ``python -m repro shard``
-runs these campaigns.
+a minority never blocks the other slots).  ``python -m repro chaos
+--shards K`` runs these campaigns.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Consistent-hash shard routing: keys → shards → register slots.
 
 One n-node snapshot cluster saturates at roughly one operation per time
-unit (the BENCH_PR5 knee), so scaling *out* means many independent
+unit (the ``load --sweep`` knee), so scaling *out* means many independent
 clusters — **shards** — behind a keyspace router.  The router must keep
 two promises:
 

@@ -179,16 +179,22 @@ class TestLimpingAcceptance:
 
 class TestLoadAttribution:
     def test_run_load_report_carries_attribution(self):
-        report = run_load(spec=LoadSpec(duration=30.0, seed=3))
+        spec = LoadSpec(duration=30.0, seed=3)
+        # Attribution rides on the ambient session (--stats, top) ...
+        with session(Observability(trace_messages=False)):
+            report = run_load(spec=spec)
         assert report.ok, report.failures
         attribution = report.attribution
         assert attribution is not None
         assert attribution["attributed"] > 0
         assert attribution["slowest_node"] in range(report.n)
-        row = report.row()
-        assert row["slowest_node"] == attribution["slowest_node"]
-        assert row["blame_share"] == pytest.approx(
-            attribution["blame_share"], abs=1e-3
+        assert 0.0 < attribution["blame_share"] <= 1.0
+        assert attribution["dominant_phase"].split(".")[0] in (
+            "write", "snapshot"
         )
-        assert row["dominant_phase"] == attribution["dominant_phase"]
-        json.dumps(row)  # sweep rows stay JSON-safe
+        # ... and observing changes nothing about the run itself.
+        unobserved = run_load(spec=spec)
+        assert unobserved.attribution is None
+        assert (unobserved.completed, unobserved.throughput) == (
+            report.completed, report.throughput
+        )

@@ -33,8 +33,10 @@ class TestCli:
         assert out.count("\n``") == 0
 
     def test_unknown_command(self, capsys):
-        assert main(["frobnicate"]) == 2
-        assert "unknown command" in capsys.readouterr().out
+        # "shard" was a command once; `load --shards K` is the same run.
+        for command in ("frobnicate", "shard"):
+            assert main([command]) == 2
+            assert "unknown command" in capsys.readouterr().out
 
     def test_algorithms_lists_registry(self, capsys):
         assert main(["algorithms"]) == 0
@@ -257,7 +259,8 @@ class TestFuzzCommand:
 class TestShardCommands:
     def test_shard_campaign_runs_and_checks(self, capsys):
         assert main(
-            ["shard", "--shards", "2", "--seeds", "2", "--budget", "15"]
+            ["load", "--shards", "2", "--depth", "1", "--seeds", "2",
+             "--budget", "15"]
         ) == 0
         out = capsys.readouterr().out
         assert "K=2" in out
@@ -279,24 +282,14 @@ class TestShardCommands:
 
     def test_shards_flag_validation(self):
         with pytest.raises(SystemExit, match=">= 1"):
-            main(["shard", "--shards", "0"])
+            main(["load", "--shards", "0"])
         with pytest.raises(SystemExit, match="integer"):
             main(["load", "--shards", "two"])
 
-    def test_shard_sweep_writes_bench_file(self, capsys, tmp_path, monkeypatch):
-        from repro.shard import experiments as shard_experiments
-
-        monkeypatch.setattr(
-            shard_experiments, "DEFAULT_SHARD_COUNTS", (1, 2)
-        )
-        out_file = tmp_path / "BENCH_PR8.json"
-        assert main(
-            ["shard", "--sweep", "--budget", "15", "--out", str(out_file)]
-        ) == 0
-        payload = json.loads(out_file.read_text())
-        assert payload["pr"] == 8
-        assert [row["shards"] for row in payload["series"]] == [1, 2]
-        assert payload["headline"]["linearizable"] is True
+    def test_sweep_with_shards_is_rejected(self):
+        # Used to run a plain closed-loop campaign and exit 0.
+        with pytest.raises(SystemExit, match="--sweep .* --shards"):
+            main(["load", "--shards", "2", "--sweep"])
 
 
 class TestBackendsJson:

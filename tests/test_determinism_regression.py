@@ -124,12 +124,15 @@ def test_scripted_decision_log_replays(algorithm):
 def test_jobs4_output_equals_jobs1_output(capsys):
     from repro.harness.experiments import main
 
-    assert main(["e01", "e07", "--jobs", "1"]) == 0
+    # Five cells with real work (0.0–1.0 s each): more cells than
+    # workers, so the merge order is exercised, not just the pool.
+    ids = ["e01", "e10", "e12", "e14", "e20"]
+    assert main([*ids, "--jobs", "1"]) == 0
     serial = capsys.readouterr().out
-    assert main(["e01", "e07", "--jobs", "4"]) == 0
+    assert main([*ids, "--jobs", "4"]) == 0
     parallel = capsys.readouterr().out
     assert serial == parallel
-    assert "E1" in serial and "E7" in serial
+    assert all(f"E{int(eid[1:])} /" in serial for eid in ids)
 
 
 def test_counterexample_replay_is_bit_identical_even_under_tracing(
