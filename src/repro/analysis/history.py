@@ -16,10 +16,11 @@ from typing import Any
 
 from repro.errors import HistoryError
 
-__all__ = ["OperationRecord", "HistoryRecorder", "WRITE", "SNAPSHOT"]
+__all__ = ["OperationRecord", "HistoryRecorder", "WRITE", "SNAPSHOT", "READ"]
 
 WRITE = "write"
 SNAPSHOT = "snapshot"
+READ = "read"
 
 
 @dataclass(slots=True)
@@ -33,14 +34,15 @@ class OperationRecord:
     node_id:
         The invoking node.
     kind:
-        ``"write"`` or ``"snapshot"``.
+        ``"write"``, ``"snapshot"`` or ``"read"``.
     argument:
-        The written value (writes only).
+        The written value (writes) or the register index (reads).
     invoked_at / responded_at:
         Simulated times; ``responded_at`` is ``None`` while pending.
     result:
-        The write's timestamp index, or the snapshot's
-        :class:`~repro.core.base.SnapshotResult`.
+        The write's timestamp index, the snapshot's
+        :class:`~repro.core.base.SnapshotResult`, or the read's
+        :class:`~repro.core.register.TimestampedValue`.
     aborted:
         True when the operation failed without taking effect visibly
         (e.g. rejected by a global reset); aborted operations are ignored
@@ -91,7 +93,7 @@ class HistoryRecorder:
         self, node_id: int, kind: str, argument: Any = None, now: float = 0.0
     ) -> int:
         """Record an invocation; returns the operation id."""
-        if kind not in (WRITE, SNAPSHOT):
+        if kind not in (WRITE, SNAPSHOT, READ):
             raise HistoryError(f"unknown operation kind {kind!r}")
         op_id = next(self._ids)
         self._records[op_id] = OperationRecord(

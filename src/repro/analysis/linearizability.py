@@ -7,14 +7,18 @@ by its vector clock.  The checker verifies the classic conditions:
 per-writer timestamp monotonicity, total ⪯-order (comparability) of
 snapshot vectors, real-time order among snapshots, real-time order
 between writes and snapshots in both directions, and value agreement.
+A single-register ``read`` of node ``j`` returning timestamp ``t`` is a
+one-entry snapshot: it obeys the same real-time conditions on entry
+``j`` alone and takes no part in the ⪯-order.
 
 The real-time conditions are checked by one **sort-and-sweep** over
 invocation and response instants.  Each of them only ever needs the
 *largest* timestamp that responded before an invocation, so the sweep
 carries two frontiers — the per-writer maximum over responded writes
-and the component-wise maximum over responded snapshot vectors — and
-compares each operation against them once, at its invocation:
-O(m log m + m·n) for m operations on n nodes (``docs/verification.md``
+and the component-wise maximum over responded snapshot vectors and
+read entries — and compares each operation against them once, at its
+invocation: O(m log m + m·n) for m operations on n nodes
+(``docs/verification.md``
 argues why the frontiers lose nothing, and states what the conditions
 do not cover).  The pairwise formulation it replaced and
 the exhaustive Wing & Gill search survive as test oracles in
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter, lt
 from typing import Iterable, Sequence
 
-from repro.analysis.history import SNAPSHOT, WRITE, OperationRecord
+from repro.analysis.history import READ, SNAPSHOT, WRITE, OperationRecord
 from repro.errors import HistoryError
 
 __all__ = ["CheckReport", "check_snapshot_history"]
@@ -91,7 +95,8 @@ def check_snapshot_history(
     Raises :class:`~repro.errors.HistoryError` on records that are not a
     history at all: a response before its invocation, a write by a node
     outside ``range(n)``, a completed snapshot without a result or with
-    a vector of the wrong length.
+    a vector of the wrong length, a completed read without a result or
+    of a register outside ``range(n)``.
     """
     report = CheckReport()
     # Aborted operations (e.g. rejected by a global reset) impose no
@@ -100,6 +105,7 @@ def check_snapshot_history(
     # A write without a result carries no timestamp evidence either.
     ops: list[OperationRecord] = []
     snapshots: list[OperationRecord] = []
+    reads: list[OperationRecord] = []
     for record in records:
         record.check_instants()
         if record.aborted:
@@ -125,6 +131,18 @@ def check_snapshot_history(
                 )
             snapshots.append(record)
             ops.append(record)
+        elif record.kind == READ and record.completed:
+            if record.result is None:
+                raise HistoryError(
+                    f"read op {record.op_id} completed without a result"
+                )
+            if not 0 <= record.argument < n:
+                raise HistoryError(
+                    f"read op {record.op_id}: register {record.argument} "
+                    f"is outside 0..{n - 1}"
+                )
+            reads.append(record)
+            ops.append(record)
 
     # 3. Snapshots must be totally ordered by ⪯ (atomicity).
     ordered = sorted(snapshots, key=lambda s: (sum(s.result.vector_clock),))
@@ -142,6 +160,7 @@ def check_snapshot_history(
     # operations count as concurrent, exactly ``OperationRecord.precedes``).
     #   written[i]  — largest ts over responded writes by node i
     #   scanned[i]  — largest entry i over responded snapshots' vectors
+    #                 and responded reads of register i
     # with the operation holding each maximum kept as the witness.
     written = [0] * n
     scanned = [0] * n
@@ -163,6 +182,10 @@ def check_snapshot_history(
                 if done.result > written[done.node_id]:
                     written[done.node_id] = done.result
                     written_by[done.node_id] = done
+            elif done.kind == READ:
+                if done.result.ts > scanned[done.argument]:
+                    scanned[done.argument] = done.result.ts
+                    scanned_by[done.argument] = done
             else:
                 for node_id, ts in enumerate(done.result.vector_clock):
                     if ts > scanned[node_id]:
@@ -181,12 +204,29 @@ def check_snapshot_history(
             else:
                 last_ts[node_id] = ts
             write_table[(node_id, ts)] = op
-            # 5b. No snapshot that already responded may contain it.
+            # 5b. No snapshot or read that already responded may contain it.
             seer = scanned_by[node_id]
             if seer is not None and scanned[node_id] >= ts:
                 report.fail(
-                    f"snapshot {seer.op_id} saw future write {op.op_id} "
+                    f"{seer.kind} {seer.op_id} saw future write {op.op_id} "
                     f"(node {node_id}, ts {ts}) invoked after it responded"
+                )
+            continue
+
+        if op.kind == READ:
+            # 4 and 5a on the one entry a read returns.
+            node_id, seen = op.argument, op.result.ts
+            if seen < written[node_id]:
+                missed = written_by[node_id]
+                report.fail(
+                    f"read {op.op_id} misses write {missed.op_id} "
+                    f"(node {node_id}, ts {missed.result}) that preceded "
+                    f"it; saw ts {seen}"
+                )
+            if seen < scanned[node_id]:
+                report.fail(
+                    f"read {op.op_id} (after {scanned_by[node_id].op_id} in "
+                    f"real time) returned an older entry"
                 )
             continue
 
@@ -214,22 +254,30 @@ def check_snapshot_history(
                     break
 
     # 6. Value agreement: returned values match the writes they cite.
+    #    A snapshot cites one entry per node, a read the one it returned
+    #    (its ``values`` is indexed by that one node id).
     if check_values:
-        for snap in snapshots:
-            vc = snap.result.vector_clock
-            values = snap.result.values
-            for node_id, ts in enumerate(vc):
+        cited = [
+            (s, enumerate(s.result.vector_clock), s.result.values)
+            for s in snapshots
+        ]
+        cited += [
+            (r, ((r.argument, r.result.ts),), {r.argument: r.result.value})
+            for r in reads
+        ]
+        for op, entries, values in cited:
+            for node_id, ts in entries:
                 if ts == 0:
                     if values[node_id] is not None and not allow_rebased_init:
                         report.fail(
-                            f"snapshot {snap.op_id}: entry {node_id} has "
+                            f"{op.kind} {op.op_id}: entry {node_id} has "
                             f"ts 0 but non-⊥ value {values[node_id]!r}"
                         )
                     continue
                 write = write_table.get((node_id, ts))
                 if write is not None and values[node_id] != write.argument:
                     report.fail(
-                        f"snapshot {snap.op_id}: entry {node_id} cites write "
+                        f"{op.kind} {op.op_id}: entry {node_id} cites write "
                         f"ts {ts} but value {values[node_id]!r} != written "
                         f"{write.argument!r}"
                     )

@@ -17,10 +17,11 @@ Harnesses program against the contract::
 
     create()    finish any asynchronous setup (idempotent)
     start()     launch the do-forever loops
-    write()/snapshot()   invoke operations, recorded in .history
-    submit_write()/submit_snapshot()   pipelined (non-awaiting) submission
-    submit()    the dispatch discipline under both (FIFO per node, or
-                immediate for CONCURRENT_CLIENTS algorithms)
+    write()/snapshot()/read()   invoke operations, recorded in .history
+    submit_write()/submit_snapshot()/submit_read()   pipelined
+                (non-awaiting) submission
+    submit()    the dispatch discipline under all three (FIFO per node,
+                or immediate for CONCURRENT_CLIENTS algorithms)
     pipeline()  a depth-k client window over the submit path
     inject()    a TransientFaultInjector bound to this deployment
     partition()/heal()   connectivity control (real or modeled)
@@ -41,7 +42,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Awaitable, Callable, TYPE_CHECKING
 
 from repro.analysis.cycles import CycleTracker
-from repro.analysis.history import SNAPSHOT, WRITE, HistoryRecorder
+from repro.analysis.history import READ, SNAPSHOT, WRITE, HistoryRecorder
 from repro.analysis.metrics import MetricsCollector
 from repro.config import ClusterConfig
 from repro.errors import ConfigurationError
@@ -49,6 +50,7 @@ from repro.obs.observe import current_session
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.base import SnapshotAlgorithm, SnapshotResult
+    from repro.core.register import TimestampedValue
     from repro.fault import TransientFaultInjector
 
 __all__ = [
@@ -320,32 +322,19 @@ class ClusterBackend:
 
     # -- operations --------------------------------------------------------
 
-    async def write(self, node_id: int, value: Any) -> int:
-        """Invoke ``write(value)`` at a node, recording it in the history."""
-        op_id = self.history.invoke(node_id, WRITE, value, now=self.kernel.now)
-        obs = self.obs
-        span = obs.begin_op(node_id, WRITE, op_id) if obs is not None else None
-        try:
-            ts = await self.processes[node_id].write(value)
-        except BaseException:
-            self.history.abort(op_id, now=self.kernel.now)
-            if span is not None:
-                obs.end_op(span, status="aborted")
-            raise
-        self.history.respond(op_id, result=ts, now=self.kernel.now)
-        if span is not None:
-            obs.end_op(span)
-        return ts
+    async def _invoke(self, node_id: int, kind: str, *args: Any) -> Any:
+        """Run the node's ``kind`` operation, recorded in history and obs.
 
-    async def snapshot(self, node_id: int) -> "SnapshotResult":
-        """Invoke ``snapshot()`` at a node, recording it in the history."""
-        op_id = self.history.invoke(node_id, SNAPSHOT, now=self.kernel.now)
-        obs = self.obs
-        span = (
-            obs.begin_op(node_id, SNAPSHOT, op_id) if obs is not None else None
+        The history kinds are the algorithm's method names; the first
+        argument (the written value, the register index) is the record's.
+        """
+        op_id = self.history.invoke(
+            node_id, kind, args[0] if args else None, now=self.kernel.now
         )
+        obs = self.obs
+        span = obs.begin_op(node_id, kind, op_id) if obs is not None else None
         try:
-            result = await self.processes[node_id].snapshot()
+            result = await getattr(self.processes[node_id], kind)(*args)
         except BaseException:
             self.history.abort(op_id, now=self.kernel.now)
             if span is not None:
@@ -356,6 +345,22 @@ class ClusterBackend:
             obs.end_op(span)
         return result
 
+    async def write(self, node_id: int, value: Any) -> int:
+        """Invoke ``write(value)`` at a node, recording it in the history."""
+        return await self._invoke(node_id, WRITE, value)
+
+    async def snapshot(self, node_id: int) -> "SnapshotResult":
+        """Invoke ``snapshot()`` at a node, recording it in the history."""
+        return await self._invoke(node_id, SNAPSHOT)
+
+    async def read(self, node_id: int, j: int) -> "TimestampedValue":
+        """Invoke ``read(j)`` at a node, recording it in the history.
+
+        An atomic read of register ``j`` alone: one quorum round, two at
+        worst, never retried by writes to other registers.
+        """
+        return await self._invoke(node_id, READ, j)
+
     # -- pipelined operation submission ------------------------------------
 
     def submit(
@@ -364,9 +369,9 @@ class ClusterBackend:
         """Dispatch ``factory()`` as one operation of ``node_id``'s client.
 
         The one place that decides *when* a submitted operation may start:
-        :meth:`submit_write`, :meth:`submit_snapshot` and the sharded
-        fabric all delegate here, so no caller re-implements the
-        discipline or branches on the algorithm.  The coroutine
+        :meth:`submit_write`, :meth:`submit_snapshot`, :meth:`submit_read`
+        and the sharded fabric all delegate here, so no caller
+        re-implements the discipline or branches on the algorithm.  The coroutine
         ``factory()`` builds starts when the operation is dispatched, and
         everything it does before its first suspension runs in that one
         step — the fabric relies on this to update a slot's key map and
@@ -425,6 +430,10 @@ class ClusterBackend:
     def submit_snapshot(self, node_id: int) -> Any:
         """Pipelined :meth:`snapshot`: enqueue and return a task handle."""
         return self.submit(node_id, lambda: self.snapshot(node_id))
+
+    def submit_read(self, node_id: int, j: int) -> Any:
+        """Pipelined :meth:`read`: enqueue and return a task handle."""
+        return self.submit(node_id, lambda: self.read(node_id, j))
 
     @property
     def concurrent_clients(self) -> bool:

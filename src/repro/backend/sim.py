@@ -98,6 +98,14 @@ class SimBackend(ClusterBackend):
             self.snapshot(node_id), max_events=max_events
         )
 
+    def read_sync(
+        self, node_id: int, j: int, max_events: int | None = 2_000_000
+    ):
+        """Run the kernel until a single read of register ``j`` completes."""
+        return self.kernel.run_until_complete(
+            self.read(node_id, j), max_events=max_events
+        )
+
     def run_until(
         self, awaitable: Awaitable[Any], max_events: int | None = 5_000_000
     ) -> Any:

@@ -110,7 +110,7 @@ class SnapshotClient:
         return await self.fabric.compose_snapshot()
 
     async def read(self, key: Any) -> KeyView:
-        """Read one key through an atomic scan of its shard."""
+        """Read one key through an atomic read of its slot's register."""
         return await self.fabric.scan(key)
 
     async def split(self) -> SplitReport:

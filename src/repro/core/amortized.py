@@ -56,18 +56,20 @@ engine serializes them into shared rounds internally.
 
 The variant reuses the WRITE/SNAPSHOT/GOSSIP message kinds and server
 handlers of its parents unchanged — the wire protocol is identical;
-only the client-side round scheduling differs.
+only the client-side round scheduling differs.  Single-register reads
+(:meth:`~repro.core.base.SnapshotAlgorithm.read`) do not enter the
+engine: each is its own READ round, overlapping the shared rounds and
+each other, which is why a keyed fabric read no longer waits out (or is
+restarted by) the shard's writers.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.core.base import SnapshotResult, WriteAckMessage, WriteMessage
+from repro.core.base import SnapshotResult
 from repro.core.register import RegisterArray, TimestampedValue
 from repro.core.ss_nonblocking import SelfStabilizingNonBlocking
-from repro.net.message import Message
-from repro.net.quorum import AckCollector, broadcast_until
 
 __all__ = ["AmortizedSnapshot"]
 
@@ -110,7 +112,7 @@ class AmortizedSnapshot(SelfStabilizingNonBlocking):
 
     async def write(self, value: Any) -> int:
         """Enqueue a write; resolves with its timestamp after a shared round."""
-        token = self._claim_token("write")
+        token = self._begin_operation("write")
         try:
             op = _PendingOp(self.kernel, value)
             self._pending_writes.append(op)
@@ -118,11 +120,11 @@ class AmortizedSnapshot(SelfStabilizingNonBlocking):
             await op.event.wait()
             return op.result
         finally:
-            self._ops_in_flight.discard(token)
+            self._end_operation(token)
 
     async def snapshot(self) -> SnapshotResult:
         """Enqueue a scan; resolves after a shared interference-free round."""
-        token = self._claim_token("snapshot")
+        token = self._begin_operation("snapshot")
         try:
             op = _PendingOp(self.kernel)
             self._pending_scans.append(op)
@@ -130,9 +132,9 @@ class AmortizedSnapshot(SelfStabilizingNonBlocking):
             await op.event.wait()
             return op.result
         finally:
-            self._ops_in_flight.discard(token)
+            self._end_operation(token)
 
-    def _claim_token(self, name: str) -> str:
+    def _begin_operation(self, name: str) -> str:
         """Unique in-flight token (overlap is legal here, unlike the base)."""
         self._op_counter += 1
         token = f"{name}#{self._op_counter}"
@@ -182,18 +184,7 @@ class AmortizedSnapshot(SelfStabilizingNonBlocking):
         if self.obs is not None:
             self.obs.phase("write.batch_round")
         l_reg = self.reg.copy()
-
-        def matches(sender: int, msg: Message) -> bool:
-            return l_reg.precedes_or_equals(msg.reg)
-
-        with AckCollector(
-            self, WriteAckMessage.KIND, self.majority, match=matches
-        ) as collector:
-            await broadcast_until(
-                self, lambda: WriteMessage(reg=self.reg.copy()), collector
-            )
-            views = [msg.reg for msg in collector.reply_messages()]
-        self.merge(views)
+        views = await self.write_round(l_reg)
         for op in batch:
             op.event.set()
         self._settle_scans(scans, l_reg, views)

@@ -10,7 +10,12 @@ baselines, and their self-stabilizing variants) share:
   maximum observed own-entry timestamp into ``ts``;
 * the server-side WRITE/SNAPSHOT handler skeleton (merge, then ack);
 * the client-side ``baseWrite`` — bump ``ts``, install the value locally,
-  then ``repeat broadcast WRITE until majority of WRITEack(regJ ⪰ lReg)``.
+  then ``repeat broadcast WRITE until majority of WRITEack(regJ ⪰ lReg)``;
+* the single-register ``read(j)`` — the register read of
+  Attiya–Bar-Noy–Dolev (the paper's [5]) over the same ``reg`` buffers:
+  one READ/READack quorum round, plus a write-back round only when the
+  majority disagreed.  It needs (and pays for) single-register atomicity
+  only, so writes to other registers never make it retry.
 
 Concrete algorithms subclass :class:`SnapshotAlgorithm` and add their
 snapshot-side logic.
@@ -23,7 +28,7 @@ from typing import Any, Iterable
 
 from repro.config import ClusterConfig
 from repro.core.register import RegisterArray, TimestampedValue
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.net.message import Message
 from repro.net.node import Process
 from repro.net.quorum import AckCollector, broadcast_until
@@ -34,6 +39,8 @@ __all__ = [
     "SnapshotResult",
     "WriteMessage",
     "WriteAckMessage",
+    "ReadMessage",
+    "ReadAckMessage",
 ]
 
 
@@ -79,6 +86,26 @@ class WriteAckMessage(Message):
     reg: RegisterArray
 
 
+@dataclass(frozen=True)
+class ReadMessage(Message):
+    """Client-side ``READ(j, entry, tag)``: the reader's copy of ``reg[j]``."""
+
+    KIND = "READ"
+    j: int
+    entry: TimestampedValue
+    tag: int
+
+
+@dataclass(frozen=True)
+class ReadAckMessage(Message):
+    """Server-side ``READack(j, entry, tag)``: the replier's merged ``reg[j]``."""
+
+    KIND = "READack"
+    j: int
+    entry: TimestampedValue
+    tag: int
+
+
 class SnapshotAlgorithm(Process):
     """Base class: state, merge, write path, and server-side handlers.
 
@@ -100,7 +127,9 @@ class SnapshotAlgorithm(Process):
     ) -> None:
         super().__init__(node_id, kernel, network, config)
         self.register_handler(WriteMessage.KIND, self._on_write)
-        # WRITEack has no server-side action; replies reach ack collectors.
+        self.register_handler(ReadMessage.KIND, self._on_read)
+        # WRITEack/READack have no server-side action; replies reach ack
+        # collectors.
 
     # -- state ------------------------------------------------------------------
 
@@ -108,6 +137,10 @@ class SnapshotAlgorithm(Process):
         """Lines 2–4 / 32–35 / 68: indices to zero, registers to ⊥."""
         self.ts: int = 0
         self.reg: RegisterArray = RegisterArray(self.config.n)
+        #: Index of the node's latest ``read`` quorum round.  Each round
+        #: freezes its own copy, so any value (a corrupted one included)
+        #: is a legal starting point.
+        self.tag: int = 0
         self._ops_in_flight: set[str] = set()
 
     # -- the merge(Rec) macro -----------------------------------------------------
@@ -128,12 +161,32 @@ class SnapshotAlgorithm(Process):
         for other in received:
             self.reg.merge_from(other)
 
+    def merge_entry(self, j: int, entry: TimestampedValue) -> None:
+        """``reg[j] ← max(reg[j], entry)``, the single-entry ``merge``.
+
+        Like the GOSSIP handler, the self-stabilizing variants absorb an
+        arriving own-entry timestamp into ``ts``.
+        """
+        self.reg.merge_entry(j, entry)
+        if self.SELF_STABILIZING and j == self.node_id:
+            self.ts = max(self.ts, self.reg[j].ts)
+
     # -- server side -----------------------------------------------------------------
 
     def _on_write(self, sender: int, message: WriteMessage) -> None:
         """Lines 26–28: merge the writer's view, reply with our own."""
         self.reg.merge_from(message.reg)
         self.send(sender, WriteAckMessage(reg=self.reg.copy()))
+
+    def _on_read(self, sender: int, message: ReadMessage) -> None:
+        """Merge the reader's copy of ``reg[j]``, reply with our own."""
+        j = message.j
+        if not 0 <= j < self.config.n:
+            return  # corrupted index; the reader retransmits
+        self.merge_entry(j, message.entry)
+        self.send(
+            sender, ReadAckMessage(j=j, entry=self.reg[j], tag=message.tag)
+        )
 
     # -- client side write path ----------------------------------------------------------
 
@@ -147,30 +200,106 @@ class SnapshotAlgorithm(Process):
         if self.obs is not None:
             self.obs.phase("write.quorum_round")
         l_reg = self.reg.copy()
+        await self.write_round(l_reg)
+        return l_reg[self.node_id].ts
+
+    async def write_round(self, l_reg: RegisterArray) -> list[RegisterArray]:
+        """Line 14: ``repeat broadcast WRITE until majority of WRITEack``.
+
+        Every (re)transmission carries ``reg ⊔ lReg``.  In a legitimate
+        execution ``reg ⪰ lReg`` and that is ``reg`` itself; after a
+        transient fault lowers ``reg`` mid-round the join still carries
+        ``lReg``, which every server merges before it replies, so some
+        ack can always satisfy ``regJ ⪰ lReg`` and the round ends.
+        Returns the acks' register views, already merged into ``reg``.
+        """
 
         def matches(sender: int, msg: Message) -> bool:
             return l_reg.precedes_or_equals(msg.reg)
 
+        def message() -> WriteMessage:
+            reg = self.reg.copy()
+            reg.merge_from(l_reg)
+            return WriteMessage(reg=reg)
+
         with AckCollector(
             self, WriteAckMessage.KIND, self.majority, match=matches
         ) as collector:
-            await broadcast_until(
-                self, lambda: WriteMessage(reg=self.reg.copy()), collector
+            await broadcast_until(self, message, collector)
+            views = [msg.reg for msg in collector.reply_messages()]
+        self.merge(views)
+        return views
+
+    # -- client side single-register read ----------------------------------------------
+
+    async def read(self, j: int) -> TimestampedValue:
+        """Atomic read of register ``j``: one quorum round, two at worst.
+
+        The round broadcasts the reader's ``reg[j]``; every server merges
+        it and replies with its own.  If the whole majority reports one
+        timestamp, a majority holds that entry already and it is
+        returned at once (the equivalence-quorum fast path — always, when
+        the reader is ``j``'s writer and no local write is in flight).
+        Otherwise the maximum is written back with one more round, so
+        that whatever this read returns, a majority holds it before the
+        read responds and no later read or snapshot can go below it.
+        """
+        if not 0 <= j < self.config.n:
+            raise ConfigurationError(
+                f"register index {j} outside 0..{self.config.n - 1}"
             )
-            replies = collector.reply_messages()
-        self.merge(msg.reg for msg in replies)
-        return l_reg[self.node_id].ts
+        token = self._begin_operation("read")
+        try:
+            if self.obs is not None:
+                self.obs.phase("read.quorum_round")
+            replies = await self._read_round(j, self.reg[j])
+            top = max(replies, key=lambda entry: entry.ts)
+            self.merge_entry(j, top)
+            if any(entry.ts != top.ts for entry in replies):
+                if self.obs is not None:
+                    self.obs.phase("read.write_back")
+                await self._read_round(j, top)
+            return top
+        finally:
+            self._end_operation(token)
+
+    async def _read_round(
+        self, j: int, entry: TimestampedValue
+    ) -> list[TimestampedValue]:
+        """``repeat broadcast READ(j, entry, tag) until majority of READack``.
+
+        The message is built once and the match predicate reads the same
+        frozen ``entry`` and ``tag``, so nothing that happens to ``reg``
+        or ``tag`` mid-round can leave the round waiting for an ack no
+        server will send.
+        """
+        self.tag += 1
+        tag = self.tag
+        message = ReadMessage(j=j, entry=entry, tag=tag)
+
+        def matches(sender: int, msg: Message) -> bool:
+            return msg.tag == tag and msg.j == j and msg.entry.ts >= entry.ts
+
+        with AckCollector(
+            self, ReadAckMessage.KIND, self.majority, match=matches
+        ) as collector:
+            await broadcast_until(self, lambda: message, collector)
+            return [msg.entry for msg in collector.reply_messages()]
 
     # -- operation-invocation discipline --------------------------------------------------
 
-    def _begin_operation(self, name: str) -> None:
-        """Enforce the paper's sequential-client-per-node model."""
+    def _begin_operation(self, name: str) -> str:
+        """Enforce the paper's sequential-client-per-node model.
+
+        Returns the in-flight token to hand back to :meth:`_end_operation`.
+        """
         if name in self._ops_in_flight:
             raise ReproError(
                 f"node {self.node_id}: {name} already in progress; the model "
                 "assumes one sequential client per node"
             )
         self._ops_in_flight.add(name)
+        return name
 
-    def _end_operation(self, name: str) -> None:
-        self._ops_in_flight.discard(name)
+    def _end_operation(self, token: str) -> None:
+        self._ops_in_flight.discard(token)

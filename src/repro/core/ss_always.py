@@ -524,6 +524,11 @@ class SelfStabilizingAlwaysTerminating(SnapshotAlgorithm):
         super().merge(received)
         self._notify()
 
+    def merge_entry(self, j: int, entry: TimestampedValue) -> None:
+        """A read's single-entry merge grows ``reg`` too; same notify."""
+        super().merge_entry(j, entry)
+        self._notify()
+
     @property
     def delta(self) -> float:
         """The configured δ (``math.inf`` disables write blocking)."""

@@ -1,9 +1,10 @@
 """Transient-fault injection: arbitrary state corruption.
 
 The paper's fault model lets a transient fault drive the system into an
-*arbitrary* state — control variables (``ts``, ``ssn``, ``sns``), the
-register buffers, the pending-task table, and the contents of every
-communication channel may all hold garbage (only the code stays intact).
+*arbitrary* state — control variables (``ts``, ``ssn``, ``sns``,
+``tag``), the register buffers, the pending-task table, and the contents
+of every communication channel may all hold garbage (only the code stays
+intact).
 
 :class:`TransientFaultInjector` reproduces that model against any
 running :class:`~repro.backend.base.ClusterBackend` (sim, asyncio, or
@@ -20,6 +21,7 @@ import random
 from dataclasses import replace as dataclass_replace
 from typing import TYPE_CHECKING, Iterable
 
+from repro.core.base import ReadAckMessage, ReadMessage
 from repro.core.register import TimestampedValue
 from repro.net.message import Message
 
@@ -69,6 +71,11 @@ class TransientFaultInjector:
                 process.ssn = self._wild_ts() if value is None else value
             if hasattr(process, "sns"):
                 process.sns = self._wild_ts() if value is None else value
+
+    def corrupt_read_tags(self, node_ids: Iterable[int] | None = None) -> None:
+        """Overwrite ``tag``, the read-round index."""
+        for node_id in self._targets(node_ids):
+            self._cluster.node(node_id).tag = self._wild_ts()
 
     def corrupt_registers(
         self,
@@ -174,6 +181,10 @@ class TransientFaultInjector:
                 changes["entry"] = TimestampedValue(
                     ts=self._wild_ts(), value=b"\xba\xad"
                 )
+            if isinstance(message, (ReadMessage, ReadAckMessage)):
+                # By type, not by field name: consensus messages carry an
+                # unrelated ``tag``.
+                changes["tag"] = self._wild_ts()
             if not changes:
                 return message
             try:
@@ -203,3 +214,5 @@ class TransientFaultInjector:
         self.corrupt_pending_tasks(node_ids)
         self.corrupt_consensus(node_ids)
         self.scramble_channels()
+        # Last, so every draw above is the one it was before reads existed.
+        self.corrupt_read_tags(node_ids)

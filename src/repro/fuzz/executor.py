@@ -30,10 +30,11 @@ from repro.analysis.history import HistoryRecorder
 from repro.analysis.invariants import definition1_consistent
 from repro.analysis.linearizability import check_snapshot_history
 from repro.core.base import SnapshotResult
+from repro.core.register import TimestampedValue
 from repro.backend.sim import SimBackend
 from repro.errors import DeadlockError, ResetInProgressError, SimulationError
 from repro.fault import TransientFaultInjector
-from repro.fuzz.spec import ScenarioSpec
+from repro.fuzz.spec import ScenarioEvent, ScenarioSpec
 from repro.sim.kernel import TieBreak
 
 __all__ = ["SpecOutcome", "run_spec", "OP_TERMINATION_BOUND"]
@@ -107,6 +108,8 @@ def _normalize_result(result) -> object:
             list(result.values),
             list(result.vector_clock),
         ]
+    if isinstance(result, TimestampedValue):
+        return ["read", result.value, result.ts]
     return result
 
 
@@ -229,8 +232,9 @@ class _SpecRun:
 
     # -- event handlers ----------------------------------------------------
 
-    async def _operate(self, index: int, kind: str, node: int, value) -> None:
+    async def _operate(self, index: int, event: ScenarioEvent) -> None:
         cluster = self.cluster
+        kind, node = event.kind, event.node
         if cluster.node(node).crashed or self._node_busy(node):
             self.skipped += 1
             return
@@ -238,9 +242,12 @@ class _SpecRun:
             self.skipped += 1
             return
         unobstructed = not self.partitioned
-        operation = (
-            cluster.write(node, value) if kind == "write" else cluster.snapshot(node)
-        )
+        if kind == "write":
+            operation = cluster.write(node, event.value)
+        elif kind == "read":
+            operation = cluster.read(node, event.register)
+        else:
+            operation = cluster.snapshot(node)
         self.applied += 1
         try:
             await cluster.kernel.wait_for(operation, timeout=OP_TERMINATION_BOUND)
@@ -278,6 +285,7 @@ class _SpecRun:
             self.injector.corrupt_write_indices()
         elif mode == "ssn":
             self.injector.corrupt_snapshot_indices()
+            self.injector.corrupt_read_tags()
         elif mode == "registers":
             self.injector.corrupt_registers()
         elif mode == "consensus":
@@ -353,8 +361,8 @@ class _SpecRun:
         cluster = self.cluster
         for index, event in enumerate(self.spec.events):
             kind = event.kind
-            if kind in ("write", "snapshot"):
-                await self._operate(index, kind, event.node, event.value)
+            if kind in ("write", "snapshot", "read"):
+                await self._operate(index, event)
             elif kind == "crash":
                 self._crash(event.node)
             elif kind == "resume":

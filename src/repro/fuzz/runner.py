@@ -33,8 +33,10 @@ __all__ = [
 ]
 
 #: ``format`` marker of counterexample files (versioned for evolution).
+#: Version 2 added ``register`` to events (the ``read`` kind); version-1
+#: files still load, their events reading register 0.
 COUNTEREXAMPLE_FORMAT = "repro-fuzz-counterexample"
-COUNTEREXAMPLE_VERSION = 1
+COUNTEREXAMPLE_VERSION = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,6 +140,11 @@ def load_counterexample(path: str | Path) -> tuple[ScenarioSpec, dict]:
         raise ValueError(
             f"{path}: not a {COUNTEREXAMPLE_FORMAT} file "
             f"(format={payload.get('format')!r})"
+        )
+    if payload.get("version", 1) > COUNTEREXAMPLE_VERSION:
+        raise ValueError(
+            f"{path}: counterexample version {payload['version']} is newer "
+            f"than this tree reads ({COUNTEREXAMPLE_VERSION})"
         )
     return ScenarioSpec.from_dict(payload["spec"]), payload
 

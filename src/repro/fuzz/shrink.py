@@ -3,11 +3,15 @@
 A failing spec found by a fuzz campaign is rarely a good bug report: most
 of its events are noise, its cluster is bigger than the bug needs, and
 the schedule that triggered it is implicit in a seed.  :func:`shrink_spec`
-reduces it in three passes:
+reduces it in four passes:
 
 1. **ddmin over the event program** — the classic delta-debugging loop:
    remove ever-smaller chunks of events, keeping any reduction that still
    fails.
+1b. **reads as snapshots** — each remaining ``read`` is retried as a
+   ``snapshot`` at the same node, which observes everything the read
+   could; a ``read`` that survives into the final program is one the
+   failure needs.
 2. **config minimization** — try a smaller cluster (dropping events that
    reference removed nodes), δ = 0, a loss-free channel, and fixed unit
    delays, keeping each simplification that still fails.
@@ -97,14 +101,24 @@ class _Shrinker:
                     break
                 granularity = min(len(events), granularity * 2)
 
+    # -- pass 1b: reads as snapshots ---------------------------------------
+
+    def generalize_reads(self) -> None:
+        for index in range(len(self.best.events)):
+            event = self.best.events[index]
+            if event.kind == "read":
+                events = list(self.best.events)
+                events[index] = replace(event, kind="snapshot", register=0)
+                self.fails(self.best.with_events(events))
+
     # -- pass 2: config minimization ---------------------------------------
 
     def _events_for_n(self, n: int) -> list[ScenarioEvent] | None:
         """The current event list restricted to a smaller cluster."""
         events: list[ScenarioEvent] = []
         for event in self.best.events:
-            if event.kind in ("write", "snapshot", "crash", "resume"):
-                if event.node >= n:
+            if event.kind in ("write", "snapshot", "read", "crash", "resume"):
+                if event.node >= n or event.register >= n:
                     continue
             if event.kind == "partition":
                 group = tuple(i for i in event.group if i < n)
@@ -180,6 +194,7 @@ def shrink_spec(spec: ScenarioSpec, max_runs: int = 500) -> ShrinkResult:
             "shrink_spec needs a failing spec; this one passed its checks"
         )
     shrinker.ddmin_events()
+    shrinker.generalize_reads()
     shrinker.minimize_config()
     shrinker.pin_schedule()
     assert shrinker.best_outcome is not None

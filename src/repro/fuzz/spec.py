@@ -3,12 +3,13 @@
 A :class:`ScenarioSpec` is a complete, self-contained description of one
 verification run: the configuration dimensions (``n``, δ, channel delay /
 loss / duplication, algorithm), an event program over workload operations
-(writes and snapshots on chosen nodes) and fault events (crashes,
-resumes, partitions, heals, transient corruption bursts), and —
-optionally — a pinned kernel decision script that fixes the exact
-same-instant schedule.  Specs are pure data: JSON-round-trippable, so a
-failing spec can be written to disk as a counterexample file and replayed
-bit-identically by ``python -m repro replay``.
+(writes, snapshots and single-register reads on chosen nodes) and fault
+events (crashes, resumes, partitions, heals, transient corruption
+bursts), and — optionally — a pinned kernel decision script that fixes
+the exact same-instant schedule.  Specs are pure data:
+JSON-round-trippable, so a failing spec can be written to disk as a
+counterexample file and replayed bit-identically by
+``python -m repro replay``.
 
 :func:`generate_spec` draws a spec from a seed, with the same event mix
 the chaos campaigns use; the executor (:mod:`repro.fuzz.executor`) gives
@@ -38,6 +39,7 @@ __all__ = [
 EVENT_KINDS = (
     "write",
     "snapshot",
+    "read",
     "crash",
     "resume",
     "partition",
@@ -62,9 +64,10 @@ BOUNDED_CORRUPTION_MODES = CORRUPTION_MODES + ("consensus",)
 class ScenarioEvent:
     """One step of a scenario program.
 
-    ``node`` targets write/snapshot/crash/resume events; ``value`` is the
-    written payload; ``group`` is a partition's minority side; ``mode``
-    selects a corruption class (``corrupt``) or ``"restart"`` semantics
+    ``node`` targets write/snapshot/read/crash/resume events; ``value`` is
+    the written payload; ``register`` is the index a ``read`` reads;
+    ``group`` is a partition's minority side; ``mode`` selects a
+    corruption class (``corrupt``) or ``"restart"`` semantics
     (``resume``); ``gap`` is the simulated-time pause after the event.
     """
 
@@ -74,6 +77,7 @@ class ScenarioEvent:
     group: tuple[int, ...] = ()
     mode: str = ""
     gap: float = 1.0
+    register: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in EVENT_KINDS:
@@ -88,6 +92,7 @@ class ScenarioEvent:
             "group": list(self.group),
             "mode": self.mode,
             "gap": self.gap,
+            "register": self.register,
         }
 
     @classmethod
@@ -100,6 +105,8 @@ class ScenarioEvent:
             group=tuple(int(i) for i in payload.get("group", ())),
             mode=payload.get("mode", ""),
             gap=float(payload.get("gap", 1.0)),
+            # .get: version-1 counterexample files predate reads.
+            register=int(payload.get("register", 0)),
         )
 
 
@@ -233,6 +240,7 @@ class ScenarioSpec:
 _EVENT_WEIGHTS = (
     ("write", 6),
     ("snapshot", 3),
+    ("read", 3),
     ("crash", 1),
     ("resume", 2),
     ("partition", 2),
@@ -300,6 +308,10 @@ def generate_spec(
         if kind == "write":
             event = ScenarioEvent(
                 kind=kind, node=node, value=f"w{index}", gap=gap
+            )
+        elif kind == "read":
+            event = ScenarioEvent(
+                kind=kind, node=node, register=rng.randrange(n), gap=gap
             )
         elif kind == "partition":
             size = rng.randrange(1, max(2, (n - 1) // 2 + 1))

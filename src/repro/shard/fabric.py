@@ -97,7 +97,7 @@ class WriteRecord:
 
 @dataclass(frozen=True, slots=True)
 class KeyView:
-    """A shard-local read: one key projected out of an atomic scan."""
+    """A keyed read: one key projected out of an atomic read of its slot."""
 
     key: Any
     seq: int
@@ -322,11 +322,11 @@ class ShardedFabric:
         return await self.submit_write(key, value)
 
     def submit_scan(self, key: Any) -> Any:
-        """Pipelined shard-local read of ``key`` (an atomic shard scan)."""
+        """Pipelined keyed read of ``key`` (an atomic read of its slot)."""
         return self.kernel.create_task(self._read(key), name=f"s:{key}")
 
     async def scan(self, key: Any) -> KeyView:
-        """Read ``key`` through an atomic scan of its shard."""
+        """Read ``key`` through an atomic read of its slot's register."""
         return await self.submit_scan(key)
 
     async def _write(
@@ -367,8 +367,10 @@ class ShardedFabric:
             raise ReproError("fabric is closed")
         async with self._reads:
             shard_id, node = self.slot_of(key)
-            result = await self._shards[shard_id].submit_snapshot(node)
-            entry = (result.values[node] or {}).get(key)
+            # The slot's writer reads its own register: one quorum round,
+            # untouched by writes to the shard's other slots.
+            result = await self._shards[shard_id].submit_read(node, node)
+            entry = (result.value or {}).get(key)
             if entry is None:
                 return KeyView(key, 0, None, False, shard_id, self.epoch)
             return KeyView(key, entry[0], entry[1], True, shard_id, self.epoch)

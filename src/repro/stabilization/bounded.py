@@ -150,7 +150,7 @@ class _BoundedCounterMixin:
 
     def _max_local_index(self) -> int:
         """The largest operation index anywhere in this node's state."""
-        return max(self.ts, self.ssn, self.reg.max_timestamp())
+        return max(self.ts, self.ssn, self.tag, self.reg.max_timestamp())
 
     def _apply_index_reset(self, values: RegisterArray) -> None:
         """Install the agreed values with all indices back at 0."""
@@ -158,6 +158,7 @@ class _BoundedCounterMixin:
             self.reg[k] = TimestampedValue(0, values[k].value)
         self.ts = 0
         self.ssn = 0
+        self.tag = 0
 
     # -- epoch envelope ------------------------------------------------------------
 
@@ -364,6 +365,9 @@ class _BoundedCounterMixin:
     async def snapshot(self) -> SnapshotResult:
         return await self._abortable(super().snapshot(), "snapshot")
 
+    async def read(self, j: int) -> TimestampedValue:
+        return await self._abortable(super().read(j), "read")
+
     async def _abortable(self, operation, name: str) -> Any:
         """Run an operation, aborting it if a global reset intervenes.
 
@@ -421,7 +425,9 @@ class BoundedSelfStabilizingAlwaysTerminating(
         self._install_reset_handlers()
 
     def _max_local_index(self) -> int:
-        indices = [self.ts, self.ssn, self.sns, self.reg.max_timestamp()]
+        indices = [
+            self.ts, self.ssn, self.sns, self.tag, self.reg.max_timestamp()
+        ]
         indices.extend(task.sns for task in self.pnd_tsk)
         return max(indices)
 

@@ -58,3 +58,32 @@ class BrokenAlwaysEquivalent(AmortizedSnapshot):
 
 
 register_algorithm("broken-always-equivalent", BrokenAlwaysEquivalent)
+
+
+class BrokenLocalRead(DgfrNonBlocking):
+    """Deliberately wrong: ``read(j)`` returns the local ``reg[j]`` with
+    no quorum round.  A node that already received an in-flight WRITE
+    returns its timestamp while a majority still holds the old one, so a
+    later snapshot elsewhere can return the older entry — a new–old
+    inversion."""
+
+    async def read(self, j: int):
+        return self.reg[j]
+
+
+register_algorithm("broken-local-read", BrokenLocalRead)
+
+
+class BrokenNoWriteBack(DgfrNonBlocking):
+    """Deliberately wrong: ``read(j)`` returns the largest entry of its
+    majority without writing it back when the majority disagreed, so
+    the returned entry may be held by a single server."""
+
+    async def read(self, j: int):
+        replies = await self._read_round(j, self.reg[j])
+        top = max(replies, key=lambda entry: entry.ts)
+        self.merge_entry(j, top)
+        return top
+
+
+register_algorithm("broken-no-write-back", BrokenNoWriteBack)

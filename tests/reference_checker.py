@@ -17,7 +17,7 @@ live beside the tests).
 from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from repro.analysis.history import SNAPSHOT, WRITE, OperationRecord
+from repro.analysis.history import READ, SNAPSHOT, WRITE, OperationRecord
 from repro.analysis.linearizability import CheckReport
 from repro.errors import HistoryError
 
@@ -39,6 +39,9 @@ def reference_check_snapshot_history(
 
     Conditions 4 and 5 compare every snapshot with every snapshot and
     every write with every snapshot and report one violation per pair.
+    A read of register ``j`` takes part in both as the one-entry vector
+    it is: pairwise against snapshots, other reads of ``j`` and writes
+    by ``j``.
     """
     report = CheckReport()
     records = list(records)
@@ -51,6 +54,13 @@ def reference_check_snapshot_history(
         for r in records
         if r.kind == SNAPSHOT and r.completed and not r.aborted
     ]
+    reads = [
+        r for r in records if r.kind == READ and r.completed and not r.aborted
+    ]
+
+    def entry(op: OperationRecord, j: int) -> int:
+        """The timestamp ``op`` (a snapshot, or a read of ``j``) saw for j."""
+        return op.result.ts if op.kind == READ else op.result.vector_clock[j]
 
     # 1. Per-writer timestamps: unique and increasing in invocation order.
     writes_by_node: dict[int, list[OperationRecord]] = {}
@@ -102,6 +112,26 @@ def reference_check_snapshot_history(
                     f"time) returned an older vector"
                 )
 
+    # 4r. Real-time order between reads and snapshots/reads, on the
+    #     read's one entry.
+    for read in reads:
+        j = read.argument
+        for other in snapshots + [r for r in reads if r.argument == j]:
+            if other.precedes(read) and read.result.ts < entry(other, j):
+                report.fail(
+                    f"read {read.op_id} (after {other.op_id} in real time) "
+                    f"returned an older entry"
+                )
+            if (
+                other.kind == SNAPSHOT
+                and read.precedes(other)
+                and entry(other, j) < read.result.ts
+            ):
+                report.fail(
+                    f"snapshot {other.op_id} (after {read.op_id} in real "
+                    f"time) returned an older vector"
+                )
+
     # 5. Real-time order between writes and snapshots.
     for write in writes:
         if write.result is None:
@@ -119,6 +149,20 @@ def reference_check_snapshot_history(
             if snap.precedes(write) and vc[node_id] >= ts:
                 report.fail(
                     f"snapshot {snap.op_id} saw future write {write.op_id} "
+                    f"(node {node_id}, ts {ts}) invoked after it responded"
+                )
+        for read in reads:
+            if read.argument != node_id:
+                continue
+            if write.precedes(read) and read.result.ts < ts:
+                report.fail(
+                    f"read {read.op_id} misses write {write.op_id} "
+                    f"(node {node_id}, ts {ts}) that preceded it; "
+                    f"saw ts {read.result.ts}"
+                )
+            if read.precedes(write) and read.result.ts >= ts:
+                report.fail(
+                    f"read {read.op_id} saw future write {write.op_id} "
                     f"(node {node_id}, ts {ts}) invoked after it responded"
                 )
 
@@ -142,6 +186,22 @@ def reference_check_snapshot_history(
                         f"ts {ts} but value {values[node_id]!r} != written "
                         f"{write.argument!r}"
                     )
+        for read in reads:
+            node_id, ts, value = read.argument, read.result.ts, read.result.value
+            if ts == 0:
+                if value is not None and not allow_rebased_init:
+                    report.fail(
+                        f"read {read.op_id}: entry {node_id} has "
+                        f"ts 0 but non-⊥ value {value!r}"
+                    )
+                continue
+            write = write_table.get((node_id, ts))
+            if write is not None and value != write.argument:
+                report.fail(
+                    f"read {read.op_id}: entry {node_id} cites write "
+                    f"ts {ts} but value {value!r} != written "
+                    f"{write.argument!r}"
+                )
 
     return report
 
@@ -152,8 +212,11 @@ def check_exhaustive(records: Iterable[OperationRecord], n: int) -> bool:
     Searches for a permutation of the completed operations that respects
     real-time order and the sequential snapshot-object specification
     (every snapshot returns exactly the register state produced by the
-    writes linearized before it).  Memoized on the set of linearized
-    operations; practical up to roughly a dozen operations.
+    writes linearized before it; a read of ``j`` returning ``t``
+    linearizes between write ``t`` and write ``t + 1`` of node ``j``,
+    i.e. where entry ``j`` of that state is ``t``).  Memoized on the
+    set of linearized operations; practical up to roughly a dozen
+    operations.
     """
     ops = [r for r in records if r.completed and not r.aborted]
     total = len(ops)
@@ -206,6 +269,8 @@ def check_exhaustive(records: Iterable[OperationRecord], n: int) -> bool:
                 expected = list(state)
                 if tuple(op.result.vector_clock) != tuple(expected):
                     continue
+            if op.kind == READ and op.result.ts != state[op.argument]:
+                continue
             if search(mask | bit):
                 return True
         return False

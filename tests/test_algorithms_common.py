@@ -1,10 +1,13 @@
-"""Behavioural tests shared across all four snapshot algorithms."""
+"""Behavioural tests shared across the snapshot algorithms."""
 
 import pytest
 
 from repro import ChannelConfig, ClusterConfig, SimBackend
+from repro.analysis.history import HistoryRecorder
 from repro.analysis.linearizability import check_snapshot_history
+from repro.core.base import ReadAckMessage, ReadMessage
 from repro.errors import ConfigurationError, ReproError
+from repro.fault import TransientFaultInjector
 
 ALL = ["dgfr-nonblocking", "ss-nonblocking", "dgfr-always", "ss-always"]
 
@@ -185,3 +188,130 @@ class TestClusterFacade:
         cluster.run_until(cluster.settle_cycles(4))
         vcs = cluster.quiescent_registers()
         assert all(vc == vcs[0] for vc in vcs)
+
+
+#: ``read(j)`` lives in the base class, so every engine has it — the
+#: five variants, and the bounded pair through the mixin's reset guard.
+READERS = ALL + ["amortized", "bounded-ss-nonblocking", "bounded-ss-always"]
+
+
+def read_rounds(cluster):
+    """READ quorum rounds run so far (every round takes one fresh tag)."""
+    return sum(process.tag for process in cluster.processes)
+
+
+@pytest.mark.parametrize("algorithm", READERS)
+class TestRegisterRead:
+    def test_read_returns_the_entry_and_bottom(self, algorithm):
+        cluster = make(algorithm)
+        assert cluster.read_sync(1, 3).is_bottom
+        ts = cluster.write_sync(3, b"hello")
+        entry = cluster.read_sync(1, 3)
+        assert (entry.ts, entry.value) == (ts, b"hello")
+        with pytest.raises(ConfigurationError):
+            cluster.read_sync(1, 5)
+
+    def test_concurrent_with_writes_and_snapshots(self, algorithm):
+        cluster = make(
+            algorithm,
+            seed=41,
+            channel=ChannelConfig(
+                loss_probability=0.15, duplication_probability=0.1
+            ),
+        )
+        reads = 0
+
+        async def workload():
+            nonlocal reads
+            for round_index in range(4):
+                tasks = [
+                    cluster.submit_write(node, (round_index, node))
+                    for node in range(5)
+                ]
+                tasks += [
+                    cluster.submit_read(node, (node + shift) % 5)
+                    for node in range(5)
+                    for shift in (0, 2)
+                ]
+                reads += 10
+                tasks.append(cluster.submit_snapshot(round_index))
+                await cluster.kernel.gather(tasks)
+
+        cluster.run_until(workload())
+        cluster.history.validate_well_formed(
+            sequential=not cluster.concurrent_clients
+        )
+        report = check_snapshot_history(cluster.history.records(), 5)
+        assert report.ok, report.summary()
+        # One round, two at worst — never a retry loop.
+        assert reads <= read_rounds(cluster) <= 2 * reads
+
+    def test_own_register_is_one_round(self, algorithm):
+        cluster = make(algorithm, seed=43)
+        cluster.write_sync(2, "mine")
+        before = read_rounds(cluster)
+        assert cluster.read_sync(2, 2).value == "mine"
+        assert read_rounds(cluster) == before + 1
+
+    def test_non_writer_during_inflight_write_writes_back(self, algorithm):
+        """Node 0's WRITE reaches node 3 only, so reader 1's majority
+        {1, 2, 3} disagrees: two rounds, and the entry it returned is at
+        node 2 before the read responds."""
+        cluster = make(algorithm, seed=47)
+        for src, dst in [(0, 1), (0, 2), (0, 4), (1, 4)]:
+            cluster.network.channel(src, dst).blocked = True
+
+        async def scenario():
+            cluster.spawn(cluster.write(0, "new"))  # cannot reach a majority
+            await cluster.kernel.sleep(6.0)
+            entry = await cluster.read(1, 0)
+            held = cluster.node(2).reg[0]
+            for channel in cluster.network.channels():
+                channel.blocked = False
+            await cluster.kernel.sleep(1.0)
+            return entry, held, await cluster.snapshot(4)
+
+        entry, held, snap = cluster.run_until(scenario())
+        assert (entry.ts, entry.value) == (1, "new")
+        assert cluster.node(1).tag == 2
+        assert held == entry
+        assert snap.vector_clock[0] >= entry.ts and snap.values[0] == "new"
+        report = check_snapshot_history(cluster.history.records(), 5)
+        assert report.ok, report.summary()
+
+    def test_completes_with_minority_crashed(self, algorithm):
+        cluster = make(algorithm, seed=53)
+        cluster.write_sync(0, "survives")
+        cluster.crash(3)
+        cluster.crash(4)
+        assert cluster.read_sync(1, 0).value == "survives"
+        assert cluster.read_sync(0, 0).value == "survives"
+
+
+@pytest.mark.parametrize("algorithm", ["ss-nonblocking", "ss-always", "amortized"])
+def test_reads_converge_after_scramble(algorithm):
+    """Arbitrary state — ``tag`` and in-flight READ/READack included —
+    heals within the recovery-cycle cap the other indices get."""
+    cluster = make(algorithm, seed=59)
+    cluster.write_sync(0, "pre")
+    for node in range(5):
+        cluster.spawn(cluster.read(node, 0))
+    cluster.run_for(0.3)  # the READs are on the wire
+    in_flight = [
+        message
+        for channel in cluster.network.channels()
+        for message in channel.in_flight_messages()
+    ]
+    assert any(isinstance(m, (ReadMessage, ReadAckMessage)) for m in in_flight)
+    TransientFaultInjector(cluster, seed=59).scramble_everything()
+    assert len({process.tag for process in cluster.processes}) > 1
+    cluster.tracker.reset()
+    cluster.run_until(cluster.tracker.wait_cycles(8), max_events=None)
+    cluster.history = HistoryRecorder()
+    for node in range(5):
+        cluster.write_sync(node, f"post-{node}")
+    for node in range(5):
+        for j in range(5):
+            assert cluster.read_sync(node, j).value == f"post-{j}"
+    report = check_snapshot_history(cluster.history.records(), 5)
+    assert report.ok, report.summary()

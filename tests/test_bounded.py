@@ -78,6 +78,25 @@ class TestBoundedOperation:
         cluster.run_until(cluster.settle_cycles(4), max_events=None)
         assert all(p.ts < 6 for p in cluster.processes)
 
+    def test_read_rounds_count_toward_maxint(self):
+        """``tag`` is an operation index like ``ssn``: reads alone reach
+        MAXINT, the reset rebases it, and the value read survives."""
+        cluster = make(max_int=6, seed=9)
+        cluster.write_sync(2, "keep")
+
+        async def run():
+            while cluster.node(0).resets_completed == 0:
+                try:
+                    await cluster.read(0, 2)
+                except ResetInProgressError:
+                    await cluster.tracker.wait_cycles(3)
+            await cluster.tracker.wait_cycles(3)
+            return await cluster.read(0, 2)
+
+        entry = cluster.run_until(run(), max_events=None)
+        assert (entry.ts, entry.value) == (0, "keep")
+        assert all(p.tag < 6 for p in cluster.processes)
+
     def test_operations_rejected_during_reset(self):
         cluster = make(max_int=6, seed=5)
         node = cluster.node(0)
@@ -86,6 +105,8 @@ class TestBoundedOperation:
             cluster.write_sync(0, "nope")
         with pytest.raises(ResetInProgressError):
             cluster.snapshot_sync(0)
+        with pytest.raises(ResetInProgressError):
+            cluster.read_sync(0, 1)
         # The aborted operations are recorded as aborted, keeping the
         # history well-formed and the checker happy.
         cluster.history.validate_well_formed()

@@ -229,7 +229,7 @@ class TestFuzzCommand:
                 "--algorithm",
                 "broken-first-ack",
                 "--seed-start",
-                "10",
+                "48",
                 "--seeds",
                 "1",
                 "--budget",

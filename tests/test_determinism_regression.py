@@ -149,7 +149,7 @@ def test_counterexample_replay_is_bit_identical_even_under_tracing(
     from repro.__main__ import main as repro_main
     from repro.fuzz import ScenarioSpec, generate_spec, run_spec, shrink_spec
 
-    spec = generate_spec(10, algorithm="broken-first-ack", events=40)
+    spec = generate_spec(48, algorithm="broken-first-ack", events=40)
     shrunk = shrink_spec(spec)
     # Canonical serialization: spec -> JSON -> spec -> JSON is a fixpoint.
     assert ScenarioSpec.from_json(shrunk.spec.to_json()) == shrunk.spec

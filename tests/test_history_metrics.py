@@ -28,7 +28,13 @@ class TestHistoryRecorder:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(HistoryError):
-            HistoryRecorder().invoke(0, "read")
+            HistoryRecorder().invoke(0, "scan")
+
+    def test_read_is_a_kind(self):
+        history = HistoryRecorder()
+        op = history.invoke(2, "read", 1, now=1.0)
+        (record,) = history.records()
+        assert (record.op_id, record.kind, record.argument) == (op, "read", 1)
 
     def test_respond_unknown_op(self):
         with pytest.raises(HistoryError):

@@ -3,9 +3,10 @@
 import pytest
 from reference_checker import check_exhaustive
 
-from repro.analysis.history import SNAPSHOT, WRITE, HistoryRecorder
+from repro.analysis.history import READ, SNAPSHOT, WRITE, HistoryRecorder
 from repro.analysis.linearizability import check_snapshot_history
 from repro.core.base import SnapshotResult
+from repro.core.register import TimestampedValue
 from repro.errors import HistoryError
 
 
@@ -13,6 +14,13 @@ def snap_result(vc, values=None):
     if values is None:
         values = tuple(f"v{ts}" if ts else None for ts in vc)
     return SnapshotResult(values=tuple(values), vector_clock=tuple(vc))
+
+
+def entry(ts, value=None):
+    """What a read returned; the value defaults to the one write ts wrote."""
+    if value is None and ts:
+        value = f"v{ts}"
+    return TimestampedValue(ts, value)
 
 
 def build(ops):
@@ -189,6 +197,116 @@ class TestSpecializedChecker:
         records = build([(3, WRITE, 0.0, 1.0, 1, "v1")])
         with pytest.raises(HistoryError, match="outside"):
             check_snapshot_history(records, n=3)
+
+
+class TestReadRecords:
+    """A read of register j is a one-entry snapshot: conditions 4-6 on
+    entry j alone, checked by the sweep and placed by the exhaustive
+    search between write t and write t + 1 of node j."""
+
+    #: write 1 by node 0, then — strictly later — a second, overlapping
+    #: nothing; operations under test go after t = 2.
+    WRITES = [(0, WRITE, 0.0, 1.0, 1, "v1"), (0, WRITE, 2.0, 3.0, 2, "v2")]
+
+    def verdict(self, ops, n=2):
+        records = build(ops)
+        report = check_snapshot_history(records, n=n)
+        # Necessary conditions: whatever the sweep rejects, the
+        # exhaustive search rejects too.
+        assert report.ok or not check_exhaustive(records, n=n)
+        return report
+
+    def test_reads_in_real_time_order_accepted(self):
+        report = self.verdict(
+            self.WRITES
+            + [
+                (1, READ, 4.0, 5.0, entry(2), 0),
+                (1, SNAPSHOT, 6.0, 7.0, snap_result((2, 0)), None),
+                (0, READ, 8.0, 9.0, entry(2), 0),
+                (0, READ, 8.0, 9.0, entry(0), 1),
+            ]
+        )
+        assert report.ok, report.summary()
+        assert check_exhaustive(build(self.WRITES + [(1, READ, 4.0, 5.0, entry(2), 0)]), n=2)
+
+    def test_read_concurrent_with_a_write_may_return_either(self):
+        for seen in (1, 2):
+            ops = self.WRITES + [(1, READ, 1.5, 3.5, entry(seen), 0)]
+            assert self.verdict(ops).ok
+            assert check_exhaustive(build(ops), n=2)
+
+    def test_read_missing_a_preceding_write(self):
+        report = self.verdict(self.WRITES + [(1, READ, 4.0, 5.0, entry(1), 0)])
+        assert "read 3 misses write 2" in report.summary()
+
+    def test_read_below_an_earlier_read(self):
+        report = self.verdict(
+            self.WRITES[:1]
+            + [
+                (0, WRITE, 2.0, 9.0, 2, "v2"),  # still in flight
+                (1, READ, 3.0, 4.0, entry(2), 0),
+                (1, READ, 5.0, 6.0, entry(1), 0),
+            ]
+        )
+        assert "read 4 (after 3 in real time) returned an older entry" in (
+            report.summary()
+        )
+
+    def test_read_below_an_earlier_snapshot(self):
+        report = self.verdict(
+            self.WRITES[:1]
+            + [
+                (0, WRITE, 2.0, 9.0, 2, "v2"),
+                (1, SNAPSHOT, 3.0, 4.0, snap_result((2, 0)), None),
+                (1, READ, 5.0, 6.0, entry(1), 0),
+            ]
+        )
+        assert "older entry" in report.summary()
+
+    def test_snapshot_below_an_earlier_read(self):
+        report = self.verdict(
+            self.WRITES[:1]
+            + [
+                (0, WRITE, 2.0, 9.0, 2, "v2"),
+                (1, READ, 3.0, 4.0, entry(2), 0),
+                (1, SNAPSHOT, 5.0, 6.0, snap_result((1, 0)), None),
+            ]
+        )
+        assert "snapshot 4 (after 3 in real time) returned an older vector" in (
+            report.summary()
+        )
+
+    def test_read_of_a_write_invoked_after_it_responded(self):
+        report = self.verdict(
+            [(1, READ, 0.0, 1.0, entry(1), 0), (0, WRITE, 2.0, 3.0, 1, "v1")]
+        )
+        assert "read 1 saw future write 2" in report.summary()
+
+    def test_read_value_disagrees_with_the_write_it_cites(self):
+        # (The exhaustive search orders timestamps only, not values.)
+        report = check_snapshot_history(
+            build(self.WRITES[:1] + [(1, READ, 2.0, 3.0, entry(1, "other"), 0)]),
+            n=2,
+        )
+        assert "read 2: entry 0 cites write ts 1" in report.summary()
+        bottom = check_snapshot_history(
+            build([(1, READ, 0.0, 1.0, entry(0, "ghost"), 0)]), n=2
+        )
+        assert "ts 0 but non-⊥ value" in bottom.summary()
+
+    def test_pending_and_aborted_reads_constrain_nothing(self):
+        history = HistoryRecorder()
+        done = history.invoke(0, WRITE, "v1", now=0.0)
+        history.respond(done, result=1, now=1.0)
+        history.invoke(1, READ, 0, now=2.0)  # never responds
+        history.abort(history.invoke(2, READ, 0, now=2.0), now=3.0)
+        assert check_snapshot_history(history.records(), n=3).ok
+
+    def test_malformed_read_records_raise(self):
+        with pytest.raises(HistoryError, match="without a result"):
+            check_snapshot_history(build([(0, READ, 0.0, 1.0, None, 0)]), n=1)
+        with pytest.raises(HistoryError, match="outside"):
+            check_snapshot_history(build([(0, READ, 0.0, 1.0, entry(0), 2)]), n=2)
 
 
 class TestExhaustiveChecker:

@@ -26,6 +26,7 @@ def observed_run():
         cluster.write_sync(0, b"a")
         cluster.write_sync(1, b"b")
         cluster.snapshot_sync(2)
+        cluster.read_sync(2, 0)
     obs.finish()
     return obs
 
@@ -62,7 +63,10 @@ class TestChromeTrace:
     def test_op_slices_carry_span_args(self, observed_run):
         events = observed_run.chrome_trace()["traceEvents"]
         ops = [e for e in events if e["ph"] == "X" and e.get("cat") == "op"]
-        assert [e["name"] for e in ops] == ["write", "write", "snapshot"]
+        assert [e["name"] for e in ops] == ["write", "write", "snapshot", "read"]
+        read = observed_run.recorder.ops()[-1]
+        assert [label for _, label in read.phases] == ["read.quorum_round"]
+        assert read.messages_by_kind["READ"] == read.messages_by_kind["READack"]
         for event in ops:
             assert event["args"]["status"] == "ok"
             assert event["args"]["op_id"] is not None
@@ -102,7 +106,7 @@ class TestJsonl:
         types = {record["type"] for record in records}
         assert types == {"session", "span", "message", "health", "metric"}
         spans = [r for r in records if r["type"] == "span"]
-        assert {s["name"] for s in spans} == {"run", "write", "snapshot"}
+        assert {s["name"] for s in spans} == {"run", "write", "snapshot", "read"}
         metrics = {r["name"] for r in records if r["type"] == "metric"}
         assert "net.messages_total" in metrics
         assert "ops.total" in metrics

@@ -26,6 +26,7 @@ from reference_sizer import reference_measure_size
 
 from repro import ChannelConfig, ClusterConfig, SimBackend
 from repro.analysis.history import (
+    READ,
     SNAPSHOT,
     WRITE,
     HistoryRecorder,
@@ -235,11 +236,20 @@ class TestCheckerCrossValidation:
             now += rng.uniform(0.1, 2.0)
             node = rng.randrange(n)
             duration = rng.uniform(0.1, 3.0)
-            if rng.random() < 0.5:
+            kind = rng.random()
+            if kind < 0.4:
                 writer_ts[node] += 1
                 op = history.invoke(node, WRITE, f"v{writer_ts[node]}", now=now)
                 history.respond(op, result=writer_ts[node], now=now + duration)
                 state[node] = writer_ts[node]
+            elif kind < 0.6:
+                j = rng.randrange(n)
+                ts = state[j]
+                if rng.random() < 0.3 and max(state) > 0:
+                    # Perturb: maybe-wrong read (stale or future entry)
+                    ts = max(0, ts + rng.choice([-1, 1]))
+                op = history.invoke(node, READ, j, now=now)
+                history.respond(op, result=_entry_of(ts), now=now + duration)
             else:
                 vc = list(state)
                 if rng.random() < 0.3 and max(state) > 0:
@@ -283,6 +293,10 @@ def _snapshot_of(vc):
     )
 
 
+def _entry_of(ts):
+    return TimestampedValue(ts, f"v{ts}" if ts else None)
+
+
 def linearizable_history(rng, n, ops, loose_ends=True):
     """A random history that *is* linearizable, on an integer time grid.
 
@@ -301,10 +315,11 @@ def linearizable_history(rng, n, ops, loose_ends=True):
     while len(records) < ops and len(stuck) < n:
         node = rng.choice([k for k in range(n) if k not in stuck])
         instant = max(instant, free_at[node]) + rng.randint(0, 2)
+        kind = rng.random()
         record = OperationRecord(
             op_id=len(records) + 1,
             node_id=node,
-            kind=WRITE if rng.random() < 0.5 else SNAPSHOT,
+            kind=WRITE if kind < 0.4 else SNAPSHOT if kind < 0.75 else READ,
             invoked_at=rng.randint(free_at[node], instant),
             responded_at=instant + rng.randint(0, 3),
         )
@@ -320,6 +335,10 @@ def linearizable_history(rng, n, ops, loose_ends=True):
             record.argument = f"v{state[node]}"
             if fate >= 0.08:
                 record.result = state[node]
+        elif record.kind == READ:
+            record.argument = rng.randrange(n)
+            if fate >= 0.08:
+                record.result = _entry_of(state[record.argument])
         elif fate >= 0.08:
             record.result = _snapshot_of(state)
         if record.responded_at is not None:
@@ -330,7 +349,9 @@ def linearizable_history(rng, n, ops, loose_ends=True):
 
 def mutate_history(rng, records):
     """Copy ``records`` with one field of one operation nudged."""
-    kind = rng.choice(["invoked_at", "responded_at", "vector_entry", "write_ts"])
+    kind = rng.choice(
+        ["invoked_at", "responded_at", "vector_entry", "write_ts", "read_ts"]
+    )
     eligible = [
         index
         for index, r in enumerate(records)
@@ -338,6 +359,7 @@ def mutate_history(rng, records):
         or (kind == "responded_at" and r.completed)
         or (kind == "vector_entry" and r.kind == SNAPSHOT and r.result)
         or (kind == "write_ts" and r.kind == WRITE and r.result)
+        or (kind == "read_ts" and r.kind == READ and r.result)
     ]
     if not eligible:
         return records
@@ -354,6 +376,8 @@ def mutate_history(rng, records):
         record.responded_at = max(record.invoked_at, record.responded_at + step)
     elif kind == "write_ts":
         record.result = max(1, record.result + unit)
+    elif kind == "read_ts":
+        record.result = _entry_of(max(0, record.result.ts + unit))
     else:
         vc = list(record.result.vector_clock)
         k = rng.randrange(len(vc))
@@ -366,6 +390,7 @@ _HISTORY_KEYWORDS = (
     "not increasing",
     "incomparable",
     "older vector",
+    "older entry",
     "misses write",
     "saw future write",
     "cites write",
@@ -451,6 +476,41 @@ class TestSweepMatchesPairwiseOracle:
                 self.assert_same_verdict(cluster.history.records(), 5)
             )
         assert verdicts == {True, False}  # the scenario does bite
+
+    @pytest.mark.parametrize(
+        "algorithm, holder, linearizable",
+        [
+            ("broken-local-read", 1, False),
+            ("broken-no-write-back", 3, False),
+            ("dgfr-nonblocking", 1, True),
+            ("dgfr-nonblocking", 3, True),
+        ],
+    )
+    def test_broken_read_histories(self, algorithm, holder, linearizable):
+        """A write by node 0 reaches ``holder`` only; node 1 reads
+        register 0, then node 2 — cut off from writer, reader and holder
+        — takes a snapshot.  A read that returned the new entry without
+        leaving it at a majority is followed by an older vector."""
+        cluster = SimBackend(algorithm, ClusterConfig(n=7, seed=22), start=False)
+        blocked = [(0, k) for k in range(1, 7) if k != holder]
+        blocked += [(1, 6), (2, 0), (2, 1), (2, 3)]
+        for src, dst in blocked:
+            cluster.network.channel(src, dst).blocked = True
+
+        async def scenario():
+            cluster.spawn(cluster.write(0, "new"))  # never completes
+            await cluster.kernel.sleep(5.0)
+            entry = await cluster.read(1, 0)
+            assert (entry.ts, entry.value) == (1, "new")
+            await cluster.kernel.sleep(1.0)  # strictly after, not concurrent
+            return await cluster.snapshot(2)
+
+        snap = cluster.run_until(scenario(), max_events=200_000)
+        assert snap.vector_clock[0] == (1 if linearizable else 0)
+        records = cluster.history.records()
+        assert self.assert_same_verdict(records, 7) == linearizable
+        if not linearizable:
+            assert "older vector" in check_snapshot_history(records, 7).summary()
 
     def test_sweep_is_not_quadratic(self):
         """40 000 operations: minutes pairwise (12 s for the first 10 000,

@@ -36,6 +36,24 @@ def test_write_then_snapshot(algorithm):
     run(main())
 
 
+def test_read_on_asyncio():
+    async def main():
+        cluster = AsyncioBackend(
+            "ss-always", ClusterConfig(n=4, delta=1), time_scale=0.002
+        )
+        cluster.start()
+        try:
+            ts = await asyncio.wait_for(cluster.write(2, b"live"), timeout=10)
+            entry = await asyncio.wait_for(cluster.read(1, 2), timeout=10)
+            assert (entry.ts, entry.value) == (ts, b"live")
+            report = check_snapshot_history(cluster.history.records(), 4)
+            assert report.ok, report.summary()
+        finally:
+            cluster.stop()
+
+    run(main())
+
+
 def test_concurrent_operations_linearizable():
     async def main():
         cluster = AsyncioBackend(

@@ -47,6 +47,28 @@ class TestUdpCluster:
 
         run(main())
 
+    def test_read_over_real_udp(self):
+        """READ/READack cross the codec with no registration of their own."""
+
+        async def main():
+            cluster = await make_cluster(
+                "ss-nonblocking", ClusterConfig(n=4, seed=4), time_scale=0.002
+            )
+            try:
+                ts = await asyncio.wait_for(
+                    cluster.write(0, b"datagram"), timeout=10
+                )
+                entry = await asyncio.wait_for(cluster.read(3, 0), timeout=10)
+                assert (entry.ts, entry.value) == (ts, b"datagram")
+                kinds = cluster.metrics.snapshot().messages_by_kind
+                assert kinds["READ"] and kinds["READack"]
+                report = check_snapshot_history(cluster.history.records(), 4)
+                assert report.ok, report.summary()
+            finally:
+                await cluster.close()
+
+        run(main())
+
     def test_concurrent_ops_linearizable_over_udp(self):
         async def main():
             cluster = await make_cluster(

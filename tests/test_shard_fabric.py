@@ -242,6 +242,54 @@ class TestOneSubmissionDiscipline:
         assert fabric.check() == []
 
 
+    def test_keyed_read_is_one_round_whatever_other_slots_do(self, algorithm):
+        """A read is ``read(node)`` at the slot's own node — one quorum
+        round, not a shard scan that the shard's other writers restart."""
+        fabric = make(shards=1, algorithm=algorithm, seed=5)
+        key = "k0"
+        _, node = fabric.slot_of(key)
+        others = [
+            f"k{i}" for i in range(1, 200)
+            if fabric.slot_of(f"k{i}")[1] != node
+        ][:24]
+        reader = fabric.shard(0).node(node)
+
+        async def body():
+            await fabric.write(key, "v")
+            rounds_before = reader.tag
+            writes = [fabric.submit_write(k, i) for i, k in enumerate(others)]
+            reads = [fabric.submit_scan(key) for _ in range(6)]
+            views = [await handle for handle in reads]
+            assert not all(handle.done() for handle in writes)
+            for handle in writes:
+                await handle
+            return views, reader.tag - rounds_before
+
+        views, rounds = drive(fabric, body())
+        assert all(view.found and view.value == "v" for view in views)
+        assert rounds == len(views)
+        kinds = {record.kind for record in fabric.shard(0).history.records()}
+        assert kinds == {"write", "read"}
+        assert fabric.check() == []
+
+    def test_keyed_reads_flow_across_a_split(self, algorithm):
+        fabric = make(shards=1, algorithm=algorithm, seed=6)
+
+        async def body():
+            for i in range(16):
+                await fabric.write(f"k{i}", i)
+            handles = [fabric.submit_scan(f"k{i}") for i in range(16)]
+            report = await fabric.split()
+            views = [await handle for handle in handles]
+            return report, views + [await fabric.scan("k3")]
+
+        report, views = drive(fabric, body())
+        assert report.moved_keys > 0
+        assert [view.value for view in views] == list(range(16)) + [3]
+        assert {view.epoch for view in views} <= {0, 1}
+        assert fabric.check() == []
+
+
 def test_same_seed_same_history_behind_a_k4_amortized_fabric():
     def digest():
         fabric = make(shards=4, seed=9, algorithm="amortized")
