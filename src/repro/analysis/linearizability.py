@@ -254,32 +254,43 @@ def check_snapshot_history(
                     break
 
     # 6. Value agreement: returned values match the writes they cite.
-    #    A snapshot cites one entry per node, a read the one it returned
-    #    (its ``values`` is indexed by that one node id).
+    #    A snapshot cites one entry per node, a read the one it returned.
+    #    Two plain loops: a history without reads pays nothing for them,
+    #    and neither loop allocates per operation.
     if check_values:
-        cited = [
-            (s, enumerate(s.result.vector_clock), s.result.values)
-            for s in snapshots
-        ]
-        cited += [
-            (r, ((r.argument, r.result.ts),), {r.argument: r.result.value})
-            for r in reads
-        ]
-        for op, entries, values in cited:
-            for node_id, ts in entries:
+        for snap in snapshots:
+            vc = snap.result.vector_clock
+            values = snap.result.values
+            for node_id, ts in enumerate(vc):
                 if ts == 0:
                     if values[node_id] is not None and not allow_rebased_init:
                         report.fail(
-                            f"{op.kind} {op.op_id}: entry {node_id} has "
+                            f"snapshot {snap.op_id}: entry {node_id} has "
                             f"ts 0 but non-⊥ value {values[node_id]!r}"
                         )
                     continue
                 write = write_table.get((node_id, ts))
                 if write is not None and values[node_id] != write.argument:
                     report.fail(
-                        f"{op.kind} {op.op_id}: entry {node_id} cites write "
+                        f"snapshot {snap.op_id}: entry {node_id} cites write "
                         f"ts {ts} but value {values[node_id]!r} != written "
                         f"{write.argument!r}"
                     )
+        for read in reads:
+            node_id, ts, value = read.argument, read.result.ts, read.result.value
+            if ts == 0:
+                if value is not None and not allow_rebased_init:
+                    report.fail(
+                        f"read {read.op_id}: entry {node_id} has "
+                        f"ts 0 but non-⊥ value {value!r}"
+                    )
+                continue
+            write = write_table.get((node_id, ts))
+            if write is not None and value != write.argument:
+                report.fail(
+                    f"read {read.op_id}: entry {node_id} cites write "
+                    f"ts {ts} but value {value!r} != written "
+                    f"{write.argument!r}"
+                )
 
     return report
