@@ -59,7 +59,8 @@ def ts_consistent(cluster: SimBackend) -> InvariantReport:
     """Definition 1(i): ``ts_i`` dominates every ts attributed to ``p_i``.
 
     Checks node variables (``reg_j[i].ts`` for every ``j``) and the
-    register arrays and entries carried by every in-flight message.
+    register arrays and single entries (GOSSIP, READ, READack) carried
+    by every in-flight message.
     """
     report = InvariantReport()
     n = cluster.config.n
@@ -80,14 +81,24 @@ def ts_consistent(cluster: SimBackend) -> InvariantReport:
                         f"in-flight {message.kind} {src}->{dst}: "
                         f"reg[{i}].ts={reg[i].ts} > ts_{i}={own_ts[i]}"
                     )
-        entry = getattr(message, "entry", None)
-        if entry is not None and message.kind == "GOSSIP":
-            # A gossip to p_dst carries p_dst's own entry.
-            if entry.ts > own_ts[dst]:
-                report.fail(
-                    f"in-flight GOSSIP {src}->{dst}: entry.ts={entry.ts} "
-                    f"> ts_{dst}={own_ts[dst]}"
-                )
+        kind = message.kind
+        if kind not in ("GOSSIP", "READ", "READack") or not hasattr(
+            message, "entry"
+        ):
+            # (An epoch envelope reports its inner kind; it has no entry.)
+            continue
+        # A gossip to p_dst carries p_dst's own entry; the one-entry
+        # exchange names its register, and its ack claims a timestamp
+        # with or without the entry present.
+        owner = dst if kind == "GOSSIP" else message.j
+        claimed = getattr(message, "ts", 0)
+        if message.entry is not None:
+            claimed = max(claimed, message.entry.ts)
+        if 0 <= owner < n and claimed > own_ts[owner]:
+            report.fail(
+                f"in-flight {kind} {src}->{dst}: entry.ts={claimed} "
+                f"> ts_{owner}={own_ts[owner]}"
+            )
     return report
 
 

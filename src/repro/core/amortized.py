@@ -31,12 +31,20 @@ Concretely, on top of the self-stabilizing non-blocking object:
   round's fresh own timestamp) — so the returned view contains every
   write that completed before the round began, and the views returned
   by any two rounds are ⪯-comparable in real-time order.
-* **A write round is also a collect.**  WRITE acks already carry each
-  server's merged ``reg``, so a group-commit round resolves the scans
-  pending at its start by the same test instead of alternating with a
-  separate SNAPSHOT round; a SNAPSHOT round runs only when no local
-  write is pending.  Scans enqueued mid-round wait for the next round,
-  which preserves real-time order.  The termination class is unchanged:
+* **A write round is also a collect — when somebody is collecting.**
+  WRITE acks carry each server's merged ``reg``, so a group-commit round
+  that finds scans pending at its start resolves them by the same test
+  instead of alternating with a separate SNAPSHOT round; a SNAPSHOT round
+  runs only when no local write is pending.  Scans enqueued mid-round
+  wait for the next round, which preserves real-time order.  A group
+  commit that starts with *no* scan pending collects for nobody and needs
+  single-register atomicity only, so it ships one entry instead of n:
+  ``reg[i]`` goes out with the one-entry exchange ``read(j)`` uses
+  (:meth:`~repro.core.base.SnapshotAlgorithm.entry_round` — READ to a
+  majority, each ack naming the timestamp it holds and carrying an entry
+  only where that is newer).  Safety never used the other n−1 entries: a
+  completed write sits at a majority either way, and an equivalence-quorum
+  scan or a read intersects it.  The termination class is unchanged:
   non-blocking (a scan can be starved by an endless stream of remote
   writes), demonstrated by the same E12-style probe.
 
@@ -54,13 +62,13 @@ raising on overlap) is intentionally replaced by unique in-flight
 tokens: overlapping local operations are the whole point here, and the
 engine serializes them into shared rounds internally.
 
-The variant reuses the WRITE/SNAPSHOT/GOSSIP message kinds and server
-handlers of its parents unchanged — the wire protocol is identical;
-only the client-side round scheduling differs.  Single-register reads
-(:meth:`~repro.core.base.SnapshotAlgorithm.read`) do not enter the
-engine: each is its own READ round, overlapping the shared rounds and
-each other, which is why a keyed fabric read no longer waits out (or is
-restarted by) the shard's writers.
+The variant reuses the WRITE/SNAPSHOT/READ/GOSSIP message kinds and
+server handlers of its parents unchanged — the wire protocol is
+identical; only the client-side round scheduling differs.
+Single-register reads (:meth:`~repro.core.base.SnapshotAlgorithm.read`)
+do not enter the engine: each is its own READ round, overlapping the
+shared rounds and each other, which is why a keyed fabric read no longer
+waits out (or is restarted by) the shard's writers.
 """
 
 from __future__ import annotations
@@ -172,22 +180,31 @@ class AmortizedSnapshot(SelfStabilizingNonBlocking):
         Timestamps are assigned per write so each caller gets a distinct,
         per-writer-monotone index; only the last value is installed, so
         the earlier writes of the batch are never observed (they
-        linearize immediately before the final one).  The acks double as
-        a collect of ``l_reg`` for the scans pending at the round's start.
+        linearize immediately before the final one).  With scans pending
+        at the round's start the round is ``WRITE(lReg)`` and its acks
+        double as their collect; with none it stores ``reg[i]`` alone.
         """
         batch, self._pending_writes = self._pending_writes, []
         scans, self._pending_scans = self._pending_scans, []
+        i = self.node_id
         for op in batch:
             self.ts += 1
-            self.reg[self.node_id] = TimestampedValue(self.ts, op.value)
+            self.reg[i] = TimestampedValue(self.ts, op.value)
             op.result = self.ts
         if self.obs is not None:
             self.obs.phase("write.batch_round")
-        l_reg = self.reg.copy()
-        views = await self.write_round(l_reg)
+        if scans:
+            l_reg = self.reg.copy()
+            views = await self.write_round(l_reg)
+        else:
+            # A server ahead of us on our own entry is a transient
+            # fault's residue; absorbing it is how ``ts`` heals.
+            for entry in await self.entry_round(i, self.reg[i]):
+                self.merge_entry(i, entry)
         for op in batch:
             op.event.set()
-        self._settle_scans(scans, l_reg, views)
+        if scans:
+            self._settle_scans(scans, l_reg, views)
 
     async def _scan_round(self) -> None:
         """One shared SNAPSHOT round for every scan pending at its start."""

@@ -11,11 +11,15 @@ baselines, and their self-stabilizing variants) share:
 * the server-side WRITE/SNAPSHOT handler skeleton (merge, then ack);
 * the client-side ``baseWrite`` — bump ``ts``, install the value locally,
   then ``repeat broadcast WRITE until majority of WRITEack(regJ ⪰ lReg)``;
-* the single-register ``read(j)`` — the register read of
+* the one-entry exchange ``entry_round(j, entry)`` — the store of
   Attiya–Bar-Noy–Dolev (the paper's [5]) over the same ``reg`` buffers:
-  one READ/READack quorum round, plus a write-back round only when the
-  majority disagreed.  It needs (and pays for) single-register atomicity
-  only, so writes to other registers never make it retry.
+  READ ships one register entry to every server, and a READack ships one
+  back only where the server holds a newer one (otherwise it names the
+  timestamp and leaves out the entry the request already carried);
+* the single-register ``read(j)`` built from it: one round, plus a
+  write-back round only when the majority disagreed.  It needs (and pays
+  for) single-register atomicity only, so writes to other registers
+  never make it retry.
 
 Concrete algorithms subclass :class:`SnapshotAlgorithm` and add their
 snapshot-side logic.
@@ -98,11 +102,17 @@ class ReadMessage(Message):
 
 @dataclass(frozen=True)
 class ReadAckMessage(Message):
-    """Server-side ``READack(j, entry, tag)``: the replier's merged ``reg[j]``."""
+    """Server-side ``READack(j, ts, entry, tag)``: the merged ``reg[j]``.
+
+    ``ts`` is that entry's timestamp.  ``entry`` is ``None`` exactly when
+    ``ts`` equals the timestamp of the request being answered: the
+    requester still holds what it sent, so the ack does not echo it.
+    """
 
     KIND = "READack"
     j: int
-    entry: TimestampedValue
+    ts: int
+    entry: TimestampedValue | None
     tag: int
 
 
@@ -179,13 +189,25 @@ class SnapshotAlgorithm(Process):
         self.send(sender, WriteAckMessage(reg=self.reg.copy()))
 
     def _on_read(self, sender: int, message: ReadMessage) -> None:
-        """Merge the reader's copy of ``reg[j]``, reply with our own."""
+        """Merge the sender's copy of ``reg[j]``, reply with our own.
+
+        The reply leaves the entry out when its timestamp is the
+        request's — decided from the request alone, so the server keeps
+        nothing about the exchange.
+        """
         j = message.j
         if not 0 <= j < self.config.n:
-            return  # corrupted index; the reader retransmits
+            return  # corrupted index; the sender retransmits
         self.merge_entry(j, message.entry)
+        mine = self.reg[j]
         self.send(
-            sender, ReadAckMessage(j=j, entry=self.reg[j], tag=message.tag)
+            sender,
+            ReadAckMessage(
+                j=j,
+                ts=mine.ts,
+                entry=None if mine.ts == message.entry.ts else mine,
+                tag=message.tag,
+            ),
         )
 
     # -- client side write path ----------------------------------------------------------
@@ -252,39 +274,54 @@ class SnapshotAlgorithm(Process):
         try:
             if self.obs is not None:
                 self.obs.phase("read.quorum_round")
-            replies = await self._read_round(j, self.reg[j])
+            replies = await self.entry_round(j, self.reg[j])
             top = max(replies, key=lambda entry: entry.ts)
             self.merge_entry(j, top)
             if any(entry.ts != top.ts for entry in replies):
                 if self.obs is not None:
                     self.obs.phase("read.write_back")
-                await self._read_round(j, top)
+                await self.entry_round(j, top)
             return top
         finally:
             self._end_operation(token)
 
-    async def _read_round(
+    async def entry_round(
         self, j: int, entry: TimestampedValue
     ) -> list[TimestampedValue]:
         """``repeat broadcast READ(j, entry, tag) until majority of READack``.
 
+        One entry to one majority: when the round ends, a majority holds
+        ``reg[j] ⪰ entry``, and the round returns what each of them holds.
+        A read uses it for both of its phases; a writer that needs
+        single-register atomicity only stores ``reg[i]`` with it.
+
         The message is built once and the match predicate reads the same
         frozen ``entry`` and ``tag``, so nothing that happens to ``reg``
         or ``tag`` mid-round can leave the round waiting for an ack no
-        server will send.
+        server will send.  An ack without an entry stands for the frozen
+        one and is accepted under its timestamp only; an ack with an
+        entry must name that entry's timestamp.  Anything else is a
+        corrupted packet and is answered by the next retransmission.
         """
         self.tag += 1
         tag = self.tag
         message = ReadMessage(j=j, entry=entry, tag=tag)
 
         def matches(sender: int, msg: Message) -> bool:
-            return msg.tag == tag and msg.j == j and msg.entry.ts >= entry.ts
+            if msg.tag != tag or msg.j != j:
+                return False
+            if msg.entry is None:
+                return msg.ts == entry.ts
+            return msg.entry.ts == msg.ts >= entry.ts
 
         with AckCollector(
             self, ReadAckMessage.KIND, self.majority, match=matches
         ) as collector:
             await broadcast_until(self, lambda: message, collector)
-            return [msg.entry for msg in collector.reply_messages()]
+            return [
+                entry if msg.entry is None else msg.entry
+                for msg in collector.reply_messages()
+            ]
 
     # -- operation-invocation discipline --------------------------------------------------
 

@@ -185,6 +185,12 @@ class TransientFaultInjector:
                 # By type, not by field name: consensus messages carry an
                 # unrelated ``tag``.
                 changes["tag"] = self._wild_ts()
+            if isinstance(message, ReadAckMessage):
+                # The ack's entry is optional: a fault may claim any
+                # timestamp for it, with or without the entry present.
+                changes["ts"] = self._wild_ts()
+                if self._rng.random() < 0.5:
+                    changes["entry"] = None
             if not changes:
                 return message
             try:

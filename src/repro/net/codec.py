@@ -9,7 +9,8 @@ treats as message loss.
 
 Supported values: ``None``, ``bool``, ``int`` (signed, arbitrary
 precision), ``float``, ``bytes``, ``str``, ``tuple``/``list``,
-``frozenset``, :class:`~repro.core.register.TimestampedValue`,
+``frozenset``, ``dict`` (ordered key/value pairs — the fabric's slot
+maps), :class:`~repro.core.register.TimestampedValue`,
 :class:`~repro.core.register.RegisterArray`,
 :class:`~repro.core.ss_always.TaskDescriptor`, and any registered
 :class:`~repro.net.message.Message` subclass (messages nest, e.g. the
@@ -45,6 +46,7 @@ _T_BYTES = b"b"
 _T_STR = b"s"
 _T_TUPLE = b"t"
 _T_FROZENSET = b"z"
+_T_DICT = b"d"
 _T_TSVALUE = b"V"
 _T_REGARRAY = b"R"
 _T_TASKDESC = b"D"
@@ -173,6 +175,14 @@ def _encode_value(buffer: bytearray, value: Any, depth: int = 0) -> None:
         _pack_length(buffer, len(fields))
         for field in fields:
             _encode_value(buffer, getattr(value, field.name), depth)
+    elif isinstance(value, dict):
+        # Insertion order is kept on both sides: equal maps built in a
+        # different order are equal after the round trip all the same.
+        buffer += _T_DICT
+        _pack_length(buffer, len(value))
+        for key, item in value.items():
+            _encode_value(buffer, key, depth)
+            _encode_value(buffer, item, depth)
     else:
         raise CodecError(f"cannot encode value of type {type(value).__name__}")
 
@@ -230,8 +240,8 @@ def _rebuild(cls: type, *args: Any, **fields: Any) -> Any:
     """Construct a decoded object from its decoded fields.
 
     The constructors validate (a timestamp must be a non-negative number,
-    a register array non-empty); on a datagram that is malformed input,
-    not a configuration mistake.
+    a register array non-empty, a set member or map key hashable); on a
+    datagram that is malformed input, not a configuration mistake.
     """
     try:
         return cls(*args, **fields)
@@ -270,7 +280,10 @@ def _decode_value(reader: _Reader, depth: int = 0) -> Any:
         return tuple(_decode_value(reader, depth) for _ in range(count))
     if tag == _T_FROZENSET:
         count = reader.take_length()
-        return frozenset(_decode_value(reader, depth) for _ in range(count))
+        # A map is decodable but not hashable, so membership can fail.
+        return _rebuild(
+            frozenset, [_decode_value(reader, depth) for _ in range(count)]
+        )
     if tag == _T_TSVALUE:
         ts = _decode_value(reader, depth)
         value = _decode_value(reader, depth)
@@ -303,6 +316,15 @@ def _decode_value(reader: _Reader, depth: int = 0) -> Any:
         return _rebuild(
             message_cls,
             **{field.name: _decode_value(reader, depth) for field in fields},
+        )
+    if tag == _T_DICT:
+        count = reader.take_length()
+        return _rebuild(
+            dict,
+            [
+                (_decode_value(reader, depth), _decode_value(reader, depth))
+                for _ in range(count)
+            ],
         )
     raise CodecError(f"unknown tag {tag!r}")
 

@@ -80,10 +80,43 @@ class BrokenNoWriteBack(DgfrNonBlocking):
     the returned entry may be held by a single server."""
 
     async def read(self, j: int):
-        replies = await self._read_round(j, self.reg[j])
+        replies = await self.entry_round(j, self.reg[j])
         top = max(replies, key=lambda entry: entry.ts)
         self.merge_entry(j, top)
         return top
 
 
 register_algorithm("broken-no-write-back", BrokenNoWriteBack)
+
+
+class BrokenEchoTrust(DgfrNonBlocking):
+    """Deliberately wrong: an ack without an entry is taken to mean "what
+    you sent" under *whatever* timestamp the ack names, instead of under
+    the request's timestamp only.  Servers never send such an ack, so the
+    bug sleeps until one in-flight READack is corrupted — and then the
+    reader returns its own stale value under a timestamp no write of
+    that value ever had."""
+
+    async def entry_round(self, j: int, entry):
+        from repro.core.base import ReadAckMessage, ReadMessage
+        from repro.core.register import TimestampedValue
+        from repro.net.quorum import AckCollector, broadcast_until
+
+        self.tag += 1
+        tag = self.tag
+        message = ReadMessage(j=j, entry=entry, tag=tag)
+
+        def matches(sender: int, msg) -> bool:
+            return msg.tag == tag and msg.j == j and msg.ts >= entry.ts
+
+        with AckCollector(
+            self, ReadAckMessage.KIND, self.majority, match=matches
+        ) as collector:
+            await broadcast_until(self, lambda: message, collector)
+            return [
+                msg.entry or TimestampedValue(msg.ts, entry.value)
+                for msg in collector.reply_messages()
+            ]
+
+
+register_algorithm("broken-echo-trust", BrokenEchoTrust)

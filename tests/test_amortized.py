@@ -1,11 +1,12 @@
 """Behaviour of the ``amortized`` variant (Garg et al.-style batching).
 
 Concurrent local operations share quorum rounds: a group-commit write
-round installs every pending write with one broadcast, and a shared scan
-round resolves every pending snapshot together.  The variant inherits
-Algorithm 1's merge/gossip recovery unchanged, so it keeps the
-self-stabilization claim — the fuzz executor corrupts it like any other
-``ss-`` algorithm.
+round installs every pending write with one broadcast (the writer's one
+entry when no scan is pending, ``WRITE(lReg)`` when the round is also a
+collect), and a shared scan round resolves every pending snapshot
+together.  The variant inherits Algorithm 1's merge/gossip recovery
+unchanged, so it keeps the self-stabilization claim — the fuzz executor
+corrupts it like any other ``ss-`` algorithm.
 """
 
 import random
@@ -23,6 +24,12 @@ from repro.sim.kernel import TieBreak
 
 def make(n=4, seed=0, **kwargs):
     return SimBackend("amortized", ClusterConfig(n=n, seed=seed, **kwargs))
+
+
+def requests(cluster):
+    """Round requests sent so far, by the kind that carried them."""
+    sent = cluster.metrics.snapshot().messages_by_kind
+    return {kind: sent.get(kind, 0) for kind in ("WRITE", "READ", "SNAPSHOT")}
 
 
 class TestRegistration:
@@ -62,10 +69,11 @@ class TestGroupCommit:
         assert final.values[0] == f"w{timestamps.index(8)}"
 
     def test_concurrent_writes_share_broadcast_rounds(self):
-        """8 pipelined writes cost far fewer WRITE messages than 8 serial."""
+        """8 pipelined writes cost far fewer round requests than 8 serial,
+        whichever kind carries a round."""
 
         def write_messages(cluster):
-            return cluster.metrics.snapshot().messages_by_kind.get("WRITE", 0)
+            return sum(requests(cluster).values())
 
         serial = make(seed=5)
         for i in range(8):
@@ -80,6 +88,38 @@ class TestGroupCommit:
 
         batched.run_until(workload())
         assert write_messages(batched) < write_messages(serial) / 2
+
+    def test_scan_free_commit_ships_one_entry_and_no_write(self):
+        """No scan pending: the batch travels as READ(i, reg[i]) alone,
+        and every write still gets its own timestamp."""
+        cluster = make(seed=23)
+
+        async def workload():
+            return await cluster.kernel.gather(
+                [cluster.write(2, f"w{i}") for i in range(5)]
+            )
+
+        timestamps = cluster.run_until(workload())
+        assert sorted(timestamps) == [1, 2, 3, 4, 5]
+        sent = requests(cluster)
+        assert sent["WRITE"] == 0 and sent["READ"] > 0
+        # The store left the final entry at a majority.
+        final = TimestampedValue(5, f"w{timestamps.index(5)}")
+        holders = sum(process.reg[2] == final for process in cluster.processes)
+        assert holders >= cluster.node(2).majority
+        assert cluster.read_sync(0, 2) == final
+        report = check_snapshot_history(cluster.history.records(), 4)
+        assert report.ok, report.summary()
+
+    def test_scan_free_commit_absorbs_a_server_ahead_of_it(self):
+        """A corrupted-high own entry at a server comes back in full and
+        heals ``ts``, as a WRITEack would have."""
+        cluster = make(seed=29)
+        cluster.node(1).reg[0] = TimestampedValue(40, "residue")
+        cluster.node(2).reg[0] = TimestampedValue(40, "residue")
+        assert cluster.write_sync(0, "mine") == 1
+        assert cluster.node(0).ts == 40
+        assert cluster.write_sync(0, "healed") == 41
 
     def test_concurrent_scans_share_query_rounds(self):
         cluster = make(seed=7)
@@ -205,6 +245,8 @@ class TestEquivalenceQuorum:
         ts, result = cluster.run_until(workload())
         assert (ts, result.values[0], result.vector_clock[0]) == (1, "v", 1)
         assert node.ssn == 0
+        sent = requests(cluster)
+        assert sent["WRITE"] > 0 and sent["READ"] == sent["SNAPSHOT"] == 0
         report = check_snapshot_history(cluster.history.records(), 4)
         assert report.ok, report.summary()
 

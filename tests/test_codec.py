@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.base import WriteAckMessage, WriteMessage
+from repro.core.base import (
+    ReadAckMessage,
+    ReadMessage,
+    WriteAckMessage,
+    WriteMessage,
+)
 from repro.core.dgfr_nonblocking import SnapshotAckMessage, SnapshotMessage
 from repro.core.register import RegisterArray, TimestampedValue
 from repro.core.ss_always import (
@@ -41,6 +46,10 @@ ROUND_TRIP_CASES = [
     SnapshotMessage(reg=reg((0, None), (0, None)), ssn=7),
     SnapshotAckMessage(reg=reg((5, b"\x00\xff"), (1, "x")), ssn=123456789),
     GossipMessage(entry=TimestampedValue(9, b"payload")),
+    # A fabric slot map: key -> (seq, value), insertion-ordered.
+    ReadMessage(
+        j=1, entry=TimestampedValue(4, {"k1": (2, b"a"), 7: (3, None)}), tag=8
+    ),
     GossipMessage3(entry=TimestampedValue(2, None), task_sns=4),
     SnapshotMessage3(
         tasks=(
@@ -64,6 +73,37 @@ class TestRoundTrips:
     def test_known_messages_round_trip(self, message):
         assert decode_message(encode_message(message)) == message
 
+    @pytest.mark.parametrize(
+        "entry",
+        [None, TimestampedValue(6, {"k": (3, "w")})],
+        ids=["elided", "full"],
+    )
+    def test_read_ack_round_trips_with_and_without_its_entry(self, entry):
+        ack = ReadAckMessage(j=1, ts=6, entry=entry, tag=8)
+        assert decode_message(encode_message(ack)) == ack
+
+    def test_map_order_survives(self):
+        value = {"b": 1, "a": 2}
+        message = GossipMessage(entry=TimestampedValue(1, value))
+        decoded = decode_message(encode_message(message)).entry.value
+        assert list(decoded) == ["b", "a"]
+
+    def test_unhashable_member_is_a_codec_error(self):
+        """A map decodes but cannot be a set member or a map key."""
+        good = encode_message(SaveAckMessage(ids=frozenset({(1,)})))
+        bad = good.replace(
+            b"t" + struct.pack(">I", 1) + b"i" + struct.pack(">I", 1) + b"1",
+            b"d" + struct.pack(">I", 0),
+        )
+        assert bad != good
+        with pytest.raises(CodecError, match="frozenset"):
+            decode_message(bad)
+        nested_key = b"d" + struct.pack(">I", 1) + b"d" + struct.pack(">I", 0) + b"N"
+        template = encode_message(GossipMessage(entry=TimestampedValue(1, None)))
+        assert template.endswith(b"N")
+        with pytest.raises(CodecError, match="dict"):
+            decode_message(template[:-1] + nested_key)
+
     def test_nested_envelope_round_trips(self):
         inner = SnapshotMessage(reg=reg((1, b"x")), ssn=2)
         outer = EpochEnvelope(epoch=9, inner=EpochEnvelope(epoch=9, inner=inner))
@@ -79,6 +119,7 @@ class TestRoundTrips:
             st.text(max_size=32),
             st.floats(allow_nan=False),
             st.tuples(st.integers(), st.text(max_size=8)),
+            st.dictionaries(st.text(max_size=4), st.integers(), max_size=3),
         ),
         ssn=st.integers(min_value=0, max_value=2**63),
     )
@@ -176,7 +217,7 @@ class TestFuzz:
 
     @staticmethod
     def sample_field(rng, depth=0):
-        choice = rng.randrange(12 if depth < 2 else 8)
+        choice = rng.randrange(13 if depth < 2 else 8)
         if choice == 0:
             return None
         if choice == 1:
@@ -197,9 +238,14 @@ class TestFuzz:
         if choice == 8:
             return tuple(nested)
         if choice == 9:
-            return frozenset(nested)
+            try:
+                return frozenset(nested)
+            except TypeError:  # a map below: not a legal set member
+                return tuple(nested)
         if choice == 10:
             return reg((1, nested[0]), (0, nested[1]))
+        if choice == 12:
+            return {"key": nested[0], rng.randrange(9): nested[1]}
         return GossipMessage(entry=TimestampedValue(3, nested[0]))
 
     def test_mutated_encodings_decode_or_raise_codec_error(self):

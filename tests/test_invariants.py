@@ -50,6 +50,31 @@ class TestTsConsistency:
         assert not report.ok
 
 
+    def test_detects_poisoned_single_entry_exchange(self):
+        """READ(j, entry) and READack(j, ts, …) are about p_j's register,
+        whichever two nodes they travel between."""
+        from repro.core.base import ReadAckMessage, ReadMessage
+
+        bad = TimestampedValue(42, "bad")
+        for poisoned in (
+            ReadMessage(j=2, entry=bad, tag=1),
+            ReadAckMessage(j=2, ts=42, entry=None, tag=1),
+            ReadAckMessage(j=2, ts=0, entry=bad, tag=1),
+        ):
+            cluster = make("ss-nonblocking")
+            cluster.network.channel(0, 1).send(poisoned)
+            report = ts_consistent(cluster)
+            assert not report.ok
+            assert f"in-flight {poisoned.kind} 0->1" in report.failures[0]
+            assert "ts_2=0" in report.failures[0]
+            cluster.node(2).ts = 42  # the owner has caught up
+            assert ts_consistent(cluster).ok
+        # A corrupted register index names nobody: not a ts violation.
+        cluster = make("ss-nonblocking")
+        cluster.network.channel(0, 1).send(ReadMessage(j=9, entry=bad, tag=1))
+        assert ts_consistent(cluster).ok
+
+
 class TestSsnConsistency:
     def test_detects_future_snapshot_ack(self):
         cluster = make("ss-nonblocking")

@@ -235,7 +235,8 @@ class TestRunLoad:
 #: The two fabric rows were re-pinned once, by PR 22: a keyed read became
 #: one ``read(node)`` quorum round instead of a whole-shard snapshot
 #: (53 → 64 and 173 → 247 operations in the same 30 u); the two
-#: single-cluster rows issue no read and did not move.
+#: single-cluster rows issue no read and did not move.  PR 23 (scan-free
+#: group commits ship one entry) moved none of the four.
 PINNED_RUNS = {
     ("ss-nonblocking", 4, None): ("756042695a2e0df8", 53, 0.977376372546065),
     ("amortized", 4, None): ("d1d8d8116d09401c", 129, 3.518634899682479),
@@ -244,8 +245,8 @@ PINNED_RUNS = {
 }
 
 
-@pytest.mark.parametrize("algorithm, depth, shards", PINNED_RUNS)
-def test_pinned_closed_loop_runs(monkeypatch, algorithm, depth, shards):
+def pinned_run(monkeypatch, algorithm, depth, shards):
+    """One ``PINNED_RUNS`` run; returns its report and its backends."""
     deployments = []
     for name in ("run_on_backend", "run_on_fabric"):
 
@@ -268,8 +269,14 @@ def test_pinned_closed_loop_runs(monkeypatch, algorithm, depth, shards):
     )
     assert report.ok, report.failures
     (deployment,) = deployments
+    return report, deployment.backends() if shards else [deployment]
+
+
+@pytest.mark.parametrize("algorithm, depth, shards", PINNED_RUNS)
+def test_pinned_closed_loop_runs(monkeypatch, algorithm, depth, shards):
+    report, backends = pinned_run(monkeypatch, algorithm, depth, shards)
     hasher = hashlib.sha256()
-    for backend in deployment.backends() if shards else [deployment]:
+    for backend in backends:
         for record in backend.history.records():
             hasher.update(repr(record).encode())
     assert (
@@ -361,6 +368,10 @@ class TestCapacityGates:
     CAPACITY_GAIN = 1.5
     #: Top-rung p50 ceiling (simulated time units) for amortized sweeps.
     P50_CEILING = 50.0
+    #: Bytes per operation of the pinned K=2 amortized fabric run before
+    #: scan-free group commits shipped one entry instead of ``lReg``
+    #: (PR 23's parent: 626 214 B over 247 operations).
+    WHOLE_ARRAY_BYTES_PER_OP = 2535.0
 
     def test_e19_throughput_scales_with_shard_count(self, monkeypatch):
         reports = []
@@ -386,6 +397,15 @@ class TestCapacityGates:
         assert row["linearizable"]
         assert row["throughput_amortized_b8"] >= self.CAPACITY_FLOOR  # 2.45
         assert row["amortized_gain"] >= self.CAPACITY_GAIN  # 2.47
+
+    def test_keyed_write_ships_one_entry_not_the_array(self, monkeypatch):
+        """Counted on the live metrics of the run ``PINNED_RUNS`` pins
+        (same 247 operations), not read from a committed figure."""
+        report, backends = pinned_run(monkeypatch, "amortized", 4, 2)
+        assert report.completed == PINNED_RUNS["amortized", 4, 2][1]
+        total = sum(b.metrics.snapshot().total_bytes for b in backends)
+        per_op = total / report.completed  # 1069
+        assert per_op <= self.WHOLE_ARRAY_BYTES_PER_OP / 2
 
     def test_sweep_finds_the_knee_and_amortized_flattens_it(self):
         baseline = sweep_rates()

@@ -113,6 +113,44 @@ class TestUdpCluster:
         run(main())
 
 
+class TestUdpFabric:
+    def test_keyed_write_read_and_compose_across_two_shards(self):
+        """Slot maps are dicts: they cross the codec in WRITE, READ and
+        SNAPSHOT payloads (the first keyed write used to die on
+        ``CodecError: cannot encode value of type dict``)."""
+        from repro.shard.fabric import run_on_fabric
+
+        async def body(fabric):
+            by_shard = {}
+            for index in range(64):
+                by_shard.setdefault(fabric.slot_of(f"k{index}")[0], f"k{index}")
+            assert sorted(by_shard) == [0, 1]
+            keys = [by_shard[0], by_shard[1]]
+            for version in (1, 2):
+                for key in keys:
+                    seq = await asyncio.wait_for(
+                        fabric.write(key, (key, version)), timeout=15
+                    )
+                    assert seq == version
+            for key in keys:
+                view = await asyncio.wait_for(fabric.scan(key), timeout=15)
+                assert (view.seq, view.value) == (2, (key, 2))
+            cut = await asyncio.wait_for(fabric.compose_snapshot(), timeout=30)
+            held = {
+                key: entry
+                for slots in cut.shard_slots.values()
+                for state in slots
+                for key, entry in (state or {}).items()
+            }
+            assert held == {key: (2, (key, 2)) for key in keys}
+            assert fabric.check() == []
+            for backend in fabric.backends():
+                kinds = backend.metrics.snapshot().messages_by_kind
+                assert kinds["WRITE"] and kinds["READ"] and kinds["SNAPSHOT"]
+
+        run_on_fabric("udp", 2, "ss-nonblocking", None, body)
+
+
 def test_legacy_facade_removed():
     with pytest.raises(ImportError, match="create_backend"):
         from repro.runtime import UdpSnapshotCluster  # noqa: F401
