@@ -1,4 +1,4 @@
-"""CI gate: a ``--trace-out`` file must be a well-formed Chrome trace.
+"""Schema check: a ``--trace-out`` file must be a well-formed Chrome trace.
 
 Usage: ``python benchmarks/check_trace_schema.py trace.json``.  Validates
 the structure :func:`repro.obs.export.chrome_trace` promises — the same
@@ -22,7 +22,8 @@ contract the Perfetto UI relies on:
 
 Exits non-zero, printing one line per problem, if anything is off.
 ``tests/test_obs_export.py`` imports :func:`validate` as its golden
-structure check, so the CI step and the test suite enforce one schema.
+structure check and ``tests/test_cli.py`` runs it on ``experiments E01
+--trace-out`` files, so the command line and the exporter share one schema.
 """
 
 import json

@@ -1,6 +1,6 @@
 """Experiment harness: workloads, experiment runners, table reporting."""
 
-from repro.harness.experiments import EXPERIMENTS, main, run_experiment
+from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.report import format_table, print_table
 from repro.harness.workloads import ContinuousWriters, value_of_size
 
@@ -8,7 +8,6 @@ __all__ = [
     "ContinuousWriters",
     "EXPERIMENTS",
     "format_table",
-    "main",
     "print_table",
     "run_experiment",
     "value_of_size",

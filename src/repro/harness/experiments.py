@@ -1,19 +1,17 @@
-"""Experiment registry and command-line runner.
+"""Experiment registry: id → (title, runner) for E1–E20.
 
-``python -m repro.harness.experiments`` runs every experiment (E1–E20)
-and prints its table; ``python -m repro.harness.experiments e07 e09``
-runs a subset, and ``--jobs N`` fans the selected experiments out across
-``N`` worker processes (the printed output is byte-identical to a serial
-run; see :mod:`repro.harness.parallel`).  The same functions back the
+``python -m repro experiments [ids…]`` runs and prints them, and
+``--jobs N`` fans the selected experiments out across ``N`` worker
+processes (the printed output is byte-identical to a serial run; see
+:mod:`repro.harness.parallel`).  The same functions back the
 pytest-benchmark targets in ``benchmarks/``.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Callable
 
-from repro.harness.parallel import experiment_cells, extract_jobs, run_cells
+from repro.harness.parallel import experiment_cells, run_cells
 
 from repro.harness.costs import (
     e01_nonblocking_op_costs,
@@ -38,7 +36,6 @@ from repro.harness.recovery import (
     e14_bounded_reset,
     e20_reset_coordinator_crash,
 )
-from repro.harness.report import print_table
 from repro.load.experiments import (
     e17_throughput_vs_n,
     e18_delta_vs_throughput,
@@ -50,7 +47,6 @@ __all__ = [
     "EXPERIMENTS",
     "run_experiment",
     "run_experiments",
-    "main",
 ]
 
 #: Experiment id → (title, runner).
@@ -161,65 +157,3 @@ def run_experiments(
     """
     return run_cells(experiment_cells(experiment_ids), jobs=jobs)
 
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point: run and print the selected (or all) experiments.
-
-    Accepts ``--jobs N`` (parallel cells), ``--seeds K`` / ``--seed-start
-    S`` (re-run each selected experiment at K consecutive seeds — every
-    runner is a pure function of its seed), ``--backend
-    {sim,asyncio,udp}`` (restricts to the backend-aware experiments,
-    default :data:`BACKEND_AWARE`), and the observability flags
-    ``--trace-out FILE`` / ``--jsonl-out FILE`` / ``--stats`` (capture
-    forces serial execution).  Experiment ids are case-insensitive
-    (``E01`` and ``e01`` both work).
-    """
-    from repro.harness.campaign import extract_backend, extract_campaign_flags
-    from repro.obs.cli import clamp_jobs_for_capture, extract_obs_flags, observe_cli
-
-    argv = list(sys.argv[1:] if argv is None else argv)
-    obs_flags, argv = extract_obs_flags(argv)
-    jobs, argv = extract_jobs(argv)
-    backend, argv = extract_backend(argv)
-    options, argv = extract_campaign_flags(argv, default_budget=1)
-    selected = [eid.lower() for eid in argv] or sorted(EXPERIMENTS)
-    unknown = [eid for eid in selected if eid not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment ids: {unknown}", file=sys.stderr)
-        print(f"available: {sorted(EXPERIMENTS)}", file=sys.stderr)
-        return 2
-    common = None
-    if backend is not None:
-        if not argv:
-            selected = sorted(BACKEND_AWARE)
-        sim_only = [eid for eid in selected if eid not in BACKEND_AWARE]
-        if sim_only:
-            print(
-                f"--backend applies only to {sorted(BACKEND_AWARE)}; "
-                f"{sim_only} measure simulator-only quantities",
-                file=sys.stderr,
-            )
-            return 2
-        if backend != "sim" and jobs > 1:
-            from repro.backend import backend_capabilities
-
-            backend_capabilities(backend).require(
-                "process_fanout", f"--jobs {jobs}"
-            )
-        common = {"backend": backend}
-    sweep = options.seeds if len(options.seeds) > 1 else None
-    jobs = clamp_jobs_for_capture(obs_flags, jobs)
-    with observe_cli(obs_flags):
-        cells = experiment_cells(selected, seeds=sweep, common=common)
-        results = run_cells(cells, jobs=jobs)
-        for cell, rows in zip(cells, results):
-            title = EXPERIMENTS[cell.name][0]
-            kwargs = dict(cell.kwargs)
-            if "seed" in kwargs:
-                title = f"{title} [seed {kwargs['seed']}]"
-            print_table(rows, title=title)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -32,7 +32,6 @@ __all__ = [
     "chaos_cells",
     "fuzz_cells",
     "verify_cells",
-    "extract_jobs",
 ]
 
 
@@ -216,26 +215,3 @@ def run_cells(cells: Sequence[Cell], jobs: int | None = None) -> list[Any]:
                 parent.absorb(portable)
     return results
 
-
-def extract_jobs(argv: list[str], default: int = 1) -> tuple[int, list[str]]:
-    """Split ``--jobs N`` / ``-j N`` / ``--jobs=N`` out of an argv list.
-
-    Returns ``(jobs, remaining_args)``.  Used by the ``python -m repro``
-    subcommands so every table-producing command accepts the same flag.
-    """
-    jobs = default
-    rest: list[str] = []
-    it = iter(argv)
-    for arg in it:
-        if arg in ("--jobs", "-j"):
-            value = next(it, None)
-            if value is None:
-                raise SystemExit(f"{arg} requires a value")
-            jobs = int(value)
-        elif arg.startswith("--jobs="):
-            jobs = int(arg.split("=", 1)[1])
-        else:
-            rest.append(arg)
-    if jobs < 1:
-        raise SystemExit(f"--jobs must be >= 1, got {jobs}")
-    return jobs, rest

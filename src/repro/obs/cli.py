@@ -1,8 +1,7 @@
 """CLI plumbing for observability: ``--trace-out`` / ``--jsonl-out`` / ``--stats``.
 
-Mirrors :func:`repro.harness.parallel.extract_jobs`: subcommands call
-:func:`extract_obs_flags` to split the observability flags out of their
-argv, then wrap their work in :func:`observe_cli`, which installs an
+``python -m repro`` parses the observability flags into its namespace;
+commands wrap their work in :func:`observe_cli`, which installs an
 ambient session (so clusters built inside experiment runners attach
 automatically) and writes the requested exports when the block exits.
 
@@ -18,109 +17,54 @@ from __future__ import annotations
 
 import json
 import sys
+from argparse import Namespace
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 from repro.obs.observe import Observability, session
 
-__all__ = ["ObsFlags", "extract_obs_flags", "observe_cli"]
+__all__ = ["clamp_jobs_for_capture", "observe_cli"]
 
 
-@dataclass(frozen=True)
-class ObsFlags:
-    """Parsed observability flags for one CLI invocation."""
-
-    trace_out: str | None = None
-    jsonl_out: str | None = None
-    stats: bool = False
-
-    @property
-    def active(self) -> bool:
-        """Whether any capture was requested."""
-        return bool(self.trace_out or self.jsonl_out or self.stats)
-
-    @property
-    def needs_serial(self) -> bool:
-        """Whether the requested capture requires in-process execution.
-
-        Span/trace exports do (spans do not travel across workers);
-        ``--stats`` alone does not — its aggregates merge.
-        """
-        return bool(self.trace_out or self.jsonl_out)
-
-
-def extract_obs_flags(argv: list[str]) -> tuple[ObsFlags, list[str]]:
-    """Split the observability flags out of an argv list.
-
-    Supports ``--trace-out FILE`` / ``--trace-out=FILE`` (Chrome trace),
-    ``--jsonl-out FILE`` / ``--jsonl-out=FILE`` (JSONL stream), and
-    ``--stats`` (terminal summary).  Returns ``(flags, remaining_args)``.
-    """
-    trace_out: str | None = None
-    jsonl_out: str | None = None
-    stats = False
-    rest: list[str] = []
-    it = iter(argv)
-    for arg in it:
-        if arg == "--trace-out":
-            trace_out = next(it, None)
-            if trace_out is None:
-                raise SystemExit("--trace-out requires a file path")
-        elif arg.startswith("--trace-out="):
-            trace_out = arg.split("=", 1)[1]
-        elif arg == "--jsonl-out":
-            jsonl_out = next(it, None)
-            if jsonl_out is None:
-                raise SystemExit("--jsonl-out requires a file path")
-        elif arg.startswith("--jsonl-out="):
-            jsonl_out = arg.split("=", 1)[1]
-        elif arg == "--stats":
-            stats = True
-        else:
-            rest.append(arg)
-    return ObsFlags(trace_out=trace_out, jsonl_out=jsonl_out, stats=stats), rest
-
-
-def clamp_jobs_for_capture(flags: ObsFlags, jobs: int) -> int:
-    """Force serial execution while *span* capture is active (with a notice).
+def clamp_jobs_for_capture(args: Namespace) -> int:
+    """``args.jobs``, or 1 while *span* capture is active (with a notice).
 
     ``--trace-out``/``--jsonl-out`` record spans in-process, so they
     clamp to one job; ``--stats`` merges across workers and passes
     through untouched.
     """
-    if flags.needs_serial and jobs > 1:
+    if (args.trace_out or args.jsonl_out) and args.jobs > 1:
         print(
             "trace capture records spans in-process; forcing --jobs 1",
             file=sys.stderr,
         )
         return 1
-    return jobs
+    return args.jobs
 
 
 @contextmanager
-def observe_cli(flags: ObsFlags) -> Iterator[Observability | None]:
+def observe_cli(args: Namespace) -> Iterator[Observability | None]:
     """Run a CLI command under an ambient session; export on clean exit."""
-    if not flags.active:
+    if not (args.trace_out or args.jsonl_out or args.stats):
         yield None
         return
     obs = Observability()
     with session(obs):
         yield obs
     obs.finish()
-    if flags.trace_out:
+    if args.trace_out:
         payload = obs.chrome_trace()
-        Path(flags.trace_out).write_text(json.dumps(payload) + "\n")
+        Path(args.trace_out).write_text(json.dumps(payload) + "\n")
         print(
             f"wrote Chrome trace ({len(payload['traceEvents'])} events) to "
-            f"{flags.trace_out}; open it at https://ui.perfetto.dev "
+            f"{args.trace_out}; open it at https://ui.perfetto.dev "
             "or about://tracing"
         )
-    if flags.jsonl_out:
-        Path(flags.jsonl_out).write_text(obs.jsonl())
-        print(f"wrote JSONL event stream to {flags.jsonl_out}")
-    if flags.stats:
+    if args.jsonl_out:
+        Path(args.jsonl_out).write_text(obs.jsonl())
+        print(f"wrote JSONL event stream to {args.jsonl_out}")
+    if args.stats:
         from repro.harness.report import print_obs_summary
 
         print_obs_summary(obs)

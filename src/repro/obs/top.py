@@ -25,6 +25,7 @@ serves the registry as Prometheus text exposition
 from __future__ import annotations
 
 import sys
+from argparse import Namespace
 from typing import Any
 
 from repro.errors import ConfigurationError
@@ -111,81 +112,32 @@ def parse_throttle(value: str) -> tuple[int, float]:
         ) from None
 
 
-def run_top(args: list[str]) -> int:
-    """The ``python -m repro top`` command body."""
-    from repro.backend import backend_class, backend_names
+def run_top(args: Namespace) -> int:
+    """The ``python -m repro top`` command body, on its parsed flags."""
     from repro.backend.base import run_on_backend
     from repro.config import scenario_config
     from repro.load.driver import LoadSpec, LoadGenerator
 
-    backend = "sim"
-    n, seed, algorithm = 5, 1, "ss-nonblocking"
-    duration, refresh = 60.0, 10.0
-    clients = 4
-    throttles: list[tuple[int, float]] = []
-    metrics_port: int | None = None
-    plain = False
-    it = iter(args)
-    for arg in it:
-        if arg == "--plain":
-            plain = True
-            continue
-        if arg in ("--backend", "--n", "--seed", "--algorithm", "--budget",
-                   "--refresh", "--clients", "--throttle", "--metrics-port"):
-            value = next(it, None)
-            if value is None:
-                raise SystemExit(f"{arg} requires a value")
-            if arg == "--backend":
-                backend = value
-            elif arg == "--n":
-                n = int(value)
-            elif arg == "--seed":
-                seed = int(value)
-            elif arg == "--algorithm":
-                algorithm = value
-            elif arg == "--budget":
-                duration = float(value)
-            elif arg == "--refresh":
-                refresh = float(value)
-            elif arg == "--clients":
-                clients = int(value)
-            elif arg == "--throttle":
-                throttles.append(parse_throttle(value))
-            else:
-                metrics_port = int(value)
-        else:
-            raise SystemExit(f"top: unexpected argument {arg!r}")
-    if backend not in backend_names():
-        raise SystemExit(
-            f"unknown backend {backend!r}; choose from {backend_names()}"
-        )
-    if refresh <= 0:
-        raise SystemExit(f"--refresh must be positive, got {refresh}")
-    simulated = backend_class(backend).capabilities.simulated_time
-    if metrics_port is not None and simulated:
-        raise SystemExit(
-            "--metrics-port needs a live backend (asyncio or udp): the "
-            "simulator has no event loop to serve scrapes from"
-        )
-    clear = sys.stdout.isatty() and not plain
+    backend, duration, refresh = args.backend, args.budget, args.refresh
+    clear = sys.stdout.isatty() and not args.plain
     obs = Observability(trace_messages=False)
     engine = AlertEngine(default_rules())
     spec = LoadSpec(
-        clients=clients, depth=2, duration=duration, seed=seed
+        clients=args.clients, depth=2, duration=duration, seed=args.seed
     )
 
     async def body(cluster: Any) -> None:
         kernel = cluster.kernel
-        for node_id, factor in throttles:
+        for node_id, factor in args.throttles:
             cluster.throttle(node_id, factor)
         exposition = None
-        if metrics_port is not None:
+        if args.metrics_port is not None:
             from repro.obs.promtext import MetricsExposition, prometheus_text
 
             exposition = MetricsExposition(
                 lambda: prometheus_text(obs.collect())
             )
-            host, port = await exposition.start(port=metrics_port)
+            host, port = await exposition.start(port=args.metrics_port)
             print(f"serving metrics at http://{host}:{port}/metrics")
         generator = LoadGenerator(cluster, spec)
         workload = kernel.create_task(generator.run(), name="top-load")
@@ -209,8 +161,8 @@ def run_top(args: list[str]) -> int:
     with session(obs):
         run_on_backend(
             backend,
-            algorithm,
-            scenario_config(n=n, seed=seed),
+            args.algorithm,
+            scenario_config(n=args.n, seed=args.seed),
             body,
             max_events=None,
         )

@@ -51,3 +51,28 @@ def _runtime_watchdog(request):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def usage_error(capsys):
+    """Run ``python -m repro ARGV`` expecting a usage error.
+
+    A usage error is argparse's: exit status 2, a ``usage:`` line and the
+    message on stderr, nothing on stdout, and never a traceback.  Returns
+    the message line (``python -m repro …: error: …``).
+    """
+    from repro.__main__ import main
+
+    def run(argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: python -m repro" in captured.err
+        assert "Traceback" not in captured.err
+        message = captured.err.splitlines()[-1]
+        assert ": error: " in message
+        return message
+
+    return run

@@ -215,16 +215,13 @@ class TestCapabilityErrors:
         with pytest.raises(ConfigurationError, match="process_fanout"):
             main(["latency", "--backend", "asyncio", "--jobs", "3"])
 
-    def test_unknown_backend_flag_exits(self):
-        from repro.__main__ import main
+    def test_unknown_backend_flag_exits(self, usage_error):
+        err = usage_error(["chaos", "--backend", "tcp"])
+        assert "invalid choice: 'tcp'" in err
 
-        with pytest.raises(SystemExit, match="tcp"):
-            main(["chaos", "--backend", "tcp"])
-
-    def test_sim_only_experiment_selection_rejected(self):
-        from repro.harness.experiments import main as experiments_main
-
-        assert experiments_main(["e01", "--backend", "udp"]) == 2
+    def test_sim_only_experiment_selection_rejected(self, usage_error):
+        err = usage_error(["experiments", "e01", "--backend", "udp"])
+        assert "--backend applies only to" in err
 
 
 class TestBackendCli:

@@ -1,42 +1,141 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import re
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.__main__ import _COMMANDS, main
+from repro.__main__ import build_parser, main
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 from check_trace_schema import validate  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_SEEDS = "--seeds --seed-start"
+_OBS = "--trace-out --jsonl-out --stats"
+_CAMPAIGN = f"{_SEEDS} --algorithm --budget --jobs --backend {_OBS}"
+
+#: Every command and exactly the long flags it accepts (``-j`` is the
+#: short spelling of ``--jobs``; ``-h`` goes without saying).
+COMMAND_FLAGS = {
+    "experiments": f"{_SEEDS} --jobs --backend {_OBS}",
+    "figures": "",
+    "ablations": f"--jobs {_OBS} --seeds",
+    "algorithms": "",
+    "verify": _CAMPAIGN,
+    "chaos": f"{_CAMPAIGN} --shards",
+    "fuzz": f"{_CAMPAIGN} --out --no-shrink",
+    "replay": f"--backend {_OBS}",
+    "latency": _CAMPAIGN,
+    "load": f"{_CAMPAIGN} --duration --shards --batch --clients --depth "
+    "--rate --mix --skew --n --sweep",
+    "top": "--backend --n --seed --algorithm --budget --refresh --clients "
+    "--throttle --metrics-port --plain",
+    "backends": "--json",
+    "demo": "",
+}
+
+
+_COMMAND_LINE = r"python3?\s+-m\s+repro\b"
+
+
+def _documented_command_lines():
+    """Every ``python -m repro …`` line in the docs, CI and examples."""
+    sources = [
+        ROOT / "README.md",
+        ROOT / "EXPERIMENTS.md",
+        *sorted((ROOT / "docs").glob("*.md")),
+        *sorted((ROOT / "examples").glob("*.py")),
+        ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+        ROOT / ".github" / "workflows" / "ci.yml",
+    ]
+    for path in sources:
+        text = path.read_text().replace("\\\n", " ")
+        # Inline code may wrap onto the next line: take it whole first.
+        inline = re.findall(rf"`{_COMMAND_LINE}([^`]*)`", text)
+        text = re.sub(rf"`{_COMMAND_LINE}[^`]*`", "", text)
+        # Elsewhere a command ends at a comment, a table cell or a
+        # shell redirection.
+        lines = re.findall(rf"{_COMMAND_LINE}([^\n`#|>]*)", text)
+        for rest in inline + lines:
+            argv = shlex.split(rest)
+            yield pytest.param(argv, id=f"{path.name}: {' '.join(argv)}")
 
 
 class TestCli:
     def test_help(self, capsys):
         assert main([]) == 0
-        assert "experiments" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert all(command in out for command in COMMAND_FLAGS)
 
     def test_help_flag(self, capsys):
-        assert main(["--help"]) == 0
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
         assert "figures" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
     @pytest.mark.parametrize("flag", ["-h", "--help"])
     def test_command_help_prints_its_usage_section(self, capsys, command, flag):
-        assert main([command, flag]) == 0
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, flag])
+        assert exit_info.value.code == 0
         out = capsys.readouterr().out
-        assert out.startswith(f"``{command}")
-        body = out.splitlines()[1:]
-        assert body and all(line.startswith("    ") for line in body)
-        # Only this command's section: no other command header leaks in.
-        assert out.count("\n``") == 0
+        usage = out.split("\n\n")[0]
+        assert usage.startswith(f"usage: python -m repro {command} [-h]")
+        flags = COMMAND_FLAGS[command].split()
+        assert sorted(re.findall(r"\[(--[\w-]+)", usage)) == sorted(flags)
+        assert all(flag in out for flag in flags)
+        assert ("--jobs N, -j N" in out) == ("--jobs" in flags)
 
-    def test_unknown_command(self, capsys):
+    def test_unknown_command(self, usage_error):
         # "shard" was a command once; `load --shards K` is the same run.
         for command in ("frobnicate", "shard"):
-            assert main([command]) == 2
-            assert "unknown command" in capsys.readouterr().out
+            assert f"invalid choice: '{command}'" in usage_error([command])
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["experiments", "e01", "--algorithm", "amortized"], "--algorithm"),
+            (["ablations", "a1", "--budget", "3"], "--budget"),
+            (["chaos", "--shards", "2", "--jobs", "3"], "--jobs"),
+            (["load", "--sweep", "--rate", "1"], "--rate"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_rejected(
+        self, usage_error, argv, flag
+    ):
+        assert flag in usage_error(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["load", "--clients", "two"],
+            ["top", "--n", "x"],
+            ["fuzz", "--jobs", "x"],
+            ["load", "--rate"],
+            ["load", "--mix", "8-2"],
+            ["top", "--throttle", "3"],
+        ],
+    )
+    def test_malformed_value_is_a_usage_error(self, usage_error, argv):
+        assert f"argument {argv[1]}" in usage_error(argv)
+
+    @pytest.mark.parametrize("argv", list(_documented_command_lines()))
+    def test_documented_command_line_parses(self, argv):
+        # docs/verification.md's worked example fuzzes the planted engine.
+        import broken_algorithms  # noqa: F401
+
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exit_info:  # a documented --help
+            assert exit_info.code == 0
+            return
+        assert args.command is None or args.command in COMMAND_FLAGS
 
     def test_algorithms_lists_registry(self, capsys):
         assert main(["algorithms"]) == 0
@@ -58,12 +157,16 @@ class TestCli:
         assert "E1" in out
         assert "write_msgs" in out
 
-    def test_experiments_unknown_id(self, capsys):
-        assert main(["experiments", "e99"]) == 2
+    def test_experiments_unknown_id(self, usage_error):
+        assert "e99" in usage_error(["experiments", "e99"])
 
     def test_experiments_ids_are_case_insensitive(self, capsys):
         assert main(["experiments", "E01"]) == 0
         assert "E1" in capsys.readouterr().out
+
+    def test_ablation_ids_are_case_insensitive(self, capsys):
+        assert main(["ablations", "A3"]) == 0
+        assert "A3 — retransmission inflation" in capsys.readouterr().out
 
     def test_figures_single(self, capsys):
         assert main(["figures", "fig1-upper"]) == 0
@@ -71,8 +174,8 @@ class TestCli:
         assert "Figure 1 (upper)" in out
         assert "WRITE" in out
 
-    def test_figures_unknown(self, capsys):
-        assert main(["figures", "fig99"]) == 2
+    def test_figures_unknown(self, usage_error):
+        assert "fig99" in usage_error(["figures", "fig99"])
 
     def test_demo_runs(self, capsys):
         assert main(["demo"]) == 0
@@ -129,11 +232,9 @@ class TestObservabilityFlags:
         assert "forcing --jobs 1" in captured.err
         assert validate(json.loads(out.read_text())) == []
 
-    def test_trace_out_requires_a_path(self):
-        import pytest
-
-        with pytest.raises(SystemExit, match="requires a file path"):
-            main(["experiments", "e01", "--trace-out"])
+    def test_trace_out_requires_a_path(self, usage_error):
+        err = usage_error(["experiments", "e01", "--trace-out"])
+        assert "argument --trace-out: expected one argument" in err
 
     def test_chaos_accepts_stats(self, capsys):
         assert main(["chaos", "--budget", "40", "--stats"]) == 0
@@ -154,9 +255,9 @@ class TestVerifyCommand:
             ["verify", "--algorithm", "dgfr-nonblocking", "--budget", "50"]
         ) == 0
 
-    def test_verify_positional_algorithm_removed(self):
-        with pytest.raises(SystemExit, match="--algorithm NAME"):
-            main(["verify", "dgfr-nonblocking", "--budget", "50"])
+    def test_verify_positional_algorithm_removed(self, usage_error):
+        err = usage_error(["verify", "dgfr-nonblocking", "--budget", "50"])
+        assert "unrecognized arguments: dgfr-nonblocking" in err
 
     def test_verify_unified_flags(self, capsys):
         assert main(
@@ -192,17 +293,20 @@ class TestCampaignFlagUnification:
         assert "seed 1:" in captured.out
         assert captured.err == ""
 
-    def test_chaos_positional_spelling_removed(self):
-        with pytest.raises(SystemExit, match="--budget N / --seed-start S"):
-            main(["chaos", "30", "1"])
+    def test_chaos_positional_spelling_removed(self, usage_error):
+        err = usage_error(["chaos", "30", "1"])
+        assert "unrecognized arguments: 30 1" in err
 
-    def test_events_flag_removed_names_budget(self):
-        with pytest.raises(SystemExit, match="use --budget N"):
-            main(["chaos", "--events", "30"])
+    def test_events_flag_removed_names_budget(self, usage_error):
+        err = usage_error(["chaos", "--events", "30"])
+        assert "unrecognized arguments: --events 30" in err
 
-    def test_algo_flag_removed_names_algorithm(self):
-        with pytest.raises(SystemExit, match="use --algorithm NAME"):
-            main(["chaos", "--budget", "30", "--algo", "ss-nonblocking"])
+    def test_algo_flag_removed_names_algorithm(self, usage_error):
+        # No prefix matching: --algo is not taken to mean --algorithm.
+        err = usage_error(
+            ["chaos", "--budget", "30", "--algo", "ss-nonblocking"]
+        )
+        assert "unrecognized arguments: --algo ss-nonblocking" in err
 
     def test_seed_start_offsets_the_seed_range(self, capsys):
         assert main(
@@ -249,11 +353,9 @@ class TestFuzzCommand:
         assert "reproduced bit-identically" in replay_out
         assert "FAILURE:" in replay_out
 
-    def test_replay_rejects_missing_argument(self):
-        import pytest
-
-        with pytest.raises(SystemExit, match="usage"):
-            main(["replay"])
+    def test_replay_rejects_missing_argument(self, usage_error):
+        err = usage_error(["replay"])
+        assert "the following arguments are required: FILE" in err
 
 
 class TestShardCommands:
@@ -280,16 +382,14 @@ class TestShardCommands:
         out = capsys.readouterr().out
         assert "splits" in out and "OK" in out
 
-    def test_shards_flag_validation(self):
-        with pytest.raises(SystemExit, match=">= 1"):
-            main(["load", "--shards", "0"])
-        with pytest.raises(SystemExit, match="integer"):
-            main(["load", "--shards", "two"])
+    def test_shards_flag_validation(self, usage_error):
+        assert ">= 1" in usage_error(["load", "--shards", "0"])
+        assert "integer" in usage_error(["load", "--shards", "two"])
 
-    def test_sweep_with_shards_is_rejected(self):
+    def test_sweep_with_shards_is_rejected(self, usage_error):
         # Used to run a plain closed-loop campaign and exit 0.
-        with pytest.raises(SystemExit, match="--sweep .* --shards"):
-            main(["load", "--shards", "2", "--sweep"])
+        err = usage_error(["load", "--shards", "2", "--sweep"])
+        assert re.search("--sweep .* --shards", err)
 
 
 class TestBackendsJson:
@@ -301,6 +401,6 @@ class TestBackendsJson:
         assert payload["backends"]["udp"]["real_sockets"] is True
         assert "simulated_time" in payload["notes"]
 
-    def test_backends_rejects_unknown_args(self):
-        with pytest.raises(SystemExit, match="unexpected"):
-            main(["backends", "--bogus"])
+    def test_backends_rejects_unknown_args(self, usage_error):
+        err = usage_error(["backends", "--bogus"])
+        assert "unrecognized arguments: --bogus" in err

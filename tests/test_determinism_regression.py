@@ -122,14 +122,14 @@ def test_scripted_decision_log_replays(algorithm):
 
 
 def test_jobs4_output_equals_jobs1_output(capsys):
-    from repro.harness.experiments import main
+    from repro.__main__ import main
 
     # Five cells with real work (0.0–1.0 s each): more cells than
     # workers, so the merge order is exercised, not just the pool.
     ids = ["e01", "e10", "e12", "e14", "e20"]
-    assert main([*ids, "--jobs", "1"]) == 0
+    assert main(["experiments", *ids, "--jobs", "1"]) == 0
     serial = capsys.readouterr().out
-    assert main([*ids, "--jobs", "4"]) == 0
+    assert main(["experiments", *ids, "--jobs", "4"]) == 0
     parallel = capsys.readouterr().out
     assert serial == parallel
     assert all(f"E{int(eid[1:])} /" in serial for eid in ids)

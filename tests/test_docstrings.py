@@ -11,15 +11,11 @@ import pkgutil
 
 import repro
 
-EXEMPT_MODULES = {"repro.__main__"}  # CLI doc lives in the module docstring
-
 
 def _iter_modules():
     package_dir = pathlib.Path(repro.__file__).parent
     yield repro
     for info in pkgutil.walk_packages([str(package_dir)], prefix="repro."):
-        if info.name in EXEMPT_MODULES:
-            continue
         yield importlib.import_module(info.name)
 
 

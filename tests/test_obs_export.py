@@ -1,8 +1,8 @@
 """Golden-structure tests for the observability exporters.
 
-The Chrome-trace structure is validated by the same checker CI runs
-against ``--trace-out`` files (``benchmarks/check_trace_schema.py``), so
-the test suite and the CI gate enforce a single schema.
+The Chrome-trace structure is validated by the same checker
+``tests/test_cli.py`` runs against ``--trace-out`` files
+(``benchmarks/check_trace_schema.py``), so both enforce a single schema.
 """
 
 import json

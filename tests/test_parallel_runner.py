@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.__main__ import build_parser
 from repro.harness.parallel import (
     Cell,
     ablation_cells,
     chaos_cells,
     experiment_cells,
-    extract_jobs,
     run_cells,
 )
 
@@ -67,25 +67,32 @@ class TestChaosCampaigns:
 
 
 class TestExtractJobs:
+    """``--jobs N`` / ``-j N`` / ``--jobs=N`` as ``python -m repro`` parses them."""
+
+    @staticmethod
+    def _parse(*argv):
+        args = build_parser().parse_args(["experiments", *argv])
+        return args.jobs, args.ids
+
     def test_default(self):
-        assert extract_jobs(["e01"]) == (1, ["e01"])
+        assert self._parse("e01") == (1, ["e01"])
 
     def test_long_flag(self):
-        assert extract_jobs(["--jobs", "4", "e01"]) == (4, ["e01"])
+        assert self._parse("--jobs", "4", "e01") == (4, ["e01"])
 
     def test_equals_form(self):
-        assert extract_jobs(["e01", "--jobs=2"]) == (2, ["e01"])
+        assert self._parse("e01", "--jobs=2") == (2, ["e01"])
 
     def test_short_flag(self):
-        assert extract_jobs(["-j", "3"]) == (3, [])
+        assert self._parse("-j", "3") == (3, [])
 
-    def test_missing_value_exits(self):
-        with pytest.raises(SystemExit):
-            extract_jobs(["--jobs"])
+    def test_missing_value_exits(self, usage_error):
+        assert "argument --jobs/-j: expected one argument" in usage_error(
+            ["experiments", "--jobs"]
+        )
 
-    def test_nonpositive_exits(self):
-        with pytest.raises(SystemExit):
-            extract_jobs(["--jobs", "0"])
+    def test_nonpositive_exits(self, usage_error):
+        assert "must be >= 1, got 0" in usage_error(["experiments", "--jobs", "0"])
 
 
 class TestCli:
@@ -98,10 +105,8 @@ class TestCli:
         out = capsys.readouterr().out
         assert "seed 0:" in out and "seed 1:" in out
 
-    def test_ablations_jobs_flag_rejects_unknown(self, capsys):
-        from repro.__main__ import main
-
-        assert main(["ablations", "zz", "--jobs", "2"]) == 2
+    def test_ablations_jobs_flag_rejects_unknown(self, usage_error):
+        assert "zz" in usage_error(["ablations", "zz", "--jobs", "2"])
 
 
 class TestObservedParallelRuns:

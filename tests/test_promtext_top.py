@@ -159,17 +159,15 @@ class TestTopCommand:
         assert "alert(s) raised over the run" in out
         assert "node-limping node=3" in out
 
-    def test_top_rejects_metrics_port_on_simulated_time(self):
-        with pytest.raises(SystemExit, match="live backend"):
-            main(["top", "--metrics-port", "0"])
+    def test_top_rejects_metrics_port_on_simulated_time(self, usage_error):
+        assert "live backend" in usage_error(["top", "--metrics-port", "0"])
 
-    def test_top_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit, match="unknown backend"):
-            main(["top", "--backend", "bogus"])
+    def test_top_rejects_unknown_backend(self, usage_error):
+        err = usage_error(["top", "--backend", "bogus"])
+        assert "invalid choice: 'bogus'" in err
 
-    def test_top_rejects_nonpositive_refresh(self):
-        with pytest.raises(SystemExit, match="refresh"):
-            main(["top", "--refresh", "0"])
+    def test_top_rejects_nonpositive_refresh(self, usage_error):
+        assert "--refresh must be positive" in usage_error(["top", "--refresh", "0"])
 
 
 class TestThrottleSemantics:
