@@ -19,8 +19,8 @@ def test_e02_gossip_overhead(benchmark):
         n = row["n"]
         # n(n-1) gossip messages per cycle (±1 cycle-boundary slack).
         assert abs(row["gossip_msgs_per_cycle"] - n * (n - 1)) <= n * (n - 1) * 0.4
-        # Gossip payload is O(ν): much smaller than a write payload and
-        # independent of n; write payload grows with n.
+        # Gossip is a constant-size digest: much smaller than a write
+        # payload and independent of n; write payload grows with n.
         assert row["gossip_bytes_each"] < row["write_bytes_each"]
         # Operation cost unchanged vs the baseline's 2(n-1).
         assert row["write_msgs"] == 2 * (n - 1)

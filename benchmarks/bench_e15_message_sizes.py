@@ -1,8 +1,8 @@
 """E15 (Contribution 1): message sizes — O(n·ν) operations vs O(ν) gossip.
 
 Sweeps the object size ν and cluster size n, measuring serialized bytes
-per WRITE (carries the whole register array) and per GOSSIP (carries one
-entry).
+per WRITE (carries the whole register array) and per GOSSIP (a timestamp
+digest: constant, below the paper's O(ν) bound).
 """
 
 from conftest import run_and_report
@@ -14,15 +14,11 @@ def test_e15_message_sizes(benchmark):
     rows = run_and_report(
         benchmark,
         e15_message_sizes,
-        "E15 — message sizes: O(n*nu) ops vs O(nu) gossip",
+        "E15 — message sizes: O(n*nu) ops vs constant gossip",
     )
     by_key = {(row["n"], row["nu_bytes"]): row for row in rows}
-    # Gossip is O(ν): independent of n for the same ν.
-    for nu in (16, 64, 256, 1024):
-        assert (
-            by_key[(4, nu)]["gossip_msg_bytes"]
-            == by_key[(12, nu)]["gossip_msg_bytes"]
-        )
+    # Gossip is a digest: independent of n and of ν.
+    assert len({row["gossip_msg_bytes"] for row in rows}) == 1
     # Write messages are O(n·ν): scale ~3x from n=4 to n=12 at large ν.
     big = 1024
     ratio = (

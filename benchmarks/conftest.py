@@ -17,3 +17,8 @@ def run_and_report(benchmark, runner, title, rounds=3, **kwargs):
     print()
     print(format_table(rows, title=title))
     return rows
+
+
+def cycle_columns(row):
+    """An E7/E8 row's recovery-cycle cells (not its labels or detection count)."""
+    return {k: v for k, v in row.items() if k not in ("variant", "n", "detections")}

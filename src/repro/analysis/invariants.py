@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.backend.sim import SimBackend
+from repro.core.base import ReadAckMessage, ReadMessage
 from repro.core.register import RegisterArray
+from repro.core.ss_always import GossipMessage3
+from repro.core.ss_nonblocking import GossipMessage
 
 __all__ = [
     "InvariantReport",
@@ -59,8 +62,8 @@ def ts_consistent(cluster: SimBackend) -> InvariantReport:
     """Definition 1(i): ``ts_i`` dominates every ts attributed to ``p_i``.
 
     Checks node variables (``reg_j[i].ts`` for every ``j``) and the
-    register arrays and single entries (GOSSIP, READ, READack) carried
-    by every in-flight message.
+    register arrays, single entries and timestamps (GOSSIP, READ,
+    READack) carried by every in-flight message.
     """
     report = InvariantReport()
     n = cluster.config.n
@@ -81,22 +84,22 @@ def ts_consistent(cluster: SimBackend) -> InvariantReport:
                         f"in-flight {message.kind} {src}->{dst}: "
                         f"reg[{i}].ts={reg[i].ts} > ts_{i}={own_ts[i]}"
                     )
-        kind = message.kind
-        if kind not in ("GOSSIP", "READ", "READack") or not hasattr(
-            message, "entry"
-        ):
-            # (An epoch envelope reports its inner kind; it has no entry.)
+        # By class, not by kind: an epoch envelope reports its inner
+        # kind but carries no entry of its own.
+        if isinstance(message, (GossipMessage, GossipMessage3)):
+            owner = dst  # a gossip to p_dst names p_dst's own entry
+        elif isinstance(message, (ReadMessage, ReadAckMessage)):
+            owner = message.j
+        else:
             continue
-        # A gossip to p_dst carries p_dst's own entry; the one-entry
-        # exchange names its register, and its ack claims a timestamp
-        # with or without the entry present.
-        owner = dst if kind == "GOSSIP" else message.j
+        # A gossip digest and a READack claim a timestamp with or without
+        # the entry present.
         claimed = getattr(message, "ts", 0)
         if message.entry is not None:
             claimed = max(claimed, message.entry.ts)
         if 0 <= owner < n and claimed > own_ts[owner]:
             report.fail(
-                f"in-flight {kind} {src}->{dst}: entry.ts={claimed} "
+                f"in-flight {message.kind} {src}->{dst}: entry.ts={claimed} "
                 f"> ts_{owner}={own_ts[owner]}"
             )
     return report

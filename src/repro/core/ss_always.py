@@ -24,8 +24,10 @@ Differences from the Algorithm 2 baseline, following Section 4:
   round resolves every one of them with a single ``safeReg`` call.
 * **Self-stabilization.**  The do-forever loop discards stale acks,
   re-asserts index consistency (``ts``, ``sns``), clears illogical vector
-  clocks and corrupted own-task entries, and gossips register entries and
-  indices — giving the O(1)-cycle recovery of Theorem 2.
+  clocks and corrupted own-task entries, and gossips register timestamps
+  and task indices — giving the O(1)-cycle recovery of Theorem 2.  As in
+  Algorithm 1 (:mod:`repro.core.ss_nonblocking`), a register entry
+  itself travels only when its owner is behind and pulls it.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from typing import Any, Callable, Iterable
 from repro.config import ClusterConfig
 from repro.core.base import SnapshotAlgorithm, SnapshotResult
 from repro.core.register import RegisterArray, TimestampedValue
+from repro.core.ss_nonblocking import GossipPullMessage
 from repro.net.message import Message
 from repro.net.quorum import AckCollector, broadcast_until
 from repro.sim.kernel import Kernel
@@ -83,10 +86,12 @@ class TaskDescriptor:
 
 @dataclass(frozen=True)
 class GossipMessage3(Message):
-    """``GOSSIP(reg[k], pndTsk[k].sns)`` to node k (line 78) — O(ν) bits.
+    """``GOSSIP(ts, entry, pndTsk[k].sns)`` to node k (line 78).
 
-    Carries the *receiver's* own register entry and the sender's view of
-    the *receiver's* snapshot-task index.  The receiver absorbs both
+    Carries the timestamp of the *receiver's* own register entry, and the
+    entry itself only in the answer to a ``GOSSIPpull`` (``None`` in the
+    do-forever digest, a constant-size message), plus the sender's view
+    of the *receiver's* snapshot-task index.  The receiver absorbs both
     maxima, healing a corrupted-low ``ts`` and ``sns`` (the paper's
     ``max{sns, snsJ}`` on line 99; Definition 1(iii) requires
     ``pndTsk_j[i].sns ≤ sns_i``, so the gossiped index must be the
@@ -96,7 +101,8 @@ class GossipMessage3(Message):
     """
 
     KIND = "GOSSIP"
-    entry: TimestampedValue
+    ts: int
+    entry: TimestampedValue | None
     task_sns: int
 
 
@@ -151,6 +157,7 @@ class SelfStabilizingAlwaysTerminating(SnapshotAlgorithm):
         self.register_handler(SnapshotMessage3.KIND, self._on_snapshot_query)
         self.register_handler(SaveMessage.KIND, self._on_save)
         self.register_handler(GossipMessage3.KIND, self._on_gossip)
+        self.register_handler(GossipPullMessage.KIND, self._on_gossip_pull)
 
     def initialize_state(self) -> None:
         """Line 68 (optional in the self-stabilizing context)."""
@@ -274,12 +281,13 @@ class SelfStabilizingAlwaysTerminating(SnapshotAlgorithm):
             if obs is not None:
                 obs.task_repairs += 1
             self._notify()
-        # Line 78: gossip each peer its own entry and task index.
+        # Line 78: gossip each peer its own entry's timestamp and task index.
         for peer in self.peers():
             self.send(
                 peer,
                 GossipMessage3(
-                    entry=self.reg[peer],
+                    ts=self.reg[peer].ts,
+                    entry=None,
                     task_sns=self.pnd_tsk[peer].sns,
                 ),
             )
@@ -470,20 +478,34 @@ class SelfStabilizingAlwaysTerminating(SnapshotAlgorithm):
         self._notify()
 
     def _on_gossip(self, sender: int, message: GossipMessage3) -> None:
-        """Lines 98–99: merge own entry; absorb operation indices."""
+        """Lines 98–99: absorb operation indices; pull or merge own entry."""
         i = self.node_id
         obs = self.obs
-        if obs is not None:
-            # In a legitimate execution our own entry and sns are always
-            # at least as fresh as any peer's view of them, so either
-            # comparison firing means gossip is healing corrupted state.
-            if message.entry.ts > self.reg[i].ts:
-                obs.ts_heals += 1
-            if message.task_sns > self.sns:
-                obs.sns_heals += 1
-        self.reg.merge_entry(i, message.entry)
-        self.ts = max(self.ts, self.reg[i].ts)
+        # In a legitimate execution our own entry and sns are always at
+        # least as fresh as any peer's view of them, so either comparison
+        # firing means gossip is healing corrupted state.
+        if obs is not None and message.task_sns > self.sns:
+            obs.sns_heals += 1
         self.sns = max(self.sns, message.task_sns)
+        if message.entry is None:
+            if message.ts > self.reg[i].ts:
+                if obs is not None:
+                    obs.ts_heals += 1
+                self.send(sender, GossipPullMessage())
+            self.ts = max(self.ts, message.ts)
+            return
+        self.reg.merge_entry(i, message.entry)
+        self.ts = max(self.ts, message.ts, self.reg[i].ts)
+
+    def _on_gossip_pull(self, sender: int, message: GossipPullMessage) -> None:
+        """Answer a pull with the full entry the sender is behind on."""
+        entry = self.reg[sender]
+        self.send(
+            sender,
+            GossipMessage3(
+                ts=entry.ts, entry=entry, task_sns=self.pnd_tsk[sender].sns
+            ),
+        )
 
     def _on_snapshot_query(self, sender: int, message: SnapshotMessage3) -> None:
         """Lines 103–107: merge, adopt task descriptors, ack, and help."""

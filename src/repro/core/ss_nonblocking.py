@@ -5,10 +5,18 @@ Extends the DGFR non-blocking baseline with the boxed code lines:
 * ``merge`` additionally absorbs the largest observed own-entry timestamp
   into ``ts`` (line 6);
 * a do-forever loop that discards stale ``SNAPSHOTack`` replies (line 9),
-  re-asserts ``ts ≥ reg[i].ts`` (line 10), and gossips ``reg[k]`` to every
-  ``p_k`` (line 11) — O(n²) gossip messages per cycle, each of O(ν) bits;
-* a ``GOSSIP`` handler that merges the arriving own-entry value and
-  timestamp (lines 24–25).
+  re-asserts ``ts ≥ reg[i].ts`` (line 10), and gossips to every ``p_k``
+  the timestamp of ``reg[k]`` (line 11) — O(n²) gossip messages per
+  cycle, each of constant size whatever n and ν are;
+* a ``GOSSIP`` handler that absorbs the arriving own-entry timestamp and,
+  when a peer knows a newer own entry, pulls the entry itself and merges
+  its value and timestamp (lines 24–25).
+
+Line 11's ``GOSSIP(reg[k])`` ships the entry; this implementation ships a
+digest and lets the entry travel only when the owner is behind (see
+:class:`GossipMessage`).  Definition 1 constrains indices only, and in a
+legitimate execution the owner's own entry is always the freshest copy,
+so the entry a gossip carries is never news until a fault makes it so.
 
 Together these guarantee Theorem 1: within O(1) asynchronous cycles of a
 fair execution, ``ts_i`` dominates every timestamp attributed to ``p_i``
@@ -25,19 +33,36 @@ from repro.core.dgfr_nonblocking import DgfrNonBlocking
 from repro.core.register import TimestampedValue
 from repro.net.message import Message
 
-__all__ = ["SelfStabilizingNonBlocking", "GossipMessage"]
+__all__ = ["SelfStabilizingNonBlocking", "GossipMessage", "GossipPullMessage"]
 
 
 @dataclass(frozen=True)
 class GossipMessage(Message):
-    """``GOSSIP(reg[k])``: p_k's own entry as the sender knows it (line 11).
+    """``GOSSIP(ts, entry)``: p_k's own entry as the sender knows it (line 11).
 
-    Payload is a single ``(v, ts)`` pair — the O(ν)-bit message of
-    Contribution (1).
+    The do-forever loop sends a *digest*: ``ts`` is the sender's
+    ``reg[k].ts`` and ``entry`` is ``None``, a constant-size message
+    (Contribution (1) bounds it by O(ν) bits).  ``entry`` is present only
+    in the answer to a :class:`GossipPullMessage`, and then ``ts`` is
+    that entry's timestamp.
     """
 
     KIND = "GOSSIP"
-    entry: TimestampedValue
+    ts: int
+    entry: TimestampedValue | None
+
+
+@dataclass(frozen=True)
+class GossipPullMessage(Message):
+    """``GOSSIPpull``: "my own entry is behind yours; send it".
+
+    A digest's receiver sends it when the digest names a newer own-entry
+    timestamp than it holds; the sender answers with a full
+    :class:`GossipMessage` carrying its current copy of the receiver's
+    entry.  Neither end remembers the exchange.
+    """
+
+    KIND = "GOSSIPpull"
 
 
 class SelfStabilizingNonBlocking(DgfrNonBlocking):
@@ -48,6 +73,7 @@ class SelfStabilizingNonBlocking(DgfrNonBlocking):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.register_handler(GossipMessage.KIND, self._on_gossip)
+        self.register_handler(GossipPullMessage.KIND, self._on_gossip_pull)
 
     # -- do-forever loop (lines 8–11) ---------------------------------------------
 
@@ -58,9 +84,9 @@ class SelfStabilizingNonBlocking(DgfrNonBlocking):
         implementation: ack collectors filter on the current ``ssn`` and
         hold no non-matching replies, so stale acks are never stored.
         Line 10 heals a ``ts`` that a transient fault pushed below the
-        node's own register timestamp; line 11 disseminates every node's
-        own-entry so a corrupted-low entry anywhere is healed within a
-        round trip.
+        node's own register timestamp; line 11 tells every node the
+        timestamp of its own entry as seen here, so a corrupted-low entry
+        anywhere is healed within a round trip (two for its value).
         """
         reg_ts = self.reg[self.node_id].ts
         if self.ts < reg_ts:
@@ -71,18 +97,28 @@ class SelfStabilizingNonBlocking(DgfrNonBlocking):
             if self.obs is not None:
                 self.obs.ts_heals += 1
         for peer in self.peers():
-            self.send(peer, GossipMessage(entry=self.reg[peer]))
+            self.send(peer, GossipMessage(ts=self.reg[peer].ts, entry=None))
 
     # -- gossip server side (lines 24–25) --------------------------------------------
 
     def _on_gossip(self, sender: int, message: GossipMessage) -> None:
-        """Merge the arriving own-entry and re-absorb its timestamp."""
+        """Absorb the own-entry timestamp; pull or merge the entry."""
         i = self.node_id
-        if self.obs is not None and message.entry.ts > self.reg[i].ts:
-            # A peer knows a larger own-entry timestamp than we do: in a
-            # legitimate execution our local entry is always freshest (it
-            # is installed before broadcast), so this is gossip healing a
-            # corrupted-low entry.
-            self.obs.ts_heals += 1
+        if message.entry is None:
+            if message.ts > self.reg[i].ts:
+                # A peer knows a larger own-entry timestamp than we do: in
+                # a legitimate execution our local entry is always
+                # freshest (it is installed before broadcast), so this is
+                # gossip healing a corrupted-low entry.
+                if self.obs is not None:
+                    self.obs.ts_heals += 1
+                self.send(sender, GossipPullMessage())
+            self.ts = max(self.ts, message.ts)
+            return
         self.reg.merge_entry(i, message.entry)
-        self.ts = max(self.ts, self.reg[i].ts)
+        self.ts = max(self.ts, message.ts, self.reg[i].ts)
+
+    def _on_gossip_pull(self, sender: int, message: GossipPullMessage) -> None:
+        """Answer a pull with the full entry the sender is behind on."""
+        entry = self.reg[sender]
+        self.send(sender, GossipMessage(ts=entry.ts, entry=entry))

@@ -23,6 +23,8 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.core.base import ReadAckMessage, ReadMessage
 from repro.core.register import TimestampedValue
+from repro.core.ss_always import GossipMessage3
+from repro.core.ss_nonblocking import GossipMessage
 from repro.net.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -181,6 +183,12 @@ class TransientFaultInjector:
                 changes["entry"] = TimestampedValue(
                     ts=self._wild_ts(), value=b"\xba\xad"
                 )
+            if isinstance(message, (GossipMessage, GossipMessage3)):
+                # One draw, as for any entry: a digest keeps carrying no
+                # entry, and a pull answer's entry agrees with its ts.
+                changes["ts"] = changes["entry"].ts
+                if message.entry is None:
+                    changes["entry"] = None
             if isinstance(message, (ReadMessage, ReadAckMessage)):
                 # By type, not by field name: consensus messages carry an
                 # unrelated ``tag``.

@@ -65,7 +65,8 @@ def e02_gossip_overhead(n_values=(4, 8, 12), cycles=5, seed=0):
     """E2 (Figure 1 lower / Contribution 1): SS gossip overhead.
 
     Paper claim: the self-stabilizing variant adds O(n²) gossip messages
-    of O(ν) bits per cycle; operation costs are unchanged.
+    of O(ν) bits per cycle; operation costs are unchanged.  Each gossip
+    here is a timestamp digest, so its size does not depend on ν either.
     """
     rows = []
     for n in n_values:
@@ -223,7 +224,8 @@ def e15_message_sizes(nu_values=(16, 64, 256, 1024), n_values=(4, 12), seed=0):
     """E15 (Contribution 1): operation messages are O(n·ν) bits, gossip O(ν).
 
     Measured as serialized bytes per message while sweeping the object
-    size ν and the cluster size n.
+    size ν and the cluster size n.  The gossip is a timestamp digest, a
+    constant size below the paper's O(ν) bound.
     """
     rows = []
     for n in n_values:
@@ -245,7 +247,7 @@ def e15_message_sizes(nu_values=(16, 64, 256, 1024), n_values=(4, 12), seed=0):
                     "gossip_msg_bytes": stats.bytes_for("GOSSIP")
                     // gossip_count,
                     "theory_write": f"~{n}*nu",
-                    "theory_gossip": "~nu",
+                    "theory_gossip": "const",
                 }
             )
     return rows

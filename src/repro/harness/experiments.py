@@ -56,7 +56,7 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[], list[dict]]]] = {
         e01_nonblocking_op_costs,
     ),
     "e02": (
-        "E2 / Fig.1 lower — SS gossip overhead (n(n-1) msgs of O(nu) bits/cycle)",
+        "E2 / Fig.1 lower — SS gossip overhead (n(n-1) constant-size msgs/cycle)",
         e02_gossip_overhead,
     ),
     "e03": (
@@ -108,7 +108,7 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[], list[dict]]]] = {
         e14_bounded_reset,
     ),
     "e15": (
-        "E15 / Contribution 1 — message sizes: O(n*nu) ops vs O(nu) gossip",
+        "E15 / Contribution 1 — message sizes: O(n*nu) ops vs constant gossip",
         e15_message_sizes,
     ),
     "e16": (

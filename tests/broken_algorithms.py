@@ -11,6 +11,7 @@ exactly once through ``sys.path`` (see ``conftest.py``).
 from repro.core.amortized import AmortizedSnapshot
 from repro.core.cluster import register_algorithm
 from repro.core.dgfr_nonblocking import DgfrNonBlocking
+from repro.core.ss_nonblocking import SelfStabilizingNonBlocking
 
 
 class BrokenFirstAckOnly(DgfrNonBlocking):
@@ -120,3 +121,17 @@ class BrokenEchoTrust(DgfrNonBlocking):
 
 
 register_algorithm("broken-echo-trust", BrokenEchoTrust)
+
+
+class BrokenDigestNoPull(SelfStabilizingNonBlocking):
+    """Deliberately wrong: a gossip digest that names a newer own-entry
+    timestamp raises ``ts`` but never pulls the entry.  Definition 1
+    constrains indices only, so every invariant heals; what stays lost
+    is the owner's *value* — after a detectable restart the owner's own
+    ``reg[i]`` is ⊥ while its peers hold its last write."""
+
+    def _on_gossip(self, sender: int, message) -> None:
+        self.ts = max(self.ts, message.ts)
+
+
+register_algorithm("broken-digest-no-pull", BrokenDigestNoPull)

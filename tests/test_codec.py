@@ -23,7 +23,7 @@ from repro.core.ss_always import (
     SnapshotMessage3,
     TaskDescriptor,
 )
-from repro.core.ss_nonblocking import GossipMessage
+from repro.core.ss_nonblocking import GossipMessage, GossipPullMessage
 from repro.net.codec import (
     MAX_NESTING,
     CodecError,
@@ -45,12 +45,13 @@ ROUND_TRIP_CASES = [
     WriteAckMessage(reg=reg((3, "text"), (2, 42))),
     SnapshotMessage(reg=reg((0, None), (0, None)), ssn=7),
     SnapshotAckMessage(reg=reg((5, b"\x00\xff"), (1, "x")), ssn=123456789),
-    GossipMessage(entry=TimestampedValue(9, b"payload")),
+    GossipMessage(ts=9, entry=TimestampedValue(9, b"payload")),
     # A fabric slot map: key -> (seq, value), insertion-ordered.
     ReadMessage(
         j=1, entry=TimestampedValue(4, {"k1": (2, b"a"), 7: (3, None)}), tag=8
     ),
-    GossipMessage3(entry=TimestampedValue(2, None), task_sns=4),
+    GossipMessage3(ts=2, entry=None, task_sns=4),
+    GossipPullMessage(),
     SnapshotMessage3(
         tasks=(
             TaskDescriptor(0, 1, (1, 2, 3)),
@@ -84,7 +85,7 @@ class TestRoundTrips:
 
     def test_map_order_survives(self):
         value = {"b": 1, "a": 2}
-        message = GossipMessage(entry=TimestampedValue(1, value))
+        message = GossipMessage(ts=1, entry=TimestampedValue(1, value))
         decoded = decode_message(encode_message(message)).entry.value
         assert list(decoded) == ["b", "a"]
 
@@ -99,7 +100,9 @@ class TestRoundTrips:
         with pytest.raises(CodecError, match="frozenset"):
             decode_message(bad)
         nested_key = b"d" + struct.pack(">I", 1) + b"d" + struct.pack(">I", 0) + b"N"
-        template = encode_message(GossipMessage(entry=TimestampedValue(1, None)))
+        template = encode_message(
+            GossipMessage(ts=1, entry=TimestampedValue(1, None))
+        )
         assert template.endswith(b"N")
         with pytest.raises(CodecError, match="dict"):
             decode_message(template[:-1] + nested_key)
@@ -201,7 +204,7 @@ class TestMalformedInput:
             value = None
             for _ in range(levels):
                 value = (value,)
-            return GossipMessage(entry=TimestampedValue(1, value))
+            return GossipMessage(ts=1, entry=TimestampedValue(1, value))
 
         deep = nested(MAX_NESTING - 2)  # message and pair are two levels
         assert decode_message(encode_message(deep)) == deep
@@ -246,7 +249,7 @@ class TestFuzz:
             return reg((1, nested[0]), (0, nested[1]))
         if choice == 12:
             return {"key": nested[0], rng.randrange(9): nested[1]}
-        return GossipMessage(entry=TimestampedValue(3, nested[0]))
+        return GossipMessage(ts=3, entry=TimestampedValue(3, nested[0]))
 
     def test_mutated_encodings_decode_or_raise_codec_error(self):
         from repro.net import codec

@@ -44,11 +44,25 @@ class TestTsConsistency:
         from repro.core.ss_nonblocking import GossipMessage
 
         cluster.network.channel(0, 1).send(
-            GossipMessage(entry=TimestampedValue(42, "bad"))
+            GossipMessage(ts=42, entry=TimestampedValue(42, "bad"))
         )
         report = ts_consistent(cluster)
         assert not report.ok
+        # A digest claims its timestamp without carrying the entry.
+        digest_only = make("ss-nonblocking")
+        digest_only.network.channel(0, 1).send(GossipMessage(ts=42, entry=None))
+        assert not ts_consistent(digest_only).ok
 
+    def test_epoch_envelope_is_not_read_as_gossip(self):
+        """An envelope reports its inner kind but carries no entry."""
+        from repro.core.ss_nonblocking import GossipMessage
+        from repro.stabilization import EpochEnvelope
+
+        cluster = make("ss-nonblocking")
+        cluster.network.channel(0, 1).send(
+            EpochEnvelope(epoch=0, inner=GossipMessage(ts=42, entry=None))
+        )
+        assert ts_consistent(cluster).ok
 
     def test_detects_poisoned_single_entry_exchange(self):
         """READ(j, entry) and READack(j, ts, …) are about p_j's register,

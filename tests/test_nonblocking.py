@@ -4,7 +4,7 @@ import pytest
 
 from repro import ClusterConfig, SimBackend
 from repro.core.register import TimestampedValue
-from repro.core.ss_nonblocking import GossipMessage
+from repro.core.ss_nonblocking import GossipMessage, GossipPullMessage
 from repro.errors import CancelledError
 
 
@@ -93,9 +93,74 @@ class TestGossip:
         assert gossip >= 3 * 4 * 3
 
     def test_gossip_carries_single_entry(self):
-        message = GossipMessage(entry=TimestampedValue(1, b"x" * 100))
+        message = GossipMessage(ts=1, entry=TimestampedValue(1, b"x" * 100))
         # O(ν) bits: one timestamp + one value, independent of n.
         assert message.wire_size() < 200
+        # The do-forever digest carries the timestamp alone.
+        assert GossipMessage(ts=1, entry=None).wire_size() == 25
+
+    def test_fault_free_run_never_pulls(self):
+        """In a legitimate execution the owner's entry is the freshest
+        copy, so no digest ever names a newer one."""
+        cluster = make("ss-nonblocking", n=4, seed=17)
+        sent = []
+        original = cluster.network.send
+
+        def spy(src, dst, message):
+            sent.append(message)
+            original(src, dst, message)
+
+        cluster.network.send = spy
+        for i in range(4):
+            cluster.write_sync(i % 4, f"v{i}")
+            cluster.snapshot_sync((i + 1) % 4)
+        cluster.run_until(cluster.settle_cycles(3))
+        gossip = [m for m in sent if isinstance(m, GossipMessage)]
+        assert gossip and all(m.entry is None for m in gossip)
+        assert cluster.metrics.snapshot().messages("GOSSIPpull") == 0
+        assert not any(isinstance(m, GossipPullMessage) for m in sent)
+
+    def test_corrupted_low_owner_pulls_the_max_entry(self):
+        """Each peer ahead of the owner answers one pull; the owner ends
+        holding the largest of their entries.  (Digest, pull and answer
+        take three delays of at most 1.5 u, so with a 5 u gossip period
+        every answer lands before the next digest; with a shorter period
+        a late answer costs one repeated pull.)"""
+        cluster = make("ss-nonblocking", n=4, seed=19, gossip_interval=5.0)
+        cluster.write_sync(0, "real")
+        node = cluster.node(0)
+        node.reg[0] = TimestampedValue(0, None)  # corrupted low
+        node.ts = 0
+        cluster.node(2).reg[0] = TimestampedValue(7, "ahead")
+        cluster.node(3).reg[0] = TimestampedValue(9, "furthest")
+        # Peer 1 keeps the real entry (ts 1), also ahead of the owner.
+        cluster.run_until(cluster.settle_cycles(3))
+        assert node.reg[0] == TimestampedValue(9, "furthest")
+        assert node.ts == 9
+        assert cluster.metrics.snapshot().messages("GOSSIPpull") == 3
+        cluster.run_until(cluster.settle_cycles(3))
+        assert cluster.metrics.snapshot().messages("GOSSIPpull") == 3
+
+    @pytest.mark.parametrize(
+        "algorithm, recovered",
+        [("ss-nonblocking", True), ("broken-digest-no-pull", False)],
+    )
+    def test_restart_recovery_needs_the_pull(self, algorithm, recovered):
+        """A restarted owner holds ⊥ for its own entry: a digest restores
+        the timestamp, and only the pulled entry restores the value."""
+        import broken_algorithms  # noqa: F401  (registers the engine)
+        from repro.apps import DistributedCounter
+
+        cluster = make(algorithm, n=4, seed=4)
+        DistributedCounter(cluster).increment_sync(1, amount=3)
+        cluster.run_until(cluster.settle_cycles(2))
+        cluster.crash(1)
+        cluster.resume(1, restart=True)
+        cluster.run_until(cluster.settle_cycles(3))
+        fresh = DistributedCounter(cluster)  # no local cache
+        fresh.increment_sync(1, amount=2)
+        contribution = fresh.read_sync(0).per_node[1]
+        assert (contribution == 5) is recovered
 
     def test_gossip_heals_corrupted_low_ts(self):
         """Theorem 1's scenario: ts_i below the system's view of p_i."""
