@@ -110,13 +110,6 @@ class ClusterConfig:
     #: restarts the indices.  The paper suggests 2**64 - 1; tests use tiny
     #: values so overflow actually happens.
     max_int: int = 2**64 - 1
-    #: How the bounded variants decide the reset commit (Step 2):
-    #: ``"consensus"`` (the default) agrees on the post-reset state via
-    #: the self-stabilizing consensus layer (:mod:`repro.consensus`) and
-    #: survives any minority of crashes, including the would-be
-    #: coordinator's; ``"coordinator"`` keeps the PR-5 fixed-coordinator
-    #: sketch, retained for the regression tests and the E20 comparison.
-    reset_mode: str = "consensus"
     #: Override the quorum size used by every "until majority" loop.
     #: ``None`` (the default) means a majority, ⌊n/2⌋+1 — the only value
     #: for which the paper's guarantees hold.  Other values exist for
@@ -130,11 +123,6 @@ class ClusterConfig:
             raise ConfigurationError(f"need at least 2 nodes, got {self.n}")
         if self.max_int < 4:
             raise ConfigurationError(f"max_int too small: {self.max_int}")
-        if self.reset_mode not in ("consensus", "coordinator"):
-            raise ConfigurationError(
-                f"reset_mode must be 'consensus' or 'coordinator', "
-                f"got {self.reset_mode!r}"
-            )
         if self.quorum_size is not None and not 1 <= self.quorum_size <= self.n:
             raise ConfigurationError(
                 f"quorum_size must be in 1..{self.n}, got {self.quorum_size}"

@@ -51,7 +51,7 @@ class ConfigurationError(ReproError):
 class EpochEvictedError(ReproError):
     """A decided epoch was asked for after its retention window closed.
 
-    The epoch deciders (:mod:`repro.shard.epoch`) keep only a sliding
+    The epoch decider (:mod:`repro.shard.epoch`) keeps only a sliding
     window of decided shard maps — unbounded retention is exactly the
     kind of ever-growing state the paper's bounded-space discipline
     forbids.  Callers that need history older than the window must

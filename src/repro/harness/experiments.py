@@ -34,7 +34,7 @@ from repro.harness.recovery import (
     e07_recovery_nonblocking,
     e08_recovery_always,
     e14_bounded_reset,
-    e20_reset_coordinator_crash,
+    e20_reset_node0_crashed,
 )
 from repro.load.experiments import (
     e17_throughput_vs_n,
@@ -128,9 +128,9 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[], list[dict]]]] = {
         e19_throughput_vs_shards,
     ),
     "e20": (
-        "E20 / ROADMAP 5 — reset termination under coordinator crash: "
-        "coordinator sketch vs consensus-backed Step 2",
-        e20_reset_coordinator_crash,
+        "E20 / Section 5 — consensus-decided reset with node 0 "
+        "(the sketch's coordinator) crashed",
+        e20_reset_node0_crashed,
     ),
 }
 

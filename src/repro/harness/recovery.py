@@ -2,13 +2,11 @@
 
 E7/E8 measure each corruption class twice over: for the paper's
 unbounded algorithms (the original Theorem 1/2 claims) and for the
-bounded variants under both reset modes — the consensus-backed Step-2
-reset must recover no slower than the legacy coordinator sketch
-(``benchmarks/check_recovery_series.py`` gates on exactly these rows).
-E20 is the liveness experiment behind that refactor: with the
-would-be coordinator crashed mid-reset, the coordinator sketch stalls
-forever while the consensus-backed reset completes and re-enables
-operations.
+bounded variants, whose corrupted wild indices overflow MAXINT, so their
+cells time a consensus-decided global reset end to end.  E20 is the
+liveness experiment for that reset: with node 0 — the fixed coordinator
+of the paper's Step-2 sketch — crashed, the surviving majority still
+decides the reset and re-enables operations.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ __all__ = [
     "e07_recovery_nonblocking",
     "e08_recovery_always",
     "e14_bounded_reset",
-    "e20_reset_coordinator_crash",
+    "e20_reset_node0_crashed",
 ]
 
 #: Upper bound on the cycles we wait before declaring non-recovery.
@@ -44,8 +42,8 @@ _CORRUPTIONS = {
 
 #: MAXINT for the bounded E7/E8 rows: small enough that the injector's
 #: wild indices (< 1e6) usually overflow it — so those recoveries
-#: include a full global reset, which is the thing the two reset modes
-#: differ on — yet far above anything a legitimate run reaches.
+#: include a full global reset — yet far above anything a legitimate run
+#: reaches.
 _BOUNDED_MAX_INT = 100_000
 
 
@@ -54,35 +52,6 @@ def _reset_settled(cluster: SimBackend) -> bool:
     if any(getattr(p, "resetting", False) for p in cluster.processes):
         return False
     return len({getattr(p, "epoch", 0) for p in cluster.processes}) == 1
-
-
-def _recovery_variants(base: str, n: int, seed: int, **extra):
-    """The (variant, algorithm, config) triples an E7/E8 row set covers."""
-    return (
-        ("unbounded", f"ss-{base}", scenario_config(n=n, seed=seed, **extra)),
-        (
-            "bounded+consensus",
-            f"bounded-ss-{base}",
-            scenario_config(
-                n=n,
-                seed=seed,
-                max_int=_BOUNDED_MAX_INT,
-                reset_mode="consensus",
-                **extra,
-            ),
-        ),
-        (
-            "bounded+coordinator",
-            f"bounded-ss-{base}",
-            scenario_config(
-                n=n,
-                seed=seed,
-                max_int=_BOUNDED_MAX_INT,
-                reset_mode="coordinator",
-                **extra,
-            ),
-        ),
-    )
 
 
 def _cycles_until(cluster: SimBackend, predicate) -> int | None:
@@ -142,17 +111,20 @@ def _recovery_rows(base, n_values, seed, corruptions, invariant, **extra):
     The invariant for the bounded variants additionally requires the
     reset machinery to be quiescent (no reset in flight, one epoch) —
     corrupted wild indices overflow ``max_int``, so these recoveries
-    run a full global reset under the row's reset mode.
+    run a full global reset.
     """
     rows = []
-    for variant_index in range(3):
+    for variant in ("unbounded", "bounded+consensus"):
         for n in n_values:
-            variant, algorithm, config = _recovery_variants(
-                base, n, seed, **extra
-            )[variant_index]
             if variant == "unbounded":
+                algorithm = f"ss-{base}"
+                config = scenario_config(n=n, seed=seed, **extra)
                 predicate = invariant
             else:
+                algorithm = f"bounded-ss-{base}"
+                config = scenario_config(
+                    n=n, seed=seed, max_int=_BOUNDED_MAX_INT, **extra
+                )
                 predicate = lambda c: invariant(c) and _reset_settled(c)
             row = {"variant": variant, "n": n}
             detections = 0
@@ -176,10 +148,9 @@ def e07_recovery_nonblocking(n_values=(4, 8, 12), seed=0):
     summed over the row's corruption classes: how many cleanup-line
     executions actually repaired state during those recoveries.
 
-    Three row blocks: the unbounded baseline, then the bounded variant
-    under the consensus-backed reset and under the legacy coordinator
-    sketch (wild corrupted indices overflow MAXINT, so these rows time a
-    corruption-triggered global reset end to end).
+    Two row blocks: the unbounded baseline, then the bounded variant
+    (wild corrupted indices overflow MAXINT, so these rows time a
+    corruption-triggered, consensus-decided global reset end to end).
     """
     return _recovery_rows(
         "nonblocking",
@@ -195,8 +166,7 @@ def e08_recovery_always(n_values=(4, 8, 12), seed=0, delta=2):
 
     As in E7, ``detections`` comes from the observability registry's
     ``stabilization.corrupted_state_detections``, and the bounded row
-    blocks compare the consensus-backed reset against the coordinator
-    sketch.
+    block times the consensus-decided reset.
     """
     corruptions = dict(_CORRUPTIONS)
     corruptions["pndTsk"] = lambda inj: inj.corrupt_pending_tasks()
@@ -254,30 +224,22 @@ def e14_bounded_reset(max_int=10, rounds=25, n=5, seed=0):
     ]
 
 
-def e20_reset_coordinator_crash(n=5, seed=0, max_int=8):
-    """E20 (ROADMAP 5): reset termination with the coordinator crashed.
+def e20_reset_node0_crashed(n=5, seed=0, max_int=8):
+    """E20 (Section 5): reset termination with node 0 crashed.
 
-    Node 0 — the fixed coordinator of the legacy Step-2 sketch — is
-    crashed, then node 1's writes overflow MAXINT and trigger a global
-    reset.  Under ``reset_mode="coordinator"`` the reset cannot commit
-    (the decision point is dead): the row reports ``>CYCLE_CAP`` cycles
-    and operations stay disabled.  Under ``reset_mode="consensus"`` the
-    surviving majority decides the commit and operations resume; a third
-    row re-runs the consensus scenario with the injector scrambling the
-    consensus state itself mid-reset (the self-stabilization claim).
+    Node 0 — the fixed coordinator of the paper's Step-2 sketch, which
+    could never commit with it dead — is crashed, then node 1's writes
+    overflow MAXINT and trigger a global reset.  The surviving majority
+    decides the commit through :mod:`repro.consensus` and operations
+    resume; the second row re-runs the scenario with the injector
+    scrambling the consensus state itself mid-reset (the
+    self-stabilization claim).
     """
     rows = []
-    scenarios = (
-        ("coordinator", False),
-        ("consensus", False),
-        ("consensus", True),
-    )
-    for reset_mode, corrupt_consensus in scenarios:
+    for corrupt_consensus in (False, True):
         cluster = SimBackend(
             "bounded-ss-nonblocking",
-            scenario_config(
-                n=n, seed=seed, max_int=max_int, reset_mode=reset_mode
-            ),
+            scenario_config(n=n, seed=seed, max_int=max_int),
         )
         injector = TransientFaultInjector(cluster, seed=seed)
         alive = [node for node in range(n) if node != 0]
@@ -322,7 +284,6 @@ def e20_reset_coordinator_crash(n=5, seed=0, max_int=8):
         epochs = {cluster.node(node).epoch for node in alive}
         rows.append(
             {
-                "reset_mode": reset_mode,
                 "corrupt_consensus": corrupt_consensus,
                 "reset_completed": cycles is not None,
                 "recovery_cycles": (

@@ -6,9 +6,9 @@ north star needs orders of magnitude more.  This package scales *out*:
 * :mod:`repro.shard.ring` — the consistent-hash :class:`ShardMap`
   routing keys → shards → register slots, epoch-stamped so
   reconfigurations are values, not mutations.
-* :mod:`repro.shard.epoch` — the agreement seam deciding successor
-  maps (:class:`EpochDecider`; the self-stabilizing multivalued
-  consensus of ROADMAP item 5 slots in here).
+* :mod:`repro.shard.epoch` — :class:`ConsensusEpochDecider`, which
+  decides successor maps by the self-stabilizing multivalued consensus
+  of :mod:`repro.consensus`.
 * :mod:`repro.shard.fabric` — the :class:`ShardedFabric`: keyed writes
   and scans submitted under each cluster's own dispatch discipline,
   composed cross-shard snapshots via double collect with a writes-only
@@ -32,7 +32,7 @@ from repro.shard.chaos import (
     run_shard_chaos_campaigns,
 )
 from repro.shard.check import check_fabric
-from repro.shard.epoch import EpochDecider, LocalEpochDecider
+from repro.shard.epoch import ConsensusEpochDecider
 from repro.shard.fabric import (
     ComposedSnapshot,
     KeyView,
@@ -47,9 +47,8 @@ from repro.shard.ring import DEFAULT_VNODES, ShardMap, key_bytes, stable_hash
 __all__ = [
     "DEFAULT_VNODES",
     "ComposedSnapshot",
-    "EpochDecider",
+    "ConsensusEpochDecider",
     "KeyView",
-    "LocalEpochDecider",
     "ShardChaosReport",
     "ShardMap",
     "ShardedFabric",

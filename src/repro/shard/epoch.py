@@ -10,28 +10,23 @@ ROADMAP item 5): each proposer submits a candidate map for epoch ``e+1``
 and all correct participants decide the *same* candidate, even from a
 transiently corrupted starting state.
 
-This module defines the seam the fabric calls through —
-:class:`EpochDecider` — plus two implementations: the single-router
-:class:`LocalEpochDecider` shortcut and the consensus-backed
-:class:`ConsensusEpochDecider`, which runs every epoch install through
-:class:`repro.consensus.ConsensusEndpoint` on one shard's node cluster.
-Both keep only a sliding window of decided epochs (bounded space);
-:meth:`decided` raises :class:`~repro.errors.EpochEvictedError` for
-epochs older than the window.
+:class:`ConsensusEpochDecider` is the one decider: it runs every epoch
+install through :class:`repro.consensus.ConsensusEndpoint` on one
+shard's node cluster.  It keeps only a sliding window of decided epochs
+(bounded space); :meth:`~ConsensusEpochDecider.decided` raises
+:class:`~repro.errors.EpochEvictedError` for epochs older than the
+window.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Awaitable, Protocol
 
 from repro.consensus import ConsensusEndpoint
-from repro.errors import ConfigurationError, EpochEvictedError
+from repro.errors import ConfigurationError, EpochEvictedError, ReproError
 from repro.shard.ring import ShardMap
 
 __all__ = [
-    "EpochDecider",
-    "LocalEpochDecider",
     "ConsensusEpochDecider",
     "DECIDED_EPOCH_WINDOW",
 ]
@@ -42,102 +37,6 @@ __all__ = [
 #: unbounded decided map is exactly the ever-growing state the paper's
 #: bounded-space discipline forbids.
 DECIDED_EPOCH_WINDOW = 16
-
-
-class EpochDecider(Protocol):
-    """Decides which shard map governs each epoch.
-
-    Contract (what the consensus implementation provides):
-
-    * **Agreement** — every caller that decides epoch ``e`` decides the
-      same :class:`ShardMap`.
-    * **Validity** — the decided map was proposed by some caller.
-    * **Monotonicity** — epochs decide in order; a decided epoch is
-      never re-decided to a different value.
-    * **Self-stabilization** — after transient state corruption the
-      decider recovers to a state where the above hold for all future
-      epochs (this is what Lundström/Raynal/Schiller's multivalued
-      consensus adds over a textbook implementation).
-
-    ``propose`` may be synchronous or return an awaitable — the fabric
-    awaits the result if needed (the consensus decider must wait for
-    the cluster to agree; the local one never waits).
-    """
-
-    def propose(
-        self, proposal: ShardMap, current: ShardMap
-    ) -> "ShardMap | Awaitable[ShardMap]":
-        """Propose ``proposal`` as the successor of ``current``; return
-        (or resolve to) the decided map for ``current.epoch + 1`` — not
-        necessarily the proposal."""
-        ...
-
-    def decided(self, epoch: int) -> ShardMap | None:
-        """The map decided for ``epoch``, ``None`` if undecided; raises
-        :class:`~repro.errors.EpochEvictedError` once evicted."""
-        ...
-
-
-class _DecidedWindow:
-    """Sliding window of decided epochs shared by both deciders."""
-
-    def __init__(self, window: int = DECIDED_EPOCH_WINDOW) -> None:
-        if window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {window}")
-        self._window = window
-        self._decisions: "OrderedDict[int, ShardMap]" = OrderedDict()
-        self._evicted_through = -1
-
-    def get(self, epoch: int) -> ShardMap | None:
-        decision = self._decisions.get(epoch)
-        if decision is not None:
-            return decision
-        if epoch <= self._evicted_through:
-            raise EpochEvictedError(
-                f"epoch {epoch} left the decided window "
-                f"(evicted through {self._evicted_through}, "
-                f"window={self._window}); record decisions at install "
-                f"time if you need deep history"
-            )
-        return None
-
-    def record(self, decision: ShardMap) -> None:
-        self._decisions[decision.epoch] = decision
-        self._decisions.move_to_end(decision.epoch)
-        while len(self._decisions) > self._window:
-            evicted, _ = self._decisions.popitem(last=False)
-            self._evicted_through = max(self._evicted_through, evicted)
-
-
-class LocalEpochDecider:
-    """Trivial single-router decider: every proposal wins.
-
-    Correct while exactly one :class:`~repro.shard.fabric.ShardedFabric`
-    instance routes a deployment.  It still enforces the *shape* of the
-    contract — epochs are sequential, a decided epoch is immutable, and
-    retention is window-bounded — so swapping in the consensus-backed
-    decider is behaviour-preserving for a single router.
-    """
-
-    def __init__(self, window: int = DECIDED_EPOCH_WINDOW) -> None:
-        self._window = _DecidedWindow(window)
-
-    def propose(self, proposal: ShardMap, current: ShardMap) -> ShardMap:
-        """Decide the successor map (first proposal per epoch wins)."""
-        if proposal.epoch != current.epoch + 1:
-            raise ConfigurationError(
-                f"epoch proposal must be {current.epoch + 1}, "
-                f"got {proposal.epoch}"
-            )
-        existing = self._window.get(proposal.epoch)
-        if existing is not None:
-            return existing
-        self._window.record(proposal)
-        return proposal
-
-    def decided(self, epoch: int) -> ShardMap | None:
-        """The map decided at ``epoch``, or ``None`` if none yet."""
-        return self._window.get(epoch)
 
 
 def _shard_map_validator(expected_epoch: int):
@@ -170,17 +69,26 @@ def _shard_map_validator(expected_epoch: int):
 
 
 class ConsensusEpochDecider:
-    """Consensus-backed decider: the cluster agrees on each epoch.
+    """Decides which shard map governs each epoch: the cluster agrees.
 
     Runs every install through the self-stabilizing multivalued
     consensus layer (:mod:`repro.consensus`) on the nodes of one
     backing cluster — the fabric uses its lowest shard, which always
     exists (shards are only ever added).  The map travels as a plain
     ``(epoch, shard_ids, vnodes)`` tuple — :class:`ShardMap` derives
-    its ring locally — under the instance tag ``("shard-epoch", e)``,
-    so several routers proposing different successors for the same
-    epoch decide one common map: exactly the split-brain guard the
-    :class:`EpochDecider` contract asks for.
+    its ring locally — under the instance tag ``("shard-epoch", e)``.
+    What that buys:
+
+    * **Agreement** — several routers proposing different successors
+      for the same epoch decide one common map (the split-brain guard).
+    * **Validity** — the decided map was proposed by some router.
+    * **Monotonicity** — epochs decide in order; a decided epoch is
+      never re-decided to a different value.
+    * **Self-stabilization** — after transient state corruption the
+      consensus layer heals, and the above hold for all future epochs.
+
+    A proposal enters through the lowest-numbered live node, so no
+    single node's crash blocks a split.
     """
 
     def __init__(self, backend, window: int = DECIDED_EPOCH_WINDOW) -> None:
@@ -188,24 +96,32 @@ class ConsensusEpochDecider:
             raise ConfigurationError(
                 "ConsensusEpochDecider needs a created backend with processes"
             )
+        if window < 1:
+            raise ConfigurationError(f"window must be >= 1, got {window}")
         self._backend = backend
-        self._window = _DecidedWindow(window)
+        self._window = window
+        self._decisions: "OrderedDict[int, ShardMap]" = OrderedDict()
+        self._evicted_through = -1
         for process in backend.processes:
             ConsensusEndpoint.ensure(process)
 
     async def propose(self, proposal: ShardMap, current: ShardMap) -> ShardMap:
-        """Propose and await the cluster's decision for the next epoch."""
+        """Propose ``proposal`` as the successor of ``current`` and await
+        the cluster's decision for ``current.epoch + 1`` — not
+        necessarily the proposal."""
         if proposal.epoch != current.epoch + 1:
             raise ConfigurationError(
                 f"epoch proposal must be {current.epoch + 1}, "
                 f"got {proposal.epoch}"
             )
-        existing = self._window.get(proposal.epoch)
+        existing = self.decided(proposal.epoch)
         if existing is not None:
             return existing
-        endpoint = self._backend.processes[0].consensus
+        live = [p for p in self._backend.processes if not p.crashed]
+        if not live:
+            raise ReproError("every node of the epoch cluster is crashed")
         value = (proposal.epoch, tuple(proposal.shard_ids), proposal.vnodes)
-        decided = await endpoint.propose(
+        decided = await live[0].consensus.propose(
             ("shard-epoch", proposal.epoch),
             value,
             validator=_shard_map_validator(proposal.epoch),
@@ -218,9 +134,25 @@ class ConsensusEpochDecider:
         shard_map = ShardMap(
             epoch=decided[0], shard_ids=decided[1], vnodes=decided[2]
         )
-        self._window.record(shard_map)
+        self._decisions[shard_map.epoch] = shard_map
+        self._decisions.move_to_end(shard_map.epoch)
+        while len(self._decisions) > self._window:
+            evicted, _ = self._decisions.popitem(last=False)
+            self._evicted_through = max(self._evicted_through, evicted)
         return shard_map
 
     def decided(self, epoch: int) -> ShardMap | None:
-        """The map this router saw decided at ``epoch``."""
-        return self._window.get(epoch)
+        """The map this router saw decided at ``epoch``, ``None`` if
+        undecided; raises :class:`~repro.errors.EpochEvictedError` once
+        evicted."""
+        decision = self._decisions.get(epoch)
+        if decision is not None:
+            return decision
+        if epoch <= self._evicted_through:
+            raise EpochEvictedError(
+                f"epoch {epoch} left the decided window "
+                f"(evicted through {self._evicted_through}, "
+                f"window={self._window}); record decisions at install "
+                f"time if you need deep history"
+            )
+        return None

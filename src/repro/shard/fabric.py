@@ -41,9 +41,9 @@ Three mechanisms make the composition more than K disjoint objects:
   the paper's Algorithm 3 trade-off (pause writers briefly so snapshots
   terminate).  Keyed reads keep flowing throughout.
 * **epoch-stamped reconfiguration** — a shard split installs a successor
-  :class:`ShardMap` (epoch + 1, decided through the
-  :class:`~repro.shard.epoch.EpochDecider` seam) only at a drained
-  quiescent point (reads and writes both paused).  An operation routes
+  :class:`ShardMap` (epoch + 1, decided by consensus on the lowest
+  shard's nodes, :class:`~repro.shard.epoch.ConsensusEpochDecider`) only
+  at a drained quiescent point (reads and writes both paused).  An operation routes
   *after* it is admitted, so one submitted before or during a split
   simply runs at its key's new home under the new epoch.  No operation
   is lost (the gate only pauses, never drops) and none is duplicated
@@ -56,18 +56,13 @@ Three mechanisms make the composition more than K disjoint objects:
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field, replace
 from typing import Any, Awaitable, Callable
 
 from repro.backend.base import ClusterBackend, backend_class
 from repro.config import ClusterConfig
 from repro.errors import ConfigurationError, ReproError
-from repro.shard.epoch import (
-    ConsensusEpochDecider,
-    EpochDecider,
-    LocalEpochDecider,
-)
+from repro.shard.epoch import ConsensusEpochDecider
 from repro.shard.ring import DEFAULT_VNODES, ShardMap
 
 __all__ = [
@@ -224,7 +219,6 @@ class ShardedFabric:
         algorithm: str,
         base_config: ClusterConfig,
         time_scale: float = 0.002,
-        decider: EpochDecider | str | None = None,
     ) -> None:
         if sorted(shards) != list(shard_map.shard_ids):
             raise ConfigurationError(
@@ -237,20 +231,9 @@ class ShardedFabric:
         self.algorithm_name = algorithm
         self.base_config = base_config
         self.time_scale = time_scale
-        if decider is None or decider == "local":
-            self.decider: EpochDecider = LocalEpochDecider()
-        elif decider == "consensus":
-            # The lowest shard always exists (shards are only added),
-            # so its cluster is the stable home for epoch agreement.
-            anchor = self._shards[min(self._shards)]
-            self.decider = ConsensusEpochDecider(anchor)
-        elif isinstance(decider, str):
-            raise ConfigurationError(
-                f"unknown decider {decider!r}: use 'local', 'consensus', "
-                f"or an EpochDecider instance"
-            )
-        else:
-            self.decider = decider
+        # The lowest shard always exists (shards are only added), so its
+        # cluster is the stable home for epoch agreement.
+        self.decider = ConsensusEpochDecider(self._shards[min(self._shards)])
         self.kernel = next(iter(self._shards.values())).kernel
         self.n = base_config.n
         #: Authoritative per-slot key→(seq, value) maps.  The fabric is
@@ -511,7 +494,7 @@ class ShardedFabric:
     async def split(self, new_shard_id: int | None = None) -> SplitReport:
         """Split the keyspace: add one shard and migrate its keys.
 
-        The successor map is decided through the epoch seam, installed
+        The successor map is decided by consensus, installed
         only after the fabric drains, and every moved entry is
         re-published at its new home through ordinary writes before
         admissions resume — operations held at the gate route under the
@@ -523,11 +506,7 @@ class ShardedFabric:
     async def _do_split(self, new_shard_id: int | None) -> SplitReport:
         old_map = self.map
         proposal = old_map.grown(new_shard_id)
-        decided = self.decider.propose(proposal, old_map)
-        if inspect.isawaitable(decided):
-            # The consensus decider blocks until the backing cluster
-            # has agreed on the successor configuration.
-            decided = await decided
+        decided = await self.decider.propose(proposal, old_map)
         fresh = tuple(
             sid for sid in decided.shard_ids if sid not in old_map.shard_ids
         )
@@ -576,7 +555,16 @@ class ShardedFabric:
         return backend
 
     async def _migrate(self, new_map: ShardMap) -> int:
-        """Move every key whose slot changed; publish both sides."""
+        """Move every key whose slot changed; publish at the new homes.
+
+        The source slot's shrunk map is only recorded as the writer's
+        copy, not written: its next write publishes it.  Until then the
+        source register still holds the moved keys, but nothing reads
+        them there — keys only move to new shards, reads route by the
+        new map, and a composed cut keeps each key's highest seq.  A
+        source write would also wedge the split whenever the slot's
+        node is crashed, since the fabric is quiesced until it returns.
+        """
         moved = 0
         arrivals: dict[tuple[int, int], dict[Any, tuple[int, Any]]] = {}
         for slot, state in sorted(self._slots.items(), key=lambda kv: kv[0]):
@@ -591,8 +579,6 @@ class ShardedFabric:
                 key: entry for key, entry in state.items() if key not in moving
             }
             self._slots[slot] = remaining
-            shard_id, node = slot
-            await self._shards[shard_id].write(node, remaining)
             for key, entry in moving.items():
                 arrivals.setdefault(new_map.slot(key, self.n), {})[key] = entry
             moved += len(moving)
@@ -649,7 +635,6 @@ def build_sim_fabric(
     config: ClusterConfig | None = None,
     *,
     vnodes: int = DEFAULT_VNODES,
-    decider: EpochDecider | str | None = None,
 ) -> ShardedFabric:
     """Synchronously build a simulator fabric on one shared kernel.
 
@@ -678,7 +663,6 @@ def build_sim_fabric(
         backend_name="sim",
         algorithm=algorithm,
         base_config=base,
-        decider=decider,
     )
 
 
@@ -690,13 +674,10 @@ async def create_fabric(
     *,
     time_scale: float = 0.002,
     vnodes: int = DEFAULT_VNODES,
-    decider: EpochDecider | str | None = None,
 ) -> ShardedFabric:
     """Build and start a fabric on any backend (run inside a loop)."""
     if backend_class(backend).capabilities.simulated_time:
-        return build_sim_fabric(
-            shards, algorithm, config, vnodes=vnodes, decider=decider
-        )
+        return build_sim_fabric(shards, algorithm, config, vnodes=vnodes)
     if shards < 1:
         raise ConfigurationError(f"need at least 1 shard, got {shards}")
     base = config if config is not None else ClusterConfig(n=4, delta=2)
@@ -716,7 +697,6 @@ async def create_fabric(
         algorithm=algorithm,
         base_config=base,
         time_scale=time_scale,
-        decider=decider,
     )
 
 
@@ -730,7 +710,6 @@ def run_on_fabric(
     time_scale: float = 0.002,
     max_events: int | None = None,
     vnodes: int = DEFAULT_VNODES,
-    decider: EpochDecider | str | None = None,
 ) -> Any:
     """Run ``async body(fabric)`` to completion on the named backend.
 
@@ -743,9 +722,7 @@ def run_on_fabric(
 
     cls = backend_class(backend)
     if cls.capabilities.simulated_time:
-        fabric = build_sim_fabric(
-            shards, algorithm, config, vnodes=vnodes, decider=decider
-        )
+        fabric = build_sim_fabric(shards, algorithm, config, vnodes=vnodes)
         try:
             return fabric.kernel.run_until_complete(
                 body(fabric), max_events=max_events
@@ -761,7 +738,6 @@ def run_on_fabric(
             config,
             time_scale=time_scale,
             vnodes=vnodes,
-            decider=decider,
         )
         try:
             return await body(fabric)

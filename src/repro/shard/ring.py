@@ -80,8 +80,8 @@ class ShardMap:
     epoch:
         Monotone reconfiguration counter.  Two maps with the same epoch
         are identical; the fabric treats a larger epoch as the successor
-        configuration (decided through the
-        :class:`~repro.shard.epoch.EpochDecider` seam).
+        configuration (decided by
+        :class:`~repro.shard.epoch.ConsensusEpochDecider`).
     shard_ids:
         The shard identifiers in the configuration (sorted).
     vnodes:

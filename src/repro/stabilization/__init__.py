@@ -7,7 +7,6 @@ from repro.stabilization.bounded import (
 from repro.stabilization.reset import (
     EpochEnvelope,
     ResetAlertMessage,
-    ResetCommitAckMessage,
     ResetCommitMessage,
     ResetJoinMessage,
 )
@@ -17,7 +16,6 @@ __all__ = [
     "BoundedSelfStabilizingNonBlocking",
     "EpochEnvelope",
     "ResetAlertMessage",
-    "ResetCommitAckMessage",
     "ResetCommitMessage",
     "ResetJoinMessage",
 ]

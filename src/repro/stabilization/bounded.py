@@ -17,12 +17,14 @@ transformation:
   suffices because a completed write reached a majority of registers,
   so quorum intersection puts its value in every majority's join.  The
   reset therefore terminates despite any minority of crashes — in
-  particular the crash of the PR-5 sketch's fixed coordinator, which is
-  still available as ``config.reset_mode = "coordinator"`` for the
-  regression tests and the E20 comparison;
+  particular the crash of node 0, the fixed coordinator of the paper's
+  Step-2 sketch (E20);
 * operations invoked or in flight during the reset window abort with
   :class:`~repro.errors.ResetInProgressError` — the bounded abort the
-  paper's criteria explicitly permit during the seldom reset.
+  paper's criteria explicitly permit during the seldom reset.  An
+  in-flight operation is cancelled the moment its node enters the reset
+  or installs a commit: the views it collected predate the new epoch,
+  and merging them afterwards would re-plant the overflowed indices.
 
 Stragglers (nodes that slept through the agreement, or whose consensus
 state was corrupted into a wrong decision) catch up through commit
@@ -55,7 +57,6 @@ from repro.net.message import Message
 from repro.stabilization.reset import (
     EpochEnvelope,
     ResetAlertMessage,
-    ResetCommitAckMessage,
     ResetCommitMessage,
     ResetJoinMessage,
 )
@@ -74,7 +75,6 @@ _RESET_MESSAGE_TYPES = (
     ResetAlertMessage,
     ResetJoinMessage,
     ResetCommitMessage,
-    ResetCommitAckMessage,
     CsRbDataMessage,
     CsRbAckMessage,
     CsProposalMessage,
@@ -125,8 +125,6 @@ class _BoundedCounterMixin:
         self.resetting: bool = False
         self.resets_completed: int = 0
         self._join_votes: dict[int, RegisterArray] = {}
-        self._commit_acks: set[int] = set()
-        self._pending_commit: ResetCommitMessage | None = None
         self._last_commit: ResetCommitMessage | None = None
         self._reset_proposed: bool = False
         endpoint = getattr(self, "consensus", None)
@@ -135,16 +133,12 @@ class _BoundedCounterMixin:
             endpoint.reinitialize()
 
     def _install_reset_handlers(self) -> None:
+        #: In-flight operation tasks, cancelled by any epoch transition.
+        self._operations: set[Any] = set()
         self.register_handler(ResetAlertMessage.KIND, self._on_reset_alert)
         self.register_handler(ResetJoinMessage.KIND, self._on_reset_join)
         self.register_handler(ResetCommitMessage.KIND, self._on_reset_commit)
-        self.register_handler(
-            ResetCommitAckMessage.KIND, self._on_reset_commit_ack
-        )
-        if self.config.reset_mode == "consensus":
-            ConsensusEndpoint.ensure(self).add_listener(
-                self._on_consensus_decide
-            )
+        ConsensusEndpoint.ensure(self).add_listener(self._on_consensus_decide)
 
     # -- variant hooks ---------------------------------------------------------
 
@@ -196,10 +190,6 @@ class _BoundedCounterMixin:
 
     # -- the reset do-forever ----------------------------------------------------------
 
-    @property
-    def _coordinator(self) -> int:
-        return 0
-
     async def do_forever_iteration(self) -> None:
         if not self.resetting and self._max_local_index() >= self.config.max_int:
             self._enter_reset()
@@ -208,31 +198,28 @@ class _BoundedCounterMixin:
             self.broadcast(
                 ResetAlertMessage(epoch=self.epoch), include_self=False
             )
-            join = ResetJoinMessage(epoch=self.epoch, reg=self.reg.copy())
-            if self.config.reset_mode == "coordinator":
-                self.send(self._coordinator, join)
-            else:
-                # Step 2 (consensus): votes go to everyone, so *any*
-                # majority-holder can propose the merge — no single
-                # node's survival is load-bearing.
-                self.broadcast(join, include_self=False)
-                self._maybe_propose_reset()
+            # Step 2: votes go to everyone, so *any* majority-holder can
+            # propose the merge — no single node's survival is
+            # load-bearing.
+            self.broadcast(
+                ResetJoinMessage(epoch=self.epoch, reg=self.reg.copy()),
+                include_self=False,
+            )
+            self._maybe_propose_reset()
             return  # normal gossip is pointless during the reset window
-        if self._pending_commit is not None:
-            # Coordinator only: re-broadcast the commit until all acked.
-            if len(self._commit_acks) >= self.config.n:
-                self._pending_commit = None
-                self._commit_acks = set()
-            else:
-                self.broadcast(self._pending_commit, include_self=False)
         await super().do_forever_iteration()
 
     def _enter_reset(self) -> None:
         self.resetting = True
         self._reset_proposed = False
         self._join_votes = {self.node_id: self.reg.copy()}
+        self._abort_operations()
         if self.obs is not None:
             self.obs.reset_invocations += 1
+
+    def _abort_operations(self) -> None:
+        for task in self._operations:
+            task.cancel()
 
     def _maybe_propose_reset(self) -> None:
         """Propose the join of a majority of votes, once per reset."""
@@ -276,24 +263,6 @@ class _BoundedCounterMixin:
             self._replay_commit(sender, message.epoch)
 
     def _on_reset_join(self, sender: int, message: ResetJoinMessage) -> None:
-        if self.config.reset_mode == "coordinator":
-            if self.node_id != self._coordinator or message.epoch != self.epoch:
-                return
-            if not self.resetting:
-                self._enter_reset()
-            self._join_votes[sender] = message.reg
-            if len(self._join_votes) >= self.config.n:
-                merged = RegisterArray(self.config.n)
-                for vote in self._join_votes.values():
-                    merged.merge_from(vote)
-                commit = ResetCommitMessage(
-                    new_epoch=self.epoch + 1, values=merged
-                )
-                self._pending_commit = commit
-                self._commit_acks = {self.node_id}
-                self._apply_commit(commit)
-                self.broadcast(commit, include_self=False)
-            return
         if message.epoch < self.epoch:
             self._replay_commit(sender, message.epoch)
             return
@@ -320,32 +289,14 @@ class _BoundedCounterMixin:
         )
 
     def _on_reset_commit(self, sender: int, message: ResetCommitMessage) -> None:
-        if self.config.reset_mode == "coordinator":
-            accept = message.new_epoch == self.epoch + 1 and (
-                self.resetting
-                or self._max_local_index() >= self.config.max_int
-            )
-        else:
-            # Commit replay may skip epochs for a long-partitioned or
-            # restarted straggler; every replayed commit was
-            # consensus-decided, so a well-formed newer commit is
-            # always installable — this is what re-synchronizes a node
-            # that slept through the reset entirely (it is not
-            # ``resetting`` and its fresh indices never overflow).
-            accept = message.new_epoch > self.epoch and (
-                self._commit_well_formed(message)
-            )
-        if accept:
+        # Commit replay may skip epochs for a long-partitioned or
+        # restarted straggler; every replayed commit was
+        # consensus-decided, so a well-formed newer commit is always
+        # installable — this is what re-synchronizes a node that slept
+        # through the reset entirely (it is not ``resetting`` and its
+        # fresh indices never overflow).
+        if message.new_epoch > self.epoch and self._commit_well_formed(message):
             self._apply_commit(message)
-        if message.new_epoch == self.epoch:
-            # Already applied (duplicate commit): just re-acknowledge.
-            self.send(sender, ResetCommitAckMessage(new_epoch=message.new_epoch))
-
-    def _on_reset_commit_ack(
-        self, sender: int, message: ResetCommitAckMessage
-    ) -> None:
-        if message.new_epoch == self.epoch:
-            self._commit_acks.add(sender)
 
     def _apply_commit(self, commit: ResetCommitMessage) -> None:
         """Step 2: indices restart at 0; register values survive."""
@@ -356,6 +307,7 @@ class _BoundedCounterMixin:
         self._join_votes = {}
         self._last_commit = commit
         self.resets_completed += 1
+        self._abort_operations()
 
     # -- abortable operations --------------------------------------------------------------
 
@@ -372,28 +324,35 @@ class _BoundedCounterMixin:
         """Run an operation, aborting it if a global reset intervenes.
 
         Operations invoked during a reset are rejected immediately; an
-        epoch change mid-operation cancels it.  Both abort paths raise
+        epoch transition mid-operation cancels it
+        (:meth:`_abort_operations`).  Both abort paths raise
         :class:`ResetInProgressError`, which the paper's criteria allow
         for the bounded number of operations caught by the seldom reset.
+        The operation runs as its own task and stays tracked until it
+        finishes: a caller that abandons the call leaves it running, as
+        on the unbounded variants, but no longer than its epoch.
         """
         if self.resetting:
             operation.close()
             raise ResetInProgressError(
                 f"node {self.node_id}: global reset in progress"
             )
-        epoch_at_start = self.epoch
         task = self.kernel.create_task(
             operation, name=f"node{self.node_id}.{name}"
         )
-        poll = self.config.retransmit_interval
-        while not task.done():
-            if self.resetting or self.epoch != epoch_at_start:
-                task.cancel()
-                raise ResetInProgressError(
-                    f"node {self.node_id}: {name} aborted by global reset"
-                )
-            await self.kernel.first_of(
-                task, timeout=poll, cancel_on_timeout=False
+        finished = self.kernel.create_future()
+
+        def settle(_: Any) -> None:
+            self._operations.discard(task)
+            if not finished.done():
+                finished.set_result(None)
+
+        self._operations.add(task)
+        task.add_done_callback(settle)
+        await finished
+        if task.cancelled():
+            raise ResetInProgressError(
+                f"node {self.node_id}: {name} aborted by global reset"
             )
         return task.result()
 

@@ -10,9 +10,8 @@ MAXINT:
   type, the highest index with its initial value 0 while keeping all
   register *values*; then operations are re-enabled.  The decision is
   reached through the self-stabilizing consensus layer
-  (:mod:`repro.consensus`) on the instance tag ``("reset", epoch)``; a
-  legacy fixed-coordinator mode survives behind
-  ``ClusterConfig.reset_mode`` for comparison experiments.
+  (:mod:`repro.consensus`) on the instance tag ``("reset", epoch)``, in
+  place of the paper's fixed coordinator.
 
 Epoch hygiene: every algorithm message is wrapped in an
 :class:`EpochEnvelope`; receivers drop envelopes from other epochs, so
@@ -33,7 +32,6 @@ __all__ = [
     "ResetAlertMessage",
     "ResetJoinMessage",
     "ResetCommitMessage",
-    "ResetCommitAckMessage",
     "RESET_KINDS",
 ]
 
@@ -70,8 +68,7 @@ class ResetJoinMessage(Message):
     join of the votes is the state whose *values* survive the reset.
     Zeroing timestamps without first agreeing on values would leave
     divergent ts-0 entries that ``max⪯`` ties could never reconcile.
-    In consensus mode joins are broadcast so every node can assemble
-    the merge; in the legacy coordinator mode they go to node 0 alone.
+    Joins are broadcast so every node can assemble the merge.
     """
 
     KIND = "RESET_JOIN"
@@ -84,23 +81,14 @@ class ResetCommitMessage(Message):
     """The decided reset: move to ``new_epoch``.
 
     ``values`` is the agreed maximal register array; every node installs
-    its values with all operation indices reset to 0.  In consensus mode
-    this message only *replays* a decision already reached through
-    :mod:`repro.consensus` (straggler catch-up); in the legacy
-    coordinator mode it carries the coordinator's unilateral decision.
+    its values with all operation indices reset to 0.  The message only
+    *replays* a decision already reached through :mod:`repro.consensus`
+    (straggler catch-up).
     """
 
     KIND = "RESET_COMMIT"
     new_epoch: int
     values: RegisterArray
-
-
-@dataclass(frozen=True)
-class ResetCommitAckMessage(Message):
-    """A node's confirmation that it applied the commit."""
-
-    KIND = "RESET_COMMIT_ACK"
-    new_epoch: int
 
 
 #: Message kinds that bypass the epoch envelope.
@@ -109,6 +97,5 @@ RESET_KINDS = frozenset(
         ResetAlertMessage.KIND,
         ResetJoinMessage.KIND,
         ResetCommitMessage.KIND,
-        ResetCommitAckMessage.KIND,
     }
 )

@@ -170,7 +170,7 @@ class TestEpochHygiene:
         assert node.reg[0].value == "ok"
 
     def test_commit_message_carries_merged_values(self):
-        """The coordinator's commit installs the join of all votes, so
+        """The decided commit installs the join of a majority's votes, so
         divergent pre-reset replicas cannot survive as irreconcilable
         ts-0 entries."""
         cluster = make(max_int=6, seed=10)

@@ -2,10 +2,9 @@
 
 Covers the :class:`~repro.consensus.ConsensusEndpoint` contract
 (agreement, validity, adoption, straggler catch-up, bounded state,
-healing under state corruption), the epoch deciders built on it, and
-the Step-2 reset regression the layer exists for: the legacy
-coordinator sketch stalls forever when the coordinator crashes
-mid-reset, the consensus-backed reset completes.
+healing under state corruption), the shard-epoch decider built on it,
+and the Step-2 reset the layer exists for: with node 0 — the paper
+sketch's fixed coordinator — crashed mid-reset, the reset completes.
 """
 
 import pytest
@@ -20,11 +19,7 @@ from repro.errors import (
     ResetInProgressError,
 )
 from repro.fault import TransientFaultInjector
-from repro.shard.epoch import (
-    DECIDED_EPOCH_WINDOW,
-    ConsensusEpochDecider,
-    LocalEpochDecider,
-)
+from repro.shard.epoch import DECIDED_EPOCH_WINDOW, ConsensusEpochDecider
 from repro.shard.ring import ShardMap
 
 
@@ -166,29 +161,29 @@ class TestConsensusEndpoint:
 
 
 class TestEpochDeciders:
-    def test_local_decider_window_bounds_retention(self):
-        decider = LocalEpochDecider(window=3)
+    def test_consensus_decider_rejects_epoch_gaps(self):
+        cluster = SimBackend("ss-nonblocking", scenario_config(n=3, seed=9))
+        decider = ConsensusEpochDecider(cluster)
         current = ShardMap(epoch=0, shard_ids=(0,), vnodes=8)
-        for epoch in range(1, 6):
-            proposal = ShardMap(
-                epoch=epoch, shard_ids=tuple(range(epoch + 1)), vnodes=8
-            )
-            assert decider.propose(proposal, current) == proposal
-            current = proposal
-        assert decider.decided(5).epoch == 5
-        assert decider.decided(3).epoch == 3
-        with pytest.raises(EpochEvictedError):
-            decider.decided(1)
-        with pytest.raises(EpochEvictedError):
-            decider.decided(2)
-
-    def test_local_decider_rejects_epoch_gaps(self):
-        decider = LocalEpochDecider()
-        current = ShardMap(epoch=0, shard_ids=(0,), vnodes=8)
+        gap = ShardMap(epoch=2, shard_ids=(0, 1), vnodes=8)
         with pytest.raises(ConfigurationError):
-            decider.propose(
-                ShardMap(epoch=2, shard_ids=(0, 1), vnodes=8), current
+            cluster.run_until(decider.propose(gap, current), max_events=None)
+
+    def test_consensus_decider_proposes_through_a_live_node(self):
+        """No fixed proposer: with node 0 crashed, a split still decides."""
+        cluster = SimBackend("ss-nonblocking", scenario_config(n=4, seed=8))
+        decider = ConsensusEpochDecider(cluster)
+        current = ShardMap(epoch=0, shard_ids=(0,), vnodes=8)
+        proposal = ShardMap(epoch=1, shard_ids=(0, 1), vnodes=8)
+        cluster.crash(0)
+
+        async def scenario():
+            return await cluster.kernel.wait_for(
+                decider.propose(proposal, current), timeout=50.0
             )
+
+        assert cluster.run_until(scenario(), max_events=None) == proposal
+        assert decider.decided(1) == proposal
 
     def test_consensus_decider_two_routers_agree(self):
         cluster = SimBackend("ss-nonblocking", scenario_config(n=4, seed=8))
@@ -230,7 +225,7 @@ class TestEpochDeciders:
             decider.decided(1)
 
 
-def drive_reset_with_coordinator_crashed(cluster, max_int):
+def drive_reset_with_node0_crashed(cluster, max_int):
     """Crash node 0, overflow node 1, wait for the reset to settle.
 
     Returns ``(settled_cycles, post_write_ok)`` where ``settled_cycles``
@@ -272,28 +267,16 @@ def drive_reset_with_coordinator_crashed(cluster, max_int):
 
 
 class TestConsensusBackedReset:
-    def test_coordinator_sketch_stalls_without_coordinator(self):
-        """Regression: the legacy reset is a liveness failure here."""
-        cluster = make_bounded(seed=10, reset_mode="coordinator")
-        cycles, write_ok = drive_reset_with_coordinator_crashed(cluster, 8)
-        assert cycles is None
-        assert not write_ok
-        # The survivors are stuck inside the reset window forever.
-        assert any(
-            cluster.node(node).resetting for node in range(1, 5)
-        )
-        assert all(cluster.node(node).epoch == 0 for node in range(1, 5))
-
     def test_consensus_reset_completes_without_coordinator(self):
-        cluster = make_bounded(seed=10, reset_mode="consensus")
-        cycles, write_ok = drive_reset_with_coordinator_crashed(cluster, 8)
+        cluster = make_bounded(seed=10)
+        cycles, write_ok = drive_reset_with_node0_crashed(cluster, 8)
         assert cycles is not None
         assert write_ok
         epochs = {cluster.node(node).epoch for node in range(1, 5)}
         assert epochs == {1}
 
     def test_consensus_reset_survives_consensus_corruption(self):
-        cluster = make_bounded(seed=11, reset_mode="consensus")
+        cluster = make_bounded(seed=11)
         injector = TransientFaultInjector(cluster, seed=11)
 
         async def drive():
@@ -324,7 +307,7 @@ class TestConsensusBackedReset:
         assert len(epochs) == 1 and epochs.pop() >= 1
 
     def test_consensus_reset_no_crash_keeps_definition1(self):
-        cluster = make_bounded(n=4, seed=12, reset_mode="consensus")
+        cluster = make_bounded(n=4, seed=12)
 
         async def drive():
             for index in range(30):
@@ -341,10 +324,6 @@ class TestConsensusBackedReset:
         epochs = {p.epoch for p in cluster.processes}
         assert len(epochs) == 1 and epochs.pop() >= 1
 
-    def test_reset_mode_validated(self):
-        with pytest.raises(ConfigurationError):
-            ClusterConfig(n=4, reset_mode="quantum")
-
     def test_restarted_node_rejoins_after_reset(self):
         """Regression: a restart that sleeps through a reset must not wedge.
 
@@ -353,7 +332,7 @@ class TestConsensusBackedReset:
         other's traffic forever and the node's operations never reach a
         quorum (found by fuzz, bounded-ss-nonblocking seed 42).
         """
-        cluster = make_bounded(n=3, seed=13, reset_mode="consensus")
+        cluster = make_bounded(n=3, seed=13)
 
         async def drive():
             for index in range(9):
@@ -461,7 +440,7 @@ class TestConsensusOnAsyncio:
         async def main():
             cluster = AsyncioBackend(
                 "bounded-ss-nonblocking",
-                ClusterConfig(n=4, seed=14, max_int=6, reset_mode="consensus"),
+                ClusterConfig(n=4, seed=14, max_int=6),
                 time_scale=0.002,
             )
             cluster.start()

@@ -79,7 +79,6 @@ class TestRecoveryExperiments:
         assert [row["variant"] for row in rows] == [
             "unbounded",
             "bounded+consensus",
-            "bounded+coordinator",
         ]
         for value in self._cycle_cells(rows[0]).values():
             assert isinstance(value, int) and value <= 6

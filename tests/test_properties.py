@@ -15,7 +15,7 @@ import types
 
 import broken_algorithms  # noqa: F401  (registers "broken-first-ack")
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from reference_checker import (
     check_exhaustive,
@@ -861,12 +861,6 @@ class TestChannelProperties:
 
 
 class TestBoundedProperties:
-    #: Open finding (docs/verification.md): a value written before a
-    #: reset is missing from the final snapshot.  Hypothesis draws this
-    #: pair about once in 300 runs; pinned below so it is tracked, not
-    #: left to chance.
-    KNOWN_LOST_VALUE = (266, 6)
-
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         max_int=st.integers(min_value=5, max_value=14),
@@ -875,14 +869,14 @@ class TestBoundedProperties:
     def test_bounded_variant_survives_random_churn(self, seed, max_int):
         """Across random write churn with tiny MAXINT: values survive
         every reset and the final snapshot reflects the last writes."""
-        assume((seed, max_int) != self.KNOWN_LOST_VALUE)
         self.churn(seed, max_int)
 
-    @pytest.mark.xfail(
-        strict=True, reason="open finding: value lost across a reset"
-    )
     def test_bounded_churn_pinned_counterexample(self):
-        self.churn(*self.KNOWN_LOST_VALUE)
+        """Regression: node 2's write ``(11, 2)`` is invoked just before
+        its node enters the reset, and used to run on — and be
+        acknowledged — after every vote had been cast without it.  An
+        epoch transition now cancels in-flight operations at once."""
+        self.churn(266, 6)
 
     @staticmethod
     def churn(seed, max_int):

@@ -47,10 +47,15 @@ def writes_across_a_split(fabric):
     async def body():
         for i in range(16):
             await fabric.write(f"k{i}", 0)
-        # Submit writes concurrently with the split: some are admitted
-        # before it and drain, the rest route under the new epoch.
-        handles = [fabric.submit_write(f"k{i}", 1) for i in range(16)]
-        await fabric.split()
+        # Submit writes throughout the split, whose epoch decision is a
+        # consensus round: some are admitted before the drain, the rest
+        # wait at the gate and route under the new epoch.
+        split = fabric.kernel.create_task(fabric.split(), name="split")
+        handles = []
+        for i in range(16):
+            handles.append(fabric.submit_write(f"k{i}", 1))
+            await fabric.kernel.sleep(0.5)
+        await split
         return [await handle for handle in handles]
 
     # Exactly once: every key reaches seq 2, never 3.

@@ -3,8 +3,10 @@
 import pytest
 
 from repro import ClusterConfig
+from repro.config import scenario_config
 from repro.load import LoadSpec, run_load
-from repro.shard import run_shard_chaos
+from repro.shard import build_sim_fabric, run_shard_chaos
+from repro.shard.chaos import ShardChaosCampaign
 
 pytestmark = pytest.mark.shard
 
@@ -91,3 +93,19 @@ class TestShardChaos:
         )
         assert a.ok and b.ok
         assert (a.writes, a.scans, a.crashes) != (b.writes, b.scans, b.crashes)
+
+    def test_split_completes_with_a_source_slot_node_crashed(self):
+        """Regression: a split used to re-publish each source slot's
+        shrunk map with a write at the slot's own node, which never
+        completes while that node is crashed — and the quiesced fabric
+        wedged with both gates closed (seed 3 reaches that state at its
+        split).  The event cap turns a wedge into a failure, not a hang;
+        the campaign takes ~22 k events."""
+        fabric = build_sim_fabric(
+            2, "ss-nonblocking", scenario_config(n=4, seed=3, delta=2)
+        )
+        report = fabric.kernel.run_until_complete(
+            ShardChaosCampaign(fabric, 3).run(150), max_events=200_000
+        )
+        assert report.ok, report.failures
+        assert report.splits == 1 and report.final_shards == 3
