@@ -1,47 +1,46 @@
 """Live reconfiguration: grow the cluster without losing a write.
 
 The paper's discussion points to reconfigurable extensions of its
-algorithms.  This example migrates a running 3-node snapshot object onto
-a 6-node configuration (and switches from Algorithm 1 to Algorithm 3 in
-the same handoff): the transfer point is an atomic snapshot, so every
-completed write survives and per-writer timestamp sequences continue.
+algorithms.  This example moves a running 3-node snapshot object onto a
+6-node configuration (and switches from Algorithm 1 to Algorithm 3 in
+the same step).  A reconfiguration is a fabric epoch change, like a
+shard split: the epoch is decided by consensus, admissions drain, every
+key is re-published on the new cluster, and only then do operations
+resume — so every completed write survives and per-key versions
+continue.
 
 Run:  python examples/live_reconfiguration.py
 """
 
-from repro import ClusterConfig, SimBackend
-from repro.reconfig import reconfigure
+from repro import ClusterConfig, SnapshotClient
 
 
 def main() -> None:
-    old = SimBackend("ss-nonblocking", ClusterConfig(n=3, seed=11))
-    old.write_sync(0, "inventory=42")
-    old.write_sync(1, "orders=17")
-    old.write_sync(0, "inventory=41")
-    print("old cluster (n=3):", old.snapshot_sync(2).values)
+    client = SnapshotClient.local(
+        algorithm="ss-nonblocking", config=ClusterConfig(n=3, seed=11)
+    )
+    client.write_sync("inventory", 42)
+    client.write_sync("orders", 17)
+    client.write_sync("inventory", 41)
+    print("before (n=3, ss-nonblocking):", client.snapshot_sync().items())
 
-    async def handoff():
-        return await reconfigure(
-            old,
-            ClusterConfig(n=6, seed=12, delta=2),
-            algorithm="ss-always",
-        )
-
-    report = old.run_until(handoff(), max_events=None)
-    new = report.new_cluster
+    report = client.run(
+        client.reconfigure(ClusterConfig(n=6, seed=12, delta=2), "ss-always")
+    )
+    shard = client.fabric.shard(0)
     print(
-        f"reconfigured to n=6 (ss-always); carried "
-        f"{report.carried_entries} entries, dropped {report.dropped}"
+        f"reconfigured to n={shard.config.n} ({client.fabric.algorithm_name}) "
+        f"at epoch {report.new_epoch}; carried {report.moved_keys} keys"
     )
 
-    # The new nodes participate immediately.
-    new.kernel.run_until_complete(new.write(5, "replicas=6"))
-    view = new.kernel.run_until_complete(new.snapshot(4))
-    print("new cluster (n=6):", view.values)
+    # The new nodes take writes at once.
+    client.write_sync("replicas", 6)
+    print("after (n=6, ss-always):", client.snapshot_sync().items())
 
-    # Writer 0 continues its timestamp sequence — no index reuse.
-    ts = new.kernel.run_until_complete(new.write(0, "inventory=40"))
-    print(f"node 0's next write used timestamp {ts} (continued from 2)")
+    # Per-key versions continue: no version is reused.
+    seq = client.write_sync("inventory", 40)
+    print(f"the next inventory write is version {seq} (continued from 2)")
+    print("linearizable:", client.check() == [])
 
 
 if __name__ == "__main__":

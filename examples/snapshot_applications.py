@@ -13,7 +13,7 @@ two classic constructions from ``repro.apps``:
 
 Each application gets its *own* snapshot object (each node owns one
 register per object); the two clusters share a single simulated timeline
-via a shared kernel — the same pattern ``repro.reconfig`` uses.
+via a shared kernel — the same pattern a simulated sharded fabric uses.
 
 Run:  python examples/snapshot_applications.py
 """

@@ -40,8 +40,8 @@ class SimBackend(ClusterBackend):
         pinned schedule).
     kernel:
         An externally supplied kernel lets several clusters share one
-        simulated timeline (used by reconfiguration: the old and new
-        configurations coexist during the handoff).
+        simulated timeline (used by the sharded fabric: its shards, and
+        the clusters an epoch change retires, run on one kernel).
     """
 
     name = "sim"

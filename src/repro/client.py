@@ -36,9 +36,9 @@ from repro.config import ClusterConfig
 from repro.errors import ConfigurationError
 from repro.shard.fabric import (
     ComposedSnapshot,
+    EpochReport,
     KeyView,
     ShardedFabric,
-    SplitReport,
     build_sim_fabric,
     create_fabric,
 )
@@ -113,9 +113,15 @@ class SnapshotClient:
         """Read one key through an atomic read of its slot's register."""
         return await self.fabric.scan(key)
 
-    async def split(self) -> SplitReport:
+    async def split(self) -> EpochReport:
         """Grow the deployment by one shard, migrating keys online."""
         return await self.fabric.split()
+
+    async def reconfigure(
+        self, config: ClusterConfig | None = None, algorithm: str | None = None
+    ) -> EpochReport:
+        """Move every shard onto a new cluster config and/or algorithm."""
+        return await self.fabric.reconfigure(config, algorithm)
 
     async def close(self) -> None:
         """Tear every shard down; idempotent."""
@@ -165,7 +171,7 @@ class SnapshotClient:
         self._require_sim("SnapshotClient.read_sync()")
         return self.run(self.read(key))
 
-    def split_sync(self) -> SplitReport:
+    def split_sync(self) -> EpochReport:
         """Synchronous :meth:`split` (simulator only)."""
         self._require_sim("SnapshotClient.split_sync()")
         return self.run(self.split())

@@ -305,7 +305,7 @@ class ClusterObs:
         """Add this cluster's pull-style metric values into ``totals``.
 
         ``seen_kernels`` deduplicates kernels shared across clusters
-        (reconfiguration runs two clusters on one timeline).
+        (a simulated fabric runs every shard on one timeline).
         """
         cluster = self.cluster
         kernel = cluster.kernel

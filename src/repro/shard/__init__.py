@@ -12,8 +12,8 @@ north star needs orders of magnitude more.  This package scales *out*:
 * :mod:`repro.shard.fabric` — the :class:`ShardedFabric`: keyed writes
   and scans submitted under each cluster's own dispatch discipline,
   composed cross-shard snapshots via double collect with a writes-only
-  fence, and online shard splits that never lose or duplicate an
-  in-flight operation.
+  fence, and online epoch changes (shard splits, cluster
+  reconfigurations) that never lose or duplicate an in-flight operation.
 * :mod:`repro.shard.check` — two-layer linearizability checking
   (per-shard histories + composed cuts).
 * :mod:`repro.shard.chaos` — the split-under-storm endurance campaign.
@@ -35,9 +35,9 @@ from repro.shard.check import check_fabric
 from repro.shard.epoch import ConsensusEpochDecider
 from repro.shard.fabric import (
     ComposedSnapshot,
+    EpochReport,
     KeyView,
     ShardedFabric,
-    SplitReport,
     build_sim_fabric,
     create_fabric,
     run_on_fabric,
@@ -48,11 +48,11 @@ __all__ = [
     "DEFAULT_VNODES",
     "ComposedSnapshot",
     "ConsensusEpochDecider",
+    "EpochReport",
     "KeyView",
     "ShardChaosReport",
     "ShardMap",
     "ShardedFabric",
-    "SplitReport",
     "build_sim_fabric",
     "check_fabric",
     "create_fabric",

@@ -1,12 +1,13 @@
 """Chaos campaigns against a sharded fabric.
 
 A seeded event storm — key writes, key scans, composed cross-shard
-snapshots, node crashes/resumes inside random shards, and one online
-shard **split** mid-run — with the full two-layer checker at the end.
-This is the endurance harness for the fabric's hard claims: operations
-queued across an epoch change are neither lost nor duplicated, composed
-cuts stay linearizable while shards crash-recover around them, and the
-post-split fabric is exactly as correct as the pre-split one.
+snapshots, node crashes/resumes inside random shards, one online
+shard **split** mid-run and one **reconfiguration** to ``n + 1`` nodes
+after it — with the full two-layer checker at the end.  This is the
+endurance harness for the fabric's hard claims: operations queued
+across an epoch change are neither lost nor duplicated, composed cuts
+stay linearizable while shards crash-recover around them, and the
+fabric after each epoch change is exactly as correct as before it.
 
 Crashes follow the paper's failure model: a crashed node stops acting
 as a client, so the campaign routes new operations around keys whose
@@ -18,7 +19,7 @@ a minority never blocks the other slots).  ``python -m repro chaos
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.config import ClusterConfig, scenario_config
 from repro.shard.fabric import ShardedFabric, run_on_fabric
@@ -41,6 +42,7 @@ class ShardChaosReport:
     resumes: int = 0
     splits: int = 0
     moved_keys: int = 0
+    reconfigures: int = 0
     failures: list[str] = field(default_factory=list)
 
     @property
@@ -55,12 +57,13 @@ class ShardChaosReport:
             f"K={self.shards}→{self.final_shards}: {self.events} events "
             f"({self.writes}w/{self.scans}s ops, {self.composes} composed "
             f"cuts, {self.crashes} crashes, {self.splits} splits moving "
-            f"{self.moved_keys} keys): {verdict}"
+            f"{self.moved_keys} keys, {self.reconfigures} reconfigures): "
+            f"{verdict}"
         )
 
 
 class ShardChaosCampaign:
-    """A seeded storm of operations, faults and one split."""
+    """A seeded storm of operations, faults, a split and a reconfigure."""
 
     def __init__(self, fabric: ShardedFabric, seed: int) -> None:
         self.fabric = fabric
@@ -103,17 +106,13 @@ class ShardChaosCampaign:
             self.report.fenced_composes += 1
 
     def _do_crash(self) -> None:
-        # Keep node 0 up (it serves composed collects) and keep every
-        # shard's quorum: crash at most one minority node per shard.
+        # Keep every shard's quorum: crash only while a majority would
+        # stay up.
         shard_id = self.rng.choice(self.fabric.shard_ids)
         backend = self.fabric.shard(shard_id)
-        candidates = [
-            node
-            for node in backend.alive_nodes()
-            if node != 0
-        ]
-        if len(backend.alive_nodes()) > backend.config.majority and candidates:
-            backend.crash(self.rng.choice(candidates))
+        alive = backend.alive_nodes()
+        if len(alive) > backend.config.majority:
+            backend.crash(self.rng.choice(alive))
             self.report.crashes += 1
 
     def _do_resume(self) -> None:
@@ -135,6 +134,11 @@ class ShardChaosCampaign:
         self.report.splits += 1
         self.report.moved_keys += split.moved_keys
 
+    async def _do_reconfigure(self) -> None:
+        config = self.fabric.base_config
+        await self.fabric.reconfigure(replace(config, n=config.n + 1))
+        self.report.reconfigures += 1
+
     def _resume_all(self) -> None:
         for shard_id in self.fabric.shard_ids:
             backend = self.fabric.shard(shard_id)
@@ -145,7 +149,7 @@ class ShardChaosCampaign:
     # -- the campaign ------------------------------------------------------
 
     async def run(self, events: int) -> ShardChaosReport:
-        """Execute ``events`` storm events plus one mid-run split."""
+        """Execute ``events`` storm events, a split and a reconfigure."""
         weighted = (
             [self._do_write] * 6
             + [self._do_scan] * 3
@@ -153,7 +157,7 @@ class ShardChaosCampaign:
             + [self._do_crash] * 1
             + [self._do_resume] * 2
         )
-        split_at = events // 2
+        split_at, reconfigure_at = events // 2, 3 * events // 4
         for index in range(events):
             self.report.events += 1
             if index == split_at:
@@ -161,6 +165,8 @@ class ShardChaosCampaign:
                 # in flight or waiting for admission — they drain, or
                 # route under the new epoch once the gate reopens.
                 await self._do_split()
+            if index == reconfigure_at:
+                await self._do_reconfigure()
             action = self.rng.choice(weighted)
             result = action()
             if result is not None:  # coroutine actions

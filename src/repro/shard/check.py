@@ -2,7 +2,8 @@
 
 Two layers, matching the fabric's two-layer guarantee:
 
-* **per shard** — every shard is a complete snapshot object, so its own
+* **per shard** — every shard (and every cluster a reconfiguration
+  retired) is a complete snapshot object, so its own
   history must pass the PR-1 linearizability checker
   (:func:`repro.analysis.linearizability.check_snapshot_history`)
   unchanged: per-writer timestamp monotonicity, total ⪯-order of
@@ -31,24 +32,26 @@ __all__ = ["check_composed_records", "check_fabric", "check_shard_histories"]
 
 
 def check_shard_histories(fabric: "ShardedFabric") -> list[str]:
-    """Run the single-object linearizability checker on every shard."""
+    """Run the single-object linearizability checker on every shard,
+    and on every cluster a reconfiguration retired."""
     failures: list[str] = []
-    for shard_id in sorted(fabric.shard_ids):
-        backend = fabric.shard(shard_id)
+    clusters = [
+        (f"shard{sid}", fabric.shard(sid)) for sid in sorted(fabric.shard_ids)
+    ] + [(f"shard{sid} (retired)", backend) for sid, backend in fabric.retired]
+    for label, backend in clusters:
         try:
             backend.history.validate_well_formed(
                 sequential=not backend.concurrent_clients
             )
         except Exception as exc:  # noqa: BLE001 - folded into the report
-            failures.append(f"shard{shard_id}: malformed history: {exc}")
+            failures.append(f"{label}: malformed history: {exc}")
             continue
         report = check_snapshot_history(
             backend.history.records(), backend.config.n
         )
         if not report.ok:
             failures.extend(
-                f"shard{shard_id}: {violation}"
-                for violation in report.violations
+                f"{label}: {violation}" for violation in report.violations
             )
     return failures
 

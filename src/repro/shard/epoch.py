@@ -74,7 +74,8 @@ class ConsensusEpochDecider:
     Runs every install through the self-stabilizing multivalued
     consensus layer (:mod:`repro.consensus`) on the nodes of one
     backing cluster — the fabric uses its lowest shard, which always
-    exists (shards are only ever added).  The map travels as a plain
+    exists (shards are only ever added), and moves to that shard's new
+    cluster when a reconfiguration replaces it.  The map travels as a plain
     ``(epoch, shard_ids, vnodes)`` tuple — :class:`ShardMap` derives
     its ring locally — under the instance tag ``("shard-epoch", e)``.
     What that buys:

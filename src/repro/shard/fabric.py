@@ -40,18 +40,20 @@ Three mechanisms make the composition more than K disjoint objects:
   and takes one parallel collect of a state that can no longer move —
   the paper's Algorithm 3 trade-off (pause writers briefly so snapshots
   terminate).  Keyed reads keep flowing throughout.
-* **epoch-stamped reconfiguration** — a shard split installs a successor
-  :class:`ShardMap` (epoch + 1, decided by consensus on the lowest
-  shard's nodes, :class:`~repro.shard.epoch.ConsensusEpochDecider`) only
-  at a drained quiescent point (reads and writes both paused).  An operation routes
-  *after* it is admitted, so one submitted before or during a split
-  simply runs at its key's new home under the new epoch.  No operation
-  is lost (the gate only pauses, never drops) and none is duplicated
-  (an operation executes exactly once, at its final slot).
+* **epoch-stamped reconfiguration** — a shard split, and a change of
+  ``n``, channel model, δ or algorithm, are one epoch change: it
+  installs a successor :class:`ShardMap` (epoch + 1, decided by
+  consensus on the lowest shard's nodes,
+  :class:`~repro.shard.epoch.ConsensusEpochDecider`) only at a drained
+  quiescent point (reads and writes both paused).  An operation routes
+  *after* it is admitted, so one submitted before or during an epoch
+  change simply runs at its key's new home under the new epoch.  No
+  operation is lost (the gate only pauses, never drops) and none is
+  duplicated (an operation executes exactly once, at its final slot).
   State moves by taking the drained point as the transfer point and
-  re-publishing moved entries through ordinary paper writes — the same
-  snapshot-as-linearization-point handoff as
-  :func:`repro.reconfig.migration.reconfigure`.
+  re-publishing moved entries through ordinary paper writes; a replaced
+  cluster is stopped before the gates reopen, so it acknowledges
+  nothing after its entries were carried over.
 """
 
 from __future__ import annotations
@@ -67,9 +69,9 @@ from repro.shard.ring import DEFAULT_VNODES, ShardMap
 
 __all__ = [
     "ComposedSnapshot",
+    "EpochReport",
     "KeyView",
     "ShardedFabric",
-    "SplitReport",
     "WriteRecord",
     "build_sim_fabric",
     "create_fabric",
@@ -149,8 +151,8 @@ class ComposedSnapshot:
 
 
 @dataclass(frozen=True, slots=True)
-class SplitReport:
-    """Outcome of one shard split."""
+class EpochReport:
+    """Outcome of one epoch change (a split or a reconfiguration)."""
 
     old_epoch: int
     new_epoch: int
@@ -232,8 +234,12 @@ class ShardedFabric:
         self.base_config = base_config
         self.time_scale = time_scale
         # The lowest shard always exists (shards are only added), so its
-        # cluster is the stable home for epoch agreement.
+        # cluster is the stable home for epoch agreement; a
+        # reconfiguration moves it to that shard's successor cluster.
         self.decider = ConsensusEpochDecider(self._shards[min(self._shards)])
+        #: ``(shard_id, cluster)`` for every cluster a reconfiguration
+        #: replaced: stopped, still checked, closed with the fabric.
+        self.retired: list[tuple[int, ClusterBackend]] = []
         self.kernel = next(iter(self._shards.values())).kernel
         self.n = base_config.n
         #: Authoritative per-slot key→(seq, value) maps.  The fabric is
@@ -252,7 +258,6 @@ class ShardedFabric:
         #: Fabric-level operation records for the composed checker.
         self.writes: list[WriteRecord] = []
         self.composed: list[ComposedSnapshot] = []
-        self.splits: list[SplitReport] = []
         self._label_shards()
 
     # -- topology ----------------------------------------------------------
@@ -367,16 +372,17 @@ class ShardedFabric:
     async def _collect(self, map_: ShardMap) -> dict[int, Any] | None:
         """One parallel round of per-shard snapshots under ``map_``.
 
-        A collect is a read at each shard's node 0.  Returns ``None`` if
-        an epoch change was installed while it waited for admission.
+        A collect is a snapshot at each shard's lowest live node.
+        Returns ``None`` if an epoch change was installed while it
+        waited for admission.
         """
         async with self._reads:
             if self.map is not map_:
                 return None
-            tasks = {
-                shard_id: self._shards[shard_id].submit_snapshot(0)
-                for shard_id in map_.shard_ids
-            }
+            tasks = {}
+            for shard_id in map_.shard_ids:
+                backend = self._shards[shard_id]
+                tasks[shard_id] = backend.submit_snapshot(backend.alive_nodes()[0])
             return {shard_id: await task for shard_id, task in tasks.items()}
 
     async def compose_snapshot(
@@ -489,53 +495,83 @@ class ShardedFabric:
         self._admin_chain = task
         return await task
 
-    # -- reconfiguration: shard split --------------------------------------
+    # -- reconfiguration: one epoch change ---------------------------------
 
-    async def split(self, new_shard_id: int | None = None) -> SplitReport:
-        """Split the keyspace: add one shard and migrate its keys.
+    async def split(self, new_shard_id: int | None = None) -> EpochReport:
+        """Split the keyspace: add one shard and migrate its keys."""
+        return await self._admin(
+            lambda: self._change_epoch(self.map.grown(new_shard_id))
+        )
 
-        The successor map is decided by consensus, installed
-        only after the fabric drains, and every moved entry is
-        re-published at its new home through ordinary writes before
-        admissions resume — operations held at the gate route under the
-        new map once admitted, so none is lost or duplicated across the
-        split.
+    async def reconfigure(
+        self, config: ClusterConfig | None = None, algorithm: str | None = None
+    ) -> EpochReport:
+        """Replace every shard's cluster: new ``n``, channels, δ or algorithm.
+
+        The same shards at ``epoch + 1``; each key is re-published on its
+        shard's new cluster, under a new slot if ``n`` changed.
         """
-        return await self._admin(lambda: self._do_split(new_shard_id))
+        return await self._admin(
+            lambda: self._change_epoch(
+                ShardMap(self.epoch + 1, self.shard_ids, self.map.vnodes),
+                config or self.base_config,
+                algorithm or self.algorithm_name,
+            )
+        )
 
-    async def _do_split(self, new_shard_id: int | None) -> SplitReport:
+    async def _change_epoch(
+        self,
+        proposal: ShardMap,
+        config: ClusterConfig | None = None,
+        algorithm: str | None = None,
+    ) -> EpochReport:
+        """Decide by consensus, quiesce, collect, install, reopen.
+
+        Every moved entry is re-published at its new home before
+        admissions resume; operations held at the gate route under the
+        new map once admitted, so none is lost or duplicated.  With
+        ``config``, every old shard's cluster is stopped and replaced by
+        one running ``algorithm`` on ``config``.
+        """
         old_map = self.map
-        proposal = old_map.grown(new_shard_id)
         decided = await self.decider.propose(proposal, old_map)
         fresh = tuple(
             sid for sid in decided.shard_ids if sid not in old_map.shard_ids
         )
+        rebuilt = old_map.shard_ids if config is not None else ()
         await self._quiesce()
         try:
             for sid in fresh:
                 self._shards[sid] = await self._spawn_shard(sid)
-            self._label_shards()
             # The drained point is the transfer point: nothing is in
             # flight, so a plain collect is a stable global cut.
-            transfer = {
-                sid: tuple(
-                    (await self._shards[sid].snapshot(0)).vector_clock
+            transfer = {}
+            for sid in old_map.shard_ids:
+                backend = self._shards[sid]
+                result = await backend.snapshot(backend.alive_nodes()[0])
+                transfer[sid] = tuple(result.vector_clock)
+            if rebuilt:
+                self.base_config, self.n = config, config.n
+                self.algorithm_name = algorithm
+                for sid in rebuilt:
+                    self._shards[sid].stop()
+                    self.retired.append((sid, self._shards[sid]))
+                    self._shards[sid] = await self._spawn_shard(sid)
+                self.decider = ConsensusEpochDecider(
+                    self._shards[min(self._shards)]
                 )
-                for sid in old_map.shard_ids
-            }
-            moved = await self._migrate(decided)
+            self._label_shards()
+            moved = await self._migrate(decided, rebuilt)
             self.map = decided
         finally:
             self._release()
-        report = SplitReport(
+        return EpochReport(
             old_epoch=old_map.epoch,
             new_epoch=decided.epoch,
             new_shard_ids=fresh,
             moved_keys=moved,
             transfer_vector=tuple(sorted(transfer.items())),
         )
-        self.splits.append(report)
-        return report
 
     async def _spawn_shard(self, shard_id: int) -> ClusterBackend:
         cls = backend_class(self.backend_name)
@@ -554,16 +590,19 @@ class ShardedFabric:
         backend.start()
         return backend
 
-    async def _migrate(self, new_map: ShardMap) -> int:
-        """Move every key whose slot changed; publish at the new homes.
+    async def _migrate(
+        self, new_map: ShardMap, rebuilt: tuple[int, ...] = ()
+    ) -> int:
+        """Move every key whose slot changed or whose shard was rebuilt.
 
         The source slot's shrunk map is only recorded as the writer's
         copy, not written: its next write publishes it.  Until then the
         source register still holds the moved keys, but nothing reads
         them there — keys only move to new shards, reads route by the
         new map, and a composed cut keeps each key's highest seq.  A
-        source write would also wedge the split whenever the slot's
-        node is crashed, since the fabric is quiesced until it returns.
+        source write would also wedge the epoch change whenever the
+        slot's node is crashed, since the fabric is quiesced until it
+        returns.
         """
         moved = 0
         arrivals: dict[tuple[int, int], dict[Any, tuple[int, Any]]] = {}
@@ -571,7 +610,7 @@ class ShardedFabric:
             moving = {
                 key: entry
                 for key, entry in state.items()
-                if new_map.slot(key, self.n) != slot
+                if slot[0] in rebuilt or new_map.slot(key, self.n) != slot
             }
             if not moving:
                 continue
@@ -603,11 +642,11 @@ class ShardedFabric:
             backend.stop()
 
     async def close(self) -> None:
-        """Tear every shard down; idempotent."""
+        """Tear every shard down, retired clusters included; idempotent."""
         if self._closed:
             return
         self._closed = True
-        for backend in self.backends():
+        for backend in self.backends() + [b for _, b in self.retired]:
             await backend.close()
 
     # -- verification ------------------------------------------------------

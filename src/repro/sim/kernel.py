@@ -616,7 +616,7 @@ class Kernel:
         # stats-attached kernel dispatches through the batch-accounting
         # mirror below, while the default path stays verbatim pre-obs so
         # disabling observability costs nothing on the hot loop.  A kernel
-        # observed mid-run (reconfiguration under an ambient capture
+        # observed mid-run (a fabric epoch change under an ambient capture
         # session) starts counting at its next run() call.  SCRIPTED mode
         # — and RANDOM mode with decision capture — always uses this loop:
         # it never batches, because same-instant groups are its choice

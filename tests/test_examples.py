@@ -85,8 +85,10 @@ def test_paper_figures():
 
 def test_live_reconfiguration():
     out = run_example("live_reconfiguration.py")
-    assert "carried 2 entries" in out
-    assert "timestamp 3" in out
+    assert "reconfigured to n=6 (ss-always) at epoch 1; carried 2 keys" in out
+    assert "'inventory': (2, 41)" in out.split("after")[1]
+    assert "version 3" in out
+    assert "linearizable: True" in out
 
 
 def test_snapshot_applications():

@@ -362,6 +362,24 @@ class TestOnlineSplit:
         assert drive(fabric, body()) == 3
         assert fabric.check() == []
 
+    def test_compose_and_split_complete_with_node_0_crashed(self):
+        """Regression: composed collects and the split's transfer
+        snapshot ran at node 0, so both wedged once any shard's node 0
+        crashed.  They run at each shard's lowest live node; the event
+        cap turns a wedge into a failure, not a hang."""
+        fabric = make(shards=2, seed=4)
+        for i in range(8):
+            drive(fabric, fabric.write(f"k{i}", i))
+        fabric.shard(0).crash(0)
+
+        def capped(coro):
+            return fabric.kernel.run_until_complete(coro, max_events=100_000)
+
+        assert len(capped(fabric.compose_snapshot()).items()) == 8
+        assert capped(fabric.split()).new_epoch == 1
+        assert len(capped(fabric.compose_snapshot()).items()) == 8
+        assert fabric.check() == []
+
     def test_writes_after_split_route_by_new_map(self):
         fabric = make(shards=1, seed=2)
 

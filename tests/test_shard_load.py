@@ -80,9 +80,10 @@ class TestShardChaos:
             shards=2, config=ClusterConfig(n=4, seed=0), seed=0, events=40
         )
         assert report.ok, report.failures
-        assert report.splits == 1
+        assert report.splits == 1 and report.reconfigures == 1
         assert report.final_shards == 3
         assert report.composes > 0
+        assert "1 reconfigures" in report.summary()
 
     def test_seeds_vary_the_storm(self):
         a = run_shard_chaos(
@@ -98,14 +99,15 @@ class TestShardChaos:
         """Regression: a split used to re-publish each source slot's
         shrunk map with a write at the slot's own node, which never
         completes while that node is crashed — and the quiesced fabric
-        wedged with both gates closed (seed 3 reaches that state at its
-        split).  The event cap turns a wedge into a failure, not a hang;
-        the campaign takes ~22 k events."""
+        wedged with both gates closed (seed 4 reaches that state at its
+        split: shard 1's node 2 is down and holds moving keys).  The
+        event cap turns a wedge into a failure, not a hang; the campaign
+        takes ~37 k events."""
         fabric = build_sim_fabric(
-            2, "ss-nonblocking", scenario_config(n=4, seed=3, delta=2)
+            2, "ss-nonblocking", scenario_config(n=4, seed=4, delta=2)
         )
         report = fabric.kernel.run_until_complete(
-            ShardChaosCampaign(fabric, 3).run(150), max_events=200_000
+            ShardChaosCampaign(fabric, 4).run(150), max_events=200_000
         )
         assert report.ok, report.failures
         assert report.splits == 1 and report.final_shards == 3
