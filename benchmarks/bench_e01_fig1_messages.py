@@ -2,7 +2,8 @@
 
 Paper claim: each write and each uncontended snapshot completes in one
 round trip of ≈2n messages (2(n−1) over the wire; the self-loopback is
-free), each of O(n·ν) bits.
+free).  Each request is O(n·ν) bits; each ack ships only the entries
+that are news to the requester (E15 measures both sides).
 """
 
 from conftest import run_and_report

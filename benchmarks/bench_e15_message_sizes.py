@@ -1,8 +1,10 @@
 """E15 (Contribution 1): message sizes — O(n·ν) operations vs O(ν) gossip.
 
 Sweeps the object size ν and cluster size n, measuring serialized bytes
-per WRITE (carries the whole register array) and per GOSSIP (a timestamp
-digest: constant, below the paper's O(ν) bound).
+per WRITE (carries the whole register array), per WRITEack (ships only
+the entries that are news to the writer: none for an uncontended write)
+and per GOSSIP (a timestamp digest: constant, below the paper's O(ν)
+bound).
 """
 
 from conftest import run_and_report
@@ -29,3 +31,7 @@ def test_e15_message_sizes(benchmark):
     # Both scale linearly in ν at fixed n.
     r4 = by_key[(4, 1024)]["write_msg_bytes"] / by_key[(4, 64)]["write_msg_bytes"]
     assert 10 <= r4 <= 20  # 16x nu growth, minus constant headers
+    # The reply side: an uncontended write's ack is n bare timestamps
+    # (16 B of framing plus 8 B each), whatever ν is.
+    for row in rows:
+        assert row["write_ack_bytes"] == 16 + 8 * row["n"]

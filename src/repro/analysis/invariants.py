@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.backend.sim import SimBackend
 from repro.core.base import ReadAckMessage, ReadMessage
-from repro.core.register import RegisterArray
+from repro.core.register import RegisterArray, ack_clock
 from repro.core.ss_always import GossipMessage3
 from repro.core.ss_nonblocking import GossipMessage
 
@@ -62,8 +62,9 @@ def ts_consistent(cluster: SimBackend) -> InvariantReport:
     """Definition 1(i): ``ts_i`` dominates every ts attributed to ``p_i``.
 
     Checks node variables (``reg_j[i].ts`` for every ``j``) and the
-    register arrays, single entries and timestamps (GOSSIP, READ,
-    READack) carried by every in-flight message.
+    register arrays, ack items (shipped entries and elided timestamps
+    alike), single entries and timestamps (GOSSIP, READ, READack)
+    carried by every in-flight message.
     """
     report = InvariantReport()
     n = cluster.config.n
@@ -76,14 +77,15 @@ def ts_consistent(cluster: SimBackend) -> InvariantReport:
                     f"> ts_{i}={own_ts[i]}"
                 )
     for src, dst, message in _in_flight_messages(cluster):
+        # A request carries a RegisterArray, an ack a tuple of ack items.
         reg = getattr(message, "reg", None)
-        if isinstance(reg, RegisterArray):
-            for i in range(n):
-                if reg[i].ts > own_ts[i]:
-                    report.fail(
-                        f"in-flight {message.kind} {src}->{dst}: "
-                        f"reg[{i}].ts={reg[i].ts} > ts_{i}={own_ts[i]}"
-                    )
+        clock = ack_clock(reg) if isinstance(reg, (RegisterArray, tuple)) else ()
+        for i, ts in enumerate(clock[:n]):
+            if ts > own_ts[i]:
+                report.fail(
+                    f"in-flight {message.kind} {src}->{dst}: "
+                    f"reg[{i}].ts={ts} > ts_{i}={own_ts[i]}"
+                )
         # By class, not by kind: an epoch envelope reports its inner
         # kind but carries no entry of its own.
         if isinstance(message, (GossipMessage, GossipMessage3)):

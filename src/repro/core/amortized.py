@@ -32,9 +32,10 @@ Concretely, on top of the self-stabilizing non-blocking object:
   write that completed before the round began, and the views returned
   by any two rounds are ⪯-comparable in real-time order.
 * **A write round is also a collect — when somebody is collecting.**
-  WRITE acks carry each server's merged ``reg``, so a group-commit round
-  that finds scans pending at its start resolves them by the same test
-  instead of alternating with a separate SNAPSHOT round; a SNAPSHOT round
+  WRITE acks name each server's merged ``reg``, shipping only the
+  entries the round's request did not already hold, so a group-commit
+  round that finds scans pending at its start resolves them by the same
+  test instead of alternating with a separate SNAPSHOT round; a SNAPSHOT round
   runs only when no local write is pending.  Scans enqueued mid-round
   wait for the next round, which preserves real-time order.  A group
   commit that starts with *no* scan pending collects for nobody and needs
@@ -76,7 +77,12 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.base import SnapshotResult
-from repro.core.register import RegisterArray, TimestampedValue
+from repro.core.register import (
+    AckItem,
+    RegisterArray,
+    TimestampedValue,
+    ack_clock,
+)
 from repro.core.ss_nonblocking import SelfStabilizingNonBlocking
 
 __all__ = ["AmortizedSnapshot"]
@@ -219,17 +225,19 @@ class AmortizedSnapshot(SelfStabilizingNonBlocking):
         self,
         scans: list[_PendingOp],
         view: RegisterArray,
-        replies: list[RegisterArray],
+        replies: list[tuple[AckItem, ...]],
     ) -> None:
         """Resolve ``scans`` with ``view`` iff a majority reported exactly it.
 
-        Otherwise the batch is re-enqueued at the *front*, so it merges
-        with newly arrived scans in the next round.
+        Only the timestamps the replies name are compared, so a reply
+        that equals the query carries no entry at all.  Otherwise the
+        batch is re-enqueued at the *front*, so it merges with newly
+        arrived scans in the next round.
         """
         if not scans:
             return
         clock = view.vector_clock()
-        if all(reply.vector_clock() == clock for reply in replies):
+        if all(ack_clock(reply) == clock for reply in replies):
             result = SnapshotResult.from_registers(view)
             for op in scans:
                 op.resolve(result)

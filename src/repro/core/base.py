@@ -8,7 +8,10 @@ baselines, and their self-stabilizing variants) share:
 * the ``merge(Rec)`` macro — pointwise lattice join of received register
   arrays, with the self-stabilizing variants additionally absorbing the
   maximum observed own-entry timestamp into ``ts``;
-* the server-side WRITE/SNAPSHOT handler skeleton (merge, then ack);
+* the server-side WRITE/SNAPSHOT handler skeleton (merge, then ack) and
+  its one reply rule: an ack ships ``reg[j]`` only where its timestamp
+  differs from the request's, and names the timestamp alone otherwise
+  (:meth:`~repro.core.register.RegisterArray.reply_to`);
 * the client-side ``baseWrite`` — bump ``ts``, install the value locally,
   then ``repeat broadcast WRITE until majority of WRITEack(regJ ⪰ lReg)``;
 * the one-entry exchange ``entry_round(j, entry)`` — the store of
@@ -28,10 +31,16 @@ snapshot-side logic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 from typing import Any, Iterable
 
 from repro.config import ClusterConfig
-from repro.core.register import RegisterArray, TimestampedValue
+from repro.core.register import (
+    AckItem,
+    RegisterArray,
+    TimestampedValue,
+    ack_clock,
+)
 from repro.errors import ConfigurationError, ReproError
 from repro.net.message import Message
 from repro.net.node import Process
@@ -84,10 +93,15 @@ class WriteMessage(Message):
 
 @dataclass(frozen=True)
 class WriteAckMessage(Message):
-    """Server-side ``WRITEack(reg)``: the replier's merged register view."""
+    """Server-side ``WRITEack(reg)``: the replier's merged register view.
+
+    ``reg`` holds one :data:`~repro.core.register.AckItem` per entry,
+    relative to the ``WRITE`` it answers: the entry where its timestamp
+    differs from the request's, the bare timestamp where it does not.
+    """
 
     KIND = "WRITEack"
-    reg: RegisterArray
+    reg: tuple[AckItem, ...]
 
 
 @dataclass(frozen=True)
@@ -155,21 +169,21 @@ class SnapshotAlgorithm(Process):
 
     # -- the merge(Rec) macro -----------------------------------------------------
 
-    def merge(self, received: Iterable[RegisterArray]) -> None:
-        """``merge(Rec)``: pointwise join of received register arrays.
+    def merge(self, received: Iterable[tuple[AckItem, ...]]) -> None:
+        """``merge(Rec)``: pointwise join of the entries the acks shipped.
 
         In the self-stabilizing variants the macro additionally raises
         ``ts`` to the largest own-entry timestamp seen (Algorithm 1 line 6
         / Algorithm 3 line 72), which is what heals a corrupted-low ``ts``.
+        An elided own entry still names its timestamp, so it counts too.
         """
         received = list(received)
+        i = self.node_id
         if self.SELF_STABILIZING:
-            self.ts = max(
-                [self.ts, self.reg[self.node_id].ts]
-                + [r[self.node_id].ts for r in received]
-            )
-        for other in received:
-            self.reg.merge_from(other)
+            own = ack_clock([items[i] for items in received])
+            self.ts = max(self.ts, self.reg[i].ts, *own)
+        for items in received:
+            self.reg.merge_items(items)
 
     def merge_entry(self, j: int, entry: TimestampedValue) -> None:
         """``reg[j] ← max(reg[j], entry)``, the single-entry ``merge``.
@@ -184,9 +198,9 @@ class SnapshotAlgorithm(Process):
     # -- server side -----------------------------------------------------------------
 
     def _on_write(self, sender: int, message: WriteMessage) -> None:
-        """Lines 26–28: merge the writer's view, reply with our own."""
+        """Lines 26–28: merge the writer's view, reply with what is news."""
         self.reg.merge_from(message.reg)
-        self.send(sender, WriteAckMessage(reg=self.reg.copy()))
+        self.send(sender, WriteAckMessage(reg=self.reg.reply_to(message.reg)))
 
     def _on_read(self, sender: int, message: ReadMessage) -> None:
         """Merge the sender's copy of ``reg[j]``, reply with our own.
@@ -225,7 +239,9 @@ class SnapshotAlgorithm(Process):
         await self.write_round(l_reg)
         return l_reg[self.node_id].ts
 
-    async def write_round(self, l_reg: RegisterArray) -> list[RegisterArray]:
+    async def write_round(
+        self, l_reg: RegisterArray
+    ) -> list[tuple[AckItem, ...]]:
         """Line 14: ``repeat broadcast WRITE until majority of WRITEack``.
 
         Every (re)transmission carries ``reg ⊔ lReg``.  In a legitimate
@@ -233,11 +249,17 @@ class SnapshotAlgorithm(Process):
         transient fault lowers ``reg`` mid-round the join still carries
         ``lReg``, which every server merges before it replies, so some
         ack can always satisfy ``regJ ⪰ lReg`` and the round ends.
-        Returns the acks' register views, already merged into ``reg``.
+        ``regJ`` is the timestamps the ack names, shipped or elided: an
+        elided item stands for the request's entry, never for the
+        requester's current one, so an ack to an earlier round cannot
+        pass for one to this round.  Returns the acks' items, already
+        merged into ``reg``.
         """
+        l_clock = l_reg.vector_clock()
 
         def matches(sender: int, msg: Message) -> bool:
-            return l_reg.precedes_or_equals(msg.reg)
+            clock = ack_clock(msg.reg)
+            return len(clock) == len(l_clock) and all(map(le, l_clock, clock))
 
         def message() -> WriteMessage:
             reg = self.reg.copy()

@@ -26,7 +26,7 @@ from typing import Any
 from repro.broadcast.reliable import ReliableBroadcast
 from repro.config import ClusterConfig
 from repro.core.base import SnapshotAlgorithm, SnapshotResult
-from repro.core.register import RegisterArray
+from repro.core.register import AckItem, RegisterArray
 from repro.net.message import Message
 from repro.net.quorum import AckCollector, broadcast_until
 from repro.sim.kernel import Kernel
@@ -72,12 +72,12 @@ class TaskSnapshotMessage(Message):
 
 @dataclass(frozen=True)
 class TaskSnapshotAckMessage(Message):
-    """``SNAPSHOTack(s, t, reg, ssn)`` (line 65)."""
+    """``SNAPSHOTack(s, t, reg, ssn)`` (line 65), ``reg`` relative to the query."""
 
     KIND = "SNAPSHOTack"
     source: int
     sn: int
-    reg: RegisterArray
+    reg: tuple[AckItem, ...]
     ssn: int
 
 
@@ -222,7 +222,7 @@ class DgfrAlwaysTerminating(SnapshotAlgorithm):
             TaskSnapshotAckMessage(
                 source=message.source,
                 sn=message.sn,
-                reg=self.reg.copy(),
+                reg=self.reg.reply_to(message.reg),
                 ssn=message.ssn,
             ),
         )

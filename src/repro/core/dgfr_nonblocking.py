@@ -9,7 +9,9 @@ write operations cease.
 
 Costs (reproduced by benchmark E1): a write is one round trip of
 ``2(n-1)`` messages; an uncontended snapshot is one round trip of
-``2(n-1)`` messages, each of O(n·ν) bits.
+``2(n-1)`` messages.  Each request carries O(n·ν) bits; each ack ships
+only the entries that are news to the requester (O(n) bits when none
+is).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Any
 
 from repro.config import ClusterConfig
 from repro.core.base import SnapshotAlgorithm, SnapshotResult
-from repro.core.register import RegisterArray
+from repro.core.register import AckItem, RegisterArray
 from repro.net.message import Message
 from repro.net.quorum import AckCollector, broadcast_until
 from repro.sim.kernel import Kernel
@@ -38,10 +40,14 @@ class SnapshotMessage(Message):
 
 @dataclass(frozen=True)
 class SnapshotAckMessage(Message):
-    """Server-side ``SNAPSHOTack(reg, ssn)`` reply (line 31)."""
+    """Server-side ``SNAPSHOTack(reg, ssn)`` reply (line 31).
+
+    ``reg`` is relative to the query, as in ``WRITEack``: an entry where
+    its timestamp differs from the query's, the bare timestamp otherwise.
+    """
 
     KIND = "SNAPSHOTack"
-    reg: RegisterArray
+    reg: tuple[AckItem, ...]
     ssn: int
 
 
@@ -68,9 +74,12 @@ class DgfrNonBlocking(SnapshotAlgorithm):
     # -- server side ------------------------------------------------------------
 
     def _on_snapshot_query(self, sender: int, message: SnapshotMessage) -> None:
-        """Lines 29–31: merge the querier's view and echo ours with its ssn."""
+        """Lines 29–31: merge the querier's view, echo the news with its ssn."""
         self.reg.merge_from(message.reg)
-        self.send(sender, SnapshotAckMessage(reg=self.reg.copy(), ssn=message.ssn))
+        self.send(
+            sender,
+            SnapshotAckMessage(reg=self.reg.reply_to(message.reg), ssn=message.ssn),
+        )
 
     # -- client side ------------------------------------------------------------
 
@@ -104,14 +113,14 @@ class DgfrNonBlocking(SnapshotAlgorithm):
         finally:
             self._end_operation("snapshot")
 
-    async def _query_round(self) -> list[RegisterArray]:
+    async def _query_round(self) -> list[tuple[AckItem, ...]]:
         """Lines 20–21: one ``repeat broadcast SNAPSHOT until majority``.
 
         The ack filter implements line 20's ``ssnJ = ssn`` against the
         *current* value of ``ssn`` — matching the paper's use of the
         mutable variable, which is what heals corrupted in-transit acks in
         the self-stabilizing variant.  Returns the collected replies'
-        register views, already merged into ``reg``.
+        ack items, already merged into ``reg``.
         """
 
         def matches(sender: int, msg: Message) -> bool:

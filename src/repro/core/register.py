@@ -16,16 +16,22 @@ mutable per-node buffer ``reg`` with the merge operation used throughout
 Algorithms 1–3 (pointwise join).  The join makes register states a
 join-semilattice, which is what the self-stabilizing variants rely on: any
 corrupted-but-lattice-consistent information is absorbed by ``max``.
+
+A ``WRITEack``/``SNAPSHOTack`` carries *ack items* (:data:`AckItem`), one
+per entry, relative to the request it answers: the server's entry where
+its timestamp differs from the request's, otherwise that timestamp alone
+(:meth:`RegisterArray.reply_to`, :meth:`RegisterArray.merge_items`,
+:func:`ack_clock`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import ConfigurationError
 
-__all__ = ["TimestampedValue", "BOTTOM", "RegisterArray"]
+__all__ = ["TimestampedValue", "BOTTOM", "RegisterArray", "AckItem", "ack_clock"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,6 +83,15 @@ class TimestampedValue:
 
 #: The initial register value ``⊥`` — smaller than any written value.
 BOTTOM = TimestampedValue(0, None)
+
+#: One entry of a register-array ack: the server's ``reg[j]`` where it is
+#: news to the requester, otherwise the bare timestamp ``reg[j].ts``.
+AckItem = TimestampedValue | int
+
+
+def ack_clock(items: Sequence[AckItem]) -> tuple[int, ...]:
+    """The timestamps an ack names, one per entry, shipped or elided."""
+    return tuple([item if isinstance(item, int) else item.ts for item in items])
 
 
 class RegisterArray:
@@ -165,6 +180,35 @@ class RegisterArray:
             for mine, theirs in zip(self._entries, other._entries)
         ]
 
+    def reply_to(self, request: "RegisterArray") -> tuple[AckItem, ...]:
+        """The ack items answering ``request``, which is already merged in.
+
+        Entry ``j`` ships where its timestamp differs from ``request[j]``'s
+        and is the bare timestamp otherwise: the requester held that entry
+        when it sent the request, so it is no news to it.  Decided from the
+        request alone, so the server keeps nothing about the exchange.
+        """
+        return tuple(
+            [
+                mine.ts if mine.ts == theirs.ts else mine
+                for mine, theirs in zip(self._entries, request._entries)
+            ]
+        )
+
+    def merge_items(self, items: Sequence[AckItem]) -> None:
+        """Join the entries an ack shipped; an elided one adds nothing.
+
+        An elided item stands for the entry of the request it answers, not
+        for the current one: ``reg`` only grows, so that entry is already
+        here unless a fault lowered it since, and then the next round's
+        ack ships it, the server being above that round's request.
+        """
+        self._check_compatible(items)
+        self._entries = [
+            mine if isinstance(theirs, int) else mine.max_with(theirs)
+            for mine, theirs in zip(self._entries, items)
+        ]
+
     def copy(self) -> "RegisterArray":
         """An independent copy (the ``let prev := reg`` / ``lReg := reg``)."""
         return RegisterArray(list(self._entries))
@@ -181,7 +225,7 @@ class RegisterArray:
         """Largest write index present — used by the bounded-counter wrapper."""
         return max(entry.ts for entry in self._entries)
 
-    def _check_compatible(self, other: "RegisterArray") -> None:
+    def _check_compatible(self, other: Sequence[Any]) -> None:
         if len(other) != len(self._entries):
             raise ConfigurationError(
                 f"register arrays of different sizes: "

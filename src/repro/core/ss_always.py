@@ -38,7 +38,7 @@ from typing import Any, Callable, Iterable
 
 from repro.config import ClusterConfig
 from repro.core.base import SnapshotAlgorithm, SnapshotResult
-from repro.core.register import RegisterArray, TimestampedValue
+from repro.core.register import AckItem, RegisterArray, TimestampedValue
 from repro.core.ss_nonblocking import GossipPullMessage
 from repro.net.message import Message
 from repro.net.quorum import AckCollector, broadcast_until
@@ -118,10 +118,10 @@ class SnapshotMessage3(Message):
 
 @dataclass(frozen=True)
 class SnapshotAckMessage3(Message):
-    """``SNAPSHOTack(reg, ssn)`` (line 107)."""
+    """``SNAPSHOTack(reg, ssn)`` (line 107), ``reg`` relative to the query."""
 
     KIND = "SNAPSHOTack"
-    reg: RegisterArray
+    reg: tuple[AckItem, ...]
     ssn: int
 
 
@@ -530,7 +530,8 @@ class SelfStabilizingAlwaysTerminating(SnapshotAlgorithm):
             and self.pnd_tsk[d.node].fnl is not None
         ]
         self.send(
-            sender, SnapshotAckMessage3(reg=self.reg.copy(), ssn=message.ssn)
+            sender,
+            SnapshotAckMessage3(reg=self.reg.reply_to(message.reg), ssn=message.ssn),
         )
         if help_entries:
             self.send(sender, SaveMessage(entries=tuple(help_entries)))
@@ -541,7 +542,7 @@ class SelfStabilizingAlwaysTerminating(SnapshotAlgorithm):
         super()._on_write(sender, message)
         self._notify()
 
-    def merge(self, received: Iterable[RegisterArray]) -> None:
+    def merge(self, received: Iterable[tuple[AckItem, ...]]) -> None:
         """Line 72's merge; register growth may change Δ, so notify."""
         super().merge(received)
         self._notify()

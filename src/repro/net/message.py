@@ -109,7 +109,11 @@ def _size_items(items: Iterable[Any]) -> int:
     sizers = _SIZERS
     for item in items:
         cls = type(item)
-        total += (sizers.get(cls) or _compile_sizer(cls))(item)
+        if cls is int:
+            # Inlined: an ack names most register entries by timestamp.
+            total += INT_BYTES
+        else:
+            total += (sizers.get(cls) or _compile_sizer(cls))(item)
     return total
 
 

@@ -37,7 +37,10 @@ from repro.net.codec import CodecError, decode_message, encode_message
 from repro.net.message import Message
 from repro.runtime.asyncio_kernel import AsyncioKernel
 
-__all__ = ["DatagramFaultGate", "UdpNetwork"]
+__all__ = ["DatagramFaultGate", "UdpNetwork", "MAX_DATAGRAM_BYTES"]
+
+#: The largest UDP payload IPv4 can carry (65 535 − 8 UDP − 20 IP header).
+MAX_DATAGRAM_BYTES = 65_507
 
 
 class _NodeProtocol(asyncio.DatagramProtocol):
@@ -282,10 +285,21 @@ class UdpNetwork:
         self._gate_send(src, dst, message)
 
     def _gate_send(self, src: int, dst: int, message: Message) -> None:
-        """Encode one (possibly bundled) message and pass it to the gate."""
+        """Encode one (possibly bundled) message and pass it to the gate.
+
+        A message whose datagram would exceed :data:`MAX_DATAGRAM_BYTES`
+        raises :class:`~repro.errors.NetworkError` here, in the sending
+        operation: the socket would refuse it on every retransmission,
+        and the round waiting for its acks would never end.
+        """
         # encode_message caches on the instance: a broadcast encodes once
         # and reuses the bytes for every destination datagram.
         payload = struct.pack(">I", src) + encode_message(message)
+        if len(payload) > MAX_DATAGRAM_BYTES:
+            raise NetworkError(
+                f"{message.KIND} from node {src} encodes to {len(payload)} B, "
+                f"over the {MAX_DATAGRAM_BYTES} B a UDP datagram can carry"
+            )
         self._gate.submit(src, dst, payload)
 
     def _transmit(self, src: int, dst: int, payload: bytes) -> None:

@@ -123,6 +123,41 @@ class BrokenEchoTrust(DgfrNonBlocking):
 register_algorithm("broken-echo-trust", BrokenEchoTrust)
 
 
+class BrokenAckTrustCurrent(DgfrNonBlocking):
+    """Deliberately wrong: an elided WRITEack item is read as the writer's
+    *current* entry instead of the entry of the request it answers.  An
+    ack to the previous write round, arriving late, then names this
+    round's own timestamp, so a write is acknowledged before it reaches a
+    majority."""
+
+    async def write_round(self, l_reg):
+        from repro.core.base import WriteAckMessage, WriteMessage
+        from repro.net.quorum import AckCollector, broadcast_until
+
+        def matches(sender: int, msg) -> bool:
+            view = [
+                self.reg[j].ts if isinstance(item, int) else item.ts
+                for j, item in enumerate(msg.reg)
+            ]
+            return all(mine.ts <= ts for mine, ts in zip(l_reg, view))
+
+        def message():
+            reg = self.reg.copy()
+            reg.merge_from(l_reg)
+            return WriteMessage(reg=reg)
+
+        with AckCollector(
+            self, WriteAckMessage.KIND, self.majority, match=matches
+        ) as collector:
+            await broadcast_until(self, message, collector)
+            views = [msg.reg for msg in collector.reply_messages()]
+        self.merge(views)
+        return views
+
+
+register_algorithm("broken-ack-trust-current", BrokenAckTrustCurrent)
+
+
 class BrokenDigestNoPull(SelfStabilizingNonBlocking):
     """Deliberately wrong: a gossip digest that names a newer own-entry
     timestamp raises ``ts`` but never pulls the entry.  Definition 1

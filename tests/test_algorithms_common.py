@@ -7,8 +7,16 @@ import pytest
 from repro import ChannelConfig, ClusterConfig, SimBackend
 from repro.analysis.history import HistoryRecorder
 from repro.analysis.linearizability import check_snapshot_history
-from repro.core.base import ReadAckMessage, ReadMessage
-from repro.core.register import BOTTOM, TimestampedValue
+from repro.core.base import (
+    ReadAckMessage,
+    ReadMessage,
+    WriteAckMessage,
+    WriteMessage,
+)
+from repro.core.dgfr_always import TaskSnapshotAckMessage, TaskSnapshotMessage
+from repro.core.dgfr_nonblocking import SnapshotAckMessage, SnapshotMessage
+from repro.core.register import BOTTOM, RegisterArray, TimestampedValue
+from repro.core.ss_always import SnapshotAckMessage3, SnapshotMessage3
 from repro.errors import ConfigurationError, ReproError
 from repro.fault import TransientFaultInjector
 
@@ -299,14 +307,18 @@ class TestRegisterRead:
         assert cluster.read_sync(0, 0).value == "survives"
 
 
-def sent_ack(cluster, server, reader, request):
-    """The READack ``server`` puts on the wire for ``request``."""
-    cluster.node(server)._on_read(reader, request)
+def sent_ack(cluster, server, requester, request, ack_class=ReadAckMessage):
+    """The ``ack_class`` reply ``server`` sends for ``request``, kept off
+    the wire so the test decides when (and whether) it arrives."""
+    channel = cluster.network.channel(server, requester)
+    channel.drop_all_in_flight()
+    cluster.node(server).deliver(requester, request)
     [ack] = [
         message
-        for message in cluster.network.channel(server, reader).in_flight_messages()
-        if isinstance(message, ReadAckMessage)
+        for message in channel.in_flight_messages()
+        if isinstance(message, ack_class)
     ]
+    channel.drop_all_in_flight()
     return ack
 
 
@@ -388,6 +400,101 @@ class TestEntryExchange:
         assert reader.reg[0] == entry
         assert reader.tag == rounds + 1  # one round, retransmitted once
         assert read_requests(cluster) == sent + 8
+
+
+def snapshot_query(algorithm, reg):
+    """A ``SNAPSHOT`` carrying ``reg`` in the shape ``algorithm`` serves."""
+    if algorithm == "ss-always":
+        return SnapshotMessage3(tasks=(), reg=reg, ssn=5), SnapshotAckMessage3
+    if algorithm == "dgfr-always":
+        return (
+            TaskSnapshotMessage(source=1, sn=1, reg=reg, ssn=5),
+            TaskSnapshotAckMessage,
+        )
+    return SnapshotMessage(reg=reg, ssn=5), SnapshotAckMessage
+
+
+class TestAckElision:
+    """WRITEack and SNAPSHOTack ship an entry only where it is news."""
+
+    @pytest.mark.parametrize("algorithm", ALL + ["amortized"])
+    def test_server_elides_exactly_the_equal_timestamp_entries(self, algorithm):
+        news = TimestampedValue(7, b"v" * 32)
+        for kind in ("WRITE", "SNAPSHOT"):
+            cluster = make(algorithm, seed=73)
+            cluster.node(2).reg[3] = news  # the requester is behind here
+            reg = RegisterArray(5)
+            reg[1] = TimestampedValue(4, "mine")  # and ahead here
+            if kind == "WRITE":
+                request, ack_class = WriteMessage(reg=reg), WriteAckMessage
+            else:
+                request, ack_class = snapshot_query(algorithm, reg)
+            ack = sent_ack(cluster, 2, 1, request, ack_class)
+            assert ack.reg == (0, 4, 0, news, 0)
+            assert cluster.node(2).reg[1] == reg[1]  # merged, not echoed
+            # Five timestamps and one 32-byte value come back, nothing else.
+            extra = request.wire_size() - WriteMessage(reg=reg).wire_size()
+            assert ack.wire_size() == 16 + 5 * 8 + 32 + extra
+
+    @pytest.mark.parametrize("algorithm", ALL + ["amortized"])
+    def test_uncontended_write_acks_carry_no_value(self, algorithm):
+        """Every server already holds what the request says, so each ack
+        is n bare timestamps: 16 + 8n bytes whatever ν is.  ``amortized``
+        takes the WRITE path only with a scan pending, and the scan then
+        resolves in the same round: every reply equals the query."""
+        cluster = make(algorithm, seed=83)
+        value = b"x" * 200
+        if algorithm == "amortized":
+
+            async def together():
+                return await cluster.kernel.gather(
+                    [cluster.submit_write(0, value), cluster.submit_snapshot(0)]
+                )
+
+            _, snap = cluster.run_until(together())
+            assert snap.values[0] == value
+        else:
+            cluster.write_sync(0, value)
+        stats = cluster.metrics.snapshot()
+        acks = stats.messages_by_kind["WRITEack"]
+        assert acks >= 2
+        assert stats.bytes_by_kind["WRITEack"] == acks * (16 + 8 * 5)
+        assert stats.bytes_by_kind["WRITE"] >= acks * len(value)
+        assert "SNAPSHOT" not in stats.messages_by_kind
+
+    @pytest.mark.parametrize(
+        "algorithm, counted",
+        [(name, False) for name in ALL] + [("broken-ack-trust-current", True)],
+    )
+    def test_previous_rounds_ack_is_not_counted(self, algorithm, counted):
+        """Node 0's second WRITE reaches nobody, and two WRITEacks of its
+        first round arrive late.  They elide node 0's entry at ts 1, so
+        they stand for ts 1 and cannot complete the round at ts 2; read as
+        "whatever you hold now" they would, with no peer holding ts 2."""
+        import broken_algorithms  # noqa: F401  (registers the engine)
+
+        cluster = make(algorithm, seed=79)
+        writer = cluster.node(0)
+        assert cluster.write_sync(0, "first") == 1
+        first = WriteMessage(reg=writer.reg.copy())
+        stale = [sent_ack(cluster, k, 0, first, WriteAckMessage) for k in (3, 4)]
+        assert [ack.reg[0] for ack in stale] == [1, 1]
+        for k in range(1, 5):
+            cluster.network.channel(0, k).blocked = True
+        task = cluster.spawn(cluster.write(0, "second"))
+        cluster.run_for(3.0)
+        assert writer.reg[0].ts == 2 and not task.done()
+        for k, ack in zip((3, 4), stale):
+            writer.deliver(k, ack)
+        cluster.run_for(3.0)
+        assert task.done() is counted
+        assert all(cluster.node(k).reg[0].ts == 1 for k in range(1, 5))
+        for k in range(1, 5):
+            cluster.network.channel(0, k).blocked = False
+        assert cluster.run_until(task) == 2
+        # Acknowledged at ts 2 either way; held by a majority only if right.
+        holders = sum(cluster.node(k).reg[0].ts == 2 for k in range(5))
+        assert (holders >= 3) is not counted
 
 
 @pytest.mark.parametrize("algorithm", ["ss-nonblocking", "ss-always", "amortized"])

@@ -42,9 +42,10 @@ def reg(*entries):
 
 ROUND_TRIP_CASES = [
     WriteMessage(reg=reg((1, b"a"), (0, None))),
-    WriteAckMessage(reg=reg((3, "text"), (2, 42))),
+    # Acks ship an entry where it is news and name the timestamp otherwise.
+    WriteAckMessage(reg=(TimestampedValue(3, "text"), 2)),
     SnapshotMessage(reg=reg((0, None), (0, None)), ssn=7),
-    SnapshotAckMessage(reg=reg((5, b"\x00\xff"), (1, "x")), ssn=123456789),
+    SnapshotAckMessage(reg=(5, TimestampedValue(1, b"\x00\xff")), ssn=123456789),
     GossipMessage(ts=9, entry=TimestampedValue(9, b"payload")),
     # A fabric slot map: key -> (seq, value), insertion-ordered.
     ReadMessage(
@@ -129,7 +130,7 @@ class TestRoundTrips:
     @settings(max_examples=120, deadline=None)
     def test_property_round_trip(self, ts, value, ssn):
         message = SnapshotAckMessage(
-            reg=RegisterArray([TimestampedValue(ts, value)]), ssn=ssn
+            reg=(TimestampedValue(ts, value), ts), ssn=ssn
         )
         assert decode_message(encode_message(message)) == message
 

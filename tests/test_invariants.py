@@ -39,6 +39,24 @@ class TestTsConsistency:
         assert not report.ok
         assert "in-flight" in report.failures[0]
 
+    def test_detects_poisoned_ack_item_shipped_or_elided(self):
+        """A WRITEack names every entry's timestamp, with the entry or
+        without it; an elided item above ``ts_i`` is a violation too."""
+        from repro.core.base import WriteAckMessage
+
+        for item in (99, TimestampedValue(99, "bad")):
+            cluster = make()
+            cluster.network.channel(1, 0).send(
+                WriteAckMessage(reg=(0, 0, item, 0))
+            )
+            report = ts_consistent(cluster)
+            assert not report.ok
+            assert report.failures == [
+                "in-flight WRITEack 1->0: reg[2].ts=99 > ts_2=0"
+            ]
+            cluster.node(2).ts = 99  # the owner has caught up
+            assert ts_consistent(cluster).ok
+
     def test_detects_poisoned_gossip_entry(self):
         cluster = make("ss-nonblocking")
         from repro.core.ss_nonblocking import GossipMessage
@@ -95,7 +113,7 @@ class TestSsnConsistency:
         from repro.core.dgfr_nonblocking import SnapshotAckMessage
 
         cluster.network.channel(1, 0).send(
-            SnapshotAckMessage(reg=cluster.node(1).reg.copy(), ssn=77)
+            SnapshotAckMessage(reg=cluster.node(1).reg.vector_clock(), ssn=77)
         )
         report = ssn_consistent(cluster)
         assert not report.ok

@@ -213,7 +213,7 @@ class TestSsnHygiene:
         # Deliver forged stale acks from a majority; they must be dropped.
         for sender in (1, 2, 3):
             node.deliver(
-                sender, SnapshotAckMessage(reg=node.reg.copy(), ssn=3)
+                sender, SnapshotAckMessage(reg=node.reg.vector_clock(), ssn=3)
             )
         result = cluster.snapshot_sync(0)  # must still run its own round
         assert result.vector_clock == (0,) * 5

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.register import BOTTOM, RegisterArray, TimestampedValue
+from repro.core.register import BOTTOM, RegisterArray, TimestampedValue, ack_clock
 from repro.errors import ConfigurationError
 
 
@@ -129,6 +129,24 @@ class TestRegisterArray:
         assert reg.vector_clock() == (0, 2, 0)
         assert reg.snapshot_values() == (None, "v1", None)
         assert reg.max_timestamp() == 2
+
+    def test_ack_items_are_relative_to_the_request(self):
+        server = RegisterArray(
+            [TimestampedValue(3, "a"), TimestampedValue(5, "b"), BOTTOM]
+        )
+        request = RegisterArray(
+            [TimestampedValue(3, "a"), TimestampedValue(2, "old"), BOTTOM]
+        )
+        items = server.reply_to(request)
+        assert items == (3, TimestampedValue(5, "b"), 0)
+        assert ack_clock(items) == server.vector_clock()
+        # A requester lowered since its request adopts shipped entries
+        # only; the next round's ack ships the rest.
+        requester = RegisterArray(3)
+        requester.merge_items(items)
+        assert requester.vector_clock() == (0, 5, 0)
+        with pytest.raises(ConfigurationError):
+            requester.merge_items(items[:2])
 
     def test_merge_is_idempotent(self):
         a = RegisterArray(3)

@@ -112,6 +112,26 @@ class TestUdpCluster:
 
         run(main())
 
+    def test_oversized_datagram_fails_the_write_loudly(self):
+        """A ν = 70 000 B value cannot cross one datagram: the write fails
+        with the message kind and size named, instead of retransmitting a
+        packet the socket refuses for ever."""
+        from repro.errors import NetworkError
+
+        async def main():
+            cluster = await make_cluster(
+                "ss-nonblocking", ClusterConfig(n=4, seed=5), time_scale=0.002
+            )
+            try:
+                with pytest.raises(NetworkError, match=r"WRITE .* 700\d\d B"):
+                    await asyncio.wait_for(
+                        cluster.write(0, b"v" * 70_000), timeout=10
+                    )
+            finally:
+                await cluster.close()
+
+        run(main())
+
 
 class TestUdpFabric:
     def test_keyed_write_read_and_compose_across_two_shards(self):
