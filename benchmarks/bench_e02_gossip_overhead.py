@@ -2,6 +2,7 @@
 
 Paper claim: the SS variant adds O(n²) gossip messages of O(ν) bits per
 asynchronous cycle, while per-operation costs stay those of the baseline.
+The n(n−1) bound is met exactly when idle, and undercut under load.
 """
 
 from conftest import run_and_report
@@ -17,8 +18,11 @@ def test_e02_gossip_overhead(benchmark):
     )
     for row in rows:
         n = row["n"]
-        # n(n-1) gossip messages per cycle (±1 cycle-boundary slack).
-        assert abs(row["gossip_msgs_per_cycle"] - n * (n - 1)) <= n * (n - 1) * 0.4
+        # Idle: every cycle gossips all n(n-1) digests, the paper's bound.
+        assert row["gossip_msgs_per_cycle"] == n * (n - 1)
+        # Under load a request that carried reg[k].ts to p_k since the
+        # last tick stands in for that tick's digest to p_k.
+        assert row["loaded_gossip_per_cycle"] < row["gossip_msgs_per_cycle"]
         # Gossip is a constant-size digest: much smaller than a write
         # payload and independent of n; write payload grows with n.
         assert row["gossip_bytes_each"] < row["write_bytes_each"]

@@ -18,7 +18,7 @@ def test_e07_recovery_nonblocking(benchmark):
     # The theorem is about the unbounded algorithm.  The bounded rows
     # time a consensus-decided global reset (wild corrupted indices
     # overflow MAXINT): every cell must recover, and at n=4 within 8
-    # cycles.  They grow with n (9 cycles at n=12), so the bound is
+    # cycles.  They grow with n (10 cycles at n=12), so the bound is
     # not extended to the larger rows.
     unbounded = [cycle_columns(row) for row in rows if row["variant"] == "unbounded"]
     for row in unbounded:

@@ -18,6 +18,14 @@ digest and lets the entry travel only when the owner is behind (see
 legitimate execution the owner's own entry is always the freshest copy,
 so the entry a gossip carries is never news until a fault makes it so.
 
+Requests stand in for digests: every ``WRITE`` and ``SNAPSHOT`` carries
+``reg[k]`` to each ``p_k``, and a ``READ(j, …)`` carries ``reg[j]`` to
+``p_j``, which is more than a digest says.  So a tick skips the digest
+to a peer that a request since the previous tick already told its
+*current* ``reg[k].ts`` (``_told``, emptied every tick, so a scrambled
+one costs at most one digest per peer).  Idle, all n(n−1) digests still
+go out each cycle.
+
 Together these guarantee Theorem 1: within O(1) asynchronous cycles of a
 fair execution, ``ts_i`` dominates every timestamp attributed to ``p_i``
 anywhere in the system, after which a fresh write's ``ts+1`` is globally
@@ -29,7 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.dgfr_nonblocking import DgfrNonBlocking
+from repro.core.base import ReadMessage, WriteMessage
+from repro.core.dgfr_nonblocking import DgfrNonBlocking, SnapshotMessage
 from repro.core.register import TimestampedValue
 from repro.net.message import Message
 
@@ -75,6 +84,36 @@ class SelfStabilizingNonBlocking(DgfrNonBlocking):
         self.register_handler(GossipMessage.KIND, self._on_gossip)
         self.register_handler(GossipPullMessage.KIND, self._on_gossip_pull)
 
+    def initialize_state(self) -> None:
+        """Adds ``_told``: peer ``k`` → the ``reg[k].ts`` a request carried.
+
+        Filled by the requests broadcast since the last do-forever tick
+        and emptied by that tick, so nothing in it outlives one gossip
+        period — a corrupted ``_told`` suppresses at most one digest per
+        peer.
+        """
+        super().initialize_state()
+        self._told: dict[int, int] = {}
+
+    def broadcast(self, message: Message, include_self: bool = True) -> None:
+        """Broadcast, noting which own-entry timestamps a request carried.
+
+        ``WRITE(lReg)`` and ``SNAPSHOT(reg, ssn)`` carry ``reg[k]`` to every
+        ``p_k``; a ``READ(j, entry, tag)`` carries it to ``p_j`` only.
+        Each receiver merges the entry it carries (``_on_write``,
+        ``_on_snapshot_query``, ``_on_read``), which tells ``p_k`` more
+        than a digest would.
+        """
+        if not self.crashed:
+            told = self._told
+            if isinstance(message, (WriteMessage, SnapshotMessage)):
+                clock = message.reg.vector_clock()
+                for k in self.peers():
+                    told[k] = clock[k]
+            elif isinstance(message, ReadMessage) and message.j != self.node_id:
+                told[message.j] = message.entry.ts
+        super().broadcast(message, include_self)
+
     # -- do-forever loop (lines 8–11) ---------------------------------------------
 
     async def do_forever_iteration(self) -> None:
@@ -86,7 +125,9 @@ class SelfStabilizingNonBlocking(DgfrNonBlocking):
         Line 10 heals a ``ts`` that a transient fault pushed below the
         node's own register timestamp; line 11 tells every node the
         timestamp of its own entry as seen here, so a corrupted-low entry
-        anywhere is healed within a round trip (two for its value).
+        anywhere is healed within a round trip (two for its value).  A
+        peer that a request since the last tick already told its current
+        ``reg[k].ts`` gets no digest this tick.
         """
         reg_ts = self.reg[self.node_id].ts
         if self.ts < reg_ts:
@@ -96,8 +137,12 @@ class SelfStabilizingNonBlocking(DgfrNonBlocking):
             self.ts = reg_ts
             if self.obs is not None:
                 self.obs.ts_heals += 1
+        told = self._told
         for peer in self.peers():
-            self.send(peer, GossipMessage(ts=self.reg[peer].ts, entry=None))
+            ts = self.reg[peer].ts
+            if told.get(peer) != ts:
+                self.send(peer, GossipMessage(ts=ts, entry=None))
+        told.clear()
 
     # -- gossip server side (lines 24–25) --------------------------------------------
 

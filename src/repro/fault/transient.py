@@ -2,9 +2,9 @@
 
 The paper's fault model lets a transient fault drive the system into an
 *arbitrary* state — control variables (``ts``, ``ssn``, ``sns``,
-``tag``), the register buffers, the pending-task table, and the contents
-of every communication channel may all hold garbage (only the code stays
-intact).
+``tag``, ``_told``), the register buffers, the pending-task table, and the
+contents of every communication channel may all hold garbage (only the
+code stays intact).
 
 :class:`TransientFaultInjector` reproduces that model against any
 running :class:`~repro.backend.base.ClusterBackend` (sim, asyncio, or
@@ -78,6 +78,27 @@ class TransientFaultInjector:
         """Overwrite ``tag``, the read-round index."""
         for node_id in self._targets(node_ids):
             self._cluster.node(node_id).tag = self._wild_ts()
+
+    def corrupt_told(self, node_ids: Iterable[int] | None = None) -> None:
+        """Overwrite ``_told``, the own-entry timestamps requests carried.
+
+        Each peer is left out, mapped to its current ``reg[k].ts`` (the
+        worst case: its next digest is skipped) or mapped to a wild
+        index.  A node without ``_told`` (every variant but Algorithm 1
+        and its descendants) draws nothing.
+        """
+        for node_id in self._targets(node_ids):
+            process = self._cluster.node(node_id)
+            if not hasattr(process, "_told"):
+                continue
+            told: dict[int, int] = {}
+            for k in process.peers():
+                choice = self._rng.randrange(3)
+                if choice == 1:
+                    told[k] = process.reg[k].ts
+                elif choice == 2:
+                    told[k] = self._wild_ts()
+            process._told = told
 
     def corrupt_registers(
         self,
@@ -228,5 +249,7 @@ class TransientFaultInjector:
         self.corrupt_pending_tasks(node_ids)
         self.corrupt_consensus(node_ids)
         self.scramble_channels()
-        # Last, so every draw above is the one it was before reads existed.
+        # Last, so every draw above is the one it was before reads (and
+        # then requests standing in for gossip) existed.
         self.corrupt_read_tags(node_ids)
+        self.corrupt_told(node_ids)

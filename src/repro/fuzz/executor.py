@@ -288,6 +288,7 @@ class _SpecRun:
             self.injector.corrupt_read_tags()
         elif mode == "registers":
             self.injector.corrupt_registers()
+            self.injector.corrupt_told()
         elif mode == "consensus":
             self.injector.corrupt_consensus()
         else:

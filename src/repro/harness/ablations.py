@@ -179,6 +179,9 @@ def a3_loss_retransmission_cost(
             )
             with cluster.metrics.window() as window:
                 cluster.write_sync(0, b"x", max_events=None)
+                # The write returns on a majority; the other servers'
+                # acks are still on their way and belong to its cost.
+                cluster.run_until(cluster.settle_cycles(1), max_events=None)
             counts.append(window.stats.messages("WRITE", "WRITEack"))
         baseline = 2 * (n - 1)
         rows.append(

@@ -151,13 +151,16 @@ class Process:
         The paper's client-side ``broadcast`` goes to all of 𝒫 and the
         sender's own server-side participates (its ack counts toward the
         majority); gossip (``for k ≠ i``) passes ``include_self=False``.
+        Each copy goes through :meth:`send`, so a subclass that wraps
+        outgoing traffic (the bounded variants' epoch envelope) wraps
+        broadcasts too.
         """
         if self.crashed:
             return
         for dst in range(self.config.n):
             if dst == self.node_id and not include_self:
                 continue
-            self.network.send(self.node_id, dst, message)
+            self.send(dst, message)
 
     # -- do-forever loop ---------------------------------------------------------------
 

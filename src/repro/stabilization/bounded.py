@@ -3,7 +3,9 @@
 Wraps the self-stabilizing algorithms with the MAXINT → global-reset
 transformation:
 
-* every algorithm message travels inside an :class:`EpochEnvelope`;
+* every algorithm message travels inside an :class:`EpochEnvelope` —
+  broadcast requests (``WRITE``, ``SNAPSHOT``, ``READ``) too, since
+  :meth:`~repro.net.node.Process.broadcast` sends through :meth:`send`;
   envelopes from other epochs are dropped, so stale pre-reset indices
   cannot re-poison a reset node;
 * when any local operation index reaches ``config.max_int`` the node

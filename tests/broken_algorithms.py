@@ -170,3 +170,19 @@ class BrokenDigestNoPull(SelfStabilizingNonBlocking):
 
 
 register_algorithm("broken-digest-no-pull", BrokenDigestNoPull)
+
+
+class BrokenGossipSticky(SelfStabilizingNonBlocking):
+    """Deliberately wrong: the do-forever tick never empties ``_told``, so
+    a request's word stands in for every later digest to its receiver.
+    Once the load stops, an owner whose entry a fault lowered hears from
+    no peer whose last request told it the current timestamp, and stays
+    behind for ever."""
+
+    async def do_forever_iteration(self) -> None:
+        told = dict(self._told)
+        await super().do_forever_iteration()
+        self._told.update(told)
+
+
+register_algorithm("broken-gossip-sticky", BrokenGossipSticky)

@@ -169,6 +169,32 @@ class TestEpochHygiene:
         node.deliver(0, EpochEnvelope(epoch=0, inner=WriteMessage(reg=fresh)))
         assert node.reg[0].value == "ok"
 
+    def test_pre_reset_write_is_dropped_after_the_reset(self):
+        """A broadcast request travels in its epoch's envelope too: a
+        ``WRITE`` from before the reset, delivered after it, would plant
+        a pre-reset index and a value older than an acknowledged write."""
+        from repro.core.register import TimestampedValue
+
+        cluster = make(n=4, max_int=1000, seed=11)
+        captured = []
+        original = cluster.network.send
+
+        def spy(src, dst, message):
+            if (src, dst, message.kind) == (0, 1, "WRITE"):
+                captured.append(message)
+            original(src, dst, message)
+
+        cluster.network.send = spy
+        for value in ("v0", "v1", "v2"):
+            cluster.write_sync(0, value)
+        cluster.node(0)._enter_reset()
+        cluster.run_until(cluster.settle_cycles(8), max_events=None)
+        assert {p.epoch for p in cluster.processes} == {1}
+        node = cluster.node(1)
+        assert node.reg[0] == TimestampedValue(0, "v2")
+        node.deliver(0, captured[0])
+        assert node.reg[0] == TimestampedValue(0, "v2")
+
     def test_commit_message_carries_merged_values(self):
         """The decided commit installs the join of a majority's votes, so
         divergent pre-reset replicas cannot survive as irreconcilable

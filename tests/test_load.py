@@ -236,12 +236,15 @@ class TestRunLoad:
 #: one ``read(node)`` quorum round instead of a whole-shard snapshot
 #: (53 → 64 and 173 → 247 operations in the same 30 u); the two
 #: single-cluster rows issue no read and did not move.  PR 23 (scan-free
-#: group commits ship one entry) moved none of the four.
+#: group commits ship one entry) moved none of the four.  All four were
+#: re-pinned when a request since the last tick now stands in for the gossip
+#: digest to its receiver, and fewer messages draw fewer channel delays
+#: (53 → 58, 129 → 139, 64 → 64 and 247 → 218 operations).
 PINNED_RUNS = {
-    ("ss-nonblocking", 4, None): ("756042695a2e0df8", 53, 0.977376372546065),
-    ("amortized", 4, None): ("d1d8d8116d09401c", 129, 3.518634899682479),
-    ("ss-nonblocking", 1, 2): ("d7fac136690506af", 64, 1.7681742217690424),
-    ("amortized", 4, 2): ("59e615e5e29da6ae", 247, 7.171059229604422),
+    ("ss-nonblocking", 4, None): ("d1e47b846061b8e5", 58, 0.9967260991620647),
+    ("amortized", 4, None): ("e0266daed2c728b2", 139, 3.9037428049678597),
+    ("ss-nonblocking", 1, 2): ("7b95742b587952b4", 64, 1.7363598104620044),
+    ("amortized", 4, 2): ("968b65b72727dd19", 218, 6.503518830458252),
 }
 
 
@@ -366,6 +369,10 @@ class TestCapacityGates:
     #: the pipelined ss-nonblocking baseline.
     CAPACITY_FLOOR = 1.5
     CAPACITY_GAIN = 1.5
+    #: Minimum saturated capacity (op/u) of the ss-nonblocking sweep at
+    #: n=4.  It reads 0.92 at seed 0; over seeds 0–23 it spans 0.83–1.05
+    #: (mean 0.956), so this is a bar under the seed spread.
+    SATURATED_FLOOR = 0.8
     #: Top-rung p50 ceiling (simulated time units) for amortized sweeps.
     P50_CEILING = 50.0
     #: Bytes per operation of the pinned K=2 amortized fabric run before
@@ -400,11 +407,11 @@ class TestCapacityGates:
 
     def test_keyed_write_ships_one_entry_not_the_array(self, monkeypatch):
         """Counted on the live metrics of the run ``PINNED_RUNS`` pins
-        (same 247 operations), not read from a committed figure."""
+        (same 218 operations), not read from a committed figure."""
         report, backends = pinned_run(monkeypatch, "amortized", 4, 2)
         assert report.completed == PINNED_RUNS["amortized", 4, 2][1]
         total = sum(b.metrics.snapshot().total_bytes for b in backends)
-        per_op = total / report.completed  # 1069
+        per_op = total / report.completed  # 631
         assert per_op <= self.WHOLE_ARRAY_BYTES_PER_OP / 2
 
     def test_sweep_finds_the_knee_and_amortized_flattens_it(self):
@@ -414,7 +421,7 @@ class TestCapacityGates:
         assert baseline.ok, baseline.failures
         assert all(point.errors == 0 for point in baseline.points)
         assert baseline.knee_rate == 0.5
-        assert round(baseline.saturated_throughput, 2) == 0.99
+        assert baseline.saturated_throughput >= self.SATURATED_FLOOR
         # Past the knee the baseline's open-loop queue diverges; shared
         # rounds keep the amortized median flat (230.5 u vs 3.3 u).
         baseline_p50 = baseline.points[-1].latency["all"]["p50"]

@@ -79,6 +79,26 @@ class TestNonBlockingSemantics:
         assert node.ssn == ssn_before + 1
 
 
+def tick(node):
+    """Run one do-forever iteration to completion (it never awaits)."""
+    with pytest.raises(StopIteration):
+        node.do_forever_iteration().send(None)
+
+
+def gossip_spy(cluster, src):
+    """Record the receivers of every digest ``src`` sends."""
+    receivers = []
+    original = cluster.network.send
+
+    def spy(sender, dst, message):
+        if sender == src and isinstance(message, GossipMessage):
+            receivers.append(dst)
+        original(sender, dst, message)
+
+    cluster.network.send = spy
+    return receivers
+
+
 class TestGossip:
     def test_baseline_sends_no_gossip(self):
         cluster = make("dgfr-nonblocking")
@@ -200,6 +220,75 @@ class TestGossip:
             outcomes[name] = cluster.snapshot_sync(1).values[0]
         assert outcomes["dgfr-nonblocking"] == "GARBAGE"
         assert outcomes["ss-nonblocking"] == "fresh"
+
+    def test_tick_skips_exactly_the_peers_told_the_current_ts(self):
+        """A request carrying a peer's current ``reg[k].ts`` stands in for
+        that peer's digest at the next tick, and only at that one."""
+        from repro.core.base import ReadMessage, WriteMessage
+
+        cluster = make("ss-nonblocking", n=4, seed=21)
+        for k in range(4):
+            cluster.write_sync(k, f"v{k}")
+        cluster.run_until(cluster.settle_cycles(2))
+        node = cluster.node(0)
+        receivers = gossip_spy(cluster, 0)
+        node.broadcast(WriteMessage(reg=node.reg.copy()))
+        assert node._told == {k: node.reg[k].ts for k in (1, 2, 3)}
+        # Peer 2's entry moves on after the request: its digest is news.
+        node.reg[2] = TimestampedValue(node.reg[2].ts + 1, "newer")
+        tick(node)
+        assert receivers == [2] and node._told == {}
+        tick(node)
+        assert receivers == [2, 1, 2, 3]
+        # A READ carries reg[j] to p_j only.
+        receivers.clear()
+        node.broadcast(ReadMessage(j=3, entry=node.reg[3], tag=0))
+        tick(node)
+        assert receivers == [1, 2]
+        # A crashed node sends nothing, so it tells nobody anything.
+        cluster.crash(0)
+        node.broadcast(WriteMessage(reg=node.reg.copy()))
+        assert node._told == {}
+
+    def test_scrambled_told_costs_at_most_one_tick(self):
+        from repro.fault.transient import TransientFaultInjector
+
+        cluster = make("ss-nonblocking", n=4, seed=23)
+        cluster.write_sync(1, "x")
+        node = cluster.node(0)
+        receivers = gossip_spy(cluster, 0)
+        injector = TransientFaultInjector(cluster, seed=5)
+        skipped = 0
+        for _ in range(20):
+            injector.corrupt_told([0])
+            receivers.clear()
+            tick(node)
+            skipped += 3 - len(receivers)
+            receivers.clear()
+            tick(node)
+            assert receivers == [1, 2, 3]
+        assert skipped > 0  # the scramble does suppress digests
+
+    @pytest.mark.parametrize(
+        "algorithm, healed",
+        [("ss-nonblocking", True), ("broken-gossip-sticky", False)],
+    )
+    def test_owner_corrupted_low_after_load_heals(self, algorithm, healed):
+        """Once requests stop, only digests tell the owner its entry fell
+        behind: the digest and the pull restore it within 3 cycles."""
+        import broken_algorithms  # noqa: F401  (registers the engine)
+
+        cluster = make(algorithm, n=4, seed=25)
+        cluster.write_sync(0, "real")
+        # Every peer's last request carries the owner's current entry.
+        for k in (1, 2, 3):
+            cluster.snapshot_sync(k)
+        node = cluster.node(0)
+        node.reg[0] = TimestampedValue(0, None)  # corrupted low
+        node.ts = 0
+        cluster.run_until(cluster.settle_cycles(3))
+        assert (node.reg[0] == TimestampedValue(1, "real")) is healed
+        assert (node.ts == 1) is healed
 
 
 class TestSsnHygiene:
