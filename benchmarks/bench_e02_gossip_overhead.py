@@ -20,8 +20,8 @@ def test_e02_gossip_overhead(benchmark):
         n = row["n"]
         # Idle: every cycle gossips all n(n-1) digests, the paper's bound.
         assert row["gossip_msgs_per_cycle"] == n * (n - 1)
-        # Under load a request that carried reg[k].ts to p_k since the
-        # last tick stands in for that tick's digest to p_k.
+        # Under load a request that carried reg[k].ts to or from p_k
+        # since the last tick stands in for that tick's digest to p_k.
         assert row["loaded_gossip_per_cycle"] < row["gossip_msgs_per_cycle"]
         # Gossip is a constant-size digest: much smaller than a write
         # payload and independent of n; write payload grows with n.

@@ -20,11 +20,13 @@ so the entry a gossip carries is never news until a fault makes it so.
 
 Requests stand in for digests: every ``WRITE`` and ``SNAPSHOT`` carries
 ``reg[k]`` to each ``p_k``, and a ``READ(j, …)`` carries ``reg[j]`` to
-``p_j``, which is more than a digest says.  So a tick skips the digest
-to a peer that a request since the previous tick already told its
-*current* ``reg[k].ts`` (``_told``, emptied every tick, so a scrambled
-one costs at most one digest per peer).  Idle, all n(n−1) digests still
-go out each cycle.
+``p_j``, which is more than a digest says; a request *from* ``p_k``
+shows its own entry, which a digest would only echo.  So while an
+operation is in flight, a tick skips the digest to a peer whose
+*current* ``reg[k].ts`` a request since the previous tick carried
+either way (``_told``, emptied every tick, so a scrambled one costs at
+most one digest per peer).  Idle, all n(n−1) digests still go out each
+cycle.
 
 Together these guarantee Theorem 1: within O(1) asynchronous cycles of a
 fair execution, ``ts_i`` dominates every timestamp attributed to ``p_i``
@@ -85,12 +87,12 @@ class SelfStabilizingNonBlocking(DgfrNonBlocking):
         self.register_handler(GossipPullMessage.KIND, self._on_gossip_pull)
 
     def initialize_state(self) -> None:
-        """Adds ``_told``: peer ``k`` → the ``reg[k].ts`` a request carried.
+        """Adds ``_told``: peer ``k`` → a ``reg[k].ts`` that ``p_k`` holds.
 
-        Filled by the requests broadcast since the last do-forever tick
-        and emptied by that tick, so nothing in it outlives one gossip
-        period — a corrupted ``_told`` suppresses at most one digest per
-        peer.
+        Filled by the requests sent to or received from ``p_k`` since the
+        last do-forever tick and emptied by that tick, so nothing in it
+        outlives one gossip period — a corrupted ``_told`` suppresses at
+        most one digest per peer.
         """
         super().initialize_state()
         self._told: dict[int, int] = {}
@@ -114,6 +116,27 @@ class SelfStabilizingNonBlocking(DgfrNonBlocking):
                 told[message.j] = message.entry.ts
         super().broadcast(message, include_self)
 
+    def deliver(self, sender: int, message: Message) -> None:
+        """Deliver, noting the own entry a peer's request showed us.
+
+        ``p_k``'s ``WRITE`` and ``SNAPSHOT`` carry its own ``reg[k]``, and
+        so does its ``READ(k, …)``.  Its own entry only grows outside a
+        fault, and line 10 keeps ``ts`` above it, so a digest naming that
+        timestamp would tell ``p_k`` nothing.
+        """
+        super().deliver(sender, message)
+        if self.crashed or sender == self.node_id:
+            return
+        if isinstance(message, (WriteMessage, SnapshotMessage)):
+            ts = message.reg[sender].ts
+        elif isinstance(message, ReadMessage) and message.j == sender:
+            ts = message.entry.ts
+        else:
+            return
+        told = self._told
+        if told.get(sender, -1) < ts:
+            told[sender] = ts
+
     # -- do-forever loop (lines 8–11) ---------------------------------------------
 
     async def do_forever_iteration(self) -> None:
@@ -125,9 +148,12 @@ class SelfStabilizingNonBlocking(DgfrNonBlocking):
         Line 10 heals a ``ts`` that a transient fault pushed below the
         node's own register timestamp; line 11 tells every node the
         timestamp of its own entry as seen here, so a corrupted-low entry
-        anywhere is healed within a round trip (two for its value).  A
-        peer that a request since the last tick already told its current
-        ``reg[k].ts`` gets no digest this tick.
+        anywhere is healed within a round trip (two for its value).  While
+        an operation is in flight, a peer whose current ``reg[k].ts`` a
+        request since the last tick carried, in either direction, gets no
+        digest this tick.  Idle, every digest goes out, so recovery from
+        an arbitrary state (a ``_told`` scrambled to match included) never
+        waits on one.
         """
         reg_ts = self.reg[self.node_id].ts
         if self.ts < reg_ts:
@@ -137,12 +163,12 @@ class SelfStabilizingNonBlocking(DgfrNonBlocking):
             self.ts = reg_ts
             if self.obs is not None:
                 self.obs.ts_heals += 1
-        told = self._told
+        told = self._told if self._ops_in_flight else {}
         for peer in self.peers():
             ts = self.reg[peer].ts
             if told.get(peer) != ts:
                 self.send(peer, GossipMessage(ts=ts, entry=None))
-        told.clear()
+        self._told = {}
 
     # -- gossip server side (lines 24–25) --------------------------------------------
 

@@ -80,7 +80,7 @@ class TransientFaultInjector:
             self._cluster.node(node_id).tag = self._wild_ts()
 
     def corrupt_told(self, node_ids: Iterable[int] | None = None) -> None:
-        """Overwrite ``_told``, the own-entry timestamps requests carried.
+        """Overwrite ``_told``, the timestamps requests carried per peer.
 
         Each peer is left out, mapped to its current ``reg[k].ts`` (the
         worst case: its next digest is skipped) or mapped to a wild

@@ -62,17 +62,20 @@ def e01_nonblocking_op_costs(n_values=(4, 8, 12, 16), seed=0):
     return rows
 
 
-def e02_gossip_overhead(
-    n_values=(4, 8, 12), cycles=5, seed=0, load_duration=40.0
-):
+#: Length of E2's 80:20 closed-loop window, in simulated time units.
+_E2_LOAD_DURATION = 40.0
+
+
+def e02_gossip_overhead(n_values=(4, 8, 12), cycles=5, seed=0):
     """E2 (Figure 1 lower / Contribution 1): SS gossip overhead.
 
     Paper claim: the self-stabilizing variant adds O(n²) gossip messages
     of O(ν) bits per cycle; operation costs are unchanged.  Each gossip
     here is a timestamp digest, so its size does not depend on ν either.
     Idle, every cycle sends all n(n−1) digests; under an 80:20 closed
-    loop (n clients) a request that already carried ``reg[k].ts`` to
-    ``p_k`` stands in for that cycle's digest, so fewer are sent.
+    loop (n clients) a request that already carried ``reg[k].ts`` between
+    a node and ``p_k`` stands in for that cycle's digest, so fewer are
+    sent.
     """
     from repro.load.driver import LoadGenerator, LoadSpec
 
@@ -87,7 +90,8 @@ def e02_gossip_overhead(
         with cluster.metrics.window() as op_window:
             cluster.write_sync(1, value_of_size(32))
         load = LoadGenerator(
-            cluster, LoadSpec(clients=n, duration=load_duration, seed=seed)
+            cluster,
+            LoadSpec(clients=n, duration=_E2_LOAD_DURATION, seed=seed),
         )
         cycles_before = cluster.tracker.cycles_elapsed
         with cluster.metrics.window() as load_window:

@@ -368,6 +368,12 @@ class BoundedSelfStabilizingNonBlocking(
         super().__init__(*args, **kwargs)
         self._install_reset_handlers()
 
+    def _apply_index_reset(self, values: RegisterArray) -> None:
+        # A resetting node skips the gossip tick that empties ``_told``,
+        # and its pre-reset timestamps would match the restarted indices.
+        super()._apply_index_reset(values)
+        self._told = {}
+
 
 class BoundedSelfStabilizingAlwaysTerminating(
     _BoundedCounterMixin, SelfStabilizingAlwaysTerminating

@@ -175,9 +175,9 @@ register_algorithm("broken-digest-no-pull", BrokenDigestNoPull)
 class BrokenGossipSticky(SelfStabilizingNonBlocking):
     """Deliberately wrong: the do-forever tick never empties ``_told``, so
     a request's word stands in for every later digest to its receiver.
-    Once the load stops, an owner whose entry a fault lowered hears from
-    no peer whose last request told it the current timestamp, and stays
-    behind for ever."""
+    While a peer's operation waits, an owner whose entry a fault lowered
+    hears nothing from a peer whose last full request told it the current
+    timestamp, and stays behind as long as the operation does."""
 
     async def do_forever_iteration(self) -> None:
         told = dict(self._told)

@@ -195,6 +195,20 @@ class TestEpochHygiene:
         node.deliver(0, captured[0])
         assert node.reg[0] == TimestampedValue(0, "v2")
 
+    def test_commit_empties_told(self):
+        """A resetting node skips the gossip tick that empties ``_told``;
+        left alone, a pre-reset entry of 0 would match every restarted
+        index and stand in for a digest on a request the new epoch drops."""
+        cluster = make(n=4, max_int=1000, seed=13)
+        cluster.write_sync(0, "x")
+        node = cluster.node(1)
+        node._enter_reset()
+        node._told = {0: 0, 2: 0, 3: 0}
+        node._apply_commit(
+            ResetCommitMessage(new_epoch=1, values=node.reg.copy())
+        )
+        assert node._told == {}
+
     def test_commit_message_carries_merged_values(self):
         """The decided commit installs the join of a majority's votes, so
         divergent pre-reset replicas cannot survive as irreconcilable

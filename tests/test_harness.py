@@ -40,6 +40,8 @@ class TestCostExperiments:
         rows = e02_gossip_overhead(n_values=(3, 6), cycles=3)
         small, large = rows
         assert large["gossip_msgs_per_cycle"] > 3 * small["gossip_msgs_per_cycle"]
+        for row in rows:
+            assert row["loaded_gossip_per_cycle"] < row["gossip_msgs_per_cycle"]
 
     def test_e03_ratio_four(self):
         rows = e03_stacking_comparison(n_values=(4,))
