@@ -63,8 +63,9 @@ def ts_consistent(cluster: SimBackend) -> InvariantReport:
 
     Checks node variables (``reg_j[i].ts`` for every ``j``) and the
     register arrays, ack items (shipped entries and elided timestamps
-    alike), single entries and timestamps (GOSSIP, READ, READack)
-    carried by every in-flight message.
+    alike), single entries and timestamps (GOSSIP, READ, READack) and
+    key-map deltas (a READ's, which name the entry's ts) carried by
+    every in-flight message.
     """
     report = InvariantReport()
     n = cluster.config.n
@@ -95,7 +96,8 @@ def ts_consistent(cluster: SimBackend) -> InvariantReport:
         else:
             continue
         # A gossip digest and a READack claim a timestamp with or without
-        # the entry present.
+        # the entry present; a READ's entry may be a KeyDelta, whose ts is
+        # the entry's.
         claimed = getattr(message, "ts", 0)
         if message.entry is not None:
             claimed = max(claimed, message.entry.ts)

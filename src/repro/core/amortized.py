@@ -193,6 +193,7 @@ class AmortizedSnapshot(SelfStabilizingNonBlocking):
         batch, self._pending_writes = self._pending_writes, []
         scans, self._pending_scans = self._pending_scans, []
         i = self.node_id
+        self.base = self.reg[i].value
         for op in batch:
             self.ts += 1
             self.reg[i] = TimestampedValue(self.ts, op.value)

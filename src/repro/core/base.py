@@ -18,7 +18,11 @@ baselines, and their self-stabilizing variants) share:
   Attiya–Bar-Noy–Dolev (the paper's [5]) over the same ``reg`` buffers:
   READ ships one register entry to every server, and a READack ships one
   back only where the server holds a newer one (otherwise it names the
-  timestamp and leaves out the entry the request already carried);
+  timestamp and leaves out the entry the request already carried).  A
+  node's own entry whose value is a key map travels as a
+  :class:`~repro.core.register.KeyDelta` against its value before the
+  latest local write, and a server that cannot check the delta against
+  its copy gets the whole entry at once;
 * the single-register ``read(j)`` built from it: one round, plus a
   write-back round only when the majority disagreed.  It needs (and pays
   for) single-register atomicity only, so writes to other registers
@@ -37,6 +41,8 @@ from typing import Any, Iterable
 from repro.config import ClusterConfig
 from repro.core.register import (
     AckItem,
+    KeyDelta,
+    KeyMap,
     RegisterArray,
     TimestampedValue,
     ack_clock,
@@ -106,11 +112,16 @@ class WriteAckMessage(Message):
 
 @dataclass(frozen=True)
 class ReadMessage(Message):
-    """Client-side ``READ(j, entry, tag)``: the reader's copy of ``reg[j]``."""
+    """Client-side ``READ(j, entry, tag)``: the reader's copy of ``reg[j]``.
+
+    ``entry`` is a :class:`~repro.core.register.KeyDelta` when ``p_j``
+    sends its own key-map entry as the items that changed since its
+    base; it names the entry's ``ts`` all the same.
+    """
 
     KIND = "READ"
     j: int
-    entry: TimestampedValue
+    entry: TimestampedValue | KeyDelta
     tag: int
 
 
@@ -165,6 +176,11 @@ class SnapshotAlgorithm(Process):
         #: freezes its own copy, so any value (a corrupted one included)
         #: is a legal starting point.
         self.tag: int = 0
+        #: The value of ``reg[i]`` before the latest local write: the
+        #: base a key-map entry's delta is taken against (``None``, ⊥'s
+        #: value, is the empty map).  Any value is a legal starting
+        #: point; one no server holds costs a whole entry per server.
+        self.base: Any = None
         self._ops_in_flight: set[str] = set()
 
     # -- the merge(Rec) macro -----------------------------------------------------
@@ -208,18 +224,37 @@ class SnapshotAlgorithm(Process):
         The reply leaves the entry out when its timestamp is the
         request's — decided from the request alone, so the server keeps
         nothing about the exchange.
+
+        A delta is applied only to a copy older than it whose digest is
+        its base's, so the copy becomes the writer's content at the
+        delta's ``ts`` and nothing else.  Otherwise an older copy is
+        answered with its own timestamp and no entry — below the
+        request's, which no other ack names — and the requester sends
+        the whole entry back at once.
         """
         j = message.j
         if not 0 <= j < self.config.n:
             return  # corrupted index; the sender retransmits
-        self.merge_entry(j, message.entry)
+        entry = candidate = message.entry
+        if isinstance(entry, KeyDelta):
+            candidate = mine = self.reg[j]
+            if mine.ts < entry.ts:
+                copy = KeyMap.of(mine.value)
+                if copy is None or copy.digest != entry.base:
+                    self.send(
+                        sender,
+                        ReadAckMessage(j=j, ts=mine.ts, entry=None, tag=message.tag),
+                    )
+                    return
+                candidate = TimestampedValue(entry.ts, copy.apply_delta(entry))
+        self.merge_entry(j, candidate)
         mine = self.reg[j]
         self.send(
             sender,
             ReadAckMessage(
                 j=j,
                 ts=mine.ts,
-                entry=None if mine.ts == message.entry.ts else mine,
+                entry=None if mine.ts == entry.ts else mine,
                 tag=message.tag,
             ),
         )
@@ -232,6 +267,7 @@ class SnapshotAlgorithm(Process):
         Returns the write's timestamp index (useful for histories).
         """
         self.ts += 1
+        self.base = self.reg[self.node_id].value
         self.reg[self.node_id] = TimestampedValue(self.ts, value)
         if self.obs is not None:
             self.obs.phase("write.quorum_round")
@@ -323,16 +359,23 @@ class SnapshotAlgorithm(Process):
         server will send.  An ack without an entry stands for the frozen
         one and is accepted under its timestamp only; an ack with an
         entry must name that entry's timestamp.  Anything else is a
-        corrupted packet and is answered by the next retransmission.
+        corrupted packet and is answered by the next retransmission —
+        except an entry-less ack below a delta's timestamp: that server
+        could not apply the delta, and gets the whole entry at once,
+        under the same tag.
         """
         self.tag += 1
         tag = self.tag
-        message = ReadMessage(j=j, entry=entry, tag=tag)
+        whole = ReadMessage(j=j, entry=entry, tag=tag)
+        delta = self._delta(j, entry)
+        message = whole if delta is None else ReadMessage(j=j, entry=delta, tag=tag)
 
         def matches(sender: int, msg: Message) -> bool:
             if msg.tag != tag or msg.j != j:
                 return False
             if msg.entry is None:
+                if msg.ts < entry.ts and message is not whole:
+                    self.send(sender, whole)
                 return msg.ts == entry.ts
             return msg.entry.ts == msg.ts >= entry.ts
 
@@ -344,6 +387,18 @@ class SnapshotAlgorithm(Process):
                 entry if msg.entry is None else msg.entry
                 for msg in collector.reply_messages()
             ]
+
+    def _delta(self, j: int, entry: TimestampedValue) -> KeyDelta | None:
+        """Our own key-map ``entry`` as a delta against :attr:`base`.
+
+        ``None`` — ship the entry whole — for another node's entry, a
+        value that is not a key map, a base that is not one, or a map
+        that lost keys since the base (a fabric slot after a split).
+        """
+        if j != self.node_id or not isinstance(entry.value, KeyMap):
+            return None
+        base = KeyMap.of(self.base)
+        return None if base is None else entry.value.delta_since(base, entry.ts)
 
     # -- operation-invocation discipline --------------------------------------------------
 

@@ -22,16 +22,31 @@ per entry, relative to the request it answers: the server's entry where
 its timestamp differs from the request's, otherwise that timestamp alone
 (:meth:`RegisterArray.reply_to`, :meth:`RegisterArray.merge_items`,
 :func:`ack_clock`).
+
+A value that is a :class:`KeyMap` (the sharded fabric's slot maps) has a
+content digest, so its writer can ship a new entry as a :class:`KeyDelta`
+— the items that changed since a base, checked against the base's
+digest — instead of the whole map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from hashlib import blake2b
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import ConfigurationError
 
-__all__ = ["TimestampedValue", "BOTTOM", "RegisterArray", "AckItem", "ack_clock"]
+__all__ = [
+    "TimestampedValue",
+    "BOTTOM",
+    "RegisterArray",
+    "AckItem",
+    "ack_clock",
+    "KeyMap",
+    "EMPTY_KEY_MAP",
+    "KeyDelta",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,3 +246,173 @@ class RegisterArray:
                 f"register arrays of different sizes: "
                 f"{len(self._entries)} vs {len(other)}"
             )
+
+
+_DIGEST_MASK = (1 << 64) - 1
+_MISSING = object()
+
+
+def _item_digest(key: Any, item: Any) -> int:
+    """64 bits of BLAKE2b over ``repr((key, item))``.
+
+    ``repr`` of the str, bytes, int and tuple keys and items the fabric
+    writes is the same in every process, unlike ``hash`` of a str.
+    """
+    text = repr((key, item)).encode()
+    return int.from_bytes(blake2b(text, digest_size=8).digest(), "big")
+
+
+class KeyMap(dict):
+    """A frozen key → item map with a content digest.
+
+    The sharded fabric's register values: ``{key: (seq, value)}``.  It is
+    a ``dict`` for every reader (equality, ``repr``, size and iteration
+    are a dict's), but nothing may change it once built, so a digest
+    taken once stays true and a map can be shared by reference like the
+    :class:`TimestampedValue` holding it.
+
+    :attr:`digest` is the sum of a 64-bit hash of each item, modulo
+    2⁶⁴, so equal contents have equal digests whatever their insertion
+    order.  A map remembers each item's hash, so :meth:`apply` updates
+    the digest by hashing the changed items alone.
+    """
+
+    __slots__ = ("_hashes", "_digest")
+
+    def _frozen(self, *args: Any, **kwargs: Any) -> None:
+        """Refused: a key map never changes once built."""
+        raise TypeError("a KeyMap is frozen; build a new one with apply()")
+
+    __setitem__ = __delitem__ = __ior__ = _frozen
+    clear = pop = popitem = setdefault = update = _frozen
+
+    def __reduce__(self) -> tuple:
+        return KeyMap, (dict(self),)
+
+    @classmethod
+    def of(cls, value: Any) -> "KeyMap | None":
+        """``value`` as a key map: ``None`` (``⊥``'s value) is the empty one.
+
+        Any other value that is not a :class:`KeyMap` has no digest, and
+        ``None`` is returned for it.
+        """
+        if value is None:
+            return EMPTY_KEY_MAP
+        return value if isinstance(value, KeyMap) else None
+
+    @property
+    def digest(self) -> int:
+        """The content digest, computed once per map."""
+        try:
+            return self._digest
+        except AttributeError:
+            self._item_hashes()
+            return self._digest
+
+    def _item_hashes(self) -> dict[Any, int]:
+        try:
+            return self._hashes
+        except AttributeError:
+            hashes = self._hashes = {
+                key: _item_digest(key, item) for key, item in self.items()
+            }
+            self._digest = sum(hashes.values()) & _DIGEST_MASK
+            return hashes
+
+    def delta_since(self, base: "KeyMap", ts: int) -> "KeyDelta | None":
+        """This map, written at ``ts``, as the items ``base`` lacks or holds
+        differently.
+
+        ``None`` when ``base`` has a key this map does not (a shrunk
+        map): no set of items turns ``base`` into it.  The items keep
+        this map's order, so ``base.apply_delta(delta)`` equals this map
+        in insertion order too.
+        """
+        changes = []
+        fresh = 0
+        get = base.get
+        for key, item in self.items():
+            old = get(key, _MISSING)
+            if old is item:
+                continue  # the usual case: maps share their unchanged items
+            if old is _MISSING:
+                fresh += 1
+            elif old == item:
+                continue
+            changes.append((key, item))
+        if len(base) + fresh != len(self):
+            return None
+        hashes = self._item_hashes()
+        delta = KeyDelta(ts=ts, base=base.digest, changes=tuple(changes))
+        item_hashes = tuple([hashes[key] for key, _ in changes])
+        object.__setattr__(delta, "_hashes", item_hashes)
+        return delta
+
+    def apply(self, changes: Iterable[tuple[Any, Any]]) -> "KeyMap":
+        """A new map: this one with ``changes`` set, digest carried over."""
+        changes = tuple(changes)
+        return self._with(changes, [_item_digest(*change) for change in changes])
+
+    def apply_delta(self, delta: "KeyDelta") -> "KeyMap":
+        """A new map: this one with ``delta``'s changes set."""
+        return self._with(delta.changes, delta.item_hashes())
+
+    def _with(
+        self, changes: Sequence[tuple[Any, Any]], item_hashes: Sequence[int]
+    ) -> "KeyMap":
+        hashes = self._item_hashes().copy()
+        digest = self._digest
+        new = KeyMap(self)
+        new._hashes = hashes
+        put = dict.__setitem__
+        for (key, item), item_hash in zip(changes, item_hashes):
+            digest += item_hash - hashes.get(key, 0)
+            hashes[key] = item_hash
+            put(new, key, item)
+        new._digest = digest & _DIGEST_MASK
+        return new
+
+
+#: The value ``⊥`` counts as: the map with no keys.
+EMPTY_KEY_MAP = KeyMap()
+
+
+@dataclass(frozen=True, slots=True)
+class KeyDelta:
+    """A key-map entry ``(v, ts)`` as the items that changed since a base.
+
+    ``base`` is the :attr:`KeyMap.digest` of the base's value and
+    ``changes`` the items of ``v`` the base lacks or holds differently
+    (:meth:`KeyMap.delta_since`).  Whoever holds a copy with that
+    digest rebuilds ``v`` exactly as ``copy.apply_delta(delta)``; nobody
+    else can, so a receiver checks the digest before it applies.
+
+    Like a :class:`TimestampedValue`'s size, the changed items' hashes
+    are remembered in a non-compared slot: every receiver of one
+    broadcast applies the same delta, and the writer's map knew them
+    already.
+    """
+
+    ts: int
+    base: int
+    changes: tuple[tuple[Any, Any], ...]
+    _hashes: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
+
+    def item_hashes(self) -> tuple[int, ...]:
+        """The hash of each changed item, as :attr:`KeyMap.digest` sums them."""
+        hashes = self._hashes
+        if hashes is None:
+            hashes = tuple([_item_digest(*change) for change in self.changes])
+            object.__setattr__(self, "_hashes", hashes)
+        return hashes
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hashes", None)
+        if self.ts < 0:
+            raise ConfigurationError(f"timestamp must be non-negative, got {self.ts}")
+        for pair in self.changes:
+            if not (isinstance(pair, tuple) and len(pair) == 2):
+                raise ConfigurationError(
+                    f"a change is a (key, item) pair, got {pair!r}"
+                )
+            hash(pair[0])

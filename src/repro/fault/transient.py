@@ -2,9 +2,10 @@
 
 The paper's fault model lets a transient fault drive the system into an
 *arbitrary* state — control variables (``ts``, ``ssn``, ``sns``,
-``tag``, ``_told``), the register buffers, the pending-task table, and the
-contents of every communication channel may all hold garbage (only the
-code stays intact).
+``tag``, ``_told``, ``base``), the register buffers — down to one key's
+seq inside a slot map — the pending-task table, and the contents of
+every communication channel may all hold garbage (only the code stays
+intact).
 
 :class:`TransientFaultInjector` reproduces that model against any
 running :class:`~repro.backend.base.ClusterBackend` (sim, asyncio, or
@@ -22,7 +23,7 @@ from dataclasses import replace as dataclass_replace
 from typing import TYPE_CHECKING, Iterable
 
 from repro.core.base import ReadAckMessage, ReadMessage
-from repro.core.register import TimestampedValue
+from repro.core.register import KeyDelta, KeyMap, TimestampedValue
 from repro.core.ss_always import GossipMessage3
 from repro.core.ss_nonblocking import GossipMessage
 from repro.net.message import Message
@@ -115,6 +116,35 @@ class TransientFaultInjector:
                     ts=self._wild_ts(),
                     value=bytes([self._rng.randrange(256)]),
                 )
+
+    def corrupt_key_maps(self, node_ids: Iterable[int] | None = None) -> None:
+        """Rewrite one key's seq inside every key-map value, keeping its ts.
+
+        Hits each register entry whose value is a non-empty
+        :class:`~repro.core.register.KeyMap`, and the node's ``base`` if
+        that is one: the fault a timestamp cannot see, since the entry
+        still names the write it came from.  Nothing else draws.
+        """
+        for node_id in self._targets(node_ids):
+            process = self._cluster.node(node_id)
+            for k, entry in enumerate(process.reg):
+                if isinstance(entry.value, KeyMap) and entry.value:
+                    process.reg[k] = TimestampedValue(
+                        entry.ts, self._scramble_one_seq(entry.value)
+                    )
+            base = getattr(process, "base", None)
+            if isinstance(base, KeyMap) and base:
+                process.base = self._scramble_one_seq(base)
+
+    def _scramble_one_seq(self, value: KeyMap) -> KeyMap:
+        key = self._rng.choice(list(value))
+        return value.apply(((key, self._wild_item(value[key])),))
+
+    def _wild_item(self, item: object) -> object:
+        """A ``(seq, value)`` item under a wild seq (anything else as is)."""
+        if isinstance(item, tuple) and len(item) == 2:
+            return (self._wild_ts(), item[1])
+        return item
 
     def corrupt_pending_tasks(
         self, node_ids: Iterable[int] | None = None
@@ -210,6 +240,19 @@ class TransientFaultInjector:
                 changes["ts"] = changes["entry"].ts
                 if message.entry is None:
                     changes["entry"] = None
+            if isinstance(message, ReadMessage) and isinstance(
+                message.entry, KeyDelta
+            ):
+                # A delta stays one, under the same wild ts: a wild base
+                # digest and a wild seq in every changed item.
+                changes["entry"] = KeyDelta(
+                    ts=changes["entry"].ts,
+                    base=self._rng.getrandbits(64),
+                    changes=tuple(
+                        (key, self._wild_item(item))
+                        for key, item in message.entry.changes
+                    ),
+                )
             if isinstance(message, (ReadMessage, ReadAckMessage)):
                 # By type, not by field name: consensus messages carry an
                 # unrelated ``tag``.
@@ -250,6 +293,9 @@ class TransientFaultInjector:
         self.corrupt_consensus(node_ids)
         self.scramble_channels()
         # Last, so every draw above is the one it was before reads (and
-        # then requests standing in for gossip) existed.
+        # then requests standing in for gossip, and key-map deltas)
+        # existed.  Key maps draw only where one is held, so a run that
+        # writes none draws exactly what it did before.
         self.corrupt_read_tags(node_ids)
         self.corrupt_told(node_ids)
+        self.corrupt_key_maps(node_ids)

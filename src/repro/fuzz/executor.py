@@ -11,7 +11,8 @@ after each phase:
   (:func:`~repro.analysis.invariants.definition1_consistent`) after each
   corruption burst's — and each detectable restart's — recovery window
   and at the end (self-stabilizing algorithms only — corruption is
-  skipped for algorithms that do not claim recovery);
+  skipped for algorithms that do not claim recovery, and a detectable
+  restart there runs as a plain resume);
 * **per-operation termination bounds**: an operation invoked while a
   majority is alive and the network unpartitioned must complete within
   :data:`OP_TERMINATION_BOUND` simulated time units.
@@ -333,14 +334,22 @@ class _SpecRun:
             self.skipped += 1
             return
         target = crashed[node % len(crashed)]
+        if mode == "restart" and not self.stabilizing:
+            # A detectable restart wipes ts/reg/ssn, which only the
+            # self-stabilizing variants claim to survive: the node
+            # resumes with its state, and the restart counts as skipped,
+            # as a corruption burst does.
+            cluster.resume(target)
+            self.skipped += 1
+            return
         # A detectable restart wipes ts/reg/ssn: to the rest of the
         # system it is a transient fault at one node (a write invoked
         # there inside the next gossip period reuses ts 1), so it gets
         # the evidence window a corruption burst gets.
-        wiped = mode == "restart" and self.stabilizing
+        wiped = mode == "restart"
         if wiped:
             self._check_history(f"event {index}: pre-restart")
-        cluster.resume(target, restart=(mode == "restart"))
+        cluster.resume(target, restart=wiped)
         self.applied += 1
         if wiped:
             await self._recover(f"event {index}: post-restart")

@@ -9,8 +9,10 @@ treats as message loss.
 
 Supported values: ``None``, ``bool``, ``int`` (signed, arbitrary
 precision), ``float``, ``bytes``, ``str``, ``tuple``/``list``,
-``frozenset``, ``dict`` (ordered key/value pairs — the fabric's slot
-maps), :class:`~repro.core.register.TimestampedValue`,
+``frozenset``, ``dict`` (ordered key/value pairs) and its frozen
+:class:`~repro.core.register.KeyMap` (the fabric's slot maps), the
+:class:`~repro.core.register.KeyDelta` a keyed write ships,
+:class:`~repro.core.register.TimestampedValue`,
 :class:`~repro.core.register.RegisterArray`,
 :class:`~repro.core.ss_always.TaskDescriptor`, and any registered
 :class:`~repro.net.message.Message` subclass (messages nest, e.g. the
@@ -24,7 +26,7 @@ import dataclasses
 import struct
 from typing import Any
 
-from repro.core.register import RegisterArray, TimestampedValue
+from repro.core.register import KeyDelta, KeyMap, RegisterArray, TimestampedValue
 from repro.errors import ConfigurationError, ReproError
 from repro.net.message import Message
 
@@ -47,6 +49,8 @@ _T_STR = b"s"
 _T_TUPLE = b"t"
 _T_FROZENSET = b"z"
 _T_DICT = b"d"
+_T_KEYMAP = b"k"
+_T_KEYDELTA = b"K"
 _T_TSVALUE = b"V"
 _T_REGARRAY = b"R"
 _T_TASKDESC = b"D"
@@ -175,10 +179,15 @@ def _encode_value(buffer: bytearray, value: Any, depth: int = 0) -> None:
         _pack_length(buffer, len(fields))
         for field in fields:
             _encode_value(buffer, getattr(value, field.name), depth)
+    elif isinstance(value, KeyDelta):
+        buffer += _T_KEYDELTA
+        _encode_value(buffer, value.ts, depth)
+        _encode_value(buffer, value.base, depth)
+        _encode_value(buffer, value.changes, depth)
     elif isinstance(value, dict):
         # Insertion order is kept on both sides: equal maps built in a
         # different order are equal after the round trip all the same.
-        buffer += _T_DICT
+        buffer += _T_KEYMAP if isinstance(value, KeyMap) else _T_DICT
         _pack_length(buffer, len(value))
         for key, item in value.items():
             _encode_value(buffer, key, depth)
@@ -317,10 +326,15 @@ def _decode_value(reader: _Reader, depth: int = 0) -> Any:
             message_cls,
             **{field.name: _decode_value(reader, depth) for field in fields},
         )
-    if tag == _T_DICT:
+    if tag == _T_KEYDELTA:
+        ts = _decode_value(reader, depth)
+        base = _decode_value(reader, depth)
+        changes = _decode_value(reader, depth)
+        return _rebuild(KeyDelta, ts=ts, base=base, changes=changes)
+    if tag in (_T_DICT, _T_KEYMAP):
         count = reader.take_length()
         return _rebuild(
-            dict,
+            KeyMap if tag == _T_KEYMAP else dict,
             [
                 (_decode_value(reader, depth), _decode_value(reader, depth))
                 for _ in range(count)

@@ -14,7 +14,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, Iterable
 
-from repro.core.register import RegisterArray, TimestampedValue
+from repro.core.register import KeyDelta, RegisterArray, TimestampedValue
 
 __all__ = [
     "Message",
@@ -129,6 +129,11 @@ def _size_entry(entry: TimestampedValue) -> int:
     return size
 
 
+def _size_delta(delta: KeyDelta) -> int:
+    # ts and the 8-byte base digest, then the changed items.
+    return 2 * INT_BYTES + _size_items(delta.changes)
+
+
 def _size_register_array(reg: RegisterArray) -> int:
     total = 0
     for entry in reg:
@@ -160,16 +165,18 @@ def _compile_dataclass_sizer(cls: type) -> Callable[[Any], int]:
 
 
 #: The order in which a class not in the table yet is classified: first
-#: base that matches wins.  :class:`TimestampedValue` (itself a dataclass)
-#: and named tuples must match before the generic dataclass plan; ``bool``
-#: cannot be subclassed, so its table entry alone keeps it from being
-#: charged as an ``int``.
+#: base that matches wins.  :class:`TimestampedValue` and
+#: :class:`KeyDelta` (dataclasses both) and named tuples must match
+#: before the generic dataclass plan; a ``KeyMap`` is priced as the dict
+#: it is.  ``bool`` cannot be subclassed, so its table entry alone keeps
+#: it from being charged as an ``int``.
 _LADDER: tuple[tuple[type, Callable[[Any], int]], ...] = (
     (int, lambda obj: INT_BYTES),
     (float, lambda obj: 8),
     (bytes, len),
     (str, lambda obj: len(obj.encode("utf-8"))),
     (TimestampedValue, _size_entry),
+    (KeyDelta, _size_delta),
     (RegisterArray, _size_register_array),
     (tuple, _size_items),
     (list, _size_items),

@@ -63,6 +63,7 @@ from typing import Any, Awaitable, Callable
 
 from repro.backend.base import ClusterBackend, backend_class
 from repro.config import ClusterConfig
+from repro.core.register import EMPTY_KEY_MAP, KeyMap
 from repro.errors import ConfigurationError, ReproError
 from repro.shard.epoch import ConsensusEpochDecider
 from repro.shard.ring import DEFAULT_VNODES, ShardMap
@@ -246,8 +247,10 @@ class ShardedFabric:
         #: each slot's single writer (SWMR), so this is the writer's own
         #: copy of its register contents — what the paper's node keeps
         #: in ``reg[i]`` — not a cache that can go stale.  A published
-        #: map is never mutated; each write installs a fresh dict.
-        self._slots: dict[tuple[int, int], dict[Any, tuple[int, Any]]] = {}
+        #: map is a frozen :class:`~repro.core.register.KeyMap`; each
+        #: write installs a fresh one, which the slot's node can then
+        #: ship as the items that changed.
+        self._slots: dict[tuple[int, int], KeyMap] = {}
         self._key_seq: dict[Any, int] = {}
         #: Admission, per operation class.  A fenced compose pauses
         #: writes only; a split pauses both.  Pausing never drops.
@@ -331,9 +334,9 @@ class ShardedFabric:
                 # enqueueing it at the algorithm: a task hop here would
                 # let a same-instant write of another key publish its
                 # larger map first and this one overwrite it.
-                state = self._slots.get(slot, {})
+                state = self._slots.get(slot, EMPTY_KEY_MAP)
                 if state.get(key, (0, None))[0] < seq:
-                    state = self._slots[slot] = {**state, key: (seq, value)}
+                    state = self._slots[slot] = state.apply(((key, (seq, value)),))
                 return await backend.write(node, state)
 
             ts = await backend.submit(node, publish)
@@ -614,16 +617,14 @@ class ShardedFabric:
             }
             if not moving:
                 continue
-            remaining = {
-                key: entry for key, entry in state.items() if key not in moving
-            }
-            self._slots[slot] = remaining
+            self._slots[slot] = KeyMap(
+                (key, entry) for key, entry in state.items() if key not in moving
+            )
             for key, entry in moving.items():
                 arrivals.setdefault(new_map.slot(key, self.n), {})[key] = entry
             moved += len(moving)
         for slot, entries in sorted(arrivals.items(), key=lambda kv: kv[0]):
-            state = dict(self._slots.get(slot, {}))
-            state.update(entries)
+            state = self._slots.get(slot, EMPTY_KEY_MAP).apply(entries.items())
             self._slots[slot] = state
             shard_id, node = slot
             await self._shards[shard_id].write(node, state)

@@ -186,3 +186,28 @@ class BrokenGossipSticky(SelfStabilizingNonBlocking):
 
 
 register_algorithm("broken-gossip-sticky", BrokenGossipSticky)
+
+
+class BrokenDeltaByTs(AmortizedSnapshot):
+    """Deliberately wrong: a key-map delta is applied to whatever copy a
+    server holds below its timestamp, without checking the base digest.
+    A copy whose content a fault changed under an unchanged timestamp
+    then takes the delta and keeps the fault, now under the writer's new
+    timestamp, where no later merge by timestamp can replace it."""
+
+    def _on_read(self, sender: int, message) -> None:
+        from dataclasses import replace
+
+        from repro.core.register import KeyDelta, KeyMap, TimestampedValue
+
+        delta = message.entry
+        if isinstance(delta, KeyDelta) and 0 <= message.j < self.config.n:
+            mine = self.reg[message.j]
+            copy = KeyMap.of(mine.value)
+            if mine.ts < delta.ts and copy is not None:
+                whole = TimestampedValue(delta.ts, copy.apply_delta(delta))
+                message = replace(message, entry=whole)
+        super()._on_read(sender, message)
+
+
+register_algorithm("broken-delta-by-ts", BrokenDeltaByTs)

@@ -12,7 +12,7 @@ warm.  Not a ``test_*`` module, so pytest never collects it (see
 import dataclasses
 from typing import Any
 
-from repro.core.register import RegisterArray, TimestampedValue
+from repro.core.register import KeyDelta, RegisterArray, TimestampedValue
 from repro.net.message import INT_BYTES
 
 
@@ -32,6 +32,9 @@ def reference_measure_size(obj: Any) -> int:
         return len(obj.encode("utf-8"))
     if isinstance(obj, TimestampedValue):
         return INT_BYTES + reference_measure_size(obj.value)
+    if isinstance(obj, KeyDelta):
+        # ts, the 8-byte base digest, the changed items.
+        return 2 * INT_BYTES + reference_measure_size(obj.changes)
     if isinstance(obj, RegisterArray):
         return sum(reference_measure_size(entry) for entry in obj)
     if isinstance(obj, (tuple, list, set, frozenset)):

@@ -15,7 +15,7 @@ from repro.core.base import (
     WriteMessage,
 )
 from repro.core.dgfr_nonblocking import SnapshotAckMessage, SnapshotMessage
-from repro.core.register import RegisterArray, TimestampedValue
+from repro.core.register import KeyDelta, KeyMap, RegisterArray, TimestampedValue
 from repro.core.ss_always import (
     GossipMessage3,
     SaveAckMessage,
@@ -83,6 +83,28 @@ class TestRoundTrips:
     def test_read_ack_round_trips_with_and_without_its_entry(self, entry):
         ack = ReadAckMessage(j=1, ts=6, entry=entry, tag=8)
         assert decode_message(encode_message(ack)) == ack
+
+    def test_delta_read_round_trips(self):
+        """A keyed write's READ: ts, base digest and the changed items;
+        a slot map comes back a KeyMap, digest and all."""
+        base = KeyMap({"k1": (2, b"a"), 7: (3, None)})
+        delta = KeyDelta(ts=5, base=base.digest, changes=(("k2", (1, "b")),))
+        read = ReadMessage(j=1, entry=delta, tag=8)
+        assert decode_message(encode_message(read)) == read
+        gossip = GossipMessage(ts=4, entry=TimestampedValue(4, base))
+        decoded = decode_message(encode_message(gossip)).entry.value
+        assert type(decoded) is KeyMap and decoded.digest == base.digest
+
+    @pytest.mark.parametrize("changes", [(("k",),), (({"k": 1}, (1, "v")),), 3])
+    def test_malformed_delta_is_a_codec_error(self, changes):
+        """Not a tuple of (hashable key, item) pairs: the sender's
+        constructor would refuse it, so the receiver's decode does."""
+        delta = object.__new__(KeyDelta)
+        for name, value in (("ts", 5), ("base", 1), ("changes", changes)):
+            object.__setattr__(delta, name, value)
+        datagram = encode_message(ReadMessage(j=1, entry=delta, tag=8))
+        with pytest.raises(CodecError):
+            decode_message(datagram)
 
     def test_map_order_survives(self):
         value = {"b": 1, "a": 2}

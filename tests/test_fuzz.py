@@ -186,6 +186,25 @@ class TestExecutor:
         assert outcome.ok, outcome.failures
         assert outcome.skipped == 1
 
+    def test_restart_skipped_for_non_stabilizing_algorithms(self):
+        """A detectable restart wipes state only the self-stabilizing
+        variants claim to survive: elsewhere it is a plain resume, and
+        the node's next write does not reuse index 1."""
+        events = (
+            ScenarioEvent(kind="write", node=1, value="w0"),
+            ScenarioEvent(kind="crash", node=1),
+            ScenarioEvent(kind="resume", node=1, mode="restart"),
+            ScenarioEvent(kind="write", node=1, value="w1"),
+            ScenarioEvent(kind="snapshot", node=2),
+        )
+        for algorithm in ("dgfr-nonblocking", "dgfr-always"):
+            outcome = run_spec(ScenarioSpec(algorithm=algorithm, n=3, events=events))
+            assert outcome.ok, (algorithm, outcome.failures)
+            assert outcome.skipped == 1
+            assert outcome.checks == 1  # the final history only
+            assert [entry[3] for entry in outcome.history[:2]] == [1, 2]
+            assert outcome.history[-1][3][2] == [0, 2, 0]
+
     def test_corruption_recovery_checked_for_stabilizing_algorithms(self):
         events = (
             ScenarioEvent(kind="write", node=0, value="w0"),

@@ -381,6 +381,12 @@ class TestCapacityGates:
     #: scan-free group commits shipped one entry instead of ``lReg``
     #: (PR 23's parent: 626 214 B over 247 operations).
     WHOLE_ARRAY_BYTES_PER_OP = 2535.0
+    #: ``READ`` bytes per operation of that run once a keyed write ships
+    #: the keys it changed (39 483 B over 233 operations), and the whole
+    #: run's bytes per operation while ``READ`` still shipped the slot
+    #: map (142 805 B).
+    KEY_DELTA_READ_BYTES_PER_OP = 169.5
+    WHOLE_MAP_BYTES_PER_OP = 613.0
 
     def test_e19_throughput_scales_with_shard_count(self, monkeypatch):
         reports = []
@@ -415,6 +421,16 @@ class TestCapacityGates:
         total = sum(b.metrics.snapshot().total_bytes for b in backends)
         per_op = total / report.completed  # 613
         assert per_op <= self.WHOLE_ARRAY_BYTES_PER_OP / 2
+
+    def test_keyed_write_ships_its_key_not_the_map(self, monkeypatch):
+        """Same run: ``READ`` carries the changed keys of the slot map."""
+        report, backends = pinned_run(monkeypatch, "amortized", 4, 2)
+        assert report.completed == PINNED_RUNS["amortized", 4, 2][1]
+        snapshots = [b.metrics.snapshot() for b in backends]
+        read = sum(s.bytes_by_kind.get("READ", 0) for s in snapshots)
+        assert read / report.completed <= self.KEY_DELTA_READ_BYTES_PER_OP * 1.1
+        total = sum(s.total_bytes for s in snapshots)
+        assert total / report.completed < self.WHOLE_MAP_BYTES_PER_OP  # 392
 
     def test_sweep_finds_the_knee_and_amortized_flattens_it(self):
         baseline = sweep_rates()
