@@ -311,29 +311,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    if args.shards is None:
-        from repro.harness.chaos import run_chaos_campaigns
-
-        return _run_campaign(
-            args,
-            run_chaos_campaigns,
-            algorithm=args.algorithm or "ss-always",
-            jobs=clamp_jobs_for_capture(args),
-        )
-    if args.jobs > 1:
-        args.error("--jobs does not combine with --shards (the sharded "
-                   "storm runs its seeds in one process)")
-    from repro.shard import run_shard_chaos_campaigns
-
-    return _run_campaign(
-        args,
-        run_shard_chaos_campaigns,
-        shards=args.shards,
-        algorithm=args.algorithm or "ss-nonblocking",
-    )
-
-
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.fuzz import run_fuzz_campaign
 
@@ -344,6 +321,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         algorithm=args.algorithm,
         out_dir=args.out,
         shrink=args.shrink,
+        shards=args.shards or 0,
     )
 
 
@@ -501,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         allow_abbrev=False,
-        epilog="The campaign commands (verify, chaos, fuzz, latency, load) share "
+        epilog="The campaign commands (verify, fuzz, latency, load) share "
         "--seeds/--seed-start/--algorithm/--budget, print a summary line per seed "
         "plus a FAILURE: line per violation, and exit 1 when any seed failed.  "
         "Off the simulator, sim-only capabilities (schedule exploration, fuzz "
@@ -568,24 +546,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub = command(
-        "chaos", _cmd_chaos,
-        "randomized fault campaigns with continuous checking",
-        "Operations, crashes, partitions and corruption bursts under "
-        "linearizability and invariant checks; --budget is events per campaign.  "
-        "--shards K runs the sharded storm instead: crashes, online shard splits "
-        "with live key migration, composed cuts.  The algorithm defaults to "
-        "ss-always, or ss-nonblocking with --shards.",
-        _CAMPAIGN, budget=150, backend="sim",
-    )
-    sub.add_argument("--shards", type=_positive_int, metavar="K")
-
-    sub = command(
         "fuzz", _cmd_fuzz,
         "counterexample-driven fuzzing",
         "Each seed draws a scenario spec (config dimensions and an event program) "
         "and runs it with per-phase checks; a failure is shrunk to a minimal "
-        "deterministic counterexample.  --budget is events per spec.",
+        "deterministic counterexample.  --budget is events per spec.  --shards K "
+        "draws fabric storms instead: keyed operations, composed cuts and "
+        "crashes around one shard split and one reconfiguration (docs/sharding.md).",
         _CAMPAIGN, budget=40, algorithm="ss-always", backend="sim",
+    )
+    sub.add_argument(
+        "--shards", type=_positive_int, metavar="K", help="fuzz K-shard fabrics"
     )
     sub.add_argument("--out", metavar="DIR", help="write counterexample files here")
     sub.add_argument(

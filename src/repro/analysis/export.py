@@ -1,6 +1,6 @@
 """JSON export/import for histories and message traces.
 
-Runs — especially chaos campaigns or live UDP deployments — produce
+Runs — especially fuzz campaigns or live UDP deployments — produce
 evidence you may want to analyse offline: operation histories (for
 re-checking linearizability elsewhere) and message traces (for
 rendering diagrams later).  This module round-trips both through plain

@@ -3,7 +3,7 @@
 Every deployment of a snapshot object — simulated, live asyncio, or real
 UDP — implements the same :class:`~repro.backend.base.ClusterBackend`
 contract and advertises a :class:`~repro.backend.base.Capabilities`
-descriptor, so every harness (experiments, chaos, verify, fuzz, latency)
+descriptor, so every harness (experiments, verify, fuzz, latency)
 runs on any substrate and degrades consistently where a capability is
 sim-only.  See ``docs/runtimes.md`` for the capability matrix.
 """

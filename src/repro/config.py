@@ -171,8 +171,8 @@ def scenario_config(
 ) -> ClusterConfig:
     """One factory for every scenario-style cluster configuration.
 
-    The chaos campaigns, the schedule explorer, the recovery experiments,
-    and the fuzz executor all describe a cluster the same way — a shape
+    The fuzz executor, the schedule explorer and the recovery
+    experiments all describe a cluster the same way — a shape
     (``n``, ``delta``, ``seed``) plus a channel model — but used to spell
     the ``ClusterConfig``/``ChannelConfig`` pair out by hand.  This
     factory is the single spelling.
@@ -181,7 +181,7 @@ def scenario_config(
     the explorer needs — coincident timestamps are its choice points);
     otherwise ``min_delay``/``max_delay`` default to the
     :class:`ChannelConfig` defaults.  ``duplication`` defaults to
-    ``loss / 2``, the chaos campaigns' convention.  ``batch`` sets the
+    ``loss / 2``, the fuzz specs' convention.  ``batch`` sets the
     transport batch window (``ChannelConfig.batch_window``; ``None``
     keeps the unbatched default of 1).  Remaining keyword
     arguments (``retransmit_interval``, ``max_int``, ``quorum_size``, …)

@@ -1,8 +1,9 @@
 """Counterexample-driven fuzz campaigns over scenario specifications.
 
-The fuzz subsystem closes the loop between the harness's randomized
-endurance testing (chaos campaigns) and the model checker's exact
-schedule control (the SCRIPTED explorer):
+The fuzz subsystem is the repository's one fault-storm engine, on a
+single cluster or a sharded fabric, and closes the loop between
+randomized endurance testing and the model checker's exact schedule
+control (the SCRIPTED explorer):
 
 * :mod:`repro.fuzz.spec` — :class:`ScenarioSpec`, a serializable
   generative program of workload operations, fault events, and config

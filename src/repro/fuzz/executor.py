@@ -1,12 +1,14 @@
 """The one executor giving every :class:`ScenarioSpec` a deterministic meaning.
 
-:func:`run_spec` builds a :class:`~repro.core.cluster.SimBackend`
-from the spec's config dimensions and drives its event program, checking
-after each phase:
+:func:`run_spec` builds a :class:`~repro.backend.sim.SimBackend` — or,
+for a spec with ``shards``, a :class:`~repro.shard.fabric.ShardedFabric`
+— from the spec's config dimensions and drives its event program,
+checking after each phase:
 
 * **linearizability** of the recorded history
   (:func:`~repro.analysis.linearizability.check_snapshot_history`) before
-  every corruption burst or detectable restart and at the end of the run;
+  every corruption burst or detectable restart and at the end of the run
+  (on a fabric, ``fabric.check()`` at the end);
 * **Definition-1 invariants**
   (:func:`~repro.analysis.invariants.definition1_consistent`) after each
   corruption burst's — and each detectable restart's — recovery window
@@ -15,7 +17,12 @@ after each phase:
   restart there runs as a plain resume);
 * **per-operation termination bounds**: an operation invoked while a
   majority is alive and the network unpartitioned must complete within
-  :data:`OP_TERMINATION_BOUND` simulated time units.
+  :data:`OP_TERMINATION_BOUND` simulated time units (on a fabric, every
+  keyed operation, composed cut, split and reconfiguration).
+
+An observed run (``--stats``) samples each cluster's health through an
+:class:`~repro.obs.alerts.AlertEngine` per event; alerts ride back on the
+outcome.
 
 Runs are pure functions of the spec: the ``RANDOM`` tie-break is seeded
 by ``spec.seed``, a pinned ``decision_script`` switches to ``SCRIPTED``,
@@ -25,7 +32,7 @@ fingerprint so two runs of the same spec can be compared bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.analysis.history import HistoryRecorder
 from repro.analysis.invariants import definition1_consistent
@@ -36,6 +43,8 @@ from repro.backend.sim import SimBackend
 from repro.errors import DeadlockError, ResetInProgressError, SimulationError
 from repro.fault import TransientFaultInjector
 from repro.fuzz.spec import ScenarioEvent, ScenarioSpec
+from repro.obs.alerts import AlertEngine
+from repro.shard.fabric import build_sim_fabric, create_fabric
 from repro.sim.kernel import TieBreak
 
 __all__ = ["SpecOutcome", "run_spec", "OP_TERMINATION_BOUND"]
@@ -47,7 +56,7 @@ __all__ = ["SpecOutcome", "run_spec", "OP_TERMINATION_BOUND"]
 OP_TERMINATION_BOUND = 300.0
 
 #: Cycles granted to a self-stabilizing algorithm to recover after a
-#: corruption burst, matching the chaos campaigns.
+#: corruption burst.
 _RECOVERY_CYCLES = 8
 
 #: Prefixes of algorithm names that claim transient-fault recovery;
@@ -55,6 +64,10 @@ _RECOVERY_CYCLES = 8
 #: ``amortized`` batches Algorithm 1's quorum rounds but inherits its
 #: merge/gossip recovery unchanged, so it keeps the same claim.
 _SELF_STABILIZING_PREFIXES = ("ss-", "bounded-ss", "amortized")
+
+#: Event kinds with a meaning on one target only; the other skips them.
+_FABRIC_ONLY = frozenset(("split", "reconfigure"))
+_CLUSTER_ONLY = frozenset(("partition", "heal", "corrupt"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,6 +83,8 @@ class SpecOutcome:
     events_processed: int
     history: tuple
     decision_log: tuple[tuple[int, int], ...]
+    #: Alerts raised while an observability session was installed.
+    alerts: tuple[dict, ...] = ()
 
     def summary(self) -> str:
         """One-line outcome."""
@@ -94,11 +109,14 @@ class SpecOutcome:
 
 def _json_safe(value):
     """``value`` as JSON represents it; ``bytes`` (corruption bursts write
-    them into registers, snapshots return them) become tagged hex."""
+    them into registers, snapshots return them) become tagged hex, and a
+    fabric slot's key map a plain object."""
     if isinstance(value, bytes):
         return {"bytes": value.hex()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
     return value
 
 
@@ -139,38 +157,49 @@ class _SpecRun:
     The driver body (:meth:`drive`) is backend-agnostic — it speaks only
     the :class:`~repro.backend.base.ClusterBackend` contract — so the
     same spec program runs on the simulator or, via a pre-built
-    ``cluster``, on a live asyncio/UDP deployment.
+    ``target`` cluster or fabric, on a live asyncio/UDP deployment.
+    On a fabric (``self.fabric``) keyed operations route by key, a
+    ``snapshot`` is a composed cut, crashes and resumes pick a shard's
+    node, and an operation that outlives its bound is a wedge: it fails
+    the run and ends the program.
     """
 
     def __init__(
         self,
         spec: ScenarioSpec,
         capture_decisions: bool,
-        cluster=None,
+        target=None,
     ) -> None:
         self.spec = spec
-        if cluster is not None:
-            self.cluster = cluster
-        else:
+        if target is None:
             scripted = spec.decision_script is not None
-            self.cluster = SimBackend(
-                spec.algorithm,
-                spec.config(),
-                tie_break=TieBreak.SCRIPTED if scripted else TieBreak.RANDOM,
-            )
+            tie_break = TieBreak.SCRIPTED if scripted else TieBreak.RANDOM
+            if spec.shards:
+                target = build_sim_fabric(
+                    spec.shards, spec.algorithm, spec.config(), tie_break=tie_break
+                )
+            else:
+                target = SimBackend(spec.algorithm, spec.config(), tie_break=tie_break)
             if scripted:
-                self.cluster.kernel.decision_script = list(spec.decision_script)
+                target.kernel.decision_script = list(spec.decision_script)
             elif capture_decisions:
-                self.cluster.kernel.capture_decisions = True
-        self.injector = TransientFaultInjector(self.cluster, seed=spec.seed)
+                target.kernel.capture_decisions = True
+        self.kernel = target.kernel
+        self.fabric = target if spec.shards else None
+        self.cluster = None if spec.shards else target
         self.failures: list[str] = []
         self.applied = 0
         self.skipped = 0
         self.checks = 0
         self.partitioned = False
+        self.wedged = False
         self.stabilizing = _is_self_stabilizing(spec.algorithm)
         self.bounded = spec.algorithm.startswith("bounded")
-        self._history_resets = self._resets_seen()
+        self.alerts: list[dict] = []
+        self._alert_engines: dict[str | None, AlertEngine] = {}
+        if self.cluster is not None:
+            self.injector = TransientFaultInjector(self.cluster, seed=spec.seed)
+            self._history_resets = self._resets_seen()
 
     # -- helpers -----------------------------------------------------------
 
@@ -182,6 +211,9 @@ class _SpecRun:
 
     def _node_busy(self, node: int) -> bool:
         return bool(self.cluster.node(node)._ops_in_flight)
+
+    def _clusters(self) -> list:
+        return self.fabric.backends() if self.fabric else [self.cluster]
 
     def _resets_seen(self) -> tuple[int, int]:
         """Global-reset evidence: (max epoch, total completed resets)."""
@@ -299,11 +331,12 @@ class _SpecRun:
 
     def _restore_liveness(self) -> None:
         """Full connectivity, every node taking steps again."""
-        cluster = self.cluster
-        self._heal()
-        for node in range(cluster.config.n):
-            if cluster.node(node).crashed:
-                cluster.resume(node)
+        if self.fabric is None:
+            self._heal()
+        for cluster in self._clusters():
+            for node in range(cluster.config.n):
+                if cluster.node(node).crashed:
+                    cluster.resume(node)
 
     async def _recover(self, context: str) -> None:
         """The window after an event that rewrote state wholesale.
@@ -318,22 +351,31 @@ class _SpecRun:
         self._check_invariants(f"{context} recovery")
         self._void_history()
 
-    def _crash(self, node: int) -> None:
-        cluster = self.cluster
+    def _crash(self, event: ScenarioEvent) -> None:
+        cluster, node = self.cluster, event.node
+        if self.fabric is not None:
+            if event.shard not in self.fabric.shard_ids:
+                self.skipped += 1
+                return
+            cluster = self.fabric.shard(event.shard)
         alive = cluster.alive_nodes()
-        if len(alive) <= cluster.config.majority or cluster.node(node).crashed:
+        if (
+            len(alive) <= cluster.config.majority
+            or node >= cluster.config.n
+            or cluster.node(node).crashed
+        ):
             self.skipped += 1
             return
         cluster.crash(node)
         self.applied += 1
 
     async def _resume(self, index: int, node: int, mode: str) -> None:
-        cluster = self.cluster
-        crashed = [p.node_id for p in cluster.processes if p.crashed]
+        clusters = self._clusters()
+        crashed = [(c, p.node_id) for c in clusters for p in c.processes if p.crashed]
         if not crashed:
             self.skipped += 1
             return
-        target = crashed[node % len(crashed)]
+        cluster, target = crashed[node % len(crashed)]
         if mode == "restart" and not self.stabilizing:
             # A detectable restart wipes ts/reg/ssn, which only the
             # self-stabilizing variants claim to survive: the node
@@ -347,11 +389,14 @@ class _SpecRun:
         # there inside the next gossip period reuses ts 1), so it gets
         # the evidence window a corruption burst gets.
         wiped = mode == "restart"
-        if wiped:
+        # On a fabric a restart gets no evidence window yet: what the
+        # node's shard records across it is checked like the rest.
+        window = wiped and self.fabric is None
+        if window:
             self._check_history(f"event {index}: pre-restart")
         cluster.resume(target, restart=wiped)
         self.applied += 1
-        if wiped:
+        if window:
             await self._recover(f"event {index}: post-restart")
 
     def _partition(self, group: tuple[int, ...]) -> None:
@@ -365,16 +410,92 @@ class _SpecRun:
         self.partitioned = True
         self.applied += 1
 
+    # -- fabric handlers ---------------------------------------------------
+
+    async def _bounded(self, index: int, what: str, operation) -> None:
+        """Await a fabric operation; past the bound the fabric is wedged."""
+        try:
+            await self.kernel.wait_for(operation, timeout=OP_TERMINATION_BOUND)
+        except TimeoutError:
+            self.failures.append(
+                f"event {index}: {what} exceeded the termination bound "
+                f"({OP_TERMINATION_BOUND} time units) with a majority of "
+                "every shard alive"
+            )
+            self.wedged = True
+
+    async def _operate_keyed(self, index: int, event: ScenarioEvent) -> None:
+        fabric, kind, key = self.fabric, event.kind, event.key
+        shard_id, node = fabric.slot_of(key)
+        if kind != "snapshot" and fabric.shard(shard_id).node(node).crashed:
+            self.skipped += 1  # the slot's node is the key's only client
+            return
+        self.applied += 1
+        if kind == "snapshot":
+            operation, what = fabric.compose_snapshot(), "composed snapshot"
+        elif kind == "write":
+            operation, what = fabric.write(key, event.value), f"write of key {key!r}"
+        else:
+            operation, what = fabric.scan(key), f"read of key {key!r}"
+        await self._bounded(index, what, operation)
+
+    async def _change_epoch(self, index: int, kind: str) -> None:
+        fabric, config = self.fabric, self.fabric.base_config
+        if kind == "split":
+            operation = fabric.split()
+        else:
+            operation = fabric.reconfigure(replace(config, n=config.n + 1))
+        self.applied += 1
+        await self._bounded(index, kind, operation)
+
+    async def _finish_fabric(self) -> None:
+        """Resume every node, take one last composed cut, check both layers."""
+        self._restore_liveness()
+        if not self.wedged:
+            await self._bounded(
+                len(self.spec.events), "final composed snapshot",
+                self.fabric.compose_snapshot(),
+            )
+        self.checks += 1
+        self.failures.extend(f"final: {failure}" for failure in self.fabric.check())
+
+    def _evaluate_alerts(self) -> None:
+        """Sample every observed cluster's health through the alert rules."""
+        for cluster in self._clusters():
+            cobs = cluster.obs
+            if cobs is None:
+                continue
+            engine = self._alert_engines.setdefault(cobs.label, AlertEngine())
+            for alert in engine.evaluate(cobs.health.sample()):
+                self.alerts.append({**alert.to_dict(), "cluster": cobs.label})
+
+    def history_fingerprint(self) -> tuple:
+        if self.fabric is None:
+            return _history_fingerprint(self.cluster.history)
+        fabric = self.fabric
+        clusters = [(f"shard{sid}", fabric.shard(sid)) for sid in fabric.shard_ids]
+        clusters += [(f"shard{sid} (retired)", b) for sid, b in fabric.retired]
+        return tuple(
+            (label, *record)
+            for label, cluster in clusters
+            for record in _history_fingerprint(cluster.history)
+        )
+
     # -- the program -------------------------------------------------------
 
     async def drive(self) -> None:
-        cluster = self.cluster
-        for index, event in enumerate(self.spec.events):
+        kernel, events = self.kernel, self.spec.events
+        for index, event in enumerate(events):
             kind = event.kind
-            if kind in ("write", "snapshot", "read"):
-                await self._operate(index, event)
+            if kind in (_CLUSTER_ONLY if self.fabric else _FABRIC_ONLY):
+                self.skipped += 1
+            elif kind in _FABRIC_ONLY:
+                await self._change_epoch(index, kind)
+            elif kind in ("write", "snapshot", "read"):
+                operate = self._operate_keyed if self.fabric else self._operate
+                await operate(index, event)
             elif kind == "crash":
-                self._crash(event.node)
+                self._crash(event)
             elif kind == "resume":
                 await self._resume(index, event.node, event.mode)
             elif kind == "partition":
@@ -385,14 +506,21 @@ class _SpecRun:
             elif kind == "corrupt":
                 await self._corrupt(index, event.mode)
             elif kind == "settle":
-                await cluster.kernel.sleep(
-                    2.0 * cluster.config.gossip_interval
-                )
+                await kernel.sleep(2.0 * self._clusters()[0].config.gossip_interval)
                 self.applied += 1
+            if self.wedged:
+                self.skipped += len(events) - index - 1
+                break
             if event.gap:
-                await cluster.kernel.sleep(event.gap)
+                await kernel.sleep(event.gap)
+            self._evaluate_alerts()
+        if self.fabric is not None:
+            await self._finish_fabric()
+            self._evaluate_alerts()
+            return
         # Final phase: restore full connectivity and liveness, settle,
         # then check everything one last time.
+        cluster = self.cluster
         self._restore_liveness()
         if self.stabilizing:
             await cluster.tracker.wait_cycles(4)
@@ -400,6 +528,7 @@ class _SpecRun:
             await cluster.kernel.sleep(4.0 * cluster.config.gossip_interval)
         self._check_history("final")
         self._check_invariants("final")
+        self._evaluate_alerts()
 
 
 #: Wall-clock guard (seconds) for one whole spec executed on a live
@@ -409,7 +538,7 @@ _LIVE_WALL_TIMEOUT = 60.0
 
 def _outcome_from(run: _SpecRun) -> SpecOutcome:
     failures = tuple(run.failures)
-    kernel = run.cluster.kernel
+    kernel = run.kernel
     return SpecOutcome(
         ok=not failures,
         failures=failures,
@@ -420,8 +549,9 @@ def _outcome_from(run: _SpecRun) -> SpecOutcome:
         # Live kernels have no event counter or decision log — the loop
         # schedules itself — so those fingerprint fields stay empty.
         events_processed=getattr(kernel, "events_processed", 0),
-        history=_history_fingerprint(run.cluster.history),
+        history=run.history_fingerprint(),
         decision_log=tuple(getattr(kernel, "decision_log", ())),
+        alerts=tuple(run.alerts),
     )
 
 
@@ -440,11 +570,15 @@ def _run_spec_live(
         )
 
     async def main() -> _SpecRun:
-        cluster = await create_backend(
-            backend, spec.algorithm, spec.config(), time_scale=time_scale
-        )
+        args = (spec.algorithm, spec.config())
+        if spec.shards:
+            target = await create_fabric(
+                backend, spec.shards, *args, time_scale=time_scale
+            )
+        else:
+            target = await create_backend(backend, *args, time_scale=time_scale)
         try:
-            run = _SpecRun(spec, capture_decisions=False, cluster=cluster)
+            run = _SpecRun(spec, capture_decisions=False, target=target)
             try:
                 await asyncio.wait_for(run.drive(), timeout=_LIVE_WALL_TIMEOUT)
             except TimeoutError:
@@ -454,7 +588,7 @@ def _run_spec_live(
                 )
             return run
         finally:
-            await cluster.close()
+            await target.close()
 
     return _outcome_from(asyncio.run(main()))
 
@@ -486,7 +620,7 @@ def run_spec(
         return _run_spec_live(spec, backend, time_scale)
     run = _SpecRun(spec, capture_decisions)
     try:
-        run.cluster.run_until(run.drive(), max_events=max_events)
+        run.kernel.run_until_complete(run.drive(), max_events=max_events)
     except (TimeoutError, DeadlockError, SimulationError) as exc:
         run.failures.append(f"liveness: {type(exc).__name__}: {exc}")
     return _outcome_from(run)

@@ -51,13 +51,19 @@ class FuzzReport:
     shrunk_events: int | None = None
     shrink_runs: int = 0
     counterexample: str | None = None
+    #: Alerts the observed probe raised (see :attr:`SpecOutcome.alerts`).
+    alerts: tuple[dict, ...] = ()
+    #: Shards of the fabric the program ran on (0: one cluster).
+    shards: int = 0
 
     def summary(self) -> str:
         """One-line outcome."""
+        alerts = f", {len(self.alerts)} alerts" if self.alerts else ""
         if self.ok:
-            return f"seed {self.seed}: {self.events} events: OK"
+            fabric = f" on {self.shards} shards" if self.shards else ""
+            return f"seed {self.seed}: {self.events} events{fabric}: OK{alerts}"
         parts = [
-            f"seed {self.seed}: {len(self.failures)} FAILURES",
+            f"seed {self.seed}: {len(self.failures)} FAILURES{alerts}",
         ]
         if self.shrunk_events is not None:
             parts.append(
@@ -185,9 +191,9 @@ def replay_counterexample(
 # -- the campaign ------------------------------------------------------------
 
 
-def probe_seed(seed: int, algorithm: str, budget: int) -> SpecOutcome:
+def probe_seed(seed: int, algorithm: str, budget: int, shards: int = 0) -> SpecOutcome:
     """Generate and execute one seed's spec (the parallel worker body)."""
-    return run_spec(generate_spec(seed, algorithm=algorithm, events=budget))
+    return run_spec(generate_spec(seed, algorithm, budget, shards))
 
 
 def run_fuzz_campaign(
@@ -200,13 +206,18 @@ def run_fuzz_campaign(
     max_shrink_runs: int = 500,
     backend: str = "sim",
     time_scale: float = 0.002,
+    shards: int = 0,
 ) -> list[FuzzReport]:
     """Fuzz one generated spec per seed; shrink and record every failure.
 
-    On the ``sim`` backend, probing fans out across ``jobs`` worker
-    processes; shrinking runs in the parent (it is a sequential search,
-    and failures are rare).  With ``out_dir`` set, each failing seed
-    leaves a ``counterexample-<algorithm>-<seed>.json`` file there.
+    ``shards`` of ``K`` > 0 draws fabric storms on ``K`` shards
+    (:func:`~repro.fuzz.spec.generate_spec`) instead of single-cluster
+    programs.  On the ``sim`` backend, probing fans out across ``jobs``
+    worker processes; shrinking runs in the parent (it is a sequential
+    search, and failures are rare).  With ``out_dir`` set, each failing
+    seed leaves a ``counterexample-<algorithm>-<seed>.json`` file there
+    (``counterexample-<algorithm>-shards<K>-<seed>.json`` for a fabric
+    campaign, so the two never overwrite each other).
 
     On a live backend (``asyncio``/``udp``) the same generated specs run
     against wall-clock clusters — serially (worker fan-out is a sim
@@ -233,7 +244,7 @@ def run_fuzz_campaign(
             shrink = False
         outcomes: Sequence[SpecOutcome] = [
             run_spec(
-                generate_spec(seed, algorithm=algorithm, events=budget),
+                generate_spec(seed, algorithm, budget, shards),
                 backend=backend,
                 time_scale=time_scale,
             )
@@ -241,7 +252,8 @@ def run_fuzz_campaign(
         ]
     else:
         outcomes = run_cells(
-            fuzz_cells(seeds, algorithm=algorithm, budget=budget), jobs=jobs
+            fuzz_cells(seeds, algorithm=algorithm, budget=budget, shards=shards),
+            jobs=jobs,
         )
     reports: list[FuzzReport] = []
     for seed, outcome in zip(seeds, outcomes):
@@ -252,10 +264,12 @@ def run_fuzz_campaign(
                     algorithm=algorithm,
                     events=budget,
                     ok=True,
+                    alerts=outcome.alerts,
+                    shards=shards,
                 )
             )
             continue
-        spec = generate_spec(seed, algorithm=algorithm, events=budget)
+        spec = generate_spec(seed, algorithm, budget, shards)
         shrunk_events: int | None = None
         shrink_runs = 0
         shrink_info: dict | None = None
@@ -274,7 +288,8 @@ def run_fuzz_campaign(
         if out_dir is not None:
             directory = Path(out_dir)
             directory.mkdir(parents=True, exist_ok=True)
-            target = directory / f"counterexample-{algorithm}-{seed}.json"
+            fabric = f"shards{shards}-" if shards else ""
+            target = directory / f"counterexample-{algorithm}-{fabric}{seed}.json"
             write_counterexample(
                 target, final_spec, final_outcome, shrink_info, backend=backend
             )
@@ -289,6 +304,8 @@ def run_fuzz_campaign(
                 shrunk_events=shrunk_events,
                 shrink_runs=shrink_runs,
                 counterexample=counterexample,
+                alerts=outcome.alerts,
+                shards=shards,
             )
         )
     return reports

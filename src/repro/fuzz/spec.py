@@ -2,18 +2,19 @@
 
 A :class:`ScenarioSpec` is a complete, self-contained description of one
 verification run: the configuration dimensions (``n``, δ, channel delay /
-loss / duplication, algorithm), an event program over workload operations
-(writes, snapshots and single-register reads on chosen nodes) and fault
-events (crashes, resumes, partitions, heals, transient corruption
-bursts), and — optionally — a pinned kernel decision script that fixes
-the exact same-instant schedule.  Specs are pure data:
+loss / duplication, algorithm, and ``shards`` — one cluster, or a
+sharded fabric of that many), an event program over workload operations
+(writes, snapshots and single-register reads on chosen nodes; keyed
+writes and reads, composed snapshots, splits and reconfigurations on a
+fabric) and fault events (crashes, resumes, partitions, heals, transient
+corruption bursts), and — optionally — a pinned kernel decision script
+that fixes the exact same-instant schedule.  Specs are pure data:
 JSON-round-trippable, so a failing spec can be written to disk as a
 counterexample file and replayed bit-identically by
 ``python -m repro replay``.
 
-:func:`generate_spec` draws a spec from a seed, with the same event mix
-the chaos campaigns use; the executor (:mod:`repro.fuzz.executor`) gives
-every spec one deterministic meaning.
+:func:`generate_spec` draws a spec from a seed; the executor
+(:mod:`repro.fuzz.executor`) gives every spec one deterministic meaning.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ EVENT_KINDS = (
     "heal",
     "corrupt",
     "settle",
+    "split",
+    "reconfigure",
 )
 
 #: Corruption classes a ``corrupt`` event may name (see
@@ -69,6 +72,8 @@ class ScenarioEvent:
     ``group`` is a partition's minority side; ``mode`` selects a
     corruption class (``corrupt``) or ``"restart"`` semantics
     (``resume``); ``gap`` is the simulated-time pause after the event.
+    On a fabric, ``key`` names what a ``write`` or ``read`` touches and
+    ``shard`` the shard a ``crash`` hits.
     """
 
     kind: str
@@ -78,14 +83,18 @@ class ScenarioEvent:
     mode: str = ""
     gap: float = 1.0
     register: int = 0
+    key: str = ""
+    shard: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in EVENT_KINDS:
             raise ConfigurationError(f"unknown event kind {self.kind!r}")
 
     def to_dict(self) -> dict:
-        """A JSON-safe dict (stable key set, primitives only)."""
-        return {
+        """A JSON-safe dict (primitives only): a stable key set, plus
+        ``key`` and ``shard`` where set, so single-cluster events keep
+        their bytes."""
+        payload = {
             "kind": self.kind,
             "node": self.node,
             "value": self.value,
@@ -94,6 +103,9 @@ class ScenarioEvent:
             "gap": self.gap,
             "register": self.register,
         }
+        fabric = (("key", self.key), ("shard", self.shard))
+        payload.update((name, value) for name, value in fabric if value)
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ScenarioEvent":
@@ -107,6 +119,8 @@ class ScenarioEvent:
             gap=float(payload.get("gap", 1.0)),
             # .get: version-1 counterexample files predate reads.
             register=int(payload.get("register", 0)),
+            key=payload.get("key", ""),
+            shard=int(payload.get("shard", 0)),
         )
 
 
@@ -118,6 +132,8 @@ class ScenarioSpec:
     ``RANDOM`` tie-break (seeded, still deterministic); a tuple pins the
     exact same-instant schedule via the kernel's ``SCRIPTED`` tie-break —
     the shrinker's final, fully explicit counterexample form.
+    ``shards`` of 0 is one cluster; ``K`` runs the program on a
+    ``K``-shard fabric, where a ``snapshot`` is a composed cut.
     """
 
     algorithm: str = "ss-always"
@@ -138,6 +154,9 @@ class ScenarioSpec:
     #: ``None`` keeps the default unbatched send path, so specs for the
     #: other algorithms are unchanged on disk and in behaviour.
     batch_window: int | None = None
+    #: Shards of the fabric the program runs on; 0 (omitted on disk) is
+    #: one cluster.
+    shards: int = 0
 
     def config(self) -> ClusterConfig:
         """The cluster configuration this spec describes."""
@@ -178,6 +197,8 @@ class ScenarioSpec:
             "max_int": self.max_int,
             "batch_window": self.batch_window,
         }
+        if self.shards:
+            payload["shards"] = self.shards
         return payload
 
     @classmethod
@@ -208,6 +229,7 @@ class ScenarioSpec:
                 if payload.get("batch_window") is None
                 else int(payload["batch_window"])
             ),
+            shards=int(payload.get("shards", 0)),
         )
 
     def to_json(self) -> str:
@@ -235,8 +257,8 @@ class ScenarioSpec:
         return replace(self, events=tuple(events), decision_script=None)
 
 
-#: Event mix for generated specs, mirroring the chaos campaigns' weights
-#: (operations dominate; faults and corruption bursts are salted in).
+#: Event mix for generated single-cluster specs (operations dominate;
+#: faults and corruption bursts are salted in).
 _EVENT_WEIGHTS = (
     ("write", 6),
     ("snapshot", 3),
@@ -268,16 +290,56 @@ class _Weighted:
     kinds: list[str] = field(default_factory=list)
 
 
+#: Event mix for generated fabric specs: keyed writes and reads,
+#: composed cuts, per-shard crashes and resumes.
+_FABRIC_MIX = ("write",) * 6 + ("read",) * 3 + ("snapshot", "crash") + ("resume",) * 2
+
+
+def _fabric_program(
+    rng: random.Random, events: int, n: int, shards: int
+) -> list[ScenarioEvent]:
+    """A fabric storm: one split at ``events // 2`` and one
+    reconfiguration to ``n + 1`` nodes at ``3 * events // 4`` take the
+    place of a drawn event; a crash draws from the shards and nodes that
+    exist at its point in the program."""
+    split_at, reconfigure_at = events // 2, 3 * events // 4
+    program: list[ScenarioEvent] = []
+    for index in range(events):
+        if index == split_at:
+            kind = "split"
+        elif index == reconfigure_at:
+            kind = "reconfigure"
+        else:
+            kind = rng.choice(_FABRIC_MIX)
+        fields: dict = {"gap": round(rng.uniform(0.5, 3.0), 2)}
+        if kind in ("write", "read"):
+            fields["key"] = f"c{rng.randrange(32 * shards)}"
+            fields["value"] = f"w{index}" if kind == "write" else ""
+        elif kind == "crash":
+            fields["shard"] = rng.randrange(shards + (index > split_at))
+            fields["node"] = rng.randrange(n + (index > reconfigure_at))
+        elif kind == "resume":
+            fields["mode"] = "restart" if rng.random() < 0.3 else ""
+            fields["node"] = rng.randrange(n)
+        program.append(ScenarioEvent(kind=kind, **fields))
+    return program
+
+
 def generate_spec(
     seed: int,
     algorithm: str = "ss-always",
     events: int = 40,
+    shards: int = 0,
 ) -> ScenarioSpec:
     """Draw one scenario spec from a seed.
 
     Everything — cluster size, δ, the channel model, and the event
     program — derives from ``random.Random(seed)``, so a seed fully
     identifies a spec and a campaign is just a seed range.
+
+    With ``shards`` set the spec is a fabric storm on that many shards
+    of ``n = 4`` nodes at δ = 2 over the default channel: only the
+    program is drawn (:data:`_FABRIC_MIX`).
 
     For the bounded algorithms two extra dimensions open up — a small
     ``max_int`` (so wraparound resets actually fire mid-program) and the
@@ -287,9 +349,14 @@ def generate_spec(
     The ``amortized`` variant likewise draws a transport
     ``batch_window`` after the shared dimensions, on its path only.
     """
+    rng = random.Random(seed)
+    if shards:
+        program = tuple(_fabric_program(rng, events, n=4, shards=shards))
+        return ScenarioSpec(
+            algorithm, n=4, seed=seed, delta=2.0, events=program, shards=shards
+        )
     bounded = algorithm.startswith("bounded")
     amortized = algorithm == "amortized"
-    rng = random.Random(seed)
     n = rng.choice((3, 4, 5))
     delta = rng.choice(_DELTA_PROFILES)
     min_delay, max_delay = rng.choice(_DELAY_PROFILES)

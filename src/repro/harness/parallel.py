@@ -1,9 +1,9 @@
 """Parallel experiment runner: deterministic fan-out over a process pool.
 
-Every experiment, ablation, and chaos campaign in the harness is a pure
-function of its descriptor — all randomness derives from explicit seeds —
-so independent ``(runner, kwargs)`` cells can execute in worker processes
-with no shared state.  This module fans a list of :class:`Cell`
+Every experiment, ablation, fuzz probe and exploration in the harness is
+a pure function of its descriptor — all randomness derives from explicit
+seeds — so independent ``(runner, kwargs)`` cells can execute in worker
+processes with no shared state.  This module fans a list of :class:`Cell`
 descriptors out across a :mod:`multiprocessing` pool and merges results
 **deterministically**: each result is keyed by its cell's position in the
 submitted list and the merged list is returned in that order, so the
@@ -13,8 +13,8 @@ cells (``--jobs 4`` equals ``--jobs 1``; the regression test in
 
 Cells name their runner through the harness registries
 (:data:`repro.harness.experiments.EXPERIMENTS`,
-:data:`repro.harness.ablations.ABLATIONS`, chaos campaigns) rather than
-carrying callables, which keeps them picklable under every
+:data:`repro.harness.ablations.ABLATIONS`, the fuzz and verify campaigns)
+rather than carrying callables, which keeps them picklable under every
 multiprocessing start method.
 """
 
@@ -29,7 +29,6 @@ __all__ = [
     "run_cells",
     "experiment_cells",
     "ablation_cells",
-    "chaos_cells",
     "fuzz_cells",
     "verify_cells",
 ]
@@ -40,7 +39,7 @@ class Cell:
     """One independent unit of work: a registered runner plus its kwargs.
 
     ``kind`` selects the registry (``"experiment"``, ``"ablation"``,
-    ``"chaos"``, ``"fuzz"``, or ``"verify"``), ``name`` the entry within
+    ``"fuzz"``, or ``"verify"``), ``name`` the entry within
     it, and ``kwargs`` is a sorted tuple of ``(key, value)`` pairs — a
     hashable, picklable spelling of the keyword arguments.
     """
@@ -84,22 +83,17 @@ def ablation_cells(
     return [Cell("ablation", name, kwargs) for name in names]
 
 
-def chaos_cells(
-    seeds: Iterable[int], events: int = 150, algorithm: str = "ss-always"
-) -> list[Cell]:
-    """Cells for one chaos campaign per seed."""
-    return [
-        Cell("chaos", algorithm, _make_kwargs({"seed": seed, "events": events}))
-        for seed in seeds
-    ]
-
-
 def fuzz_cells(
-    seeds: Iterable[int], algorithm: str = "ss-always", budget: int = 40
+    seeds: Iterable[int],
+    algorithm: str = "ss-always",
+    budget: int = 40,
+    shards: int = 0,
 ) -> list[Cell]:
-    """Cells probing one generated fuzz spec per seed."""
+    """Cells probing one generated fuzz spec per seed (a fabric storm on
+    ``shards`` shards when set)."""
+    base = {"budget": budget, **({"shards": shards} if shards else {})}
     return [
-        Cell("fuzz", algorithm, _make_kwargs({"seed": seed, "budget": budget}))
+        Cell("fuzz", algorithm, _make_kwargs({"seed": seed, **base}))
         for seed in seeds
     ]
 
@@ -150,18 +144,10 @@ def _execute_cell(cell: Cell) -> Any:
 
         _title, runner = ABLATIONS[cell.name]
         return runner(**kwargs)
-    if cell.kind == "chaos":
-        from repro.harness.chaos import ChaosCampaign
-
-        events = kwargs.pop("events", 150)
-        campaign = ChaosCampaign(algorithm=cell.name, **kwargs)
-        return campaign.run(events=events)
     if cell.kind == "fuzz":
         from repro.fuzz.runner import probe_seed
 
-        return probe_seed(
-            kwargs["seed"], algorithm=cell.name, budget=kwargs["budget"]
-        )
+        return probe_seed(algorithm=cell.name, **kwargs)
     if cell.kind == "verify":
         from repro.verify.explorer import explore_standard_scenario
 

@@ -5,7 +5,7 @@ metric registry's collected values) into :class:`Alert` records.  The
 :class:`AlertEngine` is edge-triggered with latching: a rule firing for
 the same ``(rule, node)`` key on consecutive evaluations raises one
 alert, which stays *active* until an evaluation where the condition no
-longer holds.  Everything ever raised is kept in ``history`` so chaos
+longer holds.  Everything ever raised is kept in ``history`` so fuzz
 campaigns and the dashboard can report what happened during a run.
 
 The default rule set mirrors the health states (limping/crashed/

@@ -3,7 +3,7 @@
 Renders a collected metric snapshot in the Prometheus text format
 (``text/plain; version=0.0.4``) and serves it over a minimal asyncio
 HTTP endpoint, so a live run on the UDP backend can be scraped by any
-Prometheus-compatible agent while chaos is in progress.
+Prometheus-compatible agent while a fault storm is in progress.
 
 Mapping rules:
 

@@ -15,7 +15,7 @@ a shim between codec and socket that applies the cluster's
 :class:`~repro.config.ChannelConfig` loss/duplication/delay (hence
 reorder) probabilities and any partition schedule to live packets,
 mirroring the simulated channel's behaviour (and its RNG draw order) on
-real sockets.  Chaos and fuzz campaigns thereby speak the same scenario
+real sockets.  Fuzz campaigns thereby speak the same scenario
 vocabulary over the wire.
 
 The cluster facade lives in :class:`repro.backend.udp.UdpBackend`;

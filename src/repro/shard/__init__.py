@@ -16,21 +16,17 @@ north star needs orders of magnitude more.  This package scales *out*:
   reconfigurations) that never lose or duplicate an in-flight operation.
 * :mod:`repro.shard.check` — two-layer linearizability checking
   (per-shard histories + composed cuts).
-* :mod:`repro.shard.chaos` — the split-under-storm endurance campaign.
 
 Keyed load with the Zipf hot-shard dial is the one load driver's
 ``run_load(..., shards=K)`` (:mod:`repro.load`), which also carries the
-E19 scaling experiment.
+E19 scaling experiment; fault storms with a split and a reconfiguration
+are fuzz programs on a fabric (``generate_spec(..., shards=K)``,
+:mod:`repro.fuzz`).
 
 Most callers want :class:`repro.client.SnapshotClient`, which wraps a
 fabric behind a three-method facade.
 """
 
-from repro.shard.chaos import (
-    ShardChaosReport,
-    run_shard_chaos,
-    run_shard_chaos_campaigns,
-)
 from repro.shard.check import check_fabric
 from repro.shard.epoch import ConsensusEpochDecider
 from repro.shard.fabric import (
@@ -50,7 +46,6 @@ __all__ = [
     "ConsensusEpochDecider",
     "EpochReport",
     "KeyView",
-    "ShardChaosReport",
     "ShardMap",
     "ShardedFabric",
     "build_sim_fabric",
@@ -58,7 +53,5 @@ __all__ = [
     "create_fabric",
     "key_bytes",
     "run_on_fabric",
-    "run_shard_chaos",
-    "run_shard_chaos_campaigns",
     "stable_hash",
 ]

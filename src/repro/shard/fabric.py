@@ -67,6 +67,7 @@ from repro.core.register import EMPTY_KEY_MAP, KeyMap
 from repro.errors import ConfigurationError, ReproError
 from repro.shard.epoch import ConsensusEpochDecider
 from repro.shard.ring import DEFAULT_VNODES, ShardMap
+from repro.sim.kernel import TieBreak
 
 __all__ = [
     "ComposedSnapshot",
@@ -675,12 +676,15 @@ def build_sim_fabric(
     config: ClusterConfig | None = None,
     *,
     vnodes: int = DEFAULT_VNODES,
+    tie_break: str = TieBreak.RANDOM,
 ) -> ShardedFabric:
     """Synchronously build a simulator fabric on one shared kernel.
 
     Every shard cluster shares a single deterministic kernel (one
     simulated timeline, one tie-break RNG), so a sharded run is exactly
     as reproducible as a single-cluster run: same seed ⇒ same history.
+    ``tie_break`` is that kernel's policy; the fuzz executor passes
+    ``SCRIPTED`` to replay a pinned schedule.
     """
     if shards < 1:
         raise ConfigurationError(f"need at least 1 shard, got {shards}")
@@ -692,7 +696,7 @@ def build_sim_fabric(
     for shard_id in shard_map.shard_ids:
         shard_config = replace(base, seed=base.seed + 101 * shard_id)
         if kernel is None:
-            backend = cls(algorithm, shard_config, start=True)
+            backend = cls(algorithm, shard_config, start=True, tie_break=tie_break)
             kernel = backend.kernel
         else:
             backend = cls(algorithm, shard_config, start=True, kernel=kernel)

@@ -346,7 +346,7 @@ def run_verify_campaigns(
     """Run one verification campaign per seed, optionally parallel.
 
     The unified campaign entry point (same ``(seeds, jobs, algorithm,
-    budget)`` shape as the chaos and fuzz campaigns); results come back
+    budget)`` shape as the fuzz campaigns); results come back
     in seed order regardless of worker completion order.
 
     On the ``sim`` backend each seed is a random-walk exploration of

@@ -203,11 +203,11 @@ class TestCapabilityErrors:
         with pytest.raises(ConfigurationError, match="schedule_pinning"):
             run_spec(pinned, backend="udp")
 
-    def test_chaos_cli_jobs_on_live_backend(self):
+    def test_fuzz_cli_jobs_on_live_backend(self):
         from repro.__main__ import main
 
         with pytest.raises(ConfigurationError, match="process_fanout"):
-            main(["chaos", "--backend", "udp", "--jobs", "2", "--seeds", "2"])
+            main(["fuzz", "--backend", "udp", "--jobs", "2", "--seeds", "2"])
 
     def test_latency_cli_jobs_on_live_backend(self):
         from repro.__main__ import main
@@ -216,7 +216,7 @@ class TestCapabilityErrors:
             main(["latency", "--backend", "asyncio", "--jobs", "3"])
 
     def test_unknown_backend_flag_exits(self, usage_error):
-        err = usage_error(["chaos", "--backend", "tcp"])
+        err = usage_error(["fuzz", "--backend", "tcp"])
         assert "invalid choice: 'tcp'" in err
 
     def test_sim_only_experiment_selection_rejected(self, usage_error):

@@ -27,8 +27,7 @@ COMMAND_FLAGS = {
     "ablations": f"--jobs {_OBS} --seeds",
     "algorithms": "",
     "verify": _CAMPAIGN,
-    "chaos": f"{_CAMPAIGN} --shards",
-    "fuzz": f"{_CAMPAIGN} --out --no-shrink",
+    "fuzz": f"{_CAMPAIGN} --shards --out --no-shrink",
     "replay": f"--backend {_OBS}",
     "latency": _CAMPAIGN,
     "load": f"{_CAMPAIGN} --duration --shards --batch --clients --depth "
@@ -94,7 +93,8 @@ class TestCli:
 
     def test_unknown_command(self, usage_error):
         # "shard" was a command once; `load --shards K` is the same run.
-        for command in ("frobnicate", "shard"):
+        # So was "chaos"; `fuzz [--shards K] --no-shrink` is.
+        for command in ("frobnicate", "shard", "chaos"):
             assert f"invalid choice: '{command}'" in usage_error([command])
 
     @pytest.mark.parametrize(
@@ -102,7 +102,7 @@ class TestCli:
         [
             (["experiments", "e01", "--algorithm", "amortized"], "--algorithm"),
             (["ablations", "a1", "--budget", "3"], "--budget"),
-            (["chaos", "--shards", "2", "--jobs", "3"], "--jobs"),
+            (["load", "--sweep", "--jobs", "3"], "--jobs"),
             (["load", "--sweep", "--rate", "1"], "--rate"),
         ],
     )
@@ -236,8 +236,8 @@ class TestObservabilityFlags:
         err = usage_error(["experiments", "e01", "--trace-out"])
         assert "argument --trace-out: expected one argument" in err
 
-    def test_chaos_accepts_stats(self, capsys):
-        assert main(["chaos", "--budget", "40", "--stats"]) == 0
+    def test_fuzz_accepts_stats(self, capsys):
+        assert main(["fuzz", "--budget", "40", "--stats"]) == 0
         out = capsys.readouterr().out
         assert "metrics" in out
         assert "ops.total" in out
@@ -282,11 +282,11 @@ class TestVerifyCommand:
 
 
 class TestCampaignFlagUnification:
-    """Chaos, verify, and fuzz share one flag/report vocabulary."""
+    """The campaign commands share one flag/report vocabulary."""
 
-    def test_chaos_unified_flags(self, capsys):
+    def test_fuzz_unified_flags(self, capsys):
         assert main(
-            ["chaos", "--budget", "30", "--seeds", "2", "--jobs", "2"]
+            ["fuzz", "--budget", "30", "--seeds", "2", "--jobs", "2"]
         ) == 0
         captured = capsys.readouterr()
         assert "seed 0:" in captured.out
@@ -294,23 +294,24 @@ class TestCampaignFlagUnification:
         assert captured.err == ""
 
     def test_chaos_positional_spelling_removed(self, usage_error):
-        err = usage_error(["chaos", "30", "1"])
+        # `chaos 30 1` went with the command; fuzz takes no positionals.
+        err = usage_error(["fuzz", "30", "1"])
         assert "unrecognized arguments: 30 1" in err
 
     def test_events_flag_removed_names_budget(self, usage_error):
-        err = usage_error(["chaos", "--events", "30"])
+        err = usage_error(["fuzz", "--events", "30"])
         assert "unrecognized arguments: --events 30" in err
 
     def test_algo_flag_removed_names_algorithm(self, usage_error):
         # No prefix matching: --algo is not taken to mean --algorithm.
         err = usage_error(
-            ["chaos", "--budget", "30", "--algo", "ss-nonblocking"]
+            ["fuzz", "--budget", "30", "--algo", "ss-nonblocking"]
         )
         assert "unrecognized arguments: --algo ss-nonblocking" in err
 
     def test_seed_start_offsets_the_seed_range(self, capsys):
         assert main(
-            ["chaos", "--budget", "30", "--seeds", "2", "--seed-start", "5"]
+            ["fuzz", "--budget", "30", "--seeds", "2", "--seed-start", "5"]
         ) == 0
         out = capsys.readouterr().out
         assert "seed 5:" in out
@@ -377,10 +378,19 @@ class TestShardCommands:
         out = capsys.readouterr().out
         assert "K=2" in out and "composed cuts" in out
 
-    def test_chaos_routes_to_fabric_with_shards(self, capsys):
-        assert main(["chaos", "--shards", "2", "--budget", "25"]) == 0
-        out = capsys.readouterr().out
-        assert "splits" in out and "OK" in out
+    def test_fuzz_routes_to_fabric_with_shards(self, capsys):
+        assert main(["fuzz", "--shards", "2", "--budget", "25"]) == 0
+        assert "seed 0: 25 events on 2 shards: OK" in capsys.readouterr().out
+
+    def test_fuzz_shards_jobs_output_is_byte_identical(self, capsys):
+        outputs = []
+        for jobs in ("1", "2"):
+            assert main(
+                ["fuzz", "--shards", "2", "--seeds", "4", "--jobs", jobs]
+            ) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out.count("on 2 shards: OK") == 4
 
     def test_shards_flag_validation(self, usage_error):
         assert ">= 1" in usage_error(["load", "--shards", "0"])

@@ -84,6 +84,46 @@ class TestScenarioSpec:
         kinds = [e.kind for e in generate_spec(0, events=60).events]
         assert "read" in kinds and "write" in kinds and "snapshot" in kinds
 
+    def test_fabric_spec_round_trips_through_json(self):
+        spec = generate_spec(3, "ss-nonblocking", events=30, shards=2)
+        assert ScenarioSpec.from_json(spec.to_json()) == spec
+        payload = json.loads(spec.to_json())
+        assert payload["shards"] == 2
+        by_kind = {event["kind"]: event for event in payload["events"]}
+        assert by_kind["write"]["key"].startswith("c")
+        assert {"split", "reconfigure"} <= set(by_kind)
+
+    def test_single_cluster_specs_keep_their_bytes(self):
+        """No ``shards``, ``key`` or ``shard`` field on disk unless set:
+        a spec drawn without shards serializes as before they existed."""
+        payload = json.loads(generate_spec(7, events=30).to_json())
+        assert "shards" not in payload
+        assert all(
+            set(event) == {"kind", "node", "value", "group", "mode", "gap", "register"}
+            for event in payload["events"]
+        )
+
+    def test_version_2_file_without_shards_loads(self, tmp_path):
+        spec = generate_spec(7, events=10)
+        path = tmp_path / "ce.json"
+        write_counterexample(path, spec, run_spec(spec))
+        payload = json.loads(path.read_text())
+        assert payload["version"] == 2 and "shards" not in payload["spec"]
+        assert load_counterexample(path)[0].shards == 0
+
+    def test_fabric_program_places_one_split_and_one_reconfigure(self):
+        spec = generate_spec(5, "ss-nonblocking", events=40, shards=2)
+        assert (spec.n, spec.delta, spec.shards) == (4, 2.0, 2)
+        assert spec.events[20].kind == "split"
+        assert spec.events[30].kind == "reconfigure"
+        kinds = {event.kind for event in spec.events}
+        assert kinds <= {"write", "read", "snapshot", "crash", "resume",
+                         "split", "reconfigure"}
+        for index, event in enumerate(spec.events):
+            if event.kind == "crash":
+                assert event.shard < 2 + (index > 20)
+                assert event.node < 4 + (index > 30)
+
     def test_with_events_unpins_script(self):
         spec = replace(generate_spec(1, events=5), decision_script=(1, 0))
         trimmed = spec.with_events(spec.events[:2])
@@ -315,6 +355,32 @@ class TestPinnedCounterexamples:
         outcome = run_spec(spec)
         assert outcome.ok, outcome.failures
 
+    def test_fabric_counterexample_replays_bit_identically(self):
+        """A fabric campaign's shrunk finding pins its schedule on the
+        fabric's shared kernel and replays exactly, like any other."""
+        path = REGRESSIONS / "fabric-ss-always-91.json"
+        spec, payload = load_counterexample(path)
+        assert spec.shards == 2 and spec.decision_script is not None
+        assert payload["shrink"] == {
+            "original_events": 150, "final_events": 9, "runs": 188
+        }
+        assert "misses write" in payload["failures"][0]
+        first, second = replay_counterexample(path), replay_counterexample(path)
+        assert first.ok and second.ok, first.summary()
+        assert first.outcome.fingerprint() == second.outcome.fingerprint()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="open: on a fabric a detectable restart gets no recovery "
+        "window, and an ss-always node restarted at a shard's collect node "
+        "serves the final composed cut a snapshot that misses a completed "
+        "write (a plain resume, or ss-nonblocking, passes)",
+    )
+    def test_fabric_restart_keeps_completed_writes_in_the_next_cut(self):
+        spec, _ = load_counterexample(REGRESSIONS / "fabric-ss-always-91.json")
+        outcome = run_spec(spec)
+        assert outcome.ok, outcome.failures
+
     def test_newer_format_versions_are_refused(self, tmp_path):
         payload = json.loads((REGRESSIONS / "ss-always-14.json").read_text())
         payload["version"] = 3
@@ -348,6 +414,27 @@ class TestCampaignAndReplay:
         assert first.ok and second.ok
         assert first.outcome.fingerprint() == second.outcome.fingerprint()
         assert first.outcome.history == second.outcome.history
+
+    def test_fabric_and_cluster_counterexamples_do_not_collide(self, tmp_path):
+        """One directory, one algorithm, one seed: the fabric campaign's
+        file carries its shard count, so neither overwrites the other."""
+        from broken_algorithms import BrokenAlwaysEquivalent  # noqa: F401
+
+        for shards in (0, 2):
+            (report,) = run_fuzz_campaign(
+                [5], algorithm="broken-always-equivalent", budget=60,
+                out_dir=tmp_path, shrink=False, shards=shards,
+            )
+            assert not report.ok
+        names = sorted(path.name for path in tmp_path.iterdir())
+        assert names == [
+            "counterexample-broken-always-equivalent-5.json",
+            "counterexample-broken-always-equivalent-shards2-5.json",
+        ]
+        fabric, _ = load_counterexample(tmp_path / names[1])
+        assert fabric.shards == 2
+        assert replay_counterexample(tmp_path / names[0]).ok
+        assert replay_counterexample(tmp_path / names[1]).ok
 
     def test_parallel_probe_matches_serial(self):
         seeds = [0, 1, 2, 3]

@@ -13,7 +13,7 @@ import pytest
 from repro.config import scenario_config
 from repro.backend.sim import SimBackend
 from repro.fault import TransientFaultInjector
-from repro.harness.chaos import ChaosCampaign
+from repro.fuzz import generate_spec, run_fuzz_campaign, run_spec
 from repro.obs.alerts import (
     AlertEngine,
     RetransmitStormRule,
@@ -224,11 +224,12 @@ class TestAlertEngine:
 
 
 class TestChaosAlerts:
+    """A fuzz campaign doubles as a gray-failure detection check: an
+    observed run samples every cluster's health once per event."""
+
     def test_observed_campaign_collects_all_three_alert_classes(self):
         with session(Observability(trace_messages=False)) as obs:
-            report = ChaosCampaign(seed=8, algorithm="ss-always").run(
-                events=120
-            )
+            (report,) = run_fuzz_campaign([8], algorithm="ss-always", budget=60)
             obs.finish()
         assert report.ok, report.failures
         rules = {alert["rule"] for alert in report.alerts}
@@ -240,6 +241,8 @@ class TestChaosAlerts:
         assert f"{len(report.alerts)} alerts" in report.summary()
 
     def test_unobserved_campaign_collects_no_alerts(self):
-        report = ChaosCampaign(seed=8, algorithm="ss-always").run(events=40)
-        assert report.alerts == []
+        outcome = run_spec(generate_spec(8, "ss-always", 40))
+        assert outcome.alerts == ()
+        (report,) = run_fuzz_campaign([8], algorithm="ss-always", budget=40)
+        assert report.alerts == ()
         assert "alerts" not in report.summary()

@@ -6,8 +6,8 @@ from repro.__main__ import build_parser
 from repro.harness.parallel import (
     Cell,
     ablation_cells,
-    chaos_cells,
     experiment_cells,
+    fuzz_cells,
     run_cells,
 )
 
@@ -24,10 +24,13 @@ class TestCells:
             Cell("experiment", "e01", (("seed", 1),)),
         ]
 
-    def test_ablation_and_chaos_cells(self):
+    def test_ablation_and_fuzz_cells(self):
         assert ablation_cells(["a1"]) == [Cell("ablation", "a1")]
-        assert chaos_cells([3], events=10) == [
-            Cell("chaos", "ss-always", (("events", 10), ("seed", 3)))
+        assert fuzz_cells([3], budget=10) == [
+            Cell("fuzz", "ss-always", (("budget", 10), ("seed", 3)))
+        ]
+        assert fuzz_cells([3], budget=10, shards=2) == [
+            Cell("fuzz", "ss-always", (("budget", 10), ("seed", 3), ("shards", 2)))
         ]
 
     def test_unknown_kind_raises(self):
@@ -56,14 +59,15 @@ class TestRunCells:
         assert run_cells(cells, jobs=None) == run_cells(cells, jobs=1)
 
 
-class TestChaosCampaigns:
+class TestFuzzCampaigns:
     def test_parallel_reports_match_serial(self):
-        from repro.harness.chaos import run_chaos_campaigns
+        from repro.fuzz import run_fuzz_campaign
 
-        serial = run_chaos_campaigns([0, 1], events=20, jobs=1)
-        parallel = run_chaos_campaigns([0, 1], events=20, jobs=2)
-        assert serial == parallel
-        assert all(report.ok for report in serial)
+        for shards in (0, 2):
+            serial = run_fuzz_campaign([0, 1], budget=20, jobs=1, shards=shards)
+            parallel = run_fuzz_campaign([0, 1], budget=20, jobs=2, shards=shards)
+            assert serial == parallel
+            assert all(report.ok for report in serial)
 
 
 class TestExtractJobs:
@@ -96,11 +100,11 @@ class TestExtractJobs:
 
 
 class TestCli:
-    def test_chaos_seeds_flag(self, capsys):
+    def test_fuzz_seeds_flag(self, capsys):
         from repro.__main__ import main
 
         assert main(
-            ["chaos", "--budget", "25", "--seeds", "2", "--jobs", "2"]
+            ["fuzz", "--budget", "25", "--seeds", "2", "--jobs", "2"]
         ) == 0
         out = capsys.readouterr().out
         assert "seed 0:" in out and "seed 1:" in out
@@ -118,25 +122,28 @@ class TestObservedParallelRuns:
         from repro.obs.observe import Observability, session
 
         with session(Observability(trace_messages=False)) as obs:
-            reports = run_cells(
-                chaos_cells([0, 1], events=40, algorithm="ss-always"),
+            outcomes = run_cells(
+                fuzz_cells([0, 1], budget=40, algorithm="ss-always"),
                 jobs=jobs,
             )
             obs.finish()
-        return [r.summary() for r in reports], obs.collect(), obs.summary()
+        return outcomes, obs.collect(), obs.summary()
 
     def test_parallel_stats_match_serial_exactly(self):
         serial = self._stats(jobs=1)
         parallel = self._stats(jobs=2)
         assert parallel == serial
-        # The merged session really carried the workers' observations.
-        _, values, summary = parallel
+        # The merged session really carried the workers' observations,
+        # and each worker's alerts rode back on its outcome.
+        outcomes, values, summary = parallel
+        assert all(outcome.alerts for outcome in outcomes)
         assert values["ops.total"] > 0
         assert any(name.startswith("health.state") for name in values)
         assert "metrics" in summary
 
     def test_unobserved_parallel_runs_stay_unobserved(self):
-        reports = run_cells(
-            chaos_cells([0], events=30, algorithm="ss-always"), jobs=2
+        outcomes = run_cells(
+            fuzz_cells([0], budget=30, algorithm="ss-always"), jobs=2
         )
-        assert len(reports) == 1 and reports[0].ok
+        assert len(outcomes) == 1 and outcomes[0].ok
+        assert outcomes[0].alerts == ()

@@ -1,12 +1,10 @@
-"""Tests for the load driver's fabric target and the sharded chaos storm."""
+"""Tests for the load driver's fabric target and the fuzzed fabric storm."""
 
 import pytest
 
 from repro import ClusterConfig
-from repro.config import scenario_config
+from repro.fuzz import ScenarioEvent, ScenarioSpec, generate_spec, run_spec
 from repro.load import LoadSpec, run_load
-from repro.shard import build_sim_fabric, run_shard_chaos
-from repro.shard.chaos import ShardChaosCampaign
 
 pytestmark = pytest.mark.shard
 
@@ -74,40 +72,57 @@ class TestShardLoad:
         assert reports[0].throughput == reports[1].throughput
 
 
-class TestShardChaos:
+def _shard_labels(outcome):
+    """The clusters a fabric run's history came from."""
+    return {record[0] for record in outcome.history}
+
+
+class TestFabricStorm:
     def test_storm_with_split_stays_linearizable(self):
-        report = run_shard_chaos(
-            shards=2, config=ClusterConfig(n=4, seed=0), seed=0, events=40
-        )
-        assert report.ok, report.failures
-        assert report.splits == 1 and report.reconfigures == 1
-        assert report.final_shards == 3
-        assert report.composes > 0
-        assert "1 reconfigures" in report.summary()
+        spec = generate_spec(0, "ss-nonblocking", 40, shards=2)
+        kinds = [event.kind for event in spec.events]
+        assert kinds.count("split") == kinds.count("reconfigure") == 1
+        outcome = run_spec(spec)
+        assert outcome.ok, outcome.failures
+        assert outcome.applied + outcome.skipped == 40
+        # The split added shard 2; the reconfiguration retired every
+        # cluster of the three shards and the check still covers them.
+        assert _shard_labels(outcome) >= {
+            "shard0", "shard1", "shard2", "shard0 (retired)", "shard2 (retired)"
+        }
+        collects = [r for r in outcome.history if r[2] == "snapshot"]
+        assert collects  # composed cuts ran
 
     def test_seeds_vary_the_storm(self):
-        a = run_shard_chaos(
-            shards=2, config=ClusterConfig(n=4, seed=1), seed=1, events=30
-        )
-        b = run_shard_chaos(
-            shards=2, config=ClusterConfig(n=4, seed=2), seed=2, events=30
-        )
-        assert a.ok and b.ok
-        assert (a.writes, a.scans, a.crashes) != (b.writes, b.scans, b.crashes)
+        a = generate_spec(1, "ss-nonblocking", 30, shards=2)
+        b = generate_spec(2, "ss-nonblocking", 30, shards=2)
+        assert a.events != b.events
+        first, second = run_spec(a), run_spec(b)
+        assert first.ok and second.ok
+        assert first.fingerprint() != second.fingerprint()
 
     def test_split_completes_with_a_source_slot_node_crashed(self):
         """Regression: a split used to re-publish each source slot's
         shrunk map with a write at the slot's own node, which never
         completes while that node is crashed — and the quiesced fabric
-        wedged with both gates closed (seed 4 reaches that state at its
-        split: shard 1's node 2 is down and holds moving keys).  The
-        event cap turns a wedge into a failure, not a hang; the campaign
-        takes ~37 k events."""
-        fabric = build_sim_fabric(
-            2, "ss-nonblocking", scenario_config(n=4, seed=4, delta=2)
+        wedged with both gates closed.  ``c4`` lives at shard 0's node 3
+        and moves to the new shard 2; the termination bound turns a
+        wedge into a failure, not a hang."""
+        events = (
+            ScenarioEvent(kind="write", key="c4", value="a"),
+            ScenarioEvent(kind="write", key="c8", value="b"),
+            ScenarioEvent(kind="crash", shard=0, node=3),
+            ScenarioEvent(kind="split"),
+            ScenarioEvent(kind="read", key="c4"),
+            ScenarioEvent(kind="snapshot"),
         )
-        report = fabric.kernel.run_until_complete(
-            ShardChaosCampaign(fabric, 4).run(150), max_events=200_000
+        spec = ScenarioSpec(
+            algorithm="ss-nonblocking", n=4, delta=2.0, seed=4,
+            events=events, shards=2,
         )
-        assert report.ok, report.failures
-        assert report.splits == 1 and report.final_shards == 3
+        outcome = run_spec(spec)
+        assert outcome.ok, outcome.failures
+        assert (outcome.applied, outcome.skipped) == (6, 0)
+        assert "shard2" in _shard_labels(outcome)
+        read = next(r for r in outcome.history if r[2] == "read" and r[0] == "shard2")
+        assert read[4][1]["c4"] == (1, "a")
