@@ -57,11 +57,11 @@ Theorem 1's O(1)-cycle recovery carries over unchanged.
 
 Because operations must genuinely overlap for batching to pay off, this
 variant sets :attr:`AmortizedSnapshot.CONCURRENT_CLIENTS`, which tells
-the cluster backends *not* to FIFO-chain submissions per node.  The
-sequential-client discipline of the other variants (``_begin_operation``
-raising on overlap) is intentionally replaced by unique in-flight
-tokens: overlapping local operations are the whole point here, and the
-engine serializes them into shared rounds internally.
+the cluster backends *not* to FIFO-chain submissions per node and tells
+:meth:`~repro.net.node.Process.operation` not to refuse an overlap.
+Each operation still gets its own identity from that one discipline;
+overlapping local operations are the whole point here, and the engine
+serializes them into shared rounds internally.
 
 The variant reuses the WRITE/SNAPSHOT/READ/GOSSIP message kinds and
 server handlers of its parents unchanged — the wire protocol is
@@ -120,40 +120,26 @@ class AmortizedSnapshot(SelfStabilizingNonBlocking):
         self._pending_writes: list[_PendingOp] = []
         self._pending_scans: list[_PendingOp] = []
         self._engine_task = None
-        self._op_counter = 0
 
     # -- client side ------------------------------------------------------------
 
     async def write(self, value: Any) -> int:
         """Enqueue a write; resolves with its timestamp after a shared round."""
-        token = self._begin_operation("write")
-        try:
+        with self.operation("write"):
             op = _PendingOp(self.kernel, value)
             self._pending_writes.append(op)
             self._ensure_engine()
             await op.event.wait()
             return op.result
-        finally:
-            self._end_operation(token)
 
     async def snapshot(self) -> SnapshotResult:
         """Enqueue a scan; resolves after a shared interference-free round."""
-        token = self._begin_operation("snapshot")
-        try:
+        with self.operation("snapshot"):
             op = _PendingOp(self.kernel)
             self._pending_scans.append(op)
             self._ensure_engine()
             await op.event.wait()
             return op.result
-        finally:
-            self._end_operation(token)
-
-    def _begin_operation(self, name: str) -> str:
-        """Unique in-flight token (overlap is legal here, unlike the base)."""
-        self._op_counter += 1
-        token = f"{name}#{self._op_counter}"
-        self._ops_in_flight.add(token)
-        return token
 
     # -- the round engine ----------------------------------------------------------
 

@@ -29,16 +29,16 @@ baselines, and their self-stabilizing variants) share:
   never make it retry.
 
 Concrete algorithms subclass :class:`SnapshotAlgorithm` and add their
-snapshot-side logic.
+snapshot-side logic; the always-terminating ones (Algorithms 2 and 3)
+subclass :class:`DepositedWrites`, whose write the do-forever loop serves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import le
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
-from repro.config import ClusterConfig
 from repro.core.register import (
     AckItem,
     KeyDelta,
@@ -47,19 +47,20 @@ from repro.core.register import (
     TimestampedValue,
     ack_clock,
 )
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, NodeCrashedError
 from repro.net.message import Message
-from repro.net.node import Process
+from repro.net.node import OpId, Process
 from repro.net.quorum import AckCollector, broadcast_until
-from repro.sim.kernel import Kernel
 
 __all__ = [
+    "DepositedWrites",
     "SnapshotAlgorithm",
     "SnapshotResult",
     "WriteMessage",
     "WriteAckMessage",
     "ReadMessage",
     "ReadAckMessage",
+    "WriteDeposit",
 ]
 
 
@@ -153,14 +154,8 @@ class SnapshotAlgorithm(Process):
     #: Whether the boxed (self-stabilizing) code lines are active.
     SELF_STABILIZING = False
 
-    def __init__(
-        self,
-        node_id: int,
-        kernel: Kernel,
-        network: Any,
-        config: ClusterConfig,
-    ) -> None:
-        super().__init__(node_id, kernel, network, config)
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.register_handler(WriteMessage.KIND, self._on_write)
         self.register_handler(ReadMessage.KIND, self._on_read)
         # WRITEack/READack have no server-side action; replies reach ack
@@ -181,7 +176,6 @@ class SnapshotAlgorithm(Process):
         #: value, is the empty map).  Any value is a legal starting
         #: point; one no server holds costs a whole entry per server.
         self.base: Any = None
-        self._ops_in_flight: set[str] = set()
 
     # -- the merge(Rec) macro -----------------------------------------------------
 
@@ -328,8 +322,7 @@ class SnapshotAlgorithm(Process):
             raise ConfigurationError(
                 f"register index {j} outside 0..{self.config.n - 1}"
             )
-        token = self._begin_operation("read")
-        try:
+        with self.operation("read"):
             if self.obs is not None:
                 self.obs.phase("read.quorum_round")
             replies = await self.entry_round(j, self.reg[j])
@@ -340,8 +333,6 @@ class SnapshotAlgorithm(Process):
                     self.obs.phase("read.write_back")
                 await self.entry_round(j, top)
             return top
-        finally:
-            self._end_operation(token)
 
     async def entry_round(
         self, j: int, entry: TimestampedValue
@@ -400,20 +391,69 @@ class SnapshotAlgorithm(Process):
         base = KeyMap.of(self.base)
         return None if base is None else entry.value.delta_since(base, entry.ts)
 
-    # -- operation-invocation discipline --------------------------------------------------
 
-    def _begin_operation(self, name: str) -> str:
-        """Enforce the paper's sequential-client-per-node model.
+@dataclass(eq=False, slots=True)
+class WriteDeposit:
+    """``writePending``'s content: a value, its writer, and its fate."""
 
-        Returns the in-flight token to hand back to :meth:`_end_operation`.
-        """
-        if name in self._ops_in_flight:
-            raise ReproError(
-                f"node {self.node_id}: {name} already in progress; the model "
-                "assumes one sequential client per node"
-            )
-        self._ops_in_flight.add(name)
-        return name
+    op: OpId
+    value: Any
+    taken: bool = False  # the loop's baseWrite has started on it
+    ts: int | None = None  # the timestamp baseWrite wrote it under
+    dropped: bool = False  # a detectable restart discarded it
 
-    def _end_operation(self, token: str) -> None:
-        self._ops_in_flight.discard(token)
+
+class DepositedWrites(SnapshotAlgorithm):
+    """The write of Algorithms 2 and 3: a deposit the do-forever loop serves.
+
+    The loop clears ``write_pending`` only if it still holds the deposit
+    it served, so a write deposited while the loop serves an abandoned
+    one waits for its own round and returns its own timestamp.
+    """
+
+    def initialize_state(self) -> None:
+        """An empty slot; a restart drops the deposit and fails its writer."""
+        dropped = getattr(self, "write_pending", None)
+        super().initialize_state()
+        if dropped is not None:
+            dropped.dropped = True
+            self._changed.set()  # its writer waits on this event
+        self.write_pending: WriteDeposit | None = None
+        self._changed = self.kernel.create_event()
+
+    def _notify(self) -> None:
+        self._changed.set()
+
+    async def _wait_until(self, condition: Callable[[], bool]) -> None:
+        """Block until ``condition()`` holds (woken by state changes)."""
+        while not condition():
+            self._changed.clear()
+            await self._changed.wait()
+
+    async def write(self, value: Any) -> int:
+        """Deposit the value; if cancelled, withdraw it unless it was taken."""
+        with self.operation("write") as op:
+            deposit = self.write_pending = WriteDeposit(op, value)
+            if self.obs is not None:
+                self.obs.phase("write.deposited")
+            self._notify()
+            try:
+                await self._wait_until(
+                    lambda: deposit.ts is not None or deposit.dropped
+                )
+            finally:
+                if self.write_pending is deposit and not deposit.taken:
+                    self.write_pending = None
+            if deposit.dropped:
+                raise NodeCrashedError(f"{op}: lost to a detectable restart")
+            return deposit.ts
+
+    async def serve_write(self) -> None:
+        """``baseWrite`` the deposit, if any (Algorithm 2 line 38, 3 line 79)."""
+        deposit = self.write_pending
+        if deposit is not None:
+            deposit.taken = True
+            deposit.ts = await self.base_write(deposit.value)
+            if self.write_pending is deposit:
+                self.write_pending = None
+            self._notify()

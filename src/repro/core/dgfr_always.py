@@ -21,15 +21,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any
 
 from repro.broadcast.reliable import ReliableBroadcast
-from repro.config import ClusterConfig
-from repro.core.base import SnapshotAlgorithm, SnapshotResult
+from repro.core.base import DepositedWrites, SnapshotResult
 from repro.core.register import AckItem, RegisterArray
 from repro.net.message import Message
 from repro.net.quorum import AckCollector, broadcast_until
-from repro.sim.kernel import Kernel
 
 __all__ = [
     "DgfrAlwaysTerminating",
@@ -81,19 +78,13 @@ class TaskSnapshotAckMessage(Message):
     ssn: int
 
 
-class DgfrAlwaysTerminating(SnapshotAlgorithm):
+class DgfrAlwaysTerminating(DepositedWrites):
     """The non-self-stabilizing always-terminating snapshot object."""
 
     SELF_STABILIZING = False
 
-    def __init__(
-        self,
-        node_id: int,
-        kernel: Kernel,
-        network: Any,
-        config: ClusterConfig,
-    ) -> None:
-        super().__init__(node_id, kernel, network, config)
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.register_handler(TaskSnapshotMessage.KIND, self._on_task_snapshot)
         self._rb = ReliableBroadcast(self, self._on_rb_deliver)
 
@@ -102,14 +93,12 @@ class DgfrAlwaysTerminating(SnapshotAlgorithm):
         super().initialize_state()
         self.ssn: int = 0
         self.sns: int = 0
-        self.write_pending: Any = None
         #: ``repSnap``: results of completed tasks, keyed by (source, sn).
         #: Unbounded — faithful to the baseline the paper improves on.
         self.rep_snap: dict[tuple[int, int], RegisterArray] = {}
         #: SNAP tasks received and not yet processed, in arrival order.
         self._task_queue: deque[tuple[int, int]] = deque()
         self._queued: set[tuple[int, int]] = set()
-        self._changed = self.kernel.create_event()
 
     # -- reliable-broadcast deliveries ---------------------------------------------
 
@@ -124,15 +113,6 @@ class DgfrAlwaysTerminating(SnapshotAlgorithm):
             self.rep_snap[(payload.source, payload.sn)] = payload.result
         self._notify()
 
-    def _notify(self) -> None:
-        self._changed.set()
-
-    async def _wait_until(self, condition) -> None:
-        """Block until ``condition()`` holds (woken by state changes)."""
-        while not condition():
-            self._changed.clear()
-            await self._changed.wait()
-
     # -- the do-forever loop (lines 37–42) --------------------------------------------
 
     async def do_forever_iteration(self) -> None:
@@ -144,40 +124,22 @@ class DgfrAlwaysTerminating(SnapshotAlgorithm):
         in ``repSnap``, which is the synchronization that makes snapshot
         operations always terminate.
         """
-        if self.write_pending is not None:
-            value = self.write_pending
-            await self.base_write(value)
-            self.write_pending = None
-            self._notify()
+        await self.serve_write()
         if self._task_queue:
             source, sn = self._task_queue.popleft()
             await self.base_snapshot(source, sn)
             await self._wait_until(lambda: (source, sn) in self.rep_snap)
 
-    # -- operations (lines 43–47) ----------------------------------------------------------
-
-    async def write(self, value: Any) -> int:
-        """Line 44: deposit the value and wait for the loop to serve it."""
-        self._begin_operation("write")
-        try:
-            self.write_pending = value
-            self._notify()
-            await self._wait_until(lambda: self.write_pending is None)
-            return self.reg[self.node_id].ts
-        finally:
-            self._end_operation("write")
+    # -- operations (lines 43–47; the write is DepositedWrites') ------------------
 
     async def snapshot(self) -> SnapshotResult:
         """Lines 45–47: announce the task, wait for its result."""
-        self._begin_operation("snapshot")
-        try:
+        with self.operation("snapshot"):
             self.sns += 1
             task = (self.node_id, self.sns)
             self._rb.broadcast(SnapMessage(source=task[0], sn=task[1]))
             await self._wait_until(lambda: task in self.rep_snap)
             return SnapshotResult.from_registers(self.rep_snap[task])
-        finally:
-            self._end_operation("snapshot")
 
     # -- baseSnapshot (lines 52–59) -----------------------------------------------------------
 

@@ -19,12 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.config import ClusterConfig
 from repro.core.base import SnapshotAlgorithm, SnapshotResult
 from repro.core.register import AckItem, RegisterArray
 from repro.net.message import Message
 from repro.net.quorum import AckCollector, broadcast_until
-from repro.sim.kernel import Kernel
 
 __all__ = ["DgfrNonBlocking", "SnapshotMessage", "SnapshotAckMessage"]
 
@@ -56,14 +54,8 @@ class DgfrNonBlocking(SnapshotAlgorithm):
 
     SELF_STABILIZING = False
 
-    def __init__(
-        self,
-        node_id: int,
-        kernel: Kernel,
-        network: Any,
-        config: ClusterConfig,
-    ) -> None:
-        super().__init__(node_id, kernel, network, config)
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.register_handler(SnapshotMessage.KIND, self._on_snapshot_query)
 
     def initialize_state(self) -> None:
@@ -85,11 +77,8 @@ class DgfrNonBlocking(SnapshotAlgorithm):
 
     async def write(self, value: Any) -> int:
         """Lines 12–16: install ``(v, ts)`` and push it to a majority."""
-        self._begin_operation("write")
-        try:
+        with self.operation("write"):
             return await self.base_write(value)
-        finally:
-            self._end_operation("write")
 
     async def snapshot(self) -> SnapshotResult:
         """Lines 17–23: query rounds until an interference-free round.
@@ -100,8 +89,7 @@ class DgfrNonBlocking(SnapshotAlgorithm):
         writes the loop may run forever — that is the non-blocking (rather
         than always-terminating) guarantee, demonstrated by benchmark E12.
         """
-        self._begin_operation("snapshot")
-        try:
+        with self.operation("snapshot"):
             while True:
                 prev = self.reg.copy()
                 self.ssn += 1
@@ -110,8 +98,6 @@ class DgfrNonBlocking(SnapshotAlgorithm):
                 await self._query_round()
                 if prev == self.reg:
                     return SnapshotResult.from_registers(self.reg)
-        finally:
-            self._end_operation("snapshot")
 
     async def _query_round(self) -> list[tuple[AckItem, ...]]:
         """Lines 20–21: one ``repeat broadcast SNAPSHOT until majority``.

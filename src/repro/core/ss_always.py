@@ -34,15 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Iterable
 
-from repro.config import ClusterConfig
-from repro.core.base import SnapshotAlgorithm, SnapshotResult
+from repro.core.base import DepositedWrites, SnapshotResult
 from repro.core.register import AckItem, RegisterArray, TimestampedValue
 from repro.core.ss_nonblocking import GossipPullMessage
 from repro.net.message import Message
 from repro.net.quorum import AckCollector, broadcast_until
-from repro.sim.kernel import Kernel
 
 __all__ = [
     "SelfStabilizingAlwaysTerminating",
@@ -141,19 +139,13 @@ class SaveAckMessage(Message):
     ids: frozenset[tuple[int, int]]
 
 
-class SelfStabilizingAlwaysTerminating(SnapshotAlgorithm):
+class SelfStabilizingAlwaysTerminating(DepositedWrites):
     """Algorithm 3; δ comes from ``config.delta`` (∞ = UNBOUNDED_DELTA)."""
 
     SELF_STABILIZING = True
 
-    def __init__(
-        self,
-        node_id: int,
-        kernel: Kernel,
-        network: Any,
-        config: ClusterConfig,
-    ) -> None:
-        super().__init__(node_id, kernel, network, config)
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.register_handler(SnapshotMessage3.KIND, self._on_snapshot_query)
         self.register_handler(SaveMessage.KIND, self._on_save)
         self.register_handler(GossipMessage3.KIND, self._on_gossip)
@@ -164,11 +156,9 @@ class SelfStabilizingAlwaysTerminating(SnapshotAlgorithm):
         super().initialize_state()
         self.ssn: int = 0
         self.sns: int = 0
-        self.write_pending: Any = None
         self.pnd_tsk: list[PendingTask] = [
             PendingTask() for _ in range(self.config.n)
         ]
-        self._changed = self.kernel.create_event()
         #: Observability hook: callables invoked as ``listener(process,
         #: foreign_tasks)`` when a baseSnapshot call starts serving a
         #: *foreign* task — i.e. a write-blocking helping episode begins;
@@ -234,16 +224,6 @@ class SelfStabilizingAlwaysTerminating(SnapshotAlgorithm):
                 self, lambda: SaveMessage(entries=wire_entries), collector
             )
 
-    # -- change notification ------------------------------------------------------------
-
-    def _notify(self) -> None:
-        self._changed.set()
-
-    async def _wait_until(self, condition: Callable[[], bool]) -> None:
-        while not condition():
-            self._changed.clear()
-            await self._changed.wait()
-
     # -- the do-forever loop (lines 73–80) ------------------------------------------------
 
     async def do_forever_iteration(self) -> None:
@@ -292,11 +272,7 @@ class SelfStabilizingAlwaysTerminating(SnapshotAlgorithm):
                 ),
             )
         # Line 79: serve the pending write task first.
-        if self.write_pending is not None:
-            value = self.write_pending
-            await self.base_write(value)
-            self.write_pending = None
-            self._notify()
+        await self.serve_write()
         # Line 80: serve every currently eligible snapshot task.  The
         # sample S is a set of (node, sns) task identities: the paper's
         # S ∩ Δ intersects *triples*, so a task whose sns advances while
@@ -311,25 +287,11 @@ class SelfStabilizingAlwaysTerminating(SnapshotAlgorithm):
                 )
             )
 
-    # -- operations (lines 81–83) ------------------------------------------------------------
-
-    async def write(self, value: Any) -> int:
-        """Line 81: deposit the value; the loop's baseWrite serves it."""
-        self._begin_operation("write")
-        try:
-            self.write_pending = value
-            if self.obs is not None:
-                self.obs.phase("write.deposited")
-            self._notify()
-            await self._wait_until(lambda: self.write_pending is None)
-            return self.reg[self.node_id].ts
-        finally:
-            self._end_operation("write")
+    # -- operations (lines 81–83; the write is DepositedWrites') ------------------
 
     async def snapshot(self) -> SnapshotResult:
         """Lines 82–83: register the task, wait for its final result."""
-        self._begin_operation("snapshot")
-        try:
+        with self.operation("snapshot"):
             self.sns += 1
             self.pnd_tsk[self.node_id] = PendingTask(sns=self.sns)
             if self.obs is not None:
@@ -338,8 +300,6 @@ class SelfStabilizingAlwaysTerminating(SnapshotAlgorithm):
             mine = lambda: self.pnd_tsk[self.node_id]  # noqa: E731
             await self._wait_until(lambda: mine().fnl is not None)
             return SnapshotResult.from_registers(mine().fnl)
-        finally:
-            self._end_operation("snapshot")
 
     # -- baseSnapshot (lines 85–94) --------------------------------------------------------------
 

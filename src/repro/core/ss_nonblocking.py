@@ -163,7 +163,7 @@ class SelfStabilizingNonBlocking(DgfrNonBlocking):
             self.ts = reg_ts
             if self.obs is not None:
                 self.obs.ts_heals += 1
-        told = self._told if self._ops_in_flight else {}
+        told = self._told if self.busy else {}
         for peer in self.peers():
             ts = self.reg[peer].ts
             if told.get(peer) != ts:

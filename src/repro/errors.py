@@ -41,7 +41,7 @@ class NetworkError(ReproError):
 
 
 class NodeCrashedError(ReproError):
-    """An operation was invoked on a node that is currently crashed."""
+    """An operation was lost to its node's crash or detectable restart."""
 
 
 class ConfigurationError(ReproError):

@@ -38,6 +38,7 @@ from repro.analysis.history import HistoryRecorder
 from repro.analysis.invariants import definition1_consistent
 from repro.analysis.linearizability import check_snapshot_history
 from repro.core.base import SnapshotResult
+from repro.core.cluster import ALGORITHMS
 from repro.core.register import TimestampedValue
 from repro.backend.sim import SimBackend
 from repro.errors import DeadlockError, ResetInProgressError, SimulationError
@@ -58,12 +59,6 @@ OP_TERMINATION_BOUND = 300.0
 #: Cycles granted to a self-stabilizing algorithm to recover after a
 #: corruption burst.
 _RECOVERY_CYCLES = 8
-
-#: Prefixes of algorithm names that claim transient-fault recovery;
-#: ``corrupt`` events are skipped (not failed) for anything else.
-#: ``amortized`` batches Algorithm 1's quorum rounds but inherits its
-#: merge/gossip recovery unchanged, so it keeps the same claim.
-_SELF_STABILIZING_PREFIXES = ("ss-", "bounded-ss", "amortized")
 
 #: Event kinds with a meaning on one target only; the other skips them.
 _FABRIC_ONLY = frozenset(("split", "reconfigure"))
@@ -147,10 +142,6 @@ def _history_fingerprint(history: HistoryRecorder) -> tuple:
     )
 
 
-def _is_self_stabilizing(algorithm: str) -> bool:
-    return algorithm.startswith(_SELF_STABILIZING_PREFIXES)
-
-
 class _SpecRun:
     """Mutable state of one execution (one instance per :func:`run_spec`).
 
@@ -193,7 +184,11 @@ class _SpecRun:
         self.checks = 0
         self.partitioned = False
         self.wedged = False
-        self.stabilizing = _is_self_stabilizing(spec.algorithm)
+        #: Whether the algorithm claims transient-fault recovery; its
+        #: class says so, and ``corrupt`` events are skipped otherwise.
+        self.stabilizing = getattr(
+            ALGORITHMS[spec.algorithm], "SELF_STABILIZING", False
+        )
         self.bounded = spec.algorithm.startswith("bounded")
         self.alerts: list[dict] = []
         self._alert_engines: dict[str | None, AlertEngine] = {}
@@ -208,9 +203,6 @@ class _SpecRun:
             len(self.cluster.alive_nodes())
             >= self.cluster.config.majority
         )
-
-    def _node_busy(self, node: int) -> bool:
-        return bool(self.cluster.node(node)._ops_in_flight)
 
     def _clusters(self) -> list:
         return self.fabric.backends() if self.fabric else [self.cluster]
@@ -268,7 +260,7 @@ class _SpecRun:
     async def _operate(self, index: int, event: ScenarioEvent) -> None:
         cluster = self.cluster
         kind, node = event.kind, event.node
-        if cluster.node(node).crashed or self._node_busy(node):
+        if cluster.node(node).crashed or cluster.node(node).busy:
             self.skipped += 1
             return
         if not self._majority_alive():

@@ -19,10 +19,12 @@ Crash semantics follow the paper (Section 2):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.config import ClusterConfig
-from repro.errors import CancelledError, SimulationError
+from repro.errors import CancelledError, ReproError, SimulationError
 from repro.net.message import Message
 from repro.sim.kernel import Kernel, SimTask
 
@@ -30,7 +32,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.network import Network
     from repro.net.quorum import AckCollector
 
-__all__ = ["Process"]
+__all__ = ["OpId", "Process"]
+
+
+@dataclass(frozen=True, slots=True)
+class OpId:
+    """One client operation's identity: its node and that node's count."""
+
+    node: int
+    seq: int
 
 
 class Process:
@@ -41,6 +51,9 @@ class Process:
     :meth:`do_forever_iteration` (one body of the algorithm's ``do
     forever`` loop — cleanup, gossip, task scheduling).
     """
+
+    #: Whether local client operations may overlap (see :meth:`operation`).
+    CONCURRENT_CLIENTS = False
 
     def __init__(
         self,
@@ -63,6 +76,8 @@ class Process:
         #: ``None``).  Algorithm code updates its heal/retransmit counters
         #: behind an ``obs is not None`` test; see ``docs/observability.md``.
         self.obs = None
+        self._op_seq = 0
+        self._ops_in_flight: dict[OpId, str] = {}
         network.attach(self)
         self.initialize_state()
 
@@ -96,6 +111,36 @@ class Process:
         if restart:
             self.initialize_state()
         self.gate.open()
+
+    # -- client operations -----------------------------------------------------
+
+    @contextmanager
+    def operation(self, kind: str) -> Iterator[OpId]:
+        """Run one client operation of ``kind`` under a fresh :class:`OpId`.
+
+        The paper's model is one sequential client per node, so a second
+        operation of a kind already in flight raises
+        :class:`~repro.errors.ReproError` unless the class sets
+        :attr:`CONCURRENT_CLIENTS`.  The count lives outside
+        :meth:`initialize_state`: a detectable restart never reissues one.
+        """
+        if not self.CONCURRENT_CLIENTS and kind in self._ops_in_flight.values():
+            raise ReproError(
+                f"node {self.node_id}: {kind} already in progress; the model "
+                "assumes one sequential client per node"
+            )
+        self._op_seq += 1
+        op = OpId(self.node_id, self._op_seq)
+        self._ops_in_flight[op] = kind
+        try:
+            yield op
+        finally:
+            del self._ops_in_flight[op]
+
+    @property
+    def busy(self) -> bool:
+        """Whether a client operation of this node is in flight."""
+        return bool(self._ops_in_flight)
 
     # -- handler registration and delivery ---------------------------------------
 

@@ -16,12 +16,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.config import ClusterConfig
 from repro.core.base import SnapshotResult
 from repro.core.register import RegisterArray, TimestampedValue
-from repro.errors import ReproError
 from repro.net.node import Process
-from repro.sim.kernel import Kernel
 from repro.stacked.abd import AbdRegisterLayer
 
 __all__ = ["StackedSnapshot"]
@@ -30,34 +27,24 @@ __all__ = ["StackedSnapshot"]
 class StackedSnapshot(Process):
     """Snapshot object via the register-emulation stack (baseline)."""
 
-    def __init__(
-        self,
-        node_id: int,
-        kernel: Kernel,
-        network: Any,
-        config: ClusterConfig,
-    ) -> None:
-        super().__init__(node_id, kernel, network, config)
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.abd = AbdRegisterLayer(self)
 
     def initialize_state(self) -> None:
         """Writer timestamp and the replicated array (owned by the layer)."""
         self.ts: int = 0
         self.reg = RegisterArray(self.config.n)
-        self._ops_in_flight: set[str] = set()
 
     # -- operations -----------------------------------------------------------
 
     async def write(self, value: Any) -> int:
         """ABD write: install locally, replicate to a majority (1 RT)."""
-        self._begin("write")
-        try:
+        with self.operation("write"):
             self.ts += 1
             self.reg[self.node_id] = TimestampedValue(self.ts, value)
             await self.abd.store(self.reg.copy())
             return self.ts
-        finally:
-            self._end("write")
 
     async def snapshot(self) -> SnapshotResult:
         """Double-collect scan with write-backs (4 RTs when clean).
@@ -67,8 +54,7 @@ class StackedSnapshot(Process):
         The write-backs make the returned view visible to a majority
         before the operation returns, which is what gives atomicity.
         """
-        self._begin("snapshot")
-        try:
+        with self.operation("snapshot"):
             while True:
                 first = await self.abd.collect()
                 await self.abd.store(first)
@@ -76,18 +62,3 @@ class StackedSnapshot(Process):
                 await self.abd.store(second)
                 if first == second:
                     return SnapshotResult.from_registers(second)
-        finally:
-            self._end("snapshot")
-
-    # -- invocation discipline ----------------------------------------------------
-
-    def _begin(self, name: str) -> None:
-        if name in self._ops_in_flight:
-            raise ReproError(
-                f"node {self.node_id}: {name} already in progress; the model "
-                "assumes one sequential client per node"
-            )
-        self._ops_in_flight.add(name)
-
-    def _end(self, name: str) -> None:
-        self._ops_in_flight.discard(name)

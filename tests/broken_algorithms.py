@@ -11,6 +11,7 @@ exactly once through ``sys.path`` (see ``conftest.py``).
 from repro.core.amortized import AmortizedSnapshot
 from repro.core.cluster import register_algorithm
 from repro.core.dgfr_nonblocking import DgfrNonBlocking
+from repro.core.ss_always import SelfStabilizingAlwaysTerminating
 from repro.core.ss_nonblocking import SelfStabilizingNonBlocking
 
 
@@ -211,3 +212,30 @@ class BrokenDeltaByTs(AmortizedSnapshot):
 
 
 register_algorithm("broken-delta-by-ts", BrokenDeltaByTs)
+
+
+class BrokenWriteHandoff(SelfStabilizingAlwaysTerminating):
+    """Deliberately wrong: the write deposit's identity is ignored.  The
+    loop clears whatever the slot holds once a ``baseWrite`` ends, and a
+    write returns ``reg[i].ts``.  A write deposited while the loop still
+    serves an abandoned one is then acknowledged with the abandoned
+    write's timestamp, and its own value is never written."""
+
+    async def serve_write(self) -> None:
+        deposit = self.write_pending
+        if deposit is not None:
+            await self.base_write(deposit.value)
+            self.write_pending = None
+            self._notify()
+
+    async def write(self, value):
+        from repro.core.base import WriteDeposit
+
+        with self.operation("write") as op:
+            self.write_pending = WriteDeposit(op, value)
+            self._notify()
+            await self._wait_until(lambda: self.write_pending is None)
+            return self.reg[self.node_id].ts
+
+
+register_algorithm("broken-write-handoff", BrokenWriteHandoff)

@@ -171,8 +171,11 @@ class TestClusterFacade:
         with pytest.raises(ConfigurationError):
             SimBackend("no-such-algorithm")
 
-    def test_concurrent_same_node_ops_rejected(self):
-        cluster = make("dgfr-nonblocking")
+    @pytest.mark.parametrize(
+        "algorithm", ["dgfr-nonblocking", "stacked", "ss-always"]
+    )
+    def test_concurrent_same_node_ops_rejected(self, algorithm):
+        cluster = make(algorithm)
 
         async def misuse():
             first = cluster.spawn(cluster.write(0, "a"))

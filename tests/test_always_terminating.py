@@ -6,9 +6,12 @@ import pytest
 
 from repro import ClusterConfig, SimBackend, UNBOUNDED_DELTA
 from repro.analysis.linearizability import check_snapshot_history
+from repro.errors import NodeCrashedError
 
 
 def make(algorithm, n=5, seed=0, delta=0, **kwargs):
+    if algorithm.startswith("bounded"):
+        kwargs.setdefault("max_int", 1000)
     return SimBackend(
         algorithm, ClusterConfig(n=n, seed=seed, delta=delta, **kwargs)
     )
@@ -251,3 +254,104 @@ class TestSsAlwaysDeltaSemantics:
         assert math.isinf(cluster.node(0).delta)
         cluster2 = make("ss-always", delta=3)
         assert not cluster2.node(0).is_unbounded_delta()
+
+
+async def abandon(cluster, node, operation, timeout=20.0):
+    """Give up on ``operation`` after ``timeout``, as the fuzz executor does.
+
+    The bounded variant runs an operation as its own task, which its
+    caller's cancel leaves running and only an epoch transition ends; the
+    helper ends it that way there.
+    """
+    with pytest.raises(TimeoutError):
+        await cluster.kernel.wait_for(operation, timeout=timeout)
+    process = cluster.node(node)
+    if hasattr(process, "_abort_operations"):
+        process._abort_operations()
+    await cluster.kernel.sleep(0.01)  # the cancellation lands
+
+
+def holders(cluster, value):
+    """The nodes whose register array holds ``value`` anywhere."""
+    return [
+        process.node_id
+        for process in cluster.processes
+        if value in process.reg.snapshot_values()
+    ]
+
+
+@pytest.mark.parametrize(
+    "algorithm", ["ss-always", "dgfr-always", "bounded-ss-always"]
+)
+class TestWriteDeposit:
+    """The write hands the do-forever loop a deposit that carries its
+    operation's identity; the loop answers that deposit and no other."""
+
+    def test_write_after_an_abandoned_taken_write_gets_its_own_ts(
+        self, algorithm
+    ):
+        cluster = make(algorithm)
+        node = cluster.node(0)
+        cluster.network.partition({0}, {1, 2, 3, 4})
+
+        async def scenario():
+            await abandon(cluster, 0, cluster.write(0, "wA"))
+            taken = node.write_pending  # the loop's baseWrite(wA) is under way
+            cluster.network.heal()
+            ts_b = await cluster.write(0, "wB")
+            return taken, ts_b, await cluster.snapshot(3)
+
+        taken, ts_b, result = cluster.run_until(scenario())
+        assert (result.values[0], result.vector_clock[0]) == ("wB", ts_b)
+        assert taken.value == "wA" and taken.taken and ts_b > taken.ts
+        assert check_snapshot_history(cluster.history.records(), 5).ok
+
+    def test_write_withdrawn_before_it_is_taken_is_never_written(
+        self, algorithm
+    ):
+        cluster = make(algorithm)
+        node = cluster.node(0)
+        cluster.write_sync(0, "w0")
+        cluster.crash(0)  # the loop takes nothing while the node is down
+
+        async def scenario():
+            await abandon(cluster, 0, cluster.write(0, "wB"), timeout=5.0)
+            assert node.write_pending is None and not node.busy
+            cluster.resume(0)
+            await cluster.settle_cycles(4)
+            return await cluster.snapshot(2)
+
+        result = cluster.run_until(scenario())
+        assert result.values[0] == "w0"
+        assert holders(cluster, "wB") == []
+
+    def test_restart_drops_the_deposit_and_ends_its_writer(self, algorithm):
+        cluster = make(algorithm)
+        cluster.crash(0)
+
+        async def scenario():
+            writer = cluster.spawn(cluster.write(0, "wC"))
+            await cluster.kernel.sleep(1.0)
+            cluster.resume(0, restart=True)
+            with pytest.raises(NodeCrashedError):
+                await writer
+            await cluster.settle_cycles(4)
+
+        cluster.run_until(scenario())
+        (record,) = [r for r in cluster.history.records() if r.argument == "wC"]
+        assert record.aborted and record.result is None
+        assert not cluster.node(0).busy
+        assert holders(cluster, "wC") == []
+
+    def test_no_operation_identity_repeats_across_restarts(self, algorithm):
+        cluster = make(algorithm)
+        node = cluster.node(0)
+        seen = []
+        for round_index in range(3):
+            cluster.write_sync(0, f"v{round_index}")
+            with node.operation("write") as op:
+                seen.append(op)
+            cluster.crash(0)
+            cluster.resume(0, restart=True)
+        assert len(set(seen)) == len(seen)
+        assert [op.node for op in seen] == [0, 0, 0]

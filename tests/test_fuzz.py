@@ -309,8 +309,10 @@ class TestShrinker:
     def test_read_that_only_observes_is_shrunk_to_a_snapshot(self):
         """A snapshot sees all a read can: when the failure survives the
         substitution the read was only its observer, so a ``read`` left
-        in a shrunk program is one the failure needs."""
+        in a shrunk program is one the failure needs.  The program fails
+        under the engine that keeps the lost write hand-off."""
         spec, _ = load_counterexample(REGRESSIONS / "ss-always-14.json")
+        spec = replace(spec, algorithm="broken-write-handoff")
         *program, observer = spec.events
         assert (observer.kind, observer.node) == ("snapshot", 1)
         observed_by_read = spec.with_events(
@@ -327,6 +329,9 @@ class TestShrinker:
 #: the name is the algorithm and the seed that found it at 60 events).
 REGRESSIONS = Path(__file__).parent / "fuzz_regressions"
 
+#: The seeds of the pinned ``ss-always`` write hand-off programs.
+SS_ALWAYS_HANDOFF_SEEDS = [14, 87, 88, 104, 116, 143, 161, 167, 180]
+
 
 class TestPinnedCounterexamples:
     def test_write_round_survives_registers_lowered_mid_round(self):
@@ -340,20 +345,28 @@ class TestPinnedCounterexamples:
         outcome = run_spec(spec)
         assert outcome.ok, outcome.failures
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP 1(a), open: a write abandoned at its termination "
-        "bound lends its timestamp to the next write at that node "
-        "(ss-always write_pending hand-off); the PR that fixes it flips "
-        "these",
-    )
     @pytest.mark.parametrize(
-        "seed", [14, 87, 88, 104, 116, 143, 161, 167, 180]
+        "name",
+        [f"ss-always-{seed}" for seed in SS_ALWAYS_HANDOFF_SEEDS]
+        + ["dgfr-always-3"],
+        ids=[str(seed) for seed in SS_ALWAYS_HANDOFF_SEEDS] + ["dgfr-always-3"],
     )
-    def test_ss_always_abandoned_write_is_not_acknowledged(self, seed):
-        spec, _ = load_counterexample(REGRESSIONS / f"ss-always-{seed}.json")
+    def test_ss_always_abandoned_write_is_not_acknowledged(self, name):
+        """A write abandoned at its termination bound once lent its
+        timestamp to the next write at its node: the deposit had no
+        identity, so the loop's clear acknowledged the wrong write."""
+        spec, _ = load_counterexample(REGRESSIONS / f"{name}.json")
         outcome = run_spec(spec)
         assert outcome.ok, outcome.failures
+
+    @pytest.mark.parametrize("seed", SS_ALWAYS_HANDOFF_SEEDS)
+    def test_handoff_programs_fail_without_the_deposit_identity(self, seed):
+        """The same programs fail under the engine that ignores the
+        deposit's identity, so that identity is what makes them pass."""
+        spec, _ = load_counterexample(REGRESSIONS / f"ss-always-{seed}.json")
+        outcome = run_spec(replace(spec, algorithm="broken-write-handoff"))
+        assert not outcome.ok
+        assert "NOT linearizable" in outcome.failures[0]
 
     def test_fabric_counterexample_replays_bit_identically(self):
         """A fabric campaign's shrunk finding pins its schedule on the

@@ -1,5 +1,7 @@
 """Behaviour specific to the non-blocking algorithms (paper Section 3)."""
 
+from contextlib import ExitStack
+
 import pytest
 
 from repro import ClusterConfig, SimBackend
@@ -233,31 +235,30 @@ class TestGossip:
         cluster.run_until(cluster.settle_cycles(2))
         node = cluster.node(0)
         receivers = gossip_spy(cluster, 0)
-        node._ops_in_flight.add("write")  # a write waiting on its acks
-        node.broadcast(WriteMessage(reg=node.reg.copy()))
-        assert node._told == {k: node.reg[k].ts for k in (1, 2, 3)}
-        # Peer 2's entry moves on after the request: its digest is news.
-        node.reg[2] = TimestampedValue(node.reg[2].ts + 1, "newer")
-        tick(node)
-        assert receivers == [2] and node._told == {}
-        tick(node)
-        assert receivers == [2, 1, 2, 3]
-        # A READ carries reg[j] to p_j only.
-        receivers.clear()
-        node.broadcast(ReadMessage(j=3, entry=node.reg[3], tag=0))
-        tick(node)
-        assert receivers == [1, 2]
-        # A peer's own request shows its own entry, whatever it carries
-        # for the others.
-        receivers.clear()
-        peer = cluster.node(1)
-        node.deliver(1, WriteMessage(reg=peer.reg.copy()))
-        node.deliver(2, ReadMessage(j=3, entry=node.reg[3], tag=0))
-        assert node._told == {1: node.reg[1].ts}
-        tick(node)
-        assert receivers == [2, 3]
+        with node.operation("write"):  # a write waiting on its acks
+            node.broadcast(WriteMessage(reg=node.reg.copy()))
+            assert node._told == {k: node.reg[k].ts for k in (1, 2, 3)}
+            # Peer 2's entry moves on after the request: its digest is news.
+            node.reg[2] = TimestampedValue(node.reg[2].ts + 1, "newer")
+            tick(node)
+            assert receivers == [2] and node._told == {}
+            tick(node)
+            assert receivers == [2, 1, 2, 3]
+            # A READ carries reg[j] to p_j only.
+            receivers.clear()
+            node.broadcast(ReadMessage(j=3, entry=node.reg[3], tag=0))
+            tick(node)
+            assert receivers == [1, 2]
+            # A peer's own request shows its own entry, whatever it carries
+            # for the others.
+            receivers.clear()
+            peer = cluster.node(1)
+            node.deliver(1, WriteMessage(reg=peer.reg.copy()))
+            node.deliver(2, ReadMessage(j=3, entry=node.reg[3], tag=0))
+            assert node._told == {1: node.reg[1].ts}
+            tick(node)
+            assert receivers == [2, 3]
         # Idle, the requests stand in for nothing.
-        node._ops_in_flight.clear()
         receivers.clear()
         node.broadcast(WriteMessage(reg=node.reg.copy()))
         tick(node)
@@ -276,18 +277,19 @@ class TestGossip:
         receivers = gossip_spy(cluster, 0)
         injector = TransientFaultInjector(cluster, seed=5)
         skipped = 0
-        for busy in (False, True):
-            if busy:
-                node._ops_in_flight.add("snapshot")
-            for _ in range(20):
-                injector.corrupt_told([0])
-                receivers.clear()
-                tick(node)
-                skipped += 3 - len(receivers)
-                assert busy or receivers == [1, 2, 3]
-                receivers.clear()
-                tick(node)
-                assert receivers == [1, 2, 3]
+        with ExitStack() as in_flight:
+            for busy in (False, True):
+                if busy:
+                    in_flight.enter_context(node.operation("snapshot"))
+                for _ in range(20):
+                    injector.corrupt_told([0])
+                    receivers.clear()
+                    tick(node)
+                    skipped += 3 - len(receivers)
+                    assert busy or receivers == [1, 2, 3]
+                    receivers.clear()
+                    tick(node)
+                    assert receivers == [1, 2, 3]
         assert skipped > 0  # busy, the scramble does suppress digests
 
     def test_owner_corrupted_low_after_load_heals(self):
