@@ -90,6 +90,9 @@ class ClusterConfig:
         recovery from packet loss.
     gossip_interval:
         Period of the self-stabilizing do-forever loop (gossip + cleanup).
+        On the always-terminating variants a write deposit ends the
+        loop's sleep, so the write is served at once rather than at the
+        next tick; the iterations after it keep this period.
     delta:
         Algorithm 3's δ: number of observed concurrent writes after which
         writes are temporarily blocked to let snapshots terminate.  Use

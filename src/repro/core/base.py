@@ -409,6 +409,11 @@ class DepositedWrites(SnapshotAlgorithm):
     The loop clears ``write_pending`` only if it still holds the deposit
     it served, so a write deposited while the loop serves an abandoned
     one waits for its own round and returns its own timestamp.
+
+    A deposit wakes the loop (:meth:`~repro.net.node.Process.wake`): the
+    paper runs the loop back to back, so its write waits for the next
+    iteration, not for the rest of a gossip period.  A snapshot task does
+    not wake it.
     """
 
     def initialize_state(self) -> None:
@@ -437,6 +442,7 @@ class DepositedWrites(SnapshotAlgorithm):
             if self.obs is not None:
                 self.obs.phase("write.deposited")
             self._notify()
+            self.wake()
             try:
                 await self._wait_until(
                     lambda: deposit.ts is not None or deposit.dropped

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 from repro.config import ClusterConfig
 from repro.errors import CancelledError, ReproError, SimulationError
 from repro.net.message import Message
-from repro.sim.kernel import Kernel, SimTask
+from repro.sim.kernel import Kernel, SimFuture, SimTask
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.network import Network
@@ -72,6 +72,10 @@ class Process:
         self._loop_task: SimTask | None = None
         self._iteration_listeners: list[Callable[[int], None]] = []
         self.iterations_completed = 0
+        #: The loop's sleep while one is in progress (see :meth:`wake`).
+        self._nap: SimFuture | None = None
+        #: Whether :meth:`wake` came while the loop was not sleeping.
+        self._woken = False
         #: Observability hook (:class:`repro.obs.observe.ProcessObs` or
         #: ``None``).  Algorithm code updates its heal/retransmit counters
         #: behind an ``obs is not None`` test; see ``docs/observability.md``.
@@ -238,9 +242,35 @@ class Process:
                 self.iterations_completed += 1
                 for listener in self._iteration_listeners:
                     listener(self.node_id)
-                await self.kernel.sleep(self.config.gossip_interval)
+                if self._woken:
+                    self._woken = False
+                else:
+                    await self._sleep(self.config.gossip_interval)
         except CancelledError:
             raise
+
+    async def _sleep(self, delay: float) -> None:
+        """``kernel.sleep(delay)``, except that :meth:`wake` ends it early."""
+        nap = self._nap = self.kernel.create_future()
+        self.kernel.call_later(delay, _end_nap, nap)
+        try:
+            await nap
+        finally:
+            self._nap = None
+
+    def wake(self) -> None:
+        """Start the do-forever loop's next iteration without its sleep.
+
+        A sleep in progress ends now; otherwise the loop skips the sleep
+        after the iteration it is running.  Either way one call buys one
+        early iteration, which is a whole one: the loop's period
+        (``gossip_interval``) paces every iteration after it.
+        """
+        nap = self._nap
+        if nap is None:
+            self._woken = True
+        else:
+            _end_nap(nap)
 
     # -- misc ---------------------------------------------------------------------------
 
@@ -256,3 +286,8 @@ class Process:
     def __repr__(self) -> str:
         status = "crashed" if self.crashed else "up"
         return f"<{type(self).__name__} p{self.node_id} {status}>"
+
+
+def _end_nap(nap: SimFuture) -> None:
+    if not nap.done():
+        nap.set_result(None)

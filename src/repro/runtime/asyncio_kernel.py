@@ -164,11 +164,16 @@ class AsyncioKernel:
     ) -> int:
         """Mirror of :meth:`repro.sim.kernel.Kernel.first_of`."""
         futures = [_ensure_future(a) for a in awaitables]
-        done, pending = await asyncio.wait(
-            futures,
-            timeout=None if timeout is None else timeout * self.time_scale,
-            return_when=asyncio.FIRST_COMPLETED,
-        )
+        try:
+            done, pending = await asyncio.wait(
+                futures,
+                timeout=None if timeout is None else timeout * self.time_scale,
+                return_when=asyncio.FIRST_COMPLETED,
+            )
+        except asyncio.CancelledError:
+            for future in futures:
+                future.cancel()
+            raise
         if done or cancel_on_timeout:
             for future in pending:
                 future.cancel()

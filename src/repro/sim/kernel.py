@@ -255,8 +255,9 @@ class _Timer(SimFuture):
     """A pooled one-shot timer future backing :meth:`Kernel.sleep`.
 
     ``sleep`` is the single hottest allocation site in a simulation (every
-    do-forever loop, retransmission loop, and workload pacer sleeps once per
-    iteration).  Instead of allocating a fresh future plus a guard lambda per
+    retransmission loop and workload pacer sleeps once per iteration; the
+    do-forever loop's sleep, which a write can end early, is its own).
+    Instead of allocating a fresh future plus a guard lambda per
     sleep, the kernel recycles ``_Timer`` objects through a free list.  A
     generation counter makes stale heap entries harmless: a timer callback
     only completes the future if the generation it captured at scheduling
@@ -541,7 +542,8 @@ class Kernel:
         ``timeout`` elapses first — in that case the awaitables are
         cancelled too unless ``cancel_on_timeout=False`` (pass that when
         polling a long-lived task that must survive the timeout).
-        Exceptions in the winner propagate.
+        Exceptions in the winner propagate.  Cancelling the caller
+        cancels every awaitable still pending.
         """
         futures = [self._ensure_future(a) for a in awaitables]
         done = self.create_future()
@@ -557,7 +559,13 @@ class Kernel:
             future.add_done_callback(_make_cb(index))
         if timeout is not None:
             self.call_later(timeout, lambda: done.done() or done.set_result(-1))
-        winner = await done
+        try:
+            winner = await done
+        except CancelledError:
+            for future in futures:
+                if not future.done():
+                    future.cancel()
+            raise
         if winner >= 0 or cancel_on_timeout:
             for index, future in enumerate(futures):
                 if index != winner and not future.done():

@@ -6,7 +6,10 @@ import pytest
 
 from repro import ClusterConfig, SimBackend, UNBOUNDED_DELTA
 from repro.analysis.linearizability import check_snapshot_history
+from repro.config import ChannelConfig
+from repro.core.base import WriteDeposit
 from repro.errors import NodeCrashedError
+from repro.net.node import OpId
 
 
 def make(algorithm, n=5, seed=0, delta=0, **kwargs):
@@ -355,3 +358,73 @@ class TestWriteDeposit:
             cluster.resume(0, restart=True)
         assert len(set(seen)) == len(seen)
         assert [op.node for op in seen] == [0, 0, 0]
+
+
+def idle_cluster(algorithm):
+    """n=3, a 50 u gossip period and a fixed 1 u delay: one round trip is 2 u."""
+    return make(
+        algorithm,
+        n=3,
+        gossip_interval=50.0,
+        channel=ChannelConfig(min_delay=1.0, max_delay=1.0),
+    )
+
+
+@pytest.mark.parametrize(
+    "algorithm", ["ss-always", "dgfr-always", "bounded-ss-always"]
+)
+class TestDepositWakesTheLoop:
+    """A write deposit ends the do-forever loop's sleep (line 79 is next)."""
+
+    def test_write_into_a_sleeping_loop_takes_one_round_trip(self, algorithm):
+        cluster = idle_cluster(algorithm)
+
+        async def scenario():
+            await cluster.kernel.sleep(10.0)  # the loop sleeps until t=50
+            start = cluster.kernel.now
+            await cluster.write(0, "w")
+            return cluster.kernel.now - start
+
+        assert cluster.run_until(scenario()) == 2.0
+
+    def test_the_woken_iteration_is_a_whole_one(self, algorithm):
+        cluster = idle_cluster(algorithm)
+        node = cluster.node(0)
+        sent = []
+        send = node.send
+
+        def recording_send(dst, message):
+            sent.append(getattr(message, "inner", message).KIND)
+            send(dst, message)
+
+        async def scenario():
+            await cluster.kernel.sleep(10.0)
+            node.send = recording_send
+            before = node.iterations_completed
+            await cluster.write(0, "w")
+            return node.iterations_completed - before
+
+        assert cluster.run_until(scenario()) == 1
+        assert sent.count("GOSSIP") == (0 if algorithm == "dgfr-always" else 2)
+
+
+def test_resetting_node_with_a_deposit_still_sleeps():
+    """A resetting node's iteration serves nothing; the wake buys one."""
+    cluster = idle_cluster("bounded-ss-always")
+    node = cluster.node(0)
+    cluster.crash(1)
+    cluster.crash(2)  # no majority: the reset never ends
+    node.resetting = True
+
+    async def scenario():
+        await cluster.kernel.sleep(10.0)
+        before = node.iterations_completed
+        node.write_pending = WriteDeposit(OpId(0, 1), "w")
+        node.wake()
+        await cluster.kernel.sleep(195.0)
+        return node.iterations_completed - before
+
+    # Iterations at t = 10 (woken), 60, 110 and 160.
+    assert cluster.run_until(scenario(), max_events=100_000) == 4
+    assert cluster.kernel.now == 205.0
+    assert node.resetting and not node.write_pending.taken

@@ -135,6 +135,31 @@ class TestAsyncioKernelPrimitives:
 
         assert run(main())
 
+    def test_first_of_caller_cancel_cancels_children(self):
+        async def main():
+            kernel = AsyncioKernel(time_scale=0.001)
+            event = kernel.create_event()
+            cancelled = []
+
+            async def child():
+                try:
+                    await event.wait()
+                except asyncio.CancelledError:
+                    cancelled.append(True)
+                    raise
+
+            caller = kernel.create_task(
+                kernel.first_of(child(), kernel.sleep(100.0), timeout=50.0)
+            )
+            await asyncio.sleep(0.01)
+            caller.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await caller
+            await asyncio.sleep(0.01)
+            return list(cancelled)  # asyncio.run cancels leftovers later
+
+        assert run(main()) == [True]
+
 
 class TestAsyncioEventAndGate:
     def test_event_set_wait_clear(self):

@@ -112,6 +112,32 @@ class TestFirstOf:
         assert result == 42
         assert polls == 4  # 3, 6, 9, then completion at 10
 
+    def test_caller_cancel_cancels_children(self):
+        """A caller cancelled mid-wait leaves no child waiting on."""
+        kernel = Kernel()
+        event = kernel.create_event()
+        cancelled = []
+
+        async def child():
+            try:
+                await event.wait()
+            except CancelledError:
+                cancelled.append(True)
+                raise
+
+        async def caller():
+            await kernel.first_of(child(), kernel.sleep(100.0), timeout=50.0)
+
+        async def main():
+            task = kernel.create_task(caller())
+            await kernel.sleep(1.0)
+            task.cancel()
+            await kernel.sleep(1.0)
+            return task.cancelled()
+
+        assert kernel.run_until_complete(main())
+        assert cancelled == [True]
+
     def test_winner_exception_propagates(self):
         kernel = Kernel()
 
