@@ -16,21 +16,17 @@ Concretely, on top of the self-stabilizing non-blocking object:
   observable by any snapshot — they linearize immediately before the
   batch's final write, which is exactly the "never-observed write"
   case the linearizability checker admits.
-* **Scan sharing on an equivalence quorum.**  All locally pending
-  snapshots share rounds, and a round succeeds when every reply of its
-  majority reports exactly the view the round broadcast — ``prev`` for a
-  SNAPSHOT round, ``lReg`` for a WRITE round — and returns *that* view
-  (Garg et al.'s equivalence quorum).  This is weaker than Algorithm 1's
-  ``prev = reg`` (which trips on *any* delivery during the round, acked
-  or not) and strictly implied by it: a server merges the query before
-  replying, so every reply is ⪰ ``prev``, and ``prev = reg`` after the
-  merge forces every reply to equal ``prev``.  It is sound by the same
-  quorum-intersection argument: each server's view is monotone, any two
-  majorities share a server, and a matching reply was sent after the
-  round began (it echoes the round's fresh ``ssn``, or contains the
-  round's fresh own timestamp) — so the returned view contains every
-  write that completed before the round began, and the views returned
-  by any two rounds are ⪯-comparable in real-time order.
+* **Scan sharing on the equivalence quorum.**  All locally pending
+  snapshots share rounds, and a round succeeds on the exit test every
+  snapshot round uses
+  (:meth:`~repro.core.base.SnapshotAlgorithm.equivalence_quorum`, Garg
+  et al.'s equivalence quorum): every reply of its majority reports
+  exactly the view the round broadcast — ``prev`` for a SNAPSHOT round,
+  ``lReg`` for a WRITE round — and the round returns *that* view.  It is
+  sound for a WRITE round by the same quorum-intersection argument as for
+  a SNAPSHOT round: a matching reply was sent after the round began (it
+  contains the round's fresh own timestamp, as a SNAPSHOT reply echoes
+  the round's fresh ``ssn``).
 * **A write round is also a collect — when somebody is collecting.**
   WRITE acks name each server's merged ``reg``, shipping only the
   entries the round's request did not already hold, so a group-commit
@@ -77,12 +73,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.base import SnapshotResult
-from repro.core.register import (
-    AckItem,
-    RegisterArray,
-    TimestampedValue,
-    ack_clock,
-)
+from repro.core.register import AckItem, RegisterArray, TimestampedValue
 from repro.core.ss_nonblocking import SelfStabilizingNonBlocking
 
 __all__ = ["AmortizedSnapshot"]
@@ -216,15 +207,12 @@ class AmortizedSnapshot(SelfStabilizingNonBlocking):
     ) -> None:
         """Resolve ``scans`` with ``view`` iff a majority reported exactly it.
 
-        Only the timestamps the replies name are compared, so a reply
-        that equals the query carries no entry at all.  Otherwise the
-        batch is re-enqueued at the *front*, so it merges with newly
-        arrived scans in the next round.
+        Otherwise the batch is re-enqueued at the *front*, so it merges
+        with newly arrived scans in the next round.
         """
         if not scans:
             return
-        clock = view.vector_clock()
-        if all(ack_clock(reply) == clock for reply in replies):
+        if self.equivalence_quorum(view, replies):
             result = SnapshotResult.from_registers(view)
             for op in scans:
                 op.resolve(result)

@@ -26,7 +26,10 @@ baselines, and their self-stabilizing variants) share:
 * the single-register ``read(j)`` built from it: one round, plus a
   write-back round only when the majority disagreed.  It needs (and pays
   for) single-register atomicity only, so writes to other registers
-  never make it retry.
+  never make it retry;
+* the one exit test of every snapshot query round,
+  :meth:`SnapshotAlgorithm.equivalence_quorum`: a majority of replies
+  named exactly the view the round broadcast.
 
 Concrete algorithms subclass :class:`SnapshotAlgorithm` and add their
 snapshot-side logic; the always-terminating ones (Algorithms 2 and 3)
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import le
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.register import (
     AckItem,
@@ -378,6 +381,33 @@ class SnapshotAlgorithm(Process):
                 entry if msg.entry is None else msg.entry
                 for msg in collector.reply_messages()
             ]
+
+    def equivalence_quorum(
+        self, view: RegisterArray, replies: Sequence[tuple[AckItem, ...]]
+    ) -> bool:
+        """Whether a majority of ``replies`` named exactly ``view``'s timestamps.
+
+        The one exit test of every snapshot query round, Garg–Kumar–
+        Tseng–Zheng's equivalence quorum: ``view`` is what the round
+        broadcast (``prev``), and when the test holds the round returns
+        ``view`` itself.  It is implied by Algorithm 1's ``prev = reg``
+        (a server merges the query before it replies, so every reply is
+        ⪰ ``prev``, and ``prev = reg`` after merging them forces each to
+        equal ``prev``) but does not trip on a delivery to the querier's
+        own server mid-round that no reply reported.  It is sound by
+        quorum intersection: server views only grow, any two majorities
+        share a server, and a matching reply answers this round — so
+        ``view`` holds every write that completed before the round began,
+        and two rounds' views are ⪯-ordered in real time.
+
+        A round can end short of a majority (Algorithm 3's ends when task
+        results arrive instead), so the replies are counted: ``all`` over
+        too few of them proves nothing.
+        """
+        clock = view.vector_clock()
+        return len(replies) >= self.majority and all(
+            ack_clock(reply) == clock for reply in replies
+        )
 
     def _delta(self, j: int, entry: TimestampedValue) -> KeyDelta | None:
         """Our own key-map ``entry`` as a delta against :attr:`base`.

@@ -144,36 +144,44 @@ class DgfrAlwaysTerminating(DepositedWrites):
     # -- baseSnapshot (lines 52–59) -----------------------------------------------------------
 
     async def base_snapshot(self, source: int, sn: int) -> None:
-        """Run query rounds for task ``(source, sn)`` until a result exists."""
+        """Run query rounds for task ``(source, sn)`` until a result exists.
+
+        A round whose majority reported exactly the ``prev`` it broadcast
+        (the equivalence quorum, implied by the paper's ``prev = reg``)
+        publishes ``prev`` as the task's result.
+        """
         while (source, sn) not in self.rep_snap:
             prev = self.reg.copy()
             self.ssn += 1
-
-            def matches(sender: int, msg: Message) -> bool:
-                return (
-                    msg.source == source
-                    and msg.sn == sn
-                    and msg.ssn == self.ssn
-                )
-
-            with AckCollector(
-                self, TaskSnapshotAckMessage.KIND, self.majority, match=matches
-            ) as collector:
-                await broadcast_until(
-                    self,
-                    lambda: TaskSnapshotMessage(
-                        source=source, sn=sn, reg=self.reg.copy(), ssn=self.ssn
-                    ),
-                    collector,
-                )
-                replies = collector.reply_messages()
-            self.merge(msg.reg for msg in replies)
-            if prev == self.reg:
+            if self.equivalence_quorum(prev, await self._query_round(source, sn)):
                 # Line 59: publish the interference-free view as the result.
                 self._rb.broadcast(
                     EndMessage(source=source, sn=sn, result=prev.copy())
                 )
                 await self._wait_until(lambda: (source, sn) in self.rep_snap)
+
+    async def _query_round(self, source: int, sn: int) -> list[tuple[AckItem, ...]]:
+        """One ``repeat broadcast SNAPSHOT until majority`` for the task.
+
+        Returns the replies' ack items, already merged into ``reg``.
+        """
+
+        def matches(sender: int, msg: Message) -> bool:
+            return msg.source == source and msg.sn == sn and msg.ssn == self.ssn
+
+        with AckCollector(
+            self, TaskSnapshotAckMessage.KIND, self.majority, match=matches
+        ) as collector:
+            await broadcast_until(
+                self,
+                lambda: TaskSnapshotMessage(
+                    source=source, sn=sn, reg=self.reg.copy(), ssn=self.ssn
+                ),
+                collector,
+            )
+            views = [msg.reg for msg in collector.reply_messages()]
+        self.merge(views)
+        return views
 
     # -- server side (lines 63–65) -------------------------------------------------------------
 

@@ -3,9 +3,11 @@
 This is the paper's Algorithm 1 *without* the boxed self-stabilizing
 additions — the original [DGFR18, Algorithm 1].  Write operations always
 terminate (given a live majority); a snapshot operation terminates once it
-completes a query round in which no concurrent write changed the register
-view (``prev = reg``), so snapshots are guaranteed to terminate only after
-write operations cease.
+completes a query round whose majority reported exactly the view it
+broadcast (the equivalence quorum,
+:meth:`~repro.core.base.SnapshotAlgorithm.equivalence_quorum`, which
+DGFR's ``prev = reg`` implies), so snapshots are guaranteed to terminate
+only after write operations cease.
 
 Costs (reproduced by benchmark E1): a write is one round trip of
 ``2(n-1)`` messages; an uncontended snapshot is one round trip of
@@ -84,10 +86,13 @@ class DgfrNonBlocking(SnapshotAlgorithm):
         """Lines 17–23: query rounds until an interference-free round.
 
         Each round captures ``prev := reg``, runs one majority query with a
-        fresh ``ssn``, merges the replies, and returns ``reg`` if no
-        concurrent write moved it (``prev = reg``).  With concurrent
-        writes the loop may run forever — that is the non-blocking (rather
-        than always-terminating) guarantee, demonstrated by benchmark E12.
+        fresh ``ssn``, merges the replies, and returns ``prev`` if every
+        reply of its majority reported exactly ``prev`` (the equivalence
+        quorum; the paper's ``prev = reg`` implies it, and unlike it a write
+        merged here mid-round that no reply reported does not cost a
+        round).  With concurrent writes the loop may run forever — that is
+        the non-blocking (rather than always-terminating) guarantee,
+        demonstrated by benchmark E12.
         """
         with self.operation("snapshot"):
             while True:
@@ -95,9 +100,8 @@ class DgfrNonBlocking(SnapshotAlgorithm):
                 self.ssn += 1
                 if self.obs is not None:
                     self.obs.phase("snapshot.query_round")
-                await self._query_round()
-                if prev == self.reg:
-                    return SnapshotResult.from_registers(self.reg)
+                if self.equivalence_quorum(prev, await self._query_round()):
+                    return SnapshotResult.from_registers(prev)
 
     async def _query_round(self) -> list[tuple[AckItem, ...]]:
         """Lines 20–21: one ``repeat broadcast SNAPSHOT until majority``.

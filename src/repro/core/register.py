@@ -116,7 +116,8 @@ class RegisterArray:
 
     * ``reg[k] ← max(reg[k], other[k])`` for all ``k`` — :meth:`merge_from`;
     * pointwise comparison ``⪯`` — :meth:`precedes_or_equals`;
-    * equality (used in the ``prev = reg`` termination test of snapshot);
+    * equality of whole entries, values included (snapshot rounds test
+      timestamps only, through :func:`ack_clock` and :meth:`vector_clock`);
     * a vector-clock view of the timestamps (Algorithm 3, line 69).
     """
 

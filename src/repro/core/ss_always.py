@@ -320,11 +320,13 @@ class SelfStabilizingAlwaysTerminating(DepositedWrites):
     async def base_snapshot(self, sampled: frozenset[tuple[int, int]]) -> None:
         """Serve the sampled tasks until none remains eligible here.
 
-        The outer loop runs query rounds; an interference-free round
-        (``prev = reg``) resolves every still-eligible sampled task with
-        one ``safeReg`` call (many-jobs stealing).  An interfered round
-        samples the vector clock into the own task's ``vc`` (line 93),
-        which is what lets other nodes count concurrent writes against δ.
+        The outer loop runs query rounds; an interference-free round (a
+        majority reported exactly ``prev``, the equivalence quorum that
+        the paper's ``prev = reg`` implies) resolves every still-eligible
+        sampled task with ``prev`` in one ``safeReg`` call (many-jobs
+        stealing).  An interfered round samples the vector clock into the
+        own task's ``vc`` (line 93), which is what lets other nodes count
+        concurrent writes against δ.
         The outer loop exits early once only the own task remains and δ
         concurrent writes have been observed — control returns to the
         do-forever loop, where every node's Δ now includes the task and
@@ -345,9 +347,9 @@ class SelfStabilizingAlwaysTerminating(DepositedWrites):
                     listener(self, foreign)
             self.ssn += 1
             prev = self.reg.copy()
-            await self._query_round(sampled)
+            replies = await self._query_round(sampled)
             served = self._served_now(sampled)
-            if prev == self.reg and served:
+            if served and self.equivalence_quorum(prev, replies):
                 await self.safe_reg(
                     [
                         (k, self.pnd_tsk[k].sns, prev.copy())
@@ -374,11 +376,14 @@ class SelfStabilizingAlwaysTerminating(DepositedWrites):
                         self.obs.phase("snapshot.delegated")
                     return
 
-    async def _query_round(self, sampled: frozenset[int]) -> None:
+    async def _query_round(
+        self, sampled: frozenset[tuple[int, int]]
+    ) -> list[tuple[AckItem, ...]]:
         """Lines 87–90: one ``repeat broadcast SNAPSHOT until …`` round.
 
         Ends when the served set empties (results arrived via SAVE) or a
-        majority of ssn-matching acks arrived; then merges the replies.
+        majority of ssn-matching acks arrived; then merges the replies and
+        returns their ack items — fewer than a majority in the first case.
         """
 
         def matches(sender: int, msg: Message) -> bool:
@@ -417,8 +422,9 @@ class SelfStabilizingAlwaysTerminating(DepositedWrites):
                     self._changed.wait(),
                     timeout=max(next_send - self.kernel.now, 0.0) or interval,
                 )
-            replies = collector.reply_messages()
-        self.merge(msg.reg for msg in replies)
+            views = [msg.reg for msg in collector.reply_messages()]
+        self.merge(views)
+        return views
 
     # -- server side (lines 95–107) -----------------------------------------------------------------
 

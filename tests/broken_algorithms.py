@@ -17,12 +17,19 @@ from repro.core.ss_nonblocking import SelfStabilizingNonBlocking
 
 class BrokenFirstAckOnly(DgfrNonBlocking):
     """Deliberately wrong: the snapshot merges only the FIRST ack instead
-    of a full majority — a quorum-intersection bug.  Which ack arrives
-    first is a pure scheduling choice, so only some interleavings return
-    a stale (non-linearizable) view; finding one is the model checker's
-    (and the fuzzer's) job."""
+    of a full majority, and takes that one ack for a quorum — a
+    quorum-intersection bug.  Which ack arrives first is a pure
+    scheduling choice, so only some interleavings return a stale
+    (non-linearizable) view; finding one is the model checker's (and the
+    fuzzer's) job."""
 
-    async def _query_round(self) -> None:
+    def equivalence_quorum(self, view, replies) -> bool:
+        from repro.core.register import ack_clock
+
+        clock = view.vector_clock()
+        return all(ack_clock(reply) == clock for reply in replies)
+
+    async def _query_round(self):
         from repro.core.dgfr_nonblocking import (
             SnapshotAckMessage,
             SnapshotMessage,
@@ -40,8 +47,9 @@ class BrokenFirstAckOnly(DgfrNonBlocking):
                 lambda: SnapshotMessage(reg=self.reg.copy(), ssn=self.ssn),
                 collector,
             )
-            replies = collector.reply_messages()
-        self.merge(msg.reg for msg in replies[:1])
+            views = [msg.reg for msg in collector.reply_messages()[:1]]
+        self.merge(views)
+        return views
 
 
 register_algorithm("broken-first-ack", BrokenFirstAckOnly)
@@ -55,8 +63,8 @@ class BrokenAlwaysEquivalent(AmortizedSnapshot):
     stale only if that write had completed: a race between rounds of
     different nodes that takes real concurrency to hit."""
 
-    def _settle_scans(self, scans, view, replies) -> None:
-        super()._settle_scans(scans, view, [])
+    def equivalence_quorum(self, view, replies) -> bool:
+        return True
 
 
 register_algorithm("broken-always-equivalent", BrokenAlwaysEquivalent)

@@ -242,8 +242,14 @@ class TestRunLoad:
 #: and its receiver: fewer messages draw fewer channel delays (53 → 57,
 #: 129 → 92, 64 → 62 and 247 → 233 operations; amortized at n=4 averages
 #: 135.6 → 129.8 over seeds 0–11, and seed 3 is its low end).
+#: The single-cluster ``ss-nonblocking`` row was re-pinned when every
+#: snapshot round began ending on the equivalence quorum (a majority
+#: reported exactly ``prev``) instead of ``prev = reg``: a write merged at
+#: the querier mid-round no longer costs a round (57 → 63 operations;
+#: it was ``("7d951f8e5115c91d", 57, 0.8982389875518639)``).  The other
+#: three did not move; ``amortized`` already used the test.
 PINNED_RUNS = {
-    ("ss-nonblocking", 4, None): ("7d951f8e5115c91d", 57, 0.8982389875518639),
+    ("ss-nonblocking", 4, None): ("03793717ae4c22b6", 63, 1.0195455412748247),
     ("amortized", 4, None): ("622d1ec8e8dc1465", 92, 2.788441590393926),
     ("ss-nonblocking", 1, 2): ("b1bf268625d8efe6", 62, 1.8829318197710612),
     ("amortized", 4, 2): ("02ef49b25f88f3e3", 233, 6.773242052676778),
