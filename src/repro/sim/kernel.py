@@ -251,6 +251,21 @@ class SimTask(SimFuture):
                 self.set_exception(error)
 
 
+def _close_unfinished(futures: Iterable[SimFuture]) -> None:
+    """Close the coroutines of unfinished tasks whose awaiter was closed.
+
+    A coroutine that awaits :meth:`Kernel.wait_for` or
+    :meth:`Kernel.first_of` is closed when its task is dropped unfinished
+    (a run that ends with it waiting).  The tasks those helpers made of
+    the awaitables they were given then never run again, and one whose
+    coroutine never started would be reported "never awaited" when the
+    garbage collector reaches it.
+    """
+    for future in futures:
+        if isinstance(future, SimTask) and not future.done():
+            future._coro.close()
+
+
 class _Timer(SimFuture):
     """A pooled one-shot timer future backing :meth:`Kernel.sleep`.
 
@@ -566,6 +581,9 @@ class Kernel:
                 if not future.done():
                     future.cancel()
             raise
+        except GeneratorExit:
+            _close_unfinished(futures)
+            raise
         if winner >= 0 or cancel_on_timeout:
             for index, future in enumerate(futures):
                 if index != winner and not future.done():
@@ -594,7 +612,11 @@ class Kernel:
 
         future.add_done_callback(_first("value"))
         timer.add_done_callback(_first("timeout"))
-        winner = await done
+        try:
+            winner = await done
+        except GeneratorExit:
+            _close_unfinished([future])
+            raise
         if winner == "timeout" and not future.done():
             future.cancel()
             raise TimeoutError(f"wait_for timed out after {timeout}")

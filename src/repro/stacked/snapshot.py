@@ -18,6 +18,7 @@ from typing import Any
 
 from repro.core.base import SnapshotResult
 from repro.core.register import RegisterArray, TimestampedValue
+from repro.errors import ConfigurationError
 from repro.net.node import Process
 from repro.stacked.abd import AbdRegisterLayer
 
@@ -62,3 +63,19 @@ class StackedSnapshot(Process):
                 await self.abd.store(second)
                 if first == second:
                     return SnapshotResult.from_registers(second)
+
+    async def read(self, j: int) -> TimestampedValue:
+        """ABD read of register ``j``: collect, then write back (2 RTs).
+
+        The write-back stores the collected view at a majority before the
+        read responds, so no later read or snapshot can go below the
+        entry it returns.
+        """
+        if not 0 <= j < self.config.n:
+            raise ConfigurationError(
+                f"register index {j} outside 0..{self.config.n - 1}"
+            )
+        with self.operation("read"):
+            view = await self.abd.collect()
+            await self.abd.store(view)
+            return view[j]

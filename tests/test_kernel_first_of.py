@@ -1,5 +1,11 @@
 """Focused tests for Kernel.first_of and related coordination helpers."""
 
+import inspect
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import CancelledError
@@ -160,3 +166,50 @@ class TestFirstOf:
             return await kernel.first_of(future, kernel.sleep(100.0))
 
         assert kernel.run_until_complete(main()) == 0
+
+
+@pytest.mark.parametrize("helper", ["wait_for", "first_of"])
+def test_closing_the_awaiter_closes_an_unstarted_inner_coroutine(helper):
+    """A run that ends with a task in ``wait_for``/``first_of`` leaks nothing.
+
+    The helper wraps a coroutine argument in a task whose first step is
+    queued; if the run ends there, the coroutine never starts, and the
+    garbage collector would report it "never awaited".  Closing the
+    awaiting coroutine (what dropping its task does) closes it too.
+    """
+    kernel = Kernel()
+
+    async def inner_body():
+        await kernel.sleep(1.0)
+
+    inner = inner_body()
+
+    async def outer():
+        if helper == "wait_for":
+            await kernel.wait_for(inner, timeout=10.0)
+        else:
+            await kernel.first_of(inner, timeout=10.0)
+
+    awaiter = outer()
+    kernel.create_task(awaiter)
+    kernel.run(max_events=1)  # the awaiter's first step queues inner's
+    assert inspect.getcoroutinestate(inner) == inspect.CORO_CREATED
+    awaiter.close()
+    assert inspect.getcoroutinestate(inner) == inspect.CORO_CLOSED
+
+
+@pytest.mark.parametrize("seed", [179, 181])
+def test_sharded_ss_always_fuzz_leaves_no_coroutine_unawaited(seed):
+    """Both seeds once ended with a ``broadcast_until`` in ``wait_for``."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "fuzz", "--shards", "2",
+         "--algorithm", "ss-always", "--seed-start", str(seed),
+         "--seeds", "1", "--budget", "60", "--no-shrink"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert "was never awaited" not in result.stderr, result.stderr

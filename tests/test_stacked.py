@@ -1,7 +1,11 @@
 """Tests for the stacked ABD + double-collect snapshot baseline."""
 
+import pytest
+
 from repro import ChannelConfig, ClusterConfig, SimBackend
 from repro.analysis.linearizability import check_snapshot_history
+from repro.core.register import TimestampedValue
+from repro.errors import ConfigurationError
 
 
 def make(n=5, seed=0, **kwargs):
@@ -49,6 +53,41 @@ class TestStackedSemantics:
         )
         cluster.write_sync(2, "lossy")
         assert cluster.snapshot_sync(0).values[2] == "lossy"
+
+
+class TestStackedRead:
+    """ABD's ``read(j)``: collect, write the view back, return ``view[j]``."""
+
+    def test_read_returns_the_completed_write(self):
+        cluster = make()
+        cluster.write_sync(0, "abd")
+        assert cluster.read_sync(2, 0) == TimestampedValue(1, "abd")
+        report = check_snapshot_history(cluster.history.records(), 5)
+        assert report.ok, report.summary()
+
+    def test_read_writes_back_what_it_returns(self):
+        """An entry one server holds is at a majority when the read ends."""
+        cluster = make(seed=5)
+        cluster.node(3).reg[0] = TimestampedValue(1, "only-at-3")
+        cluster.crash(0)
+        cluster.crash(4)  # the majority is nodes 1, 2 and 3
+        assert cluster.read_sync(1, 0) == TimestampedValue(1, "only-at-3")
+        assert [cluster.node(k).reg[0].ts for k in (1, 2, 3)] == [1, 1, 1]
+
+    def test_read_costs_two_round_trips(self):
+        cluster = make()
+        cluster.write_sync(0, "w")
+        with cluster.metrics.window() as window:
+            cluster.read_sync(1, 0)
+        n = cluster.config.n
+        stats = window.stats
+        assert stats.messages("ABD_COLLECT") == n - 1
+        assert stats.messages("ABD_STORE") == n - 1
+
+    def test_index_out_of_range_is_rejected(self):
+        cluster = make()
+        with pytest.raises(ConfigurationError):
+            cluster.read_sync(0, 5)
 
 
 class TestStackedCosts:
