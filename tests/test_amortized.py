@@ -210,8 +210,8 @@ class TestEquivalenceQuorum:
         node = cluster.node(0)
         view = node.reg.copy()
         view[1] = TimestampedValue(3, "x")
-        # A delivery during the round moved ``reg`` past the view: today's
-        # test ignores it, Algorithm 1's ``prev = reg`` would retry.
+        # A delivery during the round moved ``reg`` past the view: the
+        # equivalence quorum ignores it, the paper's ``prev = reg`` retried.
         node.reg[2] = TimestampedValue(9, "late")
         op = self.pending(cluster)
         node._settle_scans([op], view, [view.copy() for _ in range(3)])
