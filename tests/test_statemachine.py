@@ -19,12 +19,10 @@ from hypothesis.stateful import (
 from hypothesis import strategies as st
 
 from repro import ClusterConfig, SimBackend
-from repro.analysis.history import HistoryRecorder
 from repro.analysis.linearizability import check_snapshot_history
 
 N = 4
-#: Cycles granted after a detectable restart, as the fuzz executor grants.
-RECOVERY_CYCLES = 8
+ALGORITHMS = ["dgfr-nonblocking", "ss-nonblocking", "ss-always"]
 
 
 class SnapshotObjectMachine(RuleBasedStateMachine):
@@ -36,9 +34,7 @@ class SnapshotObjectMachine(RuleBasedStateMachine):
         self.write_counter = 0
 
     @initialize(
-        algorithm=st.sampled_from(
-            ["dgfr-nonblocking", "ss-nonblocking", "ss-always"]
-        ),
+        algorithm=st.sampled_from(ALGORITHMS),
         seed=st.integers(min_value=0, max_value=1000),
     )
     def setup(self, algorithm, seed):
@@ -85,24 +81,8 @@ class SnapshotObjectMachine(RuleBasedStateMachine):
         restart=st.booleans(),
     )
     def resume(self, node, restart):
-        if not self.cluster.node(node).crashed:
-            return
-        if not self.cluster.node(node).SELF_STABILIZING:
-            # A detectable restart wipes ts/reg/ssn, which only the
-            # self-stabilizing variants claim to survive.
-            restart = False
-        self.cluster.resume(node, restart=restart)
-        if restart:
-            # To the rest of the system the wipe is a transient fault at
-            # one node (a write there inside the next gossip period
-            # reuses ts 1): grant the recovery window the fuzz executor
-            # grants, then check only what follows it.  The history up
-            # to the restart was checked by the invariant already.
-            self.cluster.tracker.reset()
-            self.cluster.run_until(
-                self.cluster.settle_cycles(RECOVERY_CYCLES), max_events=None
-            )
-            self.cluster.history = HistoryRecorder()
+        if self.cluster.node(node).crashed:
+            self.cluster.resume(node, restart=restart)
 
     @precondition(lambda self: self.cluster)
     @rule(cycles=st.integers(min_value=1, max_value=3))
@@ -122,6 +102,26 @@ class SnapshotObjectMachine(RuleBasedStateMachine):
             self.cluster.history.records(), N
         )
         assert report.ok, report.summary()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="open: a detectable restart wipes ts, so a write there before "
+    "gossip restores it reuses the ts of the write before the restart "
+    "(ROADMAP 5(h))",
+)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_write_after_a_detectable_restart_follows_the_write_before_it(
+    algorithm,
+):
+    """The state machine's shrunk finding, pinned: the machine draws it rarely."""
+    cluster = SimBackend(algorithm, ClusterConfig(n=N, seed=0, delta=1))
+    cluster.write_sync(3, "v1", max_events=None)
+    cluster.crash(3)
+    cluster.resume(3, restart=True)
+    cluster.write_sync(3, "v2", max_events=None)
+    report = check_snapshot_history(cluster.history.records(), N)
+    assert report.ok, report.summary()
 
 
 TestSnapshotObjectMachine = pytest.mark.slow(
