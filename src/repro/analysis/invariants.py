@@ -134,7 +134,9 @@ def sns_consistent(cluster: SimBackend) -> InvariantReport:
     """Definition 1(iii): snapshot task indices are consistent.
 
     ``sns_i = pndTsk_i[i].sns`` and
-    ``pndTsk_j[i].sns ≤ pndTsk_i[i].sns`` for all ``i, j``.
+    ``pndTsk_j[i].sns ≤ pndTsk_i[i].sns`` for all ``i, j`` — and for a
+    result ``(i, s, r)`` pending at ``p_j``'s SAVE sender, ``s ≤
+    pndTsk_i[i].sns``: sent, it would plant ``s`` in ``pndTsk[i]``.
     Only meaningful for Algorithm 3 clusters.
     """
     report = InvariantReport()
@@ -156,6 +158,12 @@ def sns_consistent(cluster: SimBackend) -> InvariantReport:
                     f"pndTsk_{observer.node_id}[{i}].sns="
                     f"{observer.pnd_tsk[i].sns} > pndTsk_{i}[{i}].sns="
                     f"{owner.pnd_tsk[i].sns}"
+                )
+        for i, pending in observer.pending_saves.items():
+            if pending.sns > processes[i].pnd_tsk[i].sns:
+                report.fail(
+                    f"pending SAVE at {observer.node_id}: ({i}, {pending.sns}) "
+                    f"> pndTsk_{i}[{i}].sns={processes[i].pnd_tsk[i].sns}"
                 )
     return report
 

@@ -9,9 +9,12 @@ Differences from the Algorithm 2 baseline, following Section 4:
   sampled when the task was first observed to be interfered with, and the
   final result ``fnl`` (or ``⊥`` while running).
 * **No reliable broadcast.**  Task results are delivered through an
-  emulated *safe register*: the finisher broadcasts ``SAVE`` and waits for
-  ``SAVEack`` from a majority (``safeReg``, line 71); any node holding a
-  result for a task it sees queried forwards it (line 107).
+  emulated *safe register*: the finisher stores them and re-broadcasts
+  ``SAVE`` until a majority sends ``SAVEack`` (``safeReg``, line 71); any
+  node holding a result for a task it sees queried forwards it (line
+  107).  The paper's finisher waits for that majority; here a per-node
+  SAVE sender re-broadcasts (``save_results``), so the do-forever loop
+  goes on to line 79's write while the acks are still on their way.
 * **The δ knob.**  Other nodes join ("steal") a task only after observing
   at least δ write operations concurrent with it (measured as growth of
   the register vector clock since the task's ``vc`` sample).  ``δ = 0``
@@ -21,7 +24,7 @@ Differences from the Algorithm 2 baseline, following Section 4:
   O(n) messages per uncontended snapshot.
 * **Many-jobs stealing.**  A single run of ``baseSnapshot`` serves *all*
   currently eligible tasks (the set Δ, line 70): one interference-free
-  round resolves every one of them with a single ``safeReg`` call.
+  round resolves every one of them with a single ``safeReg`` hand-off.
 * **Self-stabilization.**  The do-forever loop discards stale acks,
   re-asserts index consistency (``ts``, ``sns``), clears illogical vector
   clocks and corrupted own-task entries, and gossips register timestamps
@@ -40,11 +43,12 @@ from repro.core.base import DepositedWrites, SnapshotResult
 from repro.core.register import AckItem, RegisterArray, TimestampedValue
 from repro.core.ss_nonblocking import GossipPullMessage
 from repro.net.message import Message
-from repro.net.quorum import AckCollector, broadcast_until
+from repro.net.quorum import AckCollector
 
 __all__ = [
     "SelfStabilizingAlwaysTerminating",
     "PendingTask",
+    "PendingSave",
     "TaskDescriptor",
     "GossipMessage3",
     "SnapshotMessage3",
@@ -71,6 +75,21 @@ class PendingTask:
     def copy(self) -> "PendingTask":
         """Independent copy (results are immutable once stored)."""
         return PendingTask(sns=self.sns, vc=self.vc, fnl=self.fnl)
+
+
+@dataclass(slots=True)
+class PendingSave:
+    """One result the SAVE sender still owes a majority: ``(k, s, r)``.
+
+    ``acked`` holds the peers that acknowledged ``(k, sns)``; the sender
+    stored the result first, so ``majority − 1`` of them make a majority.
+    ``due`` is the time of the next (re)transmission to the others.
+    """
+
+    sns: int
+    result: RegisterArray
+    acked: set[int]
+    due: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,6 +167,7 @@ class SelfStabilizingAlwaysTerminating(DepositedWrites):
         super().__init__(*args, **kwargs)
         self.register_handler(SnapshotMessage3.KIND, self._on_snapshot_query)
         self.register_handler(SaveMessage.KIND, self._on_save)
+        self.register_handler(SaveAckMessage.KIND, self._on_save_ack)
         self.register_handler(GossipMessage3.KIND, self._on_gossip)
         self.register_handler(GossipPullMessage.KIND, self._on_gossip_pull)
 
@@ -159,6 +179,11 @@ class SelfStabilizingAlwaysTerminating(DepositedWrites):
         self.pnd_tsk: list[PendingTask] = [
             PendingTask() for _ in range(self.config.n)
         ]
+        #: The SAVE sender's work: at most one result per owner ``k``,
+        #: and the token of its armed retransmission timer (``None``
+        #: when none is).  A restart empties one and disarms the other.
+        self.pending_saves: dict[int, PendingSave] = {}
+        self._save_timer: object | None = None
         #: Observability hook: callables invoked as ``listener(process,
         #: foreign_tasks)`` when a baseSnapshot call starts serving a
         #: *foreign* task — i.e. a write-blocking helping episode begins;
@@ -204,25 +229,70 @@ class SelfStabilizingAlwaysTerminating(DepositedWrites):
                 eligible[k] = TaskDescriptor(k, task.sns, task.vc)
         return eligible
 
-    async def safe_reg(self, entries: list[tuple[int, int, RegisterArray]]) -> None:
+    def save_results(self, entries: list[tuple[int, int, RegisterArray]]) -> None:
         """Line 71: store results in the emulated safe register.
 
-        Broadcast ``SAVE(A)`` until a majority acknowledges exactly the
-        ids in ``A`` — a majority intersection then guarantees any future
-        reader of the task encounters the result.
+        Each result is stored here first, by the rule a SAVE arriving
+        from elsewhere follows, and sent to the other nodes at once; the
+        node's one SAVE sender then re-sends it every retransmit interval
+        to the nodes that have not acknowledged it, until a majority has.
+        A majority intersection then guarantees any future reader of the
+        task encounters the result.  The paper's finisher waits for that
+        majority; this one returns at once, so the do-forever loop serves
+        the next write during the round trip.  A newer result for an
+        owner replaces an older one still pending: that owner has moved
+        past the older task.
         """
-        ids = frozenset((k, s) for (k, s, _r) in entries)
-        wire_entries = tuple(entries)
+        due = self.kernel.now + self.config.retransmit_interval
+        for k, s, result in entries:
+            self._store_result(k, s, result)
+            pending = self.pending_saves.get(k)
+            if pending is None or pending.sns < s:
+                self.pending_saves[k] = PendingSave(s, result, set(), due)
+        self._notify()
+        self.broadcast(SaveMessage(entries=tuple(entries)), include_self=False)
+        self._arm_save_timer()
 
-        def matches(sender: int, msg: Message) -> bool:
-            return msg.ids == ids
+    def _arm_save_timer(self) -> None:
+        """Arm the sender's one timer for the earliest retransmission due.
 
-        with AckCollector(
-            self, SaveAckMessage.KIND, self.majority, match=matches
-        ) as collector:
-            await broadcast_until(
-                self, lambda: SaveMessage(entries=wire_entries), collector
+        The sender has no task of its own: it is this timer, armed while
+        anything is pending, so nothing is left running, or unawaited,
+        once the pending set is empty or the process has stopped.
+        """
+        if self.pending_saves and self._save_timer is None:
+            token = self._save_timer = object()
+            due = min(pending.due for pending in self.pending_saves.values())
+            self.kernel.call_later(
+                max(due - self.kernel.now, 0.0), self._resend_saves, token
             )
+
+    def _resend_saves(self, token: object) -> None:
+        """Re-send every due result to the nodes yet to acknowledge it."""
+        if token is not self._save_timer:
+            return  # disarmed: emptied, restarted or stopped since
+        self._save_timer = None
+        now = self.kernel.now
+        due = []
+        for k, pending in sorted(self.pending_saves.items()):
+            if len(pending.acked) >= self.majority - 1:
+                del self.pending_saves[k]  # a corrupted ack set, or quorum 1
+            elif pending.due <= now:
+                due.append((k, pending))
+        if due and not self.crashed:
+            if self.obs is not None:
+                self.obs.retransmit()  # as quorum.broadcast_until counts
+            for peer in self.peers():
+                entries = tuple(
+                    (k, pending.sns, pending.result)
+                    for k, pending in due
+                    if peer not in pending.acked
+                )
+                if entries:
+                    self.send(peer, SaveMessage(entries=entries))
+        for _k, pending in due:
+            pending.due = now + self.config.retransmit_interval
+        self._arm_save_timer()
 
     # -- the do-forever loop (lines 73–80) ------------------------------------------------
 
@@ -323,10 +393,11 @@ class SelfStabilizingAlwaysTerminating(DepositedWrites):
         The outer loop runs query rounds; an interference-free round (a
         majority reported exactly ``prev``, the equivalence quorum that
         the paper's ``prev = reg`` implies) resolves every still-eligible
-        sampled task with ``prev`` in one ``safeReg`` call (many-jobs
-        stealing).  An interfered round samples the vector clock into the
-        own task's ``vc`` (line 93), which is what lets other nodes count
-        concurrent writes against δ.
+        sampled task with ``prev`` in one ``safeReg`` hand-off (many-jobs
+        stealing), which does not wait for the SAVE acks.  An interfered
+        round samples the vector clock into the own task's ``vc`` (line
+        93), which is what lets other nodes count concurrent writes
+        against δ.
         The outer loop exits early once only the own task remains and δ
         concurrent writes have been observed — control returns to the
         do-forever loop, where every node's Δ now includes the task and
@@ -350,7 +421,7 @@ class SelfStabilizingAlwaysTerminating(DepositedWrites):
             replies = await self._query_round(sampled)
             served = self._served_now(sampled)
             if served and self.equivalence_quorum(prev, replies):
-                await self.safe_reg(
+                self.save_results(
                     [
                         (k, self.pnd_tsk[k].sns, prev.copy())
                         for k in sorted(served)
@@ -428,13 +499,17 @@ class SelfStabilizingAlwaysTerminating(DepositedWrites):
 
     # -- server side (lines 95–107) -----------------------------------------------------------------
 
+    def _store_result(self, k: int, s: int, result: RegisterArray) -> None:
+        """Line 96: adopt the result of task ``(k, s)`` unless it is stale."""
+        task = self.pnd_tsk[k]
+        if task.sns < s or (task.sns == s and task.fnl is None):
+            task.sns = s
+            task.fnl = result
+
     def _on_save(self, sender: int, message: SaveMessage) -> None:
         """Lines 95–97: adopt newer results, acknowledge the stored ids."""
         for k, s, result in message.entries:
-            task = self.pnd_tsk[k]
-            if task.sns < s or (task.sns == s and task.fnl is None):
-                task.sns = s
-                task.fnl = result
+            self._store_result(k, s, result)
         self.send(
             sender,
             SaveAckMessage(
@@ -442,6 +517,20 @@ class SelfStabilizingAlwaysTerminating(DepositedWrites):
             ),
         )
         self._notify()
+
+    def _on_save_ack(self, sender: int, message: SaveAckMessage) -> None:
+        """Count an acknowledgment toward each pending result it names.
+
+        A result leaves the sender once a majority acknowledged it; the
+        timer is disarmed when nothing is left.
+        """
+        for k, pending in list(self.pending_saves.items()):
+            if (k, pending.sns) in message.ids:
+                pending.acked.add(sender)
+                if len(pending.acked) >= self.majority - 1:
+                    del self.pending_saves[k]
+        if not self.pending_saves:
+            self._save_timer = None
 
     def _on_gossip(self, sender: int, message: GossipMessage3) -> None:
         """Lines 98–99: absorb operation indices; pull or merge own entry."""
@@ -517,6 +606,11 @@ class SelfStabilizingAlwaysTerminating(DepositedWrites):
         """A read's single-entry merge grows ``reg`` too; same notify."""
         super().merge_entry(j, entry)
         self._notify()
+
+    def stop(self) -> None:
+        """Also disarm the SAVE sender (end of an experiment)."""
+        super().stop()
+        self._save_timer = None
 
     @property
     def delta(self) -> float:

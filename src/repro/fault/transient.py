@@ -3,9 +3,9 @@
 The paper's fault model lets a transient fault drive the system into an
 *arbitrary* state — control variables (``ts``, ``ssn``, ``sns``,
 ``tag``, ``_told``, ``base``), the register buffers — down to one key's
-seq inside a slot map — the pending-task table, and the contents of
-every communication channel may all hold garbage (only the code stays
-intact).
+seq inside a slot map — the pending-task table, the pending SAVEs, and
+the contents of every communication channel may all hold garbage (only
+the code stays intact).
 
 :class:`TransientFaultInjector` reproduces that model against any
 running :class:`~repro.backend.base.ClusterBackend` (sim, asyncio, or
@@ -170,6 +170,34 @@ class TransientFaultInjector:
                 else:
                     task.vc = None
 
+    def corrupt_pending_saves(
+        self, node_ids: Iterable[int] | None = None
+    ) -> None:
+        """Scramble Algorithm 3's pending SAVEs (the SAVE sender's work).
+
+        Each pending result keeps its owner and gets a wild ``sns``, a
+        forged set of acknowledgers (any nodes, possibly a majority that
+        never stored it), or is dropped.  A node holding no pending SAVE
+        draws nothing.  The retransmission time is left alone: it is
+        the sender's timer, and no fault rewrites a timer.
+        """
+        n = self._cluster.config.n
+        for node_id in self._targets(node_ids):
+            process = self._cluster.node(node_id)
+            pending_saves = getattr(process, "pending_saves", None)
+            if not pending_saves:
+                continue
+            for k in sorted(pending_saves):
+                choice = self._rng.randrange(3)
+                if choice == 0:
+                    pending_saves[k].sns = self._wild_ts()
+                elif choice == 1:
+                    pending_saves[k].acked = {
+                        self._rng.randrange(n) for _ in range(n)
+                    }
+                else:
+                    del pending_saves[k]
+
     def corrupt_consensus(self, node_ids: Iterable[int] | None = None) -> None:
         """Scramble the consensus layer's per-instance state.
 
@@ -293,9 +321,11 @@ class TransientFaultInjector:
         self.corrupt_consensus(node_ids)
         self.scramble_channels()
         # Last, so every draw above is the one it was before reads (and
-        # then requests standing in for gossip, and key-map deltas)
-        # existed.  Key maps draw only where one is held, so a run that
-        # writes none draws exactly what it did before.
+        # then requests standing in for gossip, key-map deltas and the
+        # SAVE sender) existed.  Key maps and pending SAVEs draw only
+        # where one is held, so a run that holds none draws exactly what
+        # it did before.
         self.corrupt_read_tags(node_ids)
         self.corrupt_told(node_ids)
         self.corrupt_key_maps(node_ids)
+        self.corrupt_pending_saves(node_ids)

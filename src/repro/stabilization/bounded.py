@@ -382,9 +382,9 @@ class BoundedSelfStabilizingAlwaysTerminating(
 
     On top of the Algorithm 1 machinery, the reset also restarts the
     snapshot-task indices (``sns``/``ssn``) and clears the pending-task
-    table: pre-reset tasks are among the aborted operations the criteria
-    permit, and their initiators observe the abort through the epoch
-    change.
+    table and the SAVE sender's pending results: pre-reset tasks are
+    among the aborted operations the criteria permit, and their
+    initiators observe the abort through the epoch change.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -396,10 +396,15 @@ class BoundedSelfStabilizingAlwaysTerminating(
             self.ts, self.ssn, self.sns, self.tag, self.reg.max_timestamp()
         ]
         indices.extend(task.sns for task in self.pnd_tsk)
+        indices.extend(pending.sns for pending in self.pending_saves.values())
         return max(indices)
 
     def _apply_index_reset(self, values: RegisterArray) -> None:
+        # A pending SAVE names a pre-reset (k, s): sent in the new epoch,
+        # it would plant that index among the restarted ones.
         super()._apply_index_reset(values)
         self.sns = 0
         self.pnd_tsk = [PendingTask() for _ in range(self.config.n)]
+        self.pending_saves = {}
+        self._save_timer = None
         self._notify()

@@ -1,6 +1,11 @@
 """Behaviour specific to the always-terminating algorithms (Section 4)."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -428,3 +433,208 @@ def test_resetting_node_with_a_deposit_still_sleeps():
     assert cluster.run_until(scenario(), max_events=100_000) == 4
     assert cluster.kernel.now == 205.0
     assert node.resetting and not node.write_pending.taken
+
+
+def hold_save_acks(cluster, node_id):
+    """Drop every SAVEack ``node_id`` receives until ``release()`` is called."""
+    process = cluster.node(node_id)
+    deliver = process.deliver
+    held = [True]
+
+    def filtered(sender, message):
+        if held and getattr(message, "inner", message).KIND == "SAVEack":
+            return
+        deliver(sender, message)
+
+    process.deliver = filtered
+    return held.clear  # the release
+
+
+def record_saves(process):
+    """The entries of every SAVE ``process`` sends, as ``(k, s)`` tuples."""
+    sent = []
+    send = process.send
+
+    def recording_send(dst, message):
+        inner = getattr(message, "inner", message)
+        if inner.KIND == "SAVE":
+            sent.append(tuple((k, s) for k, s, _r in inner.entries))
+        send(dst, message)
+
+    process.send = recording_send
+    return sent
+
+
+#: The variants with Algorithm 3's SAVE sender.
+SAVE_SENDERS = pytest.mark.parametrize(
+    "algorithm", ["ss-always", "bounded-ss-always"]
+)
+
+
+class TestSaveDoesNotHoldTheLoop:
+    """Line 71's SAVE goes to a per-node sender; the loop does not wait."""
+
+    @SAVE_SENDERS
+    def test_a_write_deposited_as_an_episode_ends_is_served_before_its_save_acks(
+        self, algorithm
+    ):
+        cluster = make(
+            algorithm, n=3, channel=ChannelConfig(min_delay=1.0, max_delay=1.0)
+        )
+        node, kernel = cluster.node(0), cluster.kernel
+        first_sent = {}  # kind -> when node 0 first sent it
+        save_acks = []  # when a peer's SAVEack reached node 0
+        writer = []
+        send, deliver = node.send, node.deliver
+
+        def on_send(dst, message):
+            kind = getattr(message, "inner", message).KIND
+            if kind == "SAVE" and "SAVE" not in first_sent:
+                # The episode is done: deposit a write now, and cut node 0
+                # off after its SAVE arrived but before the acks come back.
+                writer.append(cluster.spawn(cluster.write(0, "w")))
+                kernel.call_later(1.5, cluster.network.partition, {0}, {1, 2})
+                kernel.call_later(30.0, cluster.network.heal)
+            first_sent.setdefault(kind, kernel.now)
+            send(dst, message)
+
+        def on_deliver(sender, message):
+            if sender != 0 and getattr(message, "inner", message).KIND == "SAVEack":
+                save_acks.append(kernel.now)
+            deliver(sender, message)
+
+        node.send, node.deliver = on_send, on_deliver
+
+        async def scenario():
+            await cluster.snapshot(0)
+            ts = await writer[0]
+            return ts, await cluster.snapshot(1)
+
+        ts, after = cluster.run_until(scenario())
+        saved_at = first_sent["SAVE"]
+        assert save_acks[0] >= saved_at + 30.0  # held back until the heal
+        assert first_sent["WRITE"] < saved_at + 1.5  # out before the cut
+        assert (after.values[0], after.vector_clock[0]) == ("w", ts)
+        assert check_snapshot_history(cluster.history.records(), 3).ok
+
+    @SAVE_SENDERS
+    def test_a_newer_result_replaces_the_pending_one(self, algorithm):
+        cluster = make(algorithm, n=3)
+        node = cluster.node(0)
+        release = hold_save_acks(cluster, 0)
+        sent = record_saves(node)
+        cluster.snapshot_sync(0)
+        assert [(k, p.sns) for k, p in node.pending_saves.items()] == [(0, 1)]
+        cluster.snapshot_sync(0)  # the loop is free: its next episode runs
+        assert [(k, p.sns) for k, p in node.pending_saves.items()] == [(0, 2)]
+        del sent[:]
+        cluster.run_until(cluster.kernel.sleep(10.0))  # retransmissions only
+        assert sent and set(sent) == {((0, 2),)}
+        release()
+        cluster.run_until(cluster.kernel.sleep(10.0))
+        assert node.pending_saves == {} and node._save_timer is None
+
+    @SAVE_SENDERS
+    def test_no_save_names_one_owner_twice(self, algorithm):
+        cluster = make(algorithm, n=5, seed=4)
+        writers = ContinuousWriters(cluster, [0, 1])
+        sent = [record_saves(process) for process in cluster.processes]
+
+        async def probe():
+            writers.start()
+            for node in (2, 3, 4, 2, 3, 4):
+                await cluster.snapshot(node)
+            await writers.stop()
+
+        cluster.run_until(probe(), max_events=None)
+        messages = [entries for node_sent in sent for entries in node_sent]
+        assert len(messages) > 20
+        for entries in messages:
+            owners = [k for k, _s in entries]
+            assert len(owners) == len(set(owners)), entries
+        assert check_snapshot_history(cluster.history.records(), 5).ok
+
+    @SAVE_SENDERS
+    def test_a_detectable_restart_empties_the_sender(self, algorithm):
+        cluster = make(algorithm, n=3)
+        node = cluster.node(0)
+        hold_save_acks(cluster, 0)
+        sent = record_saves(node)
+        cluster.snapshot_sync(0)
+        assert node.pending_saves and node._save_timer is not None
+        cluster.crash(1)
+        cluster.crash(2)  # no episode can end again: every SAVE is a resend
+        cluster.crash(0)
+        cluster.resume(0, restart=True)
+        assert node.pending_saves == {} and node._save_timer is None
+        del sent[:]
+        cluster.run_until(cluster.kernel.sleep(20.0))
+        assert sent == []
+
+    @SAVE_SENDERS
+    def test_stop_disarms_the_sender(self, algorithm):
+        cluster = make(algorithm, n=3)
+        node = cluster.node(0)
+        hold_save_acks(cluster, 0)
+        sent = record_saves(node)
+        cluster.snapshot_sync(0)
+        cluster.crash(1)
+        cluster.crash(2)  # nobody queries node 0 for a help-SAVE
+        node.stop()
+        assert node.pending_saves and node._save_timer is None
+        del sent[:]
+        cluster.run_until(cluster.kernel.sleep(20.0))
+        assert sent == []
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_an_uncontended_snapshot_still_costs_4_n_minus_1_messages(self, n):
+        """E5's δ=∞ cell on ``ss-always``: one query round trip plus one
+        SAVE round trip (the bounded variant's envelopes hide the kinds)."""
+        cluster = make("ss-always", n=n, delta=UNBOUNDED_DELTA)
+        cluster.write_sync(0, "w")
+        cluster.run_until(cluster.settle_cycles(1), max_events=None)
+        with cluster.metrics.window() as window:
+            cluster.snapshot_sync(1)
+            cluster.run_until(cluster.settle_cycles(2), max_events=None)
+        stats = window.stats
+        assert stats.total_messages - stats.messages("GOSSIP") == 4 * (n - 1)
+        assert stats.messages("SAVE") == stats.messages("SAVEack") == n - 1
+
+
+def test_a_global_reset_empties_the_sender_and_counts_its_indices():
+    """No pre-reset ``(k, s)`` crosses an epoch; a pending one can overflow."""
+    cluster = make("bounded-ss-always", n=3)
+    node = cluster.node(0)
+    hold_save_acks(cluster, 0)
+    cluster.snapshot_sync(0)
+    (pending,) = node.pending_saves.values()
+    pending.sns = 999
+    assert node._max_local_index() == 999
+    node._apply_index_reset(node.reg.copy())
+    assert node.pending_saves == {} and node._save_timer is None
+
+
+def test_a_run_ending_with_a_save_pending_leaves_nothing_unawaited():
+    script = textwrap.dedent(
+        """
+        from repro import ClusterConfig, SimBackend
+        cluster = SimBackend("ss-always", ClusterConfig(n=3, seed=0))
+        cluster.crash(1)
+        cluster.crash(2)
+        node = cluster.node(0)
+        node.sns += 1
+        node.pnd_tsk[0].sns = node.sns
+        node.save_results([(0, node.sns, node.reg.copy())])
+        assert node.pending_saves
+        """
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert "never awaited" not in result.stderr, result.stderr

@@ -202,6 +202,54 @@ class TestAlgorithm3SpecificRecovery:
         assert result is not None
 
 
+#: E8's gate: Algorithm 3 recovers within this many cycles
+#: (benchmarks/bench_e08_recovery_always.py).
+E8_CYCLE_BOUND = 6
+
+
+def leave_a_save_pending_everywhere(cluster):
+    """Each node snapshots while every SAVEack is dropped, then acks flow."""
+    held = [True]
+    for process in cluster.processes:
+        deliver = process.deliver
+
+        def filtered(sender, message, deliver=deliver):
+            if not (held and message.KIND == "SAVEack"):
+                deliver(sender, message)
+
+        process.deliver = filtered
+    for node in range(cluster.config.n):
+        cluster.snapshot_sync(node)
+    assert all(process.pending_saves for process in cluster.processes)
+    held.clear()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_scrambled_pending_saves_heal_within_e8s_cycle_bound(seed):
+    """A wild ``sns`` in a pending SAVE breaks Definition 1(iii); a forged
+    ack set or a dropped entry costs only the delivery the help-SAVE
+    makes up for.  Either way the state is consistent again, and the
+    senders empty, within E8's bound."""
+    cluster = make("ss-always", seed=seed)
+    leave_a_save_pending_everywhere(cluster)
+    TransientFaultInjector(cluster, seed=seed).corrupt_pending_saves()
+    assert not sns_consistent(cluster).ok
+    cluster.tracker.reset()
+
+    async def cycles_to_consistent():
+        for _ in range(E8_CYCLE_BOUND + 1):
+            if definition1_consistent(cluster).ok:
+                return cluster.tracker.cycles_elapsed
+            await cluster.tracker.wait_cycles(1)
+        return None
+
+    cycles = cluster.run_until(cycles_to_consistent(), max_events=None)
+    assert cycles is not None and cycles <= E8_CYCLE_BOUND
+    recover(cluster)
+    assert all(not process.pending_saves for process in cluster.processes)
+    assert cluster.snapshot_sync(0) is not None
+
+
 class TestFaultInjectorMechanics:
     def test_targets_specific_nodes(self):
         cluster = make("ss-nonblocking")
