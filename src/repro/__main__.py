@@ -160,18 +160,45 @@ def _run_campaign(
     return 0 if ok else 1
 
 
-def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.harness.experiments import BACKEND_AWARE, EXPERIMENTS
-    from repro.harness.parallel import experiment_cells, run_cells
+def _selected(args: argparse.Namespace, registry: dict, noun: str) -> list[str]:
+    """The ids named on the command line (case-insensitive), or all."""
+    selected = [name.lower() for name in args.ids] or sorted(registry)
+    unknown = [name for name in selected if name not in registry]
+    if unknown:
+        args.error(f"unknown {noun} {unknown}; choose from {sorted(registry)}")
+    return selected
+
+
+def _print_gated(args: argparse.Namespace, registry: dict, cells: list) -> int:
+    """Run ``cells``; print each table, then its gate's failures.
+
+    A failed check prints ``GATE <id>: <failure>`` under its table, and
+    the command exits 1.
+    """
+    from repro.harness.parallel import run_cells
     from repro.harness.report import print_table
 
-    selected = [eid.lower() for eid in args.ids] or sorted(EXPERIMENTS)
-    unknown = [eid for eid in selected if eid not in EXPERIMENTS]
-    if unknown:
-        args.error(
-            f"unknown experiment ids {unknown}; choose from "
-            f"{sorted(EXPERIMENTS)}"
-        )
+    jobs = clamp_jobs_for_capture(args)
+    failed = False
+    with observe_cli(args):
+        for cell, rows in zip(cells, run_cells(cells, jobs=jobs)):
+            entry = registry[cell.name]
+            title = entry.title
+            kwargs = dict(cell.kwargs)
+            if "seed" in kwargs:
+                title = f"{title} [seed {kwargs['seed']}]"
+            print_table(rows, title=title)
+            for failure in entry.gate(rows):
+                print(f"GATE {cell.name}: {failure}")
+                failed = True
+    return 1 if failed else 0
+
+
+def _cmd_experiments(args: argparse.Namespace) -> int:
+    from repro.harness.experiments import BACKEND_AWARE, EXPERIMENTS
+    from repro.harness.parallel import experiment_cells
+
+    selected = _selected(args, EXPERIMENTS, "experiment ids")
     common = None
     if args.backend is not None:
         if not args.ids:
@@ -188,18 +215,10 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
             )
         common = {"backend": args.backend}
     seeds = _seed_list(args)
-    jobs = clamp_jobs_for_capture(args)
-    with observe_cli(args):
-        cells = experiment_cells(
-            selected, seeds=seeds if len(seeds) > 1 else None, common=common
-        )
-        for cell, rows in zip(cells, run_cells(cells, jobs=jobs)):
-            title = EXPERIMENTS[cell.name][0]
-            kwargs = dict(cell.kwargs)
-            if "seed" in kwargs:
-                title = f"{title} [seed {kwargs['seed']}]"
-            print_table(rows, title=title)
-    return 0
+    cells = experiment_cells(
+        selected, seeds=seeds if len(seeds) > 1 else None, common=common
+    )
+    return _print_gated(args, EXPERIMENTS, cells)
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
@@ -216,23 +235,12 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablations(args: argparse.Namespace) -> int:
-    from repro.harness.ablations import ABLATIONS, run_ablations
-    from repro.harness.report import print_table
+    from repro.harness.ablations import ABLATIONS
+    from repro.harness.parallel import ablation_cells
 
-    names = [name.lower() for name in args.ids] or sorted(ABLATIONS)
-    unknown = [name for name in names if name not in ABLATIONS]
-    if unknown:
-        args.error(
-            f"unknown ablations {unknown}; choose from {sorted(ABLATIONS)}"
-        )
-    seeds = args.seeds if args.seeds > 1 else None
-    jobs = clamp_jobs_for_capture(args)
-    with observe_cli(args):
-        for name, rows in zip(
-            names, run_ablations(names, jobs=jobs, seeds=seeds)
-        ):
-            print_table(rows, title=ABLATIONS[name][0])
-    return 0
+    names = _selected(args, ABLATIONS, "ablations")
+    cells = ablation_cells(names, seeds=args.seeds if args.seeds > 1 else None)
+    return _print_gated(args, ABLATIONS, cells)
 
 
 def _cmd_algorithms(_args: argparse.Namespace) -> int:
@@ -506,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
         "run the reproduction experiments and print their tables",
         "IDs are case-insensitive and default to all of E1-E20; with --seeds K "
         "each runs at K consecutive seeds.  --backend runs the backend-aware "
-        "experiments (E16-E19) on that runtime.",
+        "experiments (E16-E19) on that runtime.  Each table's claim is gated: "
+        "a failed check prints a GATE line and the command exits 1.",
         (_seed_flags, _jobs_flag, _backend_flag, _obs_flags),
     )
     sub.add_argument("ids", nargs="*", metavar="ID", help="e.g. e01 e07")
@@ -523,8 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = command(
         "ablations", _cmd_ablations,
         "run the ablation studies (A1-A5 by default)",
-        "Seed robustness, gossip interval, loss retransmission and delta-latency "
-        "distributions.",
+        "Seed robustness, gossip interval, loss retransmission, delta-latency "
+        "distributions and flatness in n, each gated like the experiments.",
         (_jobs_flag, _obs_flags),
     )
     sub.add_argument("ids", nargs="*", metavar="ID", help="e.g. a1 a4")

@@ -15,6 +15,10 @@ conclusions and report distributions:
   attempt).
 * **A4 — δ latency distribution**: snapshot latency percentiles under
   load across seeds, showing the O(δ) bound is not a mean-only artifact.
+* **A5 — flatness in n**: the regression slope of recovery cycles
+  against cluster size is indistinguishable from zero.
+
+Each study's gate checks that its conclusion survives the sweep.
 """
 
 from __future__ import annotations
@@ -25,11 +29,11 @@ from repro.analysis.invariants import definition1_consistent
 from repro.config import ChannelConfig, ClusterConfig
 from repro.backend.sim import SimBackend
 from repro.fault import TransientFaultInjector
+from repro.harness.experiments import RECOVERY_CYCLE_BOUND, Experiment, gate
 from repro.harness.workloads import ContinuousWriters
 
 __all__ = [
     "ABLATIONS",
-    "run_ablations",
     "a1_recovery_seed_sweep",
     "a2_gossip_interval_ablation",
     "a3_loss_retransmission_cost",
@@ -235,42 +239,78 @@ def a4_delta_latency_distribution(deltas=(0, 4, 16), n=5, seeds=8):
     return rows
 
 
-def run_ablations(
-    names: list[str], jobs: int = 1, seeds: int | None = None
-) -> list[list[dict]]:
-    """Run several ablation studies, optionally in parallel; rows in order.
-
-    Each ablation is one independent cell of the parallel runner
-    (:mod:`repro.harness.parallel`); results merge deterministically, so
-    ``jobs > 1`` output equals the serial output.  ``seeds`` widens each
-    study's per-cell seed sweep (every runner accepts a ``seeds``
-    parameter); ``None`` keeps each study's own default.
-    """
-    from repro.harness.parallel import ablation_cells, run_cells
-
-    return run_cells(ablation_cells(names, seeds=seeds), jobs=jobs)
+@gate
+def _a1(rows):
+    for row in rows:
+        # O(1) distributionally, not just on average.
+        if row["max"] > RECOVERY_CYCLE_BOUND or row["p95"] > 4:
+            yield f"{row['algorithm']}: max {row['max']} cycles, p95 {row['p95']}"
 
 
-#: Ablation id → (title, runner).
+@gate
+def _a2(rows):
+    # Cycles stay bounded whatever the loop period ...
+    for row in rows:
+        if row["recovery_cycles_max"] > RECOVERY_CYCLE_BOUND:
+            yield f"interval {row['gossip_interval']}: {row['recovery_cycles_max']} cycles"
+    # ... while wall-clock recovery scales with the period.
+    if not rows[-1]["recovery_time_mean"] > rows[0]["recovery_time_mean"]:
+        yield "recovery time does not grow with the gossip interval"
+
+
+@gate
+def _a3(rows):
+    lossless, heavy = rows[0], rows[-1]
+    if lossless["inflation"] != 1.0:
+        yield f"lossless write costs {lossless['inflation']}x 2(n-1)"
+    if not heavy["write_msgs_max"] > lossless["write_msgs_max"]:
+        yield "loss does not inflate the write cost"
+
+
+@gate
+def _a4(rows):
+    p95 = [row["latency_p95"] for row in rows]
+    if p95 != sorted(p95):
+        yield f"p95 latency does not grow with delta: {p95}"
+    for row in rows:
+        if row["latency_max"] > 6.0 * (row["delta"] + 2):
+            yield f"delta={row['delta']}: max latency {row['latency_max']} > 6(delta+2)"
+
+
+@gate
+def _a5(rows):
+    for row in rows:
+        if not row["flat"]:
+            yield f"recovery slope {row['slope_cycles_per_node']} cycles/node"
+        if row["max_cycles"] > RECOVERY_CYCLE_BOUND:
+            yield f"recovery took {row['max_cycles']} cycles"
+
+
+#: Ablation id → :class:`~repro.harness.experiments.Experiment`.
 ABLATIONS = {
-    "a1": (
+    "a1": Experiment(
         "A1 — recovery cycles across seeds (distributional O(1))",
         a1_recovery_seed_sweep,
+        _a1,
     ),
-    "a2": (
+    "a2": Experiment(
         "A2 — gossip-interval ablation: cycles flat, wall time scales",
         a2_gossip_interval_ablation,
+        _a2,
     ),
-    "a3": (
+    "a3": Experiment(
         "A3 — retransmission inflation of per-op cost under loss",
         a3_loss_retransmission_cost,
+        _a3,
     ),
-    "a4": (
+    "a4": Experiment(
         "A4 — snapshot-latency percentiles under load vs delta",
         a4_delta_latency_distribution,
+        _a4,
     ),
-    "a5": (
+    "a5": Experiment(
         "A5 — regression test: recovery cycles are flat in n (slope ~ 0)",
         a5_recovery_flatness_in_n,
+        _a5,
     ),
 }

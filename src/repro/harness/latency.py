@@ -165,14 +165,16 @@ def e11_writes_between_blocks(delta=6, snapshots=6, n=5, seed=1):
 def e12_nonblocking_starvation(timeout=300.0, n=5, seed=1):
     """E12 (Section 3): snapshot liveness per algorithm under write load.
 
-    The non-blocking algorithm (and Algorithm 3 at δ=∞) may never
+    The non-blocking algorithms (and Algorithm 3 at δ=∞) may never
     terminate while writes keep coming; the always-terminating algorithms
-    finish.  After the writers stop, the starved snapshots complete —
-    exactly the non-blocking guarantee.
+    finish.  After the writers stop, each snapshot gets another
+    ``timeout`` to complete — the non-blocking guarantee says the starved
+    ones do.
     """
     cases = [
         ("dgfr-nonblocking", None),
         ("ss-nonblocking", None),
+        ("amortized", None),
         ("ss-always", UNBOUNDED_DELTA),
         ("ss-always", 4),
         ("dgfr-always", None),
@@ -194,19 +196,19 @@ def e12_nonblocking_starvation(timeout=300.0, n=5, seed=1):
             snap_task = cluster.spawn(cluster.snapshot(n - 1))
             await cluster.kernel.sleep(timeout)
             starved = not snap_task.done()
-            latency = None if starved else "<timeout"
             await writers.stop()
-            await snap_task  # always completes once writes cease
-            after = cluster.kernel.now - start
-            return starved, latency, after
+            # first_of returns -1, and cancels the snapshot, when the
+            # timeout wins.
+            winner = await cluster.kernel.first_of(snap_task, timeout=timeout)
+            return starved, winner == 0, cluster.kernel.now - start
 
-        starved, latency, total = cluster.run_until(probe(), max_events=None)
+        starved, completed, total = cluster.run_until(probe(), max_events=None)
         rows.append(
             {
                 "algorithm": algorithm
                 + (f" (delta={delta})" if delta is not None else ""),
                 "starved_under_load": starved,
-                "completed_after_writes_ceased": True,
+                "completed_after_writes_ceased": completed,
                 "total_time": round(total, 1),
             }
         )

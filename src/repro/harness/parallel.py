@@ -137,13 +137,11 @@ def _execute_cell(cell: Cell) -> Any:
     if cell.kind == "experiment":
         from repro.harness.experiments import EXPERIMENTS
 
-        _title, runner = EXPERIMENTS[cell.name]
-        return runner(**kwargs)
+        return EXPERIMENTS[cell.name].runner(**kwargs)
     if cell.kind == "ablation":
         from repro.harness.ablations import ABLATIONS
 
-        _title, runner = ABLATIONS[cell.name]
-        return runner(**kwargs)
+        return ABLATIONS[cell.name].runner(**kwargs)
     if cell.kind == "fuzz":
         from repro.fuzz.runner import probe_seed
 

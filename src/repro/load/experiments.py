@@ -191,6 +191,7 @@ def e19_throughput_vs_shards(
     ]
     return [
         {
+            "backend": backend,
             "shards": report.shards,
             "clients": report.spec.clients,
             "completed": report.completed,
@@ -202,6 +203,7 @@ def e19_throughput_vs_shards(
             "p99": round(report.latency["all"]["p99"], 2),
             "imbalance": round(report.imbalance, 3),
             "composed_cuts": report.composes,
+            "errors": report.errors,
             "linearizable": report.ok,
         }
         for report in reports

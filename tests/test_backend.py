@@ -242,8 +242,6 @@ class TestBackendCli:
         assert "msgs/op" in out
 
     def test_e16_rows_on_sim(self):
-        from repro.harness.latency import e16_backend_parity
+        from repro.harness.experiments import EXPERIMENTS
 
-        rows = e16_backend_parity(backend="sim", ops=2)
-        assert [row["backend"] for row in rows] == ["sim"]
-        assert rows[0]["write_msgs_per_op"] > 0
+        assert EXPERIMENTS["e16"].check_small() == []

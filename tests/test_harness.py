@@ -1,132 +1,99 @@
-"""Fast regression tests for the experiment harness itself.
+"""The paper's claims, gated on the live code, plus the harness itself.
 
-The benchmarks assert the paper's claims at full scale; these tests run
-each experiment at reduced scale and validate row structure plus the
-core qualitative shapes, so a harness regression is caught in the unit
-suite, not only at benchmark time.
+Every registered experiment (E1–E20) and ablation (A1–A5) runs once at
+its ``small`` kwargs and must pass its own gate — the same gate
+``python -m repro experiments`` and ``ablations`` evaluate on every
+table they print.  E16, E17 and E19 run in ``tests/test_backend.py``
+and ``tests/test_load.py``; the rest run here.
 """
 
+import copy
 import math
 
+import pytest
+
 from repro.config import UNBOUNDED_DELTA
-from repro.harness.costs import (
-    e01_nonblocking_op_costs,
-    e02_gossip_overhead,
-    e03_stacking_comparison,
-    e04_always_terminating_costs,
-    e05_delta_snapshot_costs,
-    e06_concurrent_snapshots,
-    e15_message_sizes,
-)
+from repro.harness.ablations import ABLATIONS
 from repro.harness.experiments import EXPERIMENTS, run_experiment
-from repro.harness.faults import e13_crash_tolerance
-from repro.harness.latency import e09_delta_latency, e11_writes_between_blocks
-from repro.harness.recovery import (
-    e07_recovery_nonblocking,
-    e08_recovery_always,
-    e14_bounded_reset,
-)
 from repro.harness.report import format_table, print_table
 
 
 class TestCostExperiments:
     def test_e01_matches_theory(self):
-        rows = e01_nonblocking_op_costs(n_values=(3, 5))
-        for row in rows:
-            assert row["write_msgs"] == 2 * (row["n"] - 1)
-            assert row["snapshot_rtts"] == 1
+        assert EXPERIMENTS["e01"].check_small() == []
 
     def test_e02_gossip_quadratic(self):
-        rows = e02_gossip_overhead(n_values=(3, 6), cycles=3)
-        small, large = rows
-        assert large["gossip_msgs_per_cycle"] > 3 * small["gossip_msgs_per_cycle"]
-        for row in rows:
-            assert row["loaded_gossip_per_cycle"] < row["gossip_msgs_per_cycle"]
+        assert EXPERIMENTS["e02"].check_small() == []
 
     def test_e03_ratio_four(self):
-        rows = e03_stacking_comparison(n_values=(4,))
-        assert rows[0]["ratio"] == 4.0
+        assert EXPERIMENTS["e03"].check_small() == []
 
     def test_e04_superlinear(self):
-        rows = e04_always_terminating_costs(n_values=(4, 8))
-        assert rows[1]["total_msgs"] > 3 * rows[0]["total_msgs"]
+        assert EXPERIMENTS["e04"].check_small() == []
 
     def test_e05_delta_ordering(self):
-        rows = e05_delta_snapshot_costs(n_values=(5,))
-        row = rows[0]
-        assert row["dinf_msgs"] <= row["d4_msgs"] <= row["d0_msgs"]
-        assert row["d0_msgs"] < row["alg2_msgs"]
+        assert EXPERIMENTS["e05"].check_small() == []
 
     def test_e06_alg3_cheaper(self):
-        rows = e06_concurrent_snapshots(n_values=(4,))
-        assert rows[0]["alg3_msgs"] < rows[0]["alg2_msgs"]
+        assert EXPERIMENTS["e06"].check_small() == []
 
     def test_e15_gossip_size_independent_of_n(self):
-        rows = e15_message_sizes(nu_values=(64,), n_values=(4, 8))
-        assert rows[0]["gossip_msg_bytes"] == rows[1]["gossip_msg_bytes"]
-        assert rows[1]["write_msg_bytes"] > rows[0]["write_msg_bytes"]
+        assert EXPERIMENTS["e15"].check_small() == []
 
 
 class TestRecoveryExperiments:
-    @staticmethod
-    def _cycle_cells(row):
-        return {
-            key: value
-            for key, value in row.items()
-            if key not in ("variant", "n", "detections")
-        }
-
     def test_e07_small_constants(self):
-        rows = e07_recovery_nonblocking(n_values=(4,))
-        assert [row["variant"] for row in rows] == [
-            "unbounded",
-            "bounded+consensus",
-        ]
-        for value in self._cycle_cells(rows[0]).values():
-            assert isinstance(value, int) and value <= 6
-        # Corruption classes that actually perturbed state were detected
-        # (healed) by the cleanup lines, and the registry reported them.
-        assert isinstance(rows[0]["detections"], int)
-        assert rows[0]["detections"] > 0
-        # Bounded rows recover too (their wild indices overflow MAXINT,
-        # so these cells time a full corruption-triggered global reset),
-        # and the consensus-backed reset stays within the O(1) claim.
-        for row in rows[1:]:
-            for value in self._cycle_cells(row).values():
-                assert isinstance(value, int) and value <= 8
+        assert EXPERIMENTS["e07"].check_small() == []
 
     def test_e08_small_constants(self):
-        rows = e08_recovery_always(n_values=(4,))
-        for value in self._cycle_cells(rows[0]).values():
-            assert isinstance(value, int) and value <= 6
-        assert isinstance(rows[0]["detections"], int)
-        assert rows[0]["detections"] > 0
-        for row in rows[1:]:
-            for value in self._cycle_cells(row).values():
-                assert isinstance(value, int) and value <= 8
+        assert EXPERIMENTS["e08"].check_small() == []
 
     def test_e14_resets_and_survival(self):
-        rows = e14_bounded_reset(max_int=8, rounds=12)
-        row = rows[0]
-        assert row["resets"] >= 1
-        assert row["values_survive"] and row["epochs_agree"]
+        assert EXPERIMENTS["e14"].check_small() == []
 
 
 class TestLatencyExperiments:
     def test_e09_all_terminate(self):
-        rows = e09_delta_latency(deltas=(0, 4))
-        assert all(row["latency_cycles"] <= 12 for row in rows)
+        assert EXPERIMENTS["e09"].check_small() == []
 
     def test_e11_gaps_at_least_delta(self):
-        rows = e11_writes_between_blocks(delta=4, snapshots=3)
-        assert rows
-        assert all(row["claim_met"] for row in rows)
+        assert EXPERIMENTS["e11"].check_small() == []
 
     def test_e13_threshold(self):
-        rows = e13_crash_tolerance(algorithms=("ss-nonblocking",), n=5)
-        for row in rows:
-            assert row["ops_terminate"] == row["majority_alive"]
-            assert row["history_safe"]
+        assert EXPERIMENTS["e13"].check_small() == []
+
+
+@pytest.mark.parametrize(
+    "name", ["e10", "e12", "e18", "e20", *sorted(ABLATIONS)]
+)
+def test_gate_holds(name):
+    """The registered claims with no named test above."""
+    entry = EXPERIMENTS.get(name) or ABLATIONS[name]
+    assert entry.check_small() == []
+
+
+class TestGatesFail:
+    """A gate that cannot fail shows nothing: each of these breaks one
+    claim in real rows and expects the gate to say so."""
+
+    def test_e12_always_terminating_row_that_starves(self):
+        rows = EXPERIMENTS["e12"].runner()
+        (unbounded,) = [
+            row for row in rows if row["algorithm"] == "ss-always (delta=inf)"
+        ]
+        unbounded["algorithm"] = "ss-always (delta=4)"
+        failures = EXPERIMENTS["e12"].gate(rows)
+        assert any("starved" in failure for failure in failures), failures
+
+    def test_e07_unbounded_cell_over_the_bound(self):
+        rows = EXPERIMENTS["e07"].runner(n_values=(4,))
+        assert EXPERIMENTS["e07"].gate(rows) == []
+        broken = copy.deepcopy(rows)
+        broken[0]["registers"] = 7
+        assert broken[0]["variant"] == "unbounded"
+        assert EXPERIMENTS["e07"].gate(broken) == [
+            "unbounded n=4: registers took 7 > 6 cycles"
+        ]
 
 
 class TestRegistryAndReport:
@@ -203,6 +170,4 @@ class TestBarChart:
         assert "—" in chart
 
     def test_ablations_registry_complete(self):
-        from repro.harness.ablations import ABLATIONS
-
         assert set(ABLATIONS) == {"a1", "a2", "a3", "a4", "a5"}

@@ -19,9 +19,10 @@ from repro.analysis.invariants import (
 )
 from repro.analysis.linearizability import check_snapshot_history
 from repro.fault import TransientFaultInjector
+from repro.harness.experiments import RECOVERY_CYCLE_BOUND
 
 #: Cycle budget we allow for "O(1) cycles"; the measured value in
-#: benchmarks E7/E8 is ~2-3 and flat in n.
+#: E7/E8 is ~2-3 and flat in n.
 RECOVERY_CYCLES = 8
 
 
@@ -202,9 +203,8 @@ class TestAlgorithm3SpecificRecovery:
         assert result is not None
 
 
-#: E8's gate: Algorithm 3 recovers within this many cycles
-#: (benchmarks/bench_e08_recovery_always.py).
-E8_CYCLE_BOUND = 6
+#: E8's gate: Algorithm 3 recovers within this many cycles.
+E8_CYCLE_BOUND = RECOVERY_CYCLE_BOUND
 
 
 def leave_a_save_pending_everywhere(cluster):
