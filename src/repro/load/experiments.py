@@ -108,8 +108,8 @@ def e18_delta_vs_throughput(
     Saturated closed-loop mixed workload (70:30 write:snapshot, ``n``
     pipelined clients) against Algorithm 3 (``ss-always``) at several δ.
     Larger δ lets writes run longer before snapshot helping blocks them —
-    higher write throughput, longer snapshot tails — the same trade-off
-    E10 showed in messages, now in operations per time unit.
+    faster writes (a lower write p50), longer snapshot tails — the same
+    trade-off E10 showed in messages, now in operation latency under load.
 
     Each δ also runs with a transport batch window of 8 (the PR 10
     batched row): clients here are FIFO-serialized per node, so the

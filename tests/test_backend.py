@@ -244,4 +244,7 @@ class TestBackendCli:
     def test_e16_rows_on_sim(self):
         from repro.harness.experiments import EXPERIMENTS
 
-        assert EXPERIMENTS["e16"].check_small() == []
+        e16 = EXPERIMENTS["e16"]
+        rows = e16.runner(**e16.small)
+        assert [row["backend"] for row in rows] == ["sim"]
+        assert list(e16.gate(rows)) == []

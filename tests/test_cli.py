@@ -1,5 +1,6 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import dataclasses
 import json
 import re
 import shlex
@@ -156,6 +157,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "E1" in out
         assert "write_msgs" in out
+
+    def test_experiments_failed_gate_exits_1(self, capsys, monkeypatch):
+        from repro.harness.experiments import EXPERIMENTS
+
+        entry = dataclasses.replace(EXPERIMENTS["e01"], gate=lambda rows: ["planted"])
+        monkeypatch.setitem(EXPERIMENTS, "e01", entry)
+        assert main(["experiments", "e01"]) == 1
+        assert "GATE e01: planted" in capsys.readouterr().out
 
     def test_experiments_unknown_id(self, usage_error):
         assert "e99" in usage_error(["experiments", "e99"])

@@ -82,16 +82,23 @@ class TestGatesFail:
             row for row in rows if row["algorithm"] == "ss-always (delta=inf)"
         ]
         unbounded["algorithm"] = "ss-always (delta=4)"
-        failures = EXPERIMENTS["e12"].gate(rows)
+        failures = list(EXPERIMENTS["e12"].gate(rows))
         assert any("starved" in failure for failure in failures), failures
+
+    @pytest.mark.parametrize(
+        "name", ["e07", "e08", "e11", "e12", "e16", "e17", "e18", "e19"]
+    )
+    def test_no_rows(self, name):
+        """A run that measured nothing fails its gate, not passes it."""
+        assert list(EXPERIMENTS[name].gate([])) != []
 
     def test_e07_unbounded_cell_over_the_bound(self):
         rows = EXPERIMENTS["e07"].runner(n_values=(4,))
-        assert EXPERIMENTS["e07"].gate(rows) == []
+        assert list(EXPERIMENTS["e07"].gate(rows)) == []
         broken = copy.deepcopy(rows)
         broken[0]["registers"] = 7
         assert broken[0]["variant"] == "unbounded"
-        assert EXPERIMENTS["e07"].gate(broken) == [
+        assert list(EXPERIMENTS["e07"].gate(broken)) == [
             "unbounded n=4: registers took 7 > 6 cycles"
         ]
 

@@ -203,10 +203,6 @@ class TestAlgorithm3SpecificRecovery:
         assert result is not None
 
 
-#: E8's gate: Algorithm 3 recovers within this many cycles.
-E8_CYCLE_BOUND = RECOVERY_CYCLE_BOUND
-
-
 def leave_a_save_pending_everywhere(cluster):
     """Each node snapshots while every SAVEack is dropped, then acks flow."""
     held = [True]
@@ -237,14 +233,14 @@ def test_scrambled_pending_saves_heal_within_e8s_cycle_bound(seed):
     cluster.tracker.reset()
 
     async def cycles_to_consistent():
-        for _ in range(E8_CYCLE_BOUND + 1):
+        for _ in range(RECOVERY_CYCLE_BOUND + 1):
             if definition1_consistent(cluster).ok:
                 return cluster.tracker.cycles_elapsed
             await cluster.tracker.wait_cycles(1)
         return None
 
     cycles = cluster.run_until(cycles_to_consistent(), max_events=None)
-    assert cycles is not None and cycles <= E8_CYCLE_BOUND
+    assert cycles is not None and cycles <= RECOVERY_CYCLE_BOUND
     recover(cluster)
     assert all(not process.pending_saves for process in cluster.processes)
     assert cluster.snapshot_sync(0) is not None
