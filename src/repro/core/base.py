@@ -12,6 +12,12 @@ baselines, and their self-stabilizing variants) share:
   its one reply rule: an ack ships ``reg[j]`` only where its timestamp
   differs from the request's, and names the timestamp alone otherwise
   (:meth:`~repro.core.register.RegisterArray.reply_to`);
+* the same rule for requests (:meth:`SnapshotAlgorithm.request_items`):
+  each node keeps every peer's latest ``WRITEack``/``SNAPSHOTack`` clock
+  (``peer_clocks``), and a request ships ``reg[j]`` only where its
+  timestamp is above the floor — the pointwise minimum of those clocks
+  and its own ``reg``'s — naming the timestamp alone where every peer
+  already holds the entry;
 * the client-side ``baseWrite`` — bump ``ts``, install the value locally,
   then ``repeat broadcast WRITE until majority of WRITEack(regJ ⪰ lReg)``;
 * the one-entry exchange ``entry_round(j, entry)`` — the store of
@@ -95,10 +101,16 @@ class SnapshotResult:
 
 @dataclass(frozen=True)
 class WriteMessage(Message):
-    """Client-side ``WRITE(lReg)``: the writer's whole register view."""
+    """Client-side ``WRITE(lReg)``: the writer's register view.
+
+    ``reg`` holds one :data:`~repro.core.register.AckItem` per entry:
+    the entry where some peer may lack it, its bare timestamp where
+    every peer's latest ack named at least that timestamp
+    (:meth:`SnapshotAlgorithm.request_items`).
+    """
 
     KIND = "WRITE"
-    reg: RegisterArray
+    reg: tuple[AckItem, ...]
 
 
 @dataclass(frozen=True)
@@ -162,7 +174,12 @@ class SnapshotAlgorithm(Process):
         self.register_handler(WriteMessage.KIND, self._on_write)
         self.register_handler(ReadMessage.KIND, self._on_read)
         # WRITEack/READack have no server-side action; replies reach ack
-        # collectors.
+        # collectors.  A register-array ack also reaches the peer-clock
+        # sink, added first so it sees every one; the handler slots stay
+        # free.
+        sink = _PeerClockSink(self)
+        for kind in _ARRAY_ACK_KINDS:
+            self.add_ack_sink(kind, sink)
 
     # -- state ------------------------------------------------------------------
 
@@ -179,6 +196,11 @@ class SnapshotAlgorithm(Process):
         #: value, is the empty map).  Any value is a legal starting
         #: point; one no server holds costs a whole entry per server.
         self.base: Any = None
+        #: Peer ``k`` → the timestamps its latest delivered register-array
+        #: ack named; a peer with none counts as all zeros.  Any value is
+        #: a legal starting point: a clock too low ships more entries, one
+        #: too high is replaced by the next ack from that peer.
+        self.peer_clocks: dict[int, tuple[int, ...]] = {}
 
     # -- the merge(Rec) macro -----------------------------------------------------
 
@@ -212,7 +234,7 @@ class SnapshotAlgorithm(Process):
 
     def _on_write(self, sender: int, message: WriteMessage) -> None:
         """Lines 26–28: merge the writer's view, reply with what is news."""
-        self.reg.merge_from(message.reg)
+        self.reg.merge_items(message.reg)
         self.send(sender, WriteAckMessage(reg=self.reg.reply_to(message.reg)))
 
     def _on_read(self, sender: int, message: ReadMessage) -> None:
@@ -291,13 +313,13 @@ class SnapshotAlgorithm(Process):
         l_clock = l_reg.vector_clock()
 
         def matches(sender: int, msg: Message) -> bool:
-            clock = ack_clock(msg.reg)
+            clock = _named_clock(msg)
             return len(clock) == len(l_clock) and all(map(le, l_clock, clock))
 
         def message() -> WriteMessage:
             reg = self.reg.copy()
             reg.merge_from(l_reg)
-            return WriteMessage(reg=reg)
+            return WriteMessage(reg=self.request_items(reg))
 
         with AckCollector(
             self, WriteAckMessage.KIND, self.majority, match=matches
@@ -382,6 +404,35 @@ class SnapshotAlgorithm(Process):
                 for msg in collector.reply_messages()
             ]
 
+    # -- requests ship only what some node may lack ----------------------------------
+
+    def floor(self) -> tuple[int, ...]:
+        """The timestamps every node is known to hold, entry by entry.
+
+        The pointwise minimum of :attr:`peer_clocks` and this node's own
+        ``reg``; all zeros until every peer has acked.  Outside a fault a
+        node's ``reg`` only grows, so each peer holds at least what its
+        latest ack named, and a stale or reordered ack only lowers the
+        floor.
+        """
+        clocks = self.peer_clocks
+        own = self.reg.vector_clock()
+        if len(clocks) < len(own) - 1:
+            return (0,) * len(own)
+        if not clocks:
+            return own
+        return tuple(map(min, own, *clocks.values()))
+
+    def request_items(self, view: RegisterArray) -> tuple[AckItem, ...]:
+        """``view`` as a register-array request: whole only above the floor.
+
+        Each receiver merges the items and answers relative to the
+        timestamps they name.  A server that lacks an elided entry (a
+        fault lowered it) names its lower timestamp in its ack, which
+        replaces that peer's clock, so the next transmission ships it.
+        """
+        return view.items_above(self.floor())
+
     def equivalence_quorum(
         self, view: RegisterArray, replies: Sequence[tuple[AckItem, ...]]
     ) -> bool:
@@ -420,6 +471,46 @@ class SnapshotAlgorithm(Process):
             return None
         base = KeyMap.of(self.base)
         return None if base is None else entry.value.delta_since(base, entry.ts)
+
+
+#: The kinds whose replies name a register array: their latest one from
+#: each peer is that peer's clock.
+_ARRAY_ACK_KINDS = ("WRITEack", "SNAPSHOTack")
+
+
+def _named_clock(message: Message) -> tuple[int, ...]:
+    """``ack_clock(message.reg)``, derived once per message object.
+
+    Kept in the message's ``__dict__`` beside its cached wire size, so
+    the peer-clock sink and a write round's match predicate share one
+    derivation per ack; a packet corrupted in place drops it through
+    :func:`~repro.net.message.invalidate_wire_cache`.
+    """
+    cache = message.__dict__
+    clock = cache.get("_clock")
+    if clock is None:
+        clock = cache["_clock"] = ack_clock(message.reg)
+    return clock
+
+
+class _PeerClockSink:
+    """Keeps each peer's latest register-array ack clock (``peer_clocks``).
+
+    An ack sink rather than a handler, so every ack collector, and any
+    handler a test installs for an ack kind, still sees the ack.  An ack
+    of the wrong length is garbage and changes nothing.
+    """
+
+    __slots__ = ("_process",)
+
+    def __init__(self, process: SnapshotAlgorithm) -> None:
+        self._process = process
+
+    def offer(self, sender: int, message: Message) -> bool:
+        process = self._process
+        if sender != process.node_id and len(message.reg) == process.config.n:
+            process.peer_clocks[sender] = _named_clock(message)
+        return False
 
 
 @dataclass(eq=False, slots=True)

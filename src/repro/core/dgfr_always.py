@@ -58,12 +58,16 @@ class EndMessage(Message):
 
 @dataclass(frozen=True)
 class TaskSnapshotMessage(Message):
-    """``SNAPSHOT(s, t, reg, ssn)``: a query round for task ``(s, t)``."""
+    """``SNAPSHOT(s, t, reg, ssn)``: a query round for task ``(s, t)``.
+
+    ``reg`` is request items
+    (:meth:`~repro.core.base.SnapshotAlgorithm.request_items`).
+    """
 
     KIND = "SNAPSHOT"
     source: int
     sn: int
-    reg: RegisterArray
+    reg: tuple[AckItem, ...]
     ssn: int
 
 
@@ -175,7 +179,10 @@ class DgfrAlwaysTerminating(DepositedWrites):
             await broadcast_until(
                 self,
                 lambda: TaskSnapshotMessage(
-                    source=source, sn=sn, reg=self.reg.copy(), ssn=self.ssn
+                    source=source,
+                    sn=sn,
+                    reg=self.request_items(self.reg),
+                    ssn=self.ssn,
                 ),
                 collector,
             )
@@ -186,7 +193,7 @@ class DgfrAlwaysTerminating(DepositedWrites):
     # -- server side (lines 63–65) -------------------------------------------------------------
 
     def _on_task_snapshot(self, sender: int, message: TaskSnapshotMessage) -> None:
-        self.reg.merge_from(message.reg)
+        self.reg.merge_items(message.reg)
         self.send(
             sender,
             TaskSnapshotAckMessage(

@@ -11,9 +11,9 @@ only after write operations cease.
 
 Costs (reproduced by benchmark E1): a write is one round trip of
 ``2(n-1)`` messages; an uncontended snapshot is one round trip of
-``2(n-1)`` messages.  Each request carries O(n·ν) bits; each ack ships
-only the entries that are news to the requester (O(n) bits when none
-is).
+``2(n-1)`` messages.  A request carries O(n·ν) bits while some node may
+lack its entries; each request and each ack ships only the entries that
+may be news to its receiver (O(n) bits when none is).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.base import SnapshotAlgorithm, SnapshotResult
-from repro.core.register import AckItem, RegisterArray
+from repro.core.register import AckItem
 from repro.net.message import Message
 from repro.net.quorum import AckCollector, broadcast_until
 
@@ -31,10 +31,14 @@ __all__ = ["DgfrNonBlocking", "SnapshotMessage", "SnapshotAckMessage"]
 
 @dataclass(frozen=True)
 class SnapshotMessage(Message):
-    """Client-side ``SNAPSHOT(reg, ssn)`` query (line 20)."""
+    """Client-side ``SNAPSHOT(reg, ssn)`` query (line 20).
+
+    ``reg`` is request items, as in ``WRITE``
+    (:meth:`~repro.core.base.SnapshotAlgorithm.request_items`).
+    """
 
     KIND = "SNAPSHOT"
-    reg: RegisterArray
+    reg: tuple[AckItem, ...]
     ssn: int
 
 
@@ -69,7 +73,7 @@ class DgfrNonBlocking(SnapshotAlgorithm):
 
     def _on_snapshot_query(self, sender: int, message: SnapshotMessage) -> None:
         """Lines 29–31: merge the querier's view, echo the news with its ssn."""
-        self.reg.merge_from(message.reg)
+        self.reg.merge_items(message.reg)
         self.send(
             sender,
             SnapshotAckMessage(reg=self.reg.reply_to(message.reg), ssn=message.ssn),
@@ -121,7 +125,9 @@ class DgfrNonBlocking(SnapshotAlgorithm):
         ) as collector:
             await broadcast_until(
                 self,
-                lambda: SnapshotMessage(reg=self.reg.copy(), ssn=self.ssn),
+                lambda: SnapshotMessage(
+                    reg=self.request_items(self.reg), ssn=self.ssn
+                ),
                 collector,
             )
             views = [msg.reg for msg in collector.reply_messages()]

@@ -21,7 +21,10 @@ A ``WRITEack``/``SNAPSHOTack`` carries *ack items* (:data:`AckItem`), one
 per entry, relative to the request it answers: the server's entry where
 its timestamp differs from the request's, otherwise that timestamp alone
 (:meth:`RegisterArray.reply_to`, :meth:`RegisterArray.merge_items`,
-:func:`ack_clock`).
+:func:`ack_clock`).  A ``WRITE``/``SNAPSHOT`` request is a tuple of the
+same items, relative to a floor of timestamps every receiver is known
+to hold (:meth:`RegisterArray.items_above`); a :class:`RegisterArray`
+is a valid request too, every entry shipped.
 
 A value that is a :class:`KeyMap` (the sharded fabric's slot maps) has a
 content digest, so its writer can ship a new entry as a :class:`KeyDelta`
@@ -196,28 +199,51 @@ class RegisterArray:
             for mine, theirs in zip(self._entries, other._entries)
         ]
 
-    def reply_to(self, request: "RegisterArray") -> tuple[AckItem, ...]:
+    def reply_to(self, request: Sequence[AckItem]) -> tuple[AckItem, ...]:
         """The ack items answering ``request``, which is already merged in.
 
-        Entry ``j`` ships where its timestamp differs from ``request[j]``'s
-        and is the bare timestamp otherwise: the requester held that entry
-        when it sent the request, so it is no news to it.  Decided from the
-        request alone, so the server keeps nothing about the exchange.
+        Entry ``j`` ships where its timestamp differs from the one
+        ``request[j]`` names (shipped or elided) and is the bare
+        timestamp otherwise: the requester held that entry when it sent
+        the request, so it is no news to it.  Decided from the request
+        alone, so the server keeps nothing about the exchange.
         """
         return tuple(
             [
-                mine.ts if mine.ts == theirs.ts else mine
-                for mine, theirs in zip(self._entries, request._entries)
+                mine.ts
+                if mine.ts == (theirs if isinstance(theirs, int) else theirs.ts)
+                else mine
+                for mine, theirs in zip(self._entries, request)
+            ]
+        )
+
+    def items_above(self, floor: Sequence[int]) -> tuple[AckItem, ...]:
+        """This array as request items: entry ``j`` whole where its
+        timestamp is above ``floor[j]``, the bare timestamp elsewhere.
+
+        ``floor`` is what every receiver is known to hold, so an elided
+        entry is one each of them has already, and merging the items
+        (:meth:`merge_items`) leaves it as merging the array would.
+        """
+        self._check_compatible(floor)
+        return tuple(
+            [
+                entry if entry.ts > low else entry.ts
+                for entry, low in zip(self._entries, floor)
             ]
         )
 
     def merge_items(self, items: Sequence[AckItem]) -> None:
-        """Join the entries an ack shipped; an elided one adds nothing.
+        """Join the entries a request or an ack shipped; an elided one adds
+        nothing.
 
-        An elided item stands for the entry of the request it answers, not
-        for the current one: ``reg`` only grows, so that entry is already
-        here unless a fault lowered it since, and then the next round's
-        ack ships it, the server being above that round's request.
+        An elided ack item stands for the entry of the request it answers,
+        not for the current one: ``reg`` only grows, so that entry is
+        already here unless a fault lowered it since, and then the next
+        round's ack ships it, the server being above that round's request.
+        An elided request item names an entry the requester knows this
+        server held; one a fault lowered since is named in the reply, and
+        the next transmission ships it.
         """
         self._check_compatible(items)
         self._entries = [
@@ -231,7 +257,7 @@ class RegisterArray:
 
     def vector_clock(self) -> tuple[int, ...]:
         """The timestamps-only view ``VC`` (Algorithm 3, line 69)."""
-        return tuple(entry.ts for entry in self._entries)
+        return tuple([entry.ts for entry in self._entries])
 
     def snapshot_values(self) -> tuple[Any, ...]:
         """The object values, as a snapshot operation returns them."""

@@ -125,11 +125,15 @@ class GossipMessage3(Message):
 
 @dataclass(frozen=True)
 class SnapshotMessage3(Message):
-    """``SNAPSHOT(S ∩ Δ, reg, ssn)``: query carrying the served tasks."""
+    """``SNAPSHOT(S ∩ Δ, reg, ssn)``: query carrying the served tasks.
+
+    ``reg`` is request items
+    (:meth:`~repro.core.base.SnapshotAlgorithm.request_items`).
+    """
 
     KIND = "SNAPSHOT"
     tasks: tuple[TaskDescriptor, ...]
-    reg: RegisterArray
+    reg: tuple[AckItem, ...]
     ssn: int
 
 
@@ -482,7 +486,7 @@ class SelfStabilizingAlwaysTerminating(DepositedWrites):
                     self.broadcast(
                         SnapshotMessage3(
                             tasks=tuple(served[k] for k in sorted(served)),
-                            reg=self.reg.copy(),
+                            reg=self.request_items(self.reg),
                             ssn=self.ssn,
                         )
                     )
@@ -564,7 +568,7 @@ class SelfStabilizingAlwaysTerminating(DepositedWrites):
 
     def _on_snapshot_query(self, sender: int, message: SnapshotMessage3) -> None:
         """Lines 103–107: merge, adopt task descriptors, ack, and help."""
-        self.reg.merge_from(message.reg)
+        self.reg.merge_items(message.reg)
         for descriptor in message.tasks:
             if not 0 <= descriptor.node < self.config.n or descriptor.sns <= 0:
                 continue  # corrupted descriptor; ignore

@@ -18,15 +18,17 @@ digest and lets the entry travel only when the owner is behind (see
 legitimate execution the owner's own entry is always the freshest copy,
 so the entry a gossip carries is never news until a fault makes it so.
 
-Requests stand in for digests: every ``WRITE`` and ``SNAPSHOT`` carries
-``reg[k]`` to each ``p_k``, and a ``READ(j, …)`` carries ``reg[j]`` to
-``p_j``, which is more than a digest says; a request *from* ``p_k``
-shows its own entry, which a digest would only echo.  So while an
-operation is in flight, a tick skips the digest to a peer whose
-*current* ``reg[k].ts`` a request since the previous tick carried
-either way (``_told``, emptied every tick, so a scrambled one costs at
-most one digest per peer).  Idle, all n(n−1) digests still go out each
-cycle.
+Requests stand in for digests: every ``WRITE`` and ``SNAPSHOT`` names
+``reg[k].ts`` to each ``p_k`` — shipping the entry where ``p_k`` may
+lack it, eliding it where ``p_k``'s latest ack named that timestamp
+already (:meth:`~repro.core.base.SnapshotAlgorithm.request_items`) —
+and a ``READ(j, …)`` carries ``reg[j]`` to ``p_j``, which is all a
+digest says; a request *from* ``p_k`` names its own entry's timestamp,
+which a digest would only echo.  So while an operation is in flight, a
+tick skips the digest to a peer whose *current* ``reg[k].ts`` a request
+since the previous tick named either way (``_told``, emptied every
+tick, so a scrambled one costs at most one digest per peer).  Idle, all
+n(n−1) digests still go out each cycle.
 
 Together these guarantee Theorem 1: within O(1) asynchronous cycles of a
 fair execution, ``ts_i`` dominates every timestamp attributed to ``p_i``
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 from repro.core.base import ReadMessage, WriteMessage
 from repro.core.dgfr_nonblocking import DgfrNonBlocking, SnapshotMessage
-from repro.core.register import TimestampedValue
+from repro.core.register import TimestampedValue, ack_clock
 from repro.net.message import Message
 
 __all__ = ["SelfStabilizingNonBlocking", "GossipMessage", "GossipPullMessage"]
@@ -100,16 +102,17 @@ class SelfStabilizingNonBlocking(DgfrNonBlocking):
     def broadcast(self, message: Message, include_self: bool = True) -> None:
         """Broadcast, noting which own-entry timestamps a request carried.
 
-        ``WRITE(lReg)`` and ``SNAPSHOT(reg, ssn)`` carry ``reg[k]`` to every
-        ``p_k``; a ``READ(j, entry, tag)`` carries it to ``p_j`` only.
-        Each receiver merges the entry it carries (``_on_write``,
-        ``_on_snapshot_query``, ``_on_read``), which tells ``p_k`` more
-        than a digest would.
+        ``WRITE(lReg)`` and ``SNAPSHOT(reg, ssn)`` name ``reg[k].ts`` to
+        every ``p_k``, shipped or elided; a ``READ(j, entry, tag)``
+        carries ``reg[j]`` to ``p_j`` only.  Each receiver merges what
+        the request ships (``_on_write``, ``_on_snapshot_query``,
+        ``_on_read``) and answers the timestamp it names, which tells
+        ``p_k`` as much as a digest would.
         """
         if not self.crashed:
             told = self._told
             if isinstance(message, (WriteMessage, SnapshotMessage)):
-                clock = message.reg.vector_clock()
+                clock = ack_clock(message.reg)
                 for k in self.peers():
                     told[k] = clock[k]
             elif isinstance(message, ReadMessage) and message.j != self.node_id:
@@ -119,16 +122,18 @@ class SelfStabilizingNonBlocking(DgfrNonBlocking):
     def deliver(self, sender: int, message: Message) -> None:
         """Deliver, noting the own entry a peer's request showed us.
 
-        ``p_k``'s ``WRITE`` and ``SNAPSHOT`` carry its own ``reg[k]``, and
-        so does its ``READ(k, …)``.  Its own entry only grows outside a
-        fault, and line 10 keeps ``ts`` above it, so a digest naming that
-        timestamp would tell ``p_k`` nothing.
+        ``p_k``'s ``WRITE`` and ``SNAPSHOT`` name its own ``reg[k].ts``,
+        and its ``READ(k, …)`` carries that entry.  Its own entry only
+        grows outside a fault, and line 10 keeps ``ts`` above it, so a
+        digest naming that timestamp would tell ``p_k`` nothing.
         """
         super().deliver(sender, message)
         if self.crashed or sender == self.node_id:
             return
         if isinstance(message, (WriteMessage, SnapshotMessage)):
-            ts = message.reg[sender].ts
+            ts = message.reg[sender]
+            if not isinstance(ts, int):
+                ts = ts.ts
         elif isinstance(message, ReadMessage) and message.j == sender:
             ts = message.entry.ts
         else:

@@ -2,10 +2,10 @@
 
 The paper's fault model lets a transient fault drive the system into an
 *arbitrary* state — control variables (``ts``, ``ssn``, ``sns``,
-``tag``, ``_told``, ``base``), the register buffers — down to one key's
-seq inside a slot map — the pending-task table, the pending SAVEs, and
-the contents of every communication channel may all hold garbage (only
-the code stays intact).
+``tag``, ``_told``, ``base``, the peer clocks), the register buffers —
+down to one key's seq inside a slot map — the pending-task table, the
+pending SAVEs, and the contents of every communication channel may all
+hold garbage (only the code stays intact).
 
 :class:`TransientFaultInjector` reproduces that model against any
 running :class:`~repro.backend.base.ClusterBackend` (sim, asyncio, or
@@ -198,6 +198,30 @@ class TransientFaultInjector:
                 else:
                     del pending_saves[k]
 
+    def corrupt_peer_clocks(self, node_ids: Iterable[int] | None = None) -> None:
+        """Overwrite ``peer_clocks``, each peer's latest ack clock.
+
+        Each peer is left out (it counts as all zeros), given a clock
+        at or below what this node holds, or given a wild one — the
+        worst case: the floor is then this node's own ``reg``, and every
+        entry travels as its timestamp alone until that peer's next ack.
+        A node without peer clocks (``stacked``) draws nothing.
+        """
+        for node_id in self._targets(node_ids):
+            process = self._cluster.node(node_id)
+            if not hasattr(process, "peer_clocks"):
+                continue
+            clocks: dict[int, tuple[int, ...]] = {}
+            for k in process.peers():
+                choice = self._rng.randrange(3)
+                if choice == 1:
+                    clocks[k] = tuple(
+                        self._rng.randrange(entry.ts + 1) for entry in process.reg
+                    )
+                elif choice == 2:
+                    clocks[k] = tuple(self._wild_ts() for _ in process.reg)
+            process.peer_clocks = clocks
+
     def corrupt_consensus(self, node_ids: Iterable[int] | None = None) -> None:
         """Scramble the consensus layer's per-instance state.
 
@@ -322,10 +346,11 @@ class TransientFaultInjector:
         self.scramble_channels()
         # Last, so every draw above is the one it was before reads (and
         # then requests standing in for gossip, key-map deltas and the
-        # SAVE sender) existed.  Key maps and pending SAVEs draw only
-        # where one is held, so a run that holds none draws exactly what
-        # it did before.
+        # SAVE sender, then peer clocks) existed.  Key maps and pending
+        # SAVEs draw only where one is held, so a run that holds none
+        # draws exactly what it did before.
         self.corrupt_read_tags(node_ids)
         self.corrupt_told(node_ids)
         self.corrupt_key_maps(node_ids)
         self.corrupt_pending_saves(node_ids)
+        self.corrupt_peer_clocks(node_ids)

@@ -33,8 +33,9 @@ def e01_nonblocking_op_costs(n_values=(4, 8, 12, 16), seed=0):
     """E1 (Figure 1 upper): DGFR non-blocking per-operation costs.
 
     Paper claim: a write and an uncontended snapshot each take one round
-    trip of ≈2n messages: requests of O(n·ν) bits, acks that ship only
-    what is news to the requester.
+    trip of ≈2n messages: requests of O(n·ν) bits (here, only the entries
+    some receiver may lack), acks that ship only what is news to the
+    requester.
     """
     rows = []
     for n in n_values:
@@ -247,9 +248,11 @@ def e15_message_sizes(nu_values=(16, 64, 256, 1024), n_values=(4, 12), seed=0):
 
     Measured as serialized bytes per message while sweeping the object
     size ν and the cluster size n.  The gossip is a timestamp digest, a
-    constant size below the paper's O(ν) bound.  A request carries the
-    whole register array; its ack ships only the entries that are news
-    to the writer, so an uncontended write's ack is n bare timestamps.
+    constant size below the paper's O(ν) bound.  A request ships the
+    entries some receiver may lack — here all n, since the writer's only
+    acks answered its first write, before the others wrote — and its ack
+    ships only the entries that are news to the writer, so an
+    uncontended write's ack is n bare timestamps.
     """
     rows = []
     for n in n_values:

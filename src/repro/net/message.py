@@ -66,13 +66,14 @@ class Message:
 
 
 def invalidate_wire_cache(message: Message) -> None:
-    """Drop any cached size/encoding from ``message``.
+    """Drop any cached size/encoding/clock from ``message``.
 
     Fault injectors that hand back a mutated packet (rather than a fresh
     ``dataclasses.replace`` copy) must call this so the cached wire size
-    (:meth:`Message.wire_size`) and cached codec bytes
-    (:func:`repro.net.codec.encode_message`) are re-derived from the
-    corrupted contents.
+    (:meth:`Message.wire_size`), cached codec bytes
+    (:func:`repro.net.codec.encode_message`) and the cached clock an ack
+    names (``repro.core.base``) are re-derived from the corrupted
+    contents.
 
     This reaches the message's own caches only.  The size a
     :class:`~repro.core.register.TimestampedValue` remembers is never
@@ -83,6 +84,7 @@ def invalidate_wire_cache(message: Message) -> None:
     if cache is not None:
         cache.pop("_wire_size", None)
         cache.pop("_wire_bytes", None)
+        cache.pop("_clock", None)
 
 
 def measure_size(obj: Any) -> int:
@@ -110,8 +112,11 @@ def _size_items(items: Iterable[Any]) -> int:
     for item in items:
         cls = type(item)
         if cls is int:
-            # Inlined: an ack names most register entries by timestamp.
+            # Inlined: an ack or a request names most register entries
+            # by timestamp, and ships the rest as pairs.
             total += INT_BYTES
+        elif cls is TimestampedValue:
+            total += item._size or _size_entry(item)
         else:
             total += (sizers.get(cls) or _compile_sizer(cls))(item)
     return total

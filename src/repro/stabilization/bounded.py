@@ -149,12 +149,17 @@ class _BoundedCounterMixin:
         return max(self.ts, self.ssn, self.tag, self.reg.max_timestamp())
 
     def _apply_index_reset(self, values: RegisterArray) -> None:
-        """Install the agreed values with all indices back at 0."""
+        """Install the agreed values with all indices back at 0.
+
+        The peer clocks empty too: they name pre-reset timestamps, every
+        one too high for the restarted indices.
+        """
         for k in range(self.config.n):
             self.reg[k] = TimestampedValue(0, values[k].value)
         self.ts = 0
         self.ssn = 0
         self.tag = 0
+        self.peer_clocks = {}
 
     # -- epoch envelope ------------------------------------------------------------
 

@@ -19,6 +19,7 @@ from repro.core.register import BOTTOM, RegisterArray, TimestampedValue
 from repro.core.ss_always import SnapshotAckMessage3, SnapshotMessage3
 from repro.errors import ConfigurationError, ReproError
 from repro.fault import TransientFaultInjector
+from repro.sim.kernel import TieBreak
 
 ALL = ["dgfr-nonblocking", "ss-nonblocking", "dgfr-always", "ss-always"]
 
@@ -498,6 +499,108 @@ class TestAckElision:
         # Acknowledged at ts 2 either way; held by a majority only if right.
         holders = sum(cluster.node(k).reg[0].ts == 2 for k in range(5))
         assert (holders >= 3) is not counted
+
+
+#: Every variant whose WRITE and SNAPSHOT requests carry a register array.
+REQUESTERS = ALL + ["amortized", "bounded-ss-nonblocking", "bounded-ss-always"]
+
+
+def requests_sent(node, kind):
+    """Every ``kind`` request ``node`` broadcasts from now on, in order."""
+    sent = []
+    broadcast = node.broadcast
+
+    def recording(message, include_self=True):
+        if message.kind == kind:
+            sent.append(message)
+        broadcast(message, include_self)
+
+    node.broadcast = recording
+    return sent
+
+
+def fifo(algorithm, seed):
+    """``make``, with same-instant events in the order they were scheduled."""
+    return SimBackend(
+        algorithm, ClusterConfig(n=5, seed=seed, delta=2), tie_break=TieBreak.FIFO
+    )
+
+
+def acked_write(cluster, node, value):
+    """A write by ``node`` that takes the WRITE path, then two cycles for
+    the acks beyond the majority to land.  ``amortized`` sends WRITE only
+    with a scan pending at the round's start, so it submits the write and
+    a scan together (on a FIFO cluster, both are pending when the round
+    starts)."""
+    if cluster.algorithm_name == "amortized":
+
+        async def together():
+            return await cluster.kernel.gather(
+                [cluster.submit_write(node, value), cluster.submit_snapshot(node)]
+            )
+
+        ts, _ = cluster.run_until(together())
+    else:
+        ts = cluster.write_sync(node, value)
+    cluster.run_until(cluster.settle_cycles(2))
+    return ts
+
+
+class TestRequestElision:
+    """WRITE and SNAPSHOT ship an entry only where some peer may lack it."""
+
+    @pytest.mark.parametrize("algorithm", REQUESTERS)
+    def test_after_a_write_every_peer_acked_a_snapshot_request_ships_no_entry(
+        self, algorithm
+    ):
+        cluster = fifo(algorithm, seed=89)
+        value = b"x" * 200
+        acked_write(cluster, 0, value)
+        node = cluster.node(0)
+        assert set(node.peer_clocks) == {1, 2, 3, 4}
+        assert node.floor() == node.reg.vector_clock() == (1, 0, 0, 0, 0)
+        queries = requests_sent(node, "SNAPSHOT")
+        assert cluster.snapshot_sync(0).values[0] == value
+        assert queries
+        for query in queries:
+            assert query.reg == (1, 0, 0, 0, 0)
+            # Eight bytes per entry on top of the same message with no array.
+            assert query.wire_size() == replace(query, reg=()).wire_size() + 8 * 5
+            if isinstance(query, SnapshotMessage):
+                assert query.wire_size() == 16 + 8 * 5 + 8
+
+    @pytest.mark.parametrize("algorithm", REQUESTERS)
+    def test_a_server_lowered_below_an_elided_entry_gets_it_whole(self, algorithm):
+        """Node 3's entry is elided from node 0's next WRITE, since every
+        peer's ack named it; a fault then lowers server 2's copy.  Nodes 3
+        and 4 are down, so the round needs server 2: its first ack names
+        its lower timestamp, the retransmission ships the entry, and the
+        round ends with server 2 holding it."""
+        cluster = fifo(algorithm, seed=97)
+        acked_write(cluster, 3, "three")
+        acked_write(cluster, 0, "first")
+        entry = cluster.node(0).reg[3]
+        assert entry.ts == 1
+        cluster.node(2).reg[3] = BOTTOM
+        cluster.crash(3)
+        cluster.crash(4)
+        writes = requests_sent(cluster.node(0), "WRITE")
+        acked_write(cluster, 0, "second")
+        assert writes[0].reg[3] == 1
+        assert entry in writes[-1].reg
+        assert cluster.node(2).reg[3] == entry
+        assert cluster.node(0).reg[0].ts == 2
+        assert cluster.node(0).peer_clocks[2][3] == 1
+
+    @pytest.mark.parametrize("algorithm", ["ss-nonblocking", "bounded-ss-always"])
+    def test_peer_clocks_restart_empty(self, algorithm):
+        cluster = fifo(algorithm, seed=101)
+        acked_write(cluster, 0, "v")
+        assert cluster.node(0).peer_clocks
+        cluster.crash(0)
+        cluster.resume(0, restart=True)
+        assert cluster.node(0).peer_clocks == {}
+        assert cluster.node(0).floor() == (0,) * 5
 
 
 @pytest.mark.parametrize("algorithm", ["ss-nonblocking", "ss-always", "amortized"])

@@ -209,6 +209,26 @@ class TestEpochHygiene:
         )
         assert node._told == {}
 
+    @pytest.mark.parametrize(
+        "algorithm", ["bounded-ss-nonblocking", "bounded-ss-always"]
+    )
+    def test_commit_empties_peer_clocks(self, algorithm):
+        """Pre-reset clocks name pre-reset timestamps, every one too high
+        for the restarted indices: the first write after the reset would
+        travel as its timestamp alone, and reach each peer only with the
+        retransmission that follows that peer's ack."""
+        cluster = SimBackend(
+            algorithm, ClusterConfig(n=4, seed=13, max_int=1000)
+        )
+        cluster.write_sync(1, "x")
+        node = cluster.node(1)
+        assert node.peer_clocks
+        node._enter_reset()
+        node._apply_commit(
+            ResetCommitMessage(new_epoch=1, values=node.reg.copy())
+        )
+        assert node.peer_clocks == {}
+
     def test_commit_message_carries_merged_values(self):
         """The decided commit installs the join of a majority's votes, so
         divergent pre-reset replicas cannot survive as irreconcilable

@@ -271,6 +271,30 @@ class TestMessageSizing:
         assert len(set(sizes)) == 1
         assert sizes[0] == HEADER_BYTES + reference_measure_size(writer)
 
+    def test_request_items_match_reference_and_codec(self):
+        """A request names every entry and ships only those above the
+        floor: the model prices it as the reference does, 8 bytes per
+        elided entry, and the codec carries it unchanged."""
+        from repro.core.dgfr_nonblocking import SnapshotMessage
+        from repro.net.codec import decode_message, encode_message
+
+        cluster = SimBackend("ss-nonblocking", ClusterConfig(n=4, seed=5))
+        cluster.write_sync(0, bytes(40))
+        cluster.run_until(cluster.settle_cycles(2))
+        node = cluster.node(0)
+        news = TimestampedValue(3, b"news")
+        node.reg[2] = news  # above every peer's clock
+        items = node.request_items(node.reg)
+        assert items == (1, 0, news, 0)
+        for message, extra in (
+            (WriteMessage(reg=items), 0),
+            (SnapshotMessage(reg=items, ssn=2), INT_BYTES),
+        ):
+            expected = HEADER_BYTES + 3 * INT_BYTES + INT_BYTES + 4 + extra
+            assert message.wire_size() == expected
+            assert expected == HEADER_BYTES + reference_measure_size(message)
+            assert decode_message(encode_message(message)) == message
+
     def test_entry_memo_is_not_part_of_equality(self):
         small = TimestampedValue(1, (True, 2))
         large = TimestampedValue(1, (1, 2))

@@ -18,6 +18,7 @@ from repro.analysis.invariants import (
     vc_consistent,
 )
 from repro.analysis.linearizability import check_snapshot_history
+from repro.core.register import BOTTOM
 from repro.fault import TransientFaultInjector
 from repro.harness.experiments import RECOVERY_CYCLE_BOUND
 
@@ -244,6 +245,59 @@ def test_scrambled_pending_saves_heal_within_e8s_cycle_bound(seed):
     recover(cluster)
     assert all(not process.pending_saves for process in cluster.processes)
     assert cluster.snapshot_sync(0) is not None
+
+
+def clock_errors(cluster):
+    """``(too_high, too_low)``: peer clocks above / below what the peer holds."""
+    high = low = 0
+    for process in cluster.processes:
+        for k, clock in process.peer_clocks.items():
+            truth = cluster.node(k).reg.vector_clock()
+            high += any(c > t for c, t in zip(clock, truth))
+            low += any(c < t for c, t in zip(clock, truth))
+    return high, low
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("algorithm", ["ss-nonblocking", "ss-always"])
+def test_scrambled_peer_clocks_heal_within_the_cycle_bound(algorithm, seed):
+    """Peer clocks drawn too high (entries elided that a peer lacks) and
+    too low (entries shipped that every peer holds), on top of a server
+    lowered below entries every clock names.  While every node keeps
+    snapshotting, each too-high clock is replaced by the peer's next ack,
+    and the lowered server gets its entries back, within the cycle bound
+    of Theorems 1–2."""
+    cluster = make(algorithm, seed=seed)
+    for node in range(5):
+        cluster.write_sync(node, f"pre{node}")
+    cluster.run_until(cluster.settle_cycles(2))
+    held = [cluster.node(k).reg[k] for k in range(5)]
+    for k in (3, 4):
+        cluster.node(2).reg[k] = BOTTOM
+    TransientFaultInjector(cluster, seed=seed).corrupt_peer_clocks()
+    high, low = clock_errors(cluster)
+    assert high and low
+    cluster.tracker.reset()
+
+    def healed():
+        return (
+            clock_errors(cluster)[0] == 0
+            and all(cluster.node(2).reg[k] == held[k] for k in (3, 4))
+            and definition1_consistent(cluster).ok
+        )
+
+    async def cycles_to_heal():
+        while cluster.tracker.cycles_elapsed <= RECOVERY_CYCLE_BOUND:
+            if healed():
+                return cluster.tracker.cycles_elapsed
+            await cluster.kernel.gather(
+                [cluster.snapshot(node) for node in range(5)]
+            )
+        return None
+
+    cycles = cluster.run_until(cycles_to_heal(), max_events=None)
+    assert cycles is not None and cycles <= RECOVERY_CYCLE_BOUND
+    assert all(result is not None for result in cluster.snapshot_sync(0).values)
 
 
 class TestFaultInjectorMechanics:
