@@ -497,8 +497,10 @@ class _PeerClockSink:
     """Keeps each peer's latest register-array ack clock (``peer_clocks``).
 
     An ack sink rather than a handler, so every ack collector, and any
-    handler a test installs for an ack kind, still sees the ack.  An ack
-    of the wrong length is garbage and changes nothing.
+    handler a test installs for an ack kind, still sees the ack.  The
+    sink sees every ack, in a round or not, so one whose items are not
+    ``n`` timestamps and pairs (a datagram that decoded to nonsense) is
+    garbage and changes nothing, as a packet lost would.
     """
 
     __slots__ = ("_process",)
@@ -508,8 +510,14 @@ class _PeerClockSink:
 
     def offer(self, sender: int, message: Message) -> bool:
         process = self._process
-        if sender != process.node_id and len(message.reg) == process.config.n:
-            process.peer_clocks[sender] = _named_clock(message)
+        if sender == process.node_id:
+            return False
+        try:
+            clock = _named_clock(message)
+        except (AttributeError, TypeError):
+            return False
+        if len(clock) == process.config.n:
+            process.peer_clocks[sender] = clock
         return False
 
 

@@ -592,6 +592,20 @@ class TestRequestElision:
         assert cluster.node(0).reg[0].ts == 2
         assert cluster.node(0).peer_clocks[2][3] == 1
 
+    @pytest.mark.parametrize(
+        "garbage", [(1, 0, 0), ("x", 0, 0, 0, 0), 7, None], ids=repr
+    )
+    def test_a_garbage_ack_sets_no_clock(self, garbage):
+        """Every array ack reaches the clock sink, in a round or not; one
+        whose items are not n timestamps and pairs changes nothing."""
+        cluster = fifo("ss-nonblocking", seed=103)
+        acked_write(cluster, 0, "v")
+        node = cluster.node(0)
+        clocks = dict(node.peer_clocks)
+        node.deliver(1, WriteAckMessage(reg=garbage))
+        node.deliver(2, SnapshotAckMessage(reg=garbage, ssn=1))
+        assert node.peer_clocks == clocks
+
     @pytest.mark.parametrize("algorithm", ["ss-nonblocking", "bounded-ss-always"])
     def test_peer_clocks_restart_empty(self, algorithm):
         cluster = fifo(algorithm, seed=101)
