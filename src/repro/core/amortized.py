@@ -17,12 +17,16 @@ Concretely, on top of the self-stabilizing non-blocking object:
   batch's final write, which is exactly the "never-observed write"
   case the linearizability checker admits.
 * **Scan sharing on the equivalence quorum.**  All locally pending
-  snapshots share rounds, and a round succeeds on the exit test every
+  snapshots share rounds, and a round succeeds on the verdict every
   snapshot round uses
   (:meth:`~repro.core.base.SnapshotAlgorithm.equivalence_quorum`, Garg
-  et al.'s equivalence quorum): every reply of its majority reports
+  et al.'s equivalence quorum): a majority of its replies reports
   exactly the view the round broadcast — ``prev`` for a SNAPSHOT round,
-  ``lReg`` for a WRITE round — and the round returns *that* view.  It is
+  ``lReg`` for a WRITE round — and the round returns *that* view.  A
+  shared SNAPSHOT round reads replies past its first majority until they
+  decide the verdict
+  (:meth:`~repro.core.base.SnapshotAlgorithm.query_collector`); a WRITE
+  round ends at its first majority, so its writes never wait.  It is
   sound for a WRITE round by the same quorum-intersection argument as for
   a SNAPSHOT round: a matching reply was sent after the round began (it
   contains the round's fresh own timestamp, as a SNAPSHOT reply echoes
@@ -191,7 +195,12 @@ class AmortizedSnapshot(SelfStabilizingNonBlocking):
             self._settle_scans(scans, l_reg, views)
 
     async def _scan_round(self) -> None:
-        """One shared SNAPSHOT round for every scan pending at its start."""
+        """One shared SNAPSHOT round for every scan pending at its start.
+
+        The round is Algorithm 1's (``_query_round``): it reads replies
+        until they decide it, so a late reply naming exactly ``prev``
+        can resolve a batch whose first majority held a newer entry.
+        """
         batch, self._pending_scans = self._pending_scans, []
         prev = self.reg.copy()
         self.ssn += 1
@@ -205,7 +214,7 @@ class AmortizedSnapshot(SelfStabilizingNonBlocking):
         view: RegisterArray,
         replies: list[tuple[AckItem, ...]],
     ) -> None:
-        """Resolve ``scans`` with ``view`` iff a majority reported exactly it.
+        """Resolve ``scans`` with ``view`` iff a majority of ``replies`` named it.
 
         Otherwise the batch is re-enqueued at the *front*, so it merges
         with newly arrived scans in the next round.

@@ -33,9 +33,11 @@ baselines, and their self-stabilizing variants) share:
   write-back round only when the majority disagreed.  It needs (and pays
   for) single-register atomicity only, so writes to other registers
   never make it retry;
-* the one exit test of every snapshot query round,
+* the one verdict of every snapshot query round,
   :meth:`SnapshotAlgorithm.equivalence_quorum`: a majority of replies
-  named exactly the view the round broadcast.
+  named exactly the view the round broadcast; and the round's collector,
+  :meth:`SnapshotAlgorithm.query_collector`, which reads replies past
+  the first majority until they decide that verdict.
 
 Concrete algorithms subclass :class:`SnapshotAlgorithm` and add their
 snapshot-side logic; the always-terminating ones (Algorithms 2 and 3)
@@ -436,28 +438,59 @@ class SnapshotAlgorithm(Process):
     def equivalence_quorum(
         self, view: RegisterArray, replies: Sequence[tuple[AckItem, ...]]
     ) -> bool:
-        """Whether a majority of ``replies`` named exactly ``view``'s timestamps.
+        """Whether at least a majority of ``replies`` named exactly ``view``.
 
-        The one exit test of every snapshot query round, Garg–Kumar–
-        Tseng–Zheng's equivalence quorum: ``view`` is what the round
-        broadcast (``prev``), and when the test holds the round returns
-        ``view`` itself.  It is implied by Algorithm 1's ``prev = reg``
-        (a server merges the query before it replies, so every reply is
-        ⪰ ``prev``, and ``prev = reg`` after merging them forces each to
-        equal ``prev``) but does not trip on a delivery to the querier's
-        own server mid-round that no reply reported.  It is sound by
-        quorum intersection: server views only grow, any two majorities
-        share a server, and a matching reply answers this round — so
-        ``view`` holds every write that completed before the round began,
-        and two rounds' views are ⪯-ordered in real time.
+        The one verdict of every snapshot query round, Garg–Kumar–Tseng–
+        Zheng's equivalence quorum: ``view`` is what the round broadcast
+        (``prev``), and when the test holds the round returns ``view``
+        itself.  It counts: replies that differ from ``view`` do not spoil
+        it, since a round reads on past its first majority
+        (:meth:`query_collector`) and some majority of its replies may
+        match where the first to arrive did not.  It is implied by
+        Algorithm 1's ``prev = reg`` (a server merges the query before it
+        replies, so every reply is ⪰ ``prev``, and ``prev = reg`` after
+        merging them forces each to equal ``prev``) but does not trip on
+        a delivery to the querier's own server mid-round that no reply
+        reported.  It is sound by quorum intersection: server views only
+        grow, any two majorities share a server, and a matching reply
+        answers this round — so ``view`` holds every write that completed
+        before the round began, and two rounds' views are ⪯-ordered in
+        real time.  None of that asks which majority matched.
 
         A round can end short of a majority (Algorithm 3's ends when task
-        results arrive instead), so the replies are counted: ``all`` over
-        too few of them proves nothing.
+        results arrive instead), so too few replies are no quorum.
         """
         clock = view.vector_clock()
-        return len(replies) >= self.majority and all(
-            ack_clock(reply) == clock for reply in replies
+        matching = sum(ack_clock(reply) == clock for reply in replies)
+        return matching >= self.majority
+
+    def query_collector(
+        self, kind: str, match: Callable[[int, Message], bool]
+    ) -> AckCollector:
+        """The collector of one snapshot query round: its replies decide it.
+
+        The round's view is ``reg`` now, as its first broadcast carries
+        it.  Past its first majority the round reads on until its replies
+        decide it: it succeeds once :meth:`equivalence_quorum` holds over
+        them, and fails once more than ``n − majority`` of them differ
+        from the view, so that it could not hold even if every node yet
+        to reply named the view.  A majority that leaves it undecided ends
+        it at the next retransmission instant
+        (:func:`~repro.net.quorum.broadcast_until`), which does not
+        re-send; the caller's next round has a fresh view and ``ssn``.
+        """
+        view = self.reg.copy()
+        clock = view.vector_clock()
+        slack = self.config.n - self.majority
+
+        def decided(replies: list[Message]) -> bool:
+            items = [reply.reg for reply in replies]
+            if self.equivalence_quorum(view, items):
+                return True
+            return sum(ack_clock(item) != clock for item in items) > slack
+
+        return AckCollector(
+            self, kind, self.majority, match=match, decided=decided
         )
 
     def _delta(self, j: int, entry: TimestampedValue) -> KeyDelta | None:

@@ -26,7 +26,7 @@ from repro.broadcast.reliable import ReliableBroadcast
 from repro.core.base import DepositedWrites, SnapshotResult
 from repro.core.register import AckItem, RegisterArray
 from repro.net.message import Message
-from repro.net.quorum import AckCollector, broadcast_until
+from repro.net.quorum import broadcast_until
 
 __all__ = [
     "DgfrAlwaysTerminating",
@@ -150,9 +150,9 @@ class DgfrAlwaysTerminating(DepositedWrites):
     async def base_snapshot(self, source: int, sn: int) -> None:
         """Run query rounds for task ``(source, sn)`` until a result exists.
 
-        A round whose majority reported exactly the ``prev`` it broadcast
-        (the equivalence quorum, implied by the paper's ``prev = reg``)
-        publishes ``prev`` as the task's result.
+        A round in which a majority of the replies reported exactly the
+        ``prev`` it broadcast (the equivalence quorum, implied by the
+        paper's ``prev = reg``) publishes ``prev`` as the task's result.
         """
         while (source, sn) not in self.rep_snap:
             prev = self.reg.copy()
@@ -167,15 +167,15 @@ class DgfrAlwaysTerminating(DepositedWrites):
     async def _query_round(self, source: int, sn: int) -> list[tuple[AckItem, ...]]:
         """One ``repeat broadcast SNAPSHOT until majority`` for the task.
 
+        Reads past the first majority until the replies decide the round
+        (:meth:`~repro.core.base.SnapshotAlgorithm.query_collector`).
         Returns the replies' ack items, already merged into ``reg``.
         """
 
         def matches(sender: int, msg: Message) -> bool:
             return msg.source == source and msg.sn == sn and msg.ssn == self.ssn
 
-        with AckCollector(
-            self, TaskSnapshotAckMessage.KIND, self.majority, match=matches
-        ) as collector:
+        with self.query_collector(TaskSnapshotAckMessage.KIND, matches) as collector:
             await broadcast_until(
                 self,
                 lambda: TaskSnapshotMessage(

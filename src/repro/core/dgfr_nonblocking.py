@@ -3,11 +3,13 @@
 This is the paper's Algorithm 1 *without* the boxed self-stabilizing
 additions — the original [DGFR18, Algorithm 1].  Write operations always
 terminate (given a live majority); a snapshot operation terminates once it
-completes a query round whose majority reported exactly the view it
-broadcast (the equivalence quorum,
+completes a query round in which a majority of the replies reported
+exactly the view it broadcast (the equivalence quorum,
 :meth:`~repro.core.base.SnapshotAlgorithm.equivalence_quorum`, which
 DGFR's ``prev = reg`` implies), so snapshots are guaranteed to terminate
-only after write operations cease.
+only after write operations cease.  A round reads replies past its first
+majority until they decide it
+(:meth:`~repro.core.base.SnapshotAlgorithm.query_collector`).
 
 Costs (reproduced by benchmark E1): a write is one round trip of
 ``2(n-1)`` messages; an uncontended snapshot is one round trip of
@@ -24,7 +26,7 @@ from typing import Any
 from repro.core.base import SnapshotAlgorithm, SnapshotResult
 from repro.core.register import AckItem
 from repro.net.message import Message
-from repro.net.quorum import AckCollector, broadcast_until
+from repro.net.quorum import broadcast_until
 
 __all__ = ["DgfrNonBlocking", "SnapshotMessage", "SnapshotAckMessage"]
 
@@ -89,14 +91,15 @@ class DgfrNonBlocking(SnapshotAlgorithm):
     async def snapshot(self) -> SnapshotResult:
         """Lines 17–23: query rounds until an interference-free round.
 
-        Each round captures ``prev := reg``, runs one majority query with a
-        fresh ``ssn``, merges the replies, and returns ``prev`` if every
-        reply of its majority reported exactly ``prev`` (the equivalence
-        quorum; the paper's ``prev = reg`` implies it, and unlike it a write
-        merged here mid-round that no reply reported does not cost a
-        round).  With concurrent writes the loop may run forever — that is
-        the non-blocking (rather than always-terminating) guarantee,
-        demonstrated by benchmark E12.
+        Each round captures ``prev := reg``, runs one query with a fresh
+        ``ssn`` until its replies decide it, merges the replies, and
+        returns ``prev`` if a majority of them reported exactly ``prev``
+        (the equivalence quorum; the paper's ``prev = reg`` implies it, and
+        unlike it a write merged here mid-round that no reply reported does
+        not cost a round, nor does one reply naming a newer entry when
+        another majority names ``prev``).  With concurrent writes the loop
+        may run forever — that is the non-blocking (rather than
+        always-terminating) guarantee, demonstrated by benchmark E12.
         """
         with self.operation("snapshot"):
             while True:
@@ -110,6 +113,9 @@ class DgfrNonBlocking(SnapshotAlgorithm):
     async def _query_round(self) -> list[tuple[AckItem, ...]]:
         """Lines 20–21: one ``repeat broadcast SNAPSHOT until majority``.
 
+        The round's view is ``reg`` as it starts (``prev``), and it reads
+        past the first majority until its replies decide it
+        (:meth:`~repro.core.base.SnapshotAlgorithm.query_collector`).
         The ack filter implements line 20's ``ssnJ = ssn`` against the
         *current* value of ``ssn`` — matching the paper's use of the
         mutable variable, which is what heals corrupted in-transit acks in
@@ -120,9 +126,7 @@ class DgfrNonBlocking(SnapshotAlgorithm):
         def matches(sender: int, msg: Message) -> bool:
             return msg.ssn == self.ssn
 
-        with AckCollector(
-            self, SnapshotAckMessage.KIND, self.majority, match=matches
-        ) as collector:
+        with self.query_collector(SnapshotAckMessage.KIND, matches) as collector:
             await broadcast_until(
                 self,
                 lambda: SnapshotMessage(

@@ -43,7 +43,6 @@ from repro.core.base import DepositedWrites, SnapshotResult
 from repro.core.register import AckItem, RegisterArray, TimestampedValue
 from repro.core.ss_nonblocking import GossipPullMessage
 from repro.net.message import Message
-from repro.net.quorum import AckCollector
 
 __all__ = [
     "SelfStabilizingAlwaysTerminating",
@@ -395,13 +394,13 @@ class SelfStabilizingAlwaysTerminating(DepositedWrites):
         """Serve the sampled tasks until none remains eligible here.
 
         The outer loop runs query rounds; an interference-free round (a
-        majority reported exactly ``prev``, the equivalence quorum that
-        the paper's ``prev = reg`` implies) resolves every still-eligible
-        sampled task with ``prev`` in one ``safeReg`` hand-off (many-jobs
-        stealing), which does not wait for the SAVE acks.  An interfered
-        round samples the vector clock into the own task's ``vc`` (line
-        93), which is what lets other nodes count concurrent writes
-        against δ.
+        majority of its replies reported exactly ``prev``, the equivalence
+        quorum that the paper's ``prev = reg`` implies) resolves every
+        still-eligible sampled task with ``prev`` in one ``safeReg``
+        hand-off (many-jobs stealing), which does not wait for the SAVE
+        acks.  An interfered round samples the vector clock into the own
+        task's ``vc`` (line 93), which is what lets other nodes count
+        concurrent writes against δ.
         The outer loop exits early once only the own task remains and δ
         concurrent writes have been observed — control returns to the
         do-forever loop, where every node's Δ now includes the task and
@@ -456,9 +455,12 @@ class SelfStabilizingAlwaysTerminating(DepositedWrites):
     ) -> list[tuple[AckItem, ...]]:
         """Lines 87–90: one ``repeat broadcast SNAPSHOT until …`` round.
 
-        Ends when the served set empties (results arrived via SAVE) or a
-        majority of ssn-matching acks arrived; then merges the replies and
-        returns their ack items — fewer than a majority in the first case.
+        Ends when the served set empties (results arrived via SAVE) or
+        the ssn-matching acks decide the round
+        (:meth:`~repro.core.base.SnapshotAlgorithm.query_collector`), or
+        at the first retransmission instant that finds a majority of them
+        undecided; then merges the replies and returns their ack items —
+        possibly fewer than a majority in the first case.
         """
 
         def matches(sender: int, msg: Message) -> bool:
@@ -466,12 +468,10 @@ class SelfStabilizingAlwaysTerminating(DepositedWrites):
 
         interval = self.config.retransmit_interval
         next_send = -math.inf
-        with AckCollector(
-            self, SnapshotAckMessage3.KIND, self.majority, match=matches
-        ) as collector:
+        with self.query_collector(SnapshotAckMessage3.KIND, matches) as collector:
             while True:
                 served = self._served_now(sampled)
-                if not served or collector.satisfied:
+                if not served or collector.done:
                     break
                 await self.gate.passthrough()
                 # Re-broadcast at most once per retransmit interval; wakes
@@ -479,6 +479,11 @@ class SelfStabilizingAlwaysTerminating(DepositedWrites):
                 # only re-evaluate the exit conditions.
                 now = self.kernel.now
                 if now >= next_send:
+                    if collector.satisfied:
+                        # An undecided majority: no re-send; the next
+                        # round has a fresh view and ssn.
+                        collector.expire()
+                        break
                     if next_send != -math.inf and self.obs is not None:
                         # Re-broadcasts after the first are retransmissions,
                         # same accounting as quorum.broadcast_until.

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 from repro.core.base import ReadMessage, WriteMessage
 from repro.core.dgfr_nonblocking import DgfrNonBlocking, SnapshotMessage
-from repro.core.register import TimestampedValue, ack_clock
+from repro.core.register import AckItem, TimestampedValue, ack_clock
 from repro.net.message import Message
 
 __all__ = ["SelfStabilizingNonBlocking", "GossipMessage", "GossipPullMessage"]
@@ -107,9 +107,10 @@ class SelfStabilizingNonBlocking(DgfrNonBlocking):
         carries ``reg[j]`` to ``p_j`` only.  Each receiver merges what
         the request ships (``_on_write``, ``_on_snapshot_query``,
         ``_on_read``) and answers the timestamp it names, which tells
-        ``p_k`` as much as a digest would.
+        ``p_k`` as much as a digest would.  A crashed node sends nothing,
+        so it tells nobody anything.
         """
-        if not self.crashed:
+        if self.gate.is_open:
             told = self._told
             if isinstance(message, (WriteMessage, SnapshotMessage)):
                 clock = ack_clock(message.reg)
@@ -119,25 +120,34 @@ class SelfStabilizingNonBlocking(DgfrNonBlocking):
                 told[message.j] = message.entry.ts
         super().broadcast(message, include_self)
 
-    def deliver(self, sender: int, message: Message) -> None:
-        """Deliver, noting the own entry a peer's request showed us.
+    # -- a peer's request names its own entry ---------------------------------------
+
+    def _on_write(self, sender: int, message: WriteMessage) -> None:
+        super()._on_write(sender, message)
+        self._heard(sender, message.reg[sender])
+
+    def _on_snapshot_query(self, sender: int, message: SnapshotMessage) -> None:
+        super()._on_snapshot_query(sender, message)
+        self._heard(sender, message.reg[sender])
+
+    def _on_read(self, sender: int, message: ReadMessage) -> None:
+        super()._on_read(sender, message)
+        if message.j == sender:
+            self._heard(sender, message.entry)
+
+    def _heard(self, sender: int, item: AckItem) -> None:
+        """Note the own entry ``p_sender``'s request showed us.
 
         ``p_k``'s ``WRITE`` and ``SNAPSHOT`` name its own ``reg[k].ts``,
         and its ``READ(k, …)`` carries that entry.  Its own entry only
         grows outside a fault, and line 10 keeps ``ts`` above it, so a
-        digest naming that timestamp would tell ``p_k`` nothing.
+        digest naming that timestamp would tell ``p_k`` nothing.  Only
+        the three request handlers call this: acks and digests, most of
+        the traffic, note nothing.
         """
-        super().deliver(sender, message)
-        if self.crashed or sender == self.node_id:
+        if sender == self.node_id:
             return
-        if isinstance(message, (WriteMessage, SnapshotMessage)):
-            ts = message.reg[sender]
-            if not isinstance(ts, int):
-                ts = ts.ts
-        elif isinstance(message, ReadMessage) and message.j == sender:
-            ts = message.entry.ts
-        else:
-            return
+        ts = item if isinstance(item, int) else item.ts
         told = self._told
         if told.get(sender, -1) < ts:
             told[sender] = ts

@@ -160,7 +160,7 @@ class Process:
 
     def deliver(self, sender: int, message: Message) -> None:
         """Entry point used by the network fabric for every arriving packet."""
-        if self.crashed:
+        if not self.gate.is_open:
             # A crashed node takes no receive steps; the packet is lost.
             return
         obs = self.obs
@@ -190,9 +190,8 @@ class Process:
 
     def send(self, dst: int, message: Message) -> None:
         """Send one message (suppressed while crashed)."""
-        if self.crashed:
-            return
-        self.network.send(self.node_id, dst, message)
+        if self.gate.is_open:
+            self.network.send(self.node_id, dst, message)
 
     def broadcast(self, message: Message, include_self: bool = True) -> None:
         """Send to every node; self-delivery uses the zero-cost loopback.
@@ -204,7 +203,7 @@ class Process:
         outgoing traffic (the bounded variants' epoch envelope) wraps
         broadcasts too.
         """
-        if self.crashed:
+        if not self.gate.is_open:
             return
         for dst in range(self.config.n):
             if dst == self.node_id and not include_self:

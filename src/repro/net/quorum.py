@@ -11,11 +11,18 @@ that masks those channel failures; this module is that service:
 * :class:`AckCollector` gathers replies from **distinct** senders that
   satisfy a match predicate (duplicates collapse; stale or reordered
   replies are rejected by the predicate, e.g. ``ssnJ = ssn`` or
-  ``regJ ⪰ lReg``), completing once a threshold is reached.
+  ``regJ ⪰ lReg``).  A round is over once a threshold of them has come,
+  or, for a *decided* round, once they also decide it: after its first
+  majority a snapshot query round keeps reading the replies it paid for
+  (every query goes to all n nodes) until some majority of them names
+  the view it broadcast, or so many differ that none can.
 * :func:`broadcast_until` re-broadcasts the request on a fixed interval
-  until the collector completes — under communication fairness, a message
+  until the collector is done — under communication fairness, a message
   sent infinitely often is received infinitely often, so termination
-  follows whenever a majority of nodes is alive.
+  follows whenever a majority of nodes is alive.  A decided round that
+  a majority has answered but nothing has decided ends at the next
+  retransmission instant instead of re-sending, so a crashed peer's
+  missing reply costs at most one interval.
 """
 
 from __future__ import annotations
@@ -29,7 +36,13 @@ __all__ = ["AckCollector", "broadcast_until"]
 
 
 class AckCollector:
-    """Collects matching replies from distinct senders up to a threshold."""
+    """Collects matching replies from distinct senders up to a threshold.
+
+    With ``decided``, the round also needs its replies to decide it: the
+    collector is done once a threshold of replies has come and
+    ``decided`` holds over all of them, or when :meth:`expire` ends it
+    undecided.
+    """
 
     def __init__(
         self,
@@ -37,6 +50,7 @@ class AckCollector:
         kind: str,
         threshold: int,
         match: Callable[[int, Message], bool] | None = None,
+        decided: Callable[[list[Message]], bool] | None = None,
     ) -> None:
         if threshold < 1:
             raise ValueError(f"threshold must be >= 1, got {threshold}")
@@ -44,6 +58,7 @@ class AckCollector:
         self._kind = kind
         self._threshold = threshold
         self._match = match
+        self._decided = decided
         self._replies: dict[int, Message] = {}
         self._event = process.kernel.create_event()
         self._round = None
@@ -70,19 +85,35 @@ class AckCollector:
         """Feed one arriving reply; returns whether it was accepted."""
         if self._match is not None and not self._match(sender, message):
             return False
-        self._replies[sender] = message
-        if len(self._replies) >= self._threshold:
-            round_ = self._round
-            if round_ is not None and round_.completer is None:
-                round_.completer = sender
-                round_.end = self._process.kernel.now
-            self._event.set()
+        replies = self._replies
+        replies[sender] = message
+        if len(replies) >= self._threshold and not self._event.is_set():
+            decided = self._decided
+            if decided is None or decided(list(replies.values())):
+                self._end(sender)
         return True
+
+    def expire(self) -> None:
+        """End the round undecided (a retransmission instant came first)."""
+        if not self._event.is_set():
+            self._end(None)
+
+    def _end(self, decider: int | None) -> None:
+        round_ = self._round
+        if round_ is not None and round_.end is None:
+            round_.completer = decider
+            round_.end = self._process.kernel.now
+        self._event.set()
 
     @property
     def satisfied(self) -> bool:
         """Whether the threshold has been reached."""
         return len(self._replies) >= self._threshold
+
+    @property
+    def done(self) -> bool:
+        """Whether the round is over: decided, or expired."""
+        return self._event.is_set()
 
     @property
     def replies(self) -> dict[int, Message]:
@@ -94,7 +125,7 @@ class AckCollector:
         return list(self._replies.values())
 
     async def wait(self) -> None:
-        """Block until the threshold is reached."""
+        """Block until the round is over."""
         await self._event.wait()
 
 
@@ -104,17 +135,18 @@ async def broadcast_until(
     collector: AckCollector,
     include_self: bool = True,
 ) -> None:
-    """Re-broadcast ``make_message()`` until ``collector`` is satisfied.
+    """Re-broadcast ``make_message()`` until ``collector`` is done.
 
     The message is rebuilt on every retransmission so that it carries the
     node's *current* state (the paper's loops re-broadcast ``reg`` which
-    may have been merged meanwhile).  While the node is crashed the loop
-    holds at the step gate; on resume it picks up where it left off
-    (undetectable restart).
+    may have been merged meanwhile).  A retransmission instant that finds
+    the threshold reached but the round undecided expires the round
+    instead.  While the node is crashed the loop holds at the step gate;
+    on resume it picks up where it left off (undetectable restart).
     """
     interval = process.config.retransmit_interval
     first = True
-    while not collector.satisfied:
+    while not collector.done:
         await process.gate.passthrough()
         if not first:
             # Every broadcast after the first is a retransmission — the
@@ -128,4 +160,5 @@ async def broadcast_until(
         try:
             await process.kernel.wait_for(collector.wait(), timeout=interval)
         except TimeoutError:
-            continue
+            if collector.satisfied:
+                collector.expire()

@@ -7,7 +7,8 @@ layer records one :class:`QuorumRound` per :class:`~repro.net.quorum.
 AckCollector` lifetime: request start time, per-responder request→reply
 latency (first reply per responder, **including replies that arrive
 after the quorum completed** — those are exactly the limping node's),
-and the *completer*, the responder whose reply reached the threshold.
+and the *completer*, the responder whose reply decided the round (for
+most rounds, the one that reached the threshold).
 
 The reducers in this module run offline over the recorded span tree:
 
@@ -56,9 +57,12 @@ class QuorumRound:
     start: float
     #: Replies needed to complete the round.
     threshold: int
-    #: Kernel time the threshold was reached (``None`` if never).
+    #: Kernel time the round ended (``None`` while it runs).
     end: float | None = None
-    #: Responder whose accepted reply reached the threshold.
+    #: Responder whose accepted reply decided the round: the one that
+    #: reached the threshold, or for a snapshot query round the one that
+    #: made its replies decide it.  ``None`` for a round that ended at a
+    #: retransmission instant undecided.
     completer: int | None = None
     #: Responder id -> first-reply latency relative to ``start``.  Late
     #: replies (after ``end``) keep accumulating here — that is the

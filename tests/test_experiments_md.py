@@ -1,9 +1,10 @@
 """EXPERIMENTS.md's tables are the rows ``python -m repro experiments`` prints.
 
 The message-size tables (E2's write bytes and gossip, E15's request, ack
-and gossip sizes) are checked cell for cell against the registry's rows
-at their default kwargs, so a change that moves a byte count fails here
-until the table is regenerated.  A document cell is compared with the
+and gossip sizes), E10's δ trade-off and E18's δ-under-load table are
+checked cell for cell against the registry's rows at their default
+kwargs, so a change that moves a byte count, a message count or a
+latency fails here until the table is regenerated.  A document cell is compared with the
 CLI's own rendering of the value (``repro.harness.report``), ignoring
 the spaces that group thousands ("1 072").
 """
@@ -29,12 +30,22 @@ TABLE_COLUMNS = {
         "write_msgs",
         "write_bytes_each",
     ),
+    "e10": ("delta", "snap_msgs", "snap_latency", "write_rate"),
     "e15": (
         "n",
         "nu_bytes",
         "write_msg_bytes",
         "write_ack_bytes",
         "gossip_msg_bytes",
+    ),
+    "e18": (
+        "delta",
+        "throughput",
+        "throughput_batch8",
+        "write_p50",
+        "snapshot_p50",
+        "snapshot_p99",
+        "linearizable",
     ),
 }
 

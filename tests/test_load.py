@@ -246,9 +246,16 @@ class TestRunLoad:
 #: the querier mid-round no longer costs a round (57 → 63 operations;
 #: it was ``("7d951f8e5115c91d", 57, 0.8982389875518639)``).  The other
 #: three did not move; ``amortized`` already used the test.
+#: The two single-cluster rows were re-pinned when a snapshot query round
+#: began reading replies past its first majority until they decide it
+#: (``SnapshotAlgorithm.query_collector``): 63 → 56 and 92 → 170
+#: operations; they were ``("03793717ae4c22b6", 63, 1.0195455412748247)``
+#: and ``("622d1ec8e8dc1465", 92, 2.788441590393926)``.  The fabric rows'
+#: scans run inside write fences, where the first majority always
+#: matches, and did not move.
 PINNED_RUNS = {
-    ("ss-nonblocking", 4, None): ("03793717ae4c22b6", 63, 1.0195455412748247),
-    ("amortized", 4, None): ("622d1ec8e8dc1465", 92, 2.788441590393926),
+    ("ss-nonblocking", 4, None): ("b8be45809e5d0f41", 56, 1.1152812356244166),
+    ("amortized", 4, None): ("8811f2c564af536b", 170, 4.901165516321818),
     ("ss-nonblocking", 1, 2): ("b1bf268625d8efe6", 62, 1.8829318197710612),
     ("amortized", 4, 2): ("02ef49b25f88f3e3", 233, 6.773242052676778),
 }
