@@ -35,6 +35,9 @@ class CycleTracker:
     def __init__(self, kernel: Kernel, processes: Iterable[Process]) -> None:
         self._kernel = kernel
         self._processes = list(processes)
+        #: Each process's id and crash gate, read at every iteration: a
+        #: node crashes and resumes at any time, so liveness is not cached.
+        self._gates = [(p.node_id, p.gate) for p in self._processes]
         self.cycles_elapsed = 0
         self._seen_this_cycle: set[int] = set()
         self._waiters: list[tuple[int, SimFuture]] = []
@@ -42,12 +45,17 @@ class CycleTracker:
         for process in self._processes:
             process.add_iteration_listener(self._on_iteration)
 
-    def _alive_ids(self) -> set[int]:
-        return {p.node_id for p in self._processes if not p.crashed}
+    def _all_alive_seen(self) -> bool:
+        """Whether every non-crashed process iterated this cycle."""
+        seen = self._seen_this_cycle
+        for node_id, gate in self._gates:
+            if node_id not in seen and gate.is_open:
+                return False
+        return True
 
     def _on_iteration(self, node_id: int) -> None:
         self._seen_this_cycle.add(node_id)
-        if self._alive_ids() <= self._seen_this_cycle:
+        if self._all_alive_seen():
             self.cycles_elapsed += 1
             self._seen_this_cycle.clear()
             for listener in self._boundary_listeners:

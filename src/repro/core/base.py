@@ -321,7 +321,7 @@ class SnapshotAlgorithm(Process):
         def message() -> WriteMessage:
             reg = self.reg.copy()
             reg.merge_from(l_reg)
-            return WriteMessage(reg=self.request_items(reg))
+            return self.write_request(self.request_items(reg))
 
         with AckCollector(
             self, WriteAckMessage.KIND, self.majority, match=matches
@@ -425,6 +425,10 @@ class SnapshotAlgorithm(Process):
             return own
         return tuple(map(min, own, *clocks.values()))
 
+    def write_request(self, items: tuple[AckItem, ...]) -> WriteMessage:
+        """The ``WRITE`` a write round sends: ``items`` from :meth:`request_items`."""
+        return WriteMessage(reg=items)
+
     def request_items(self, view: RegisterArray) -> tuple[AckItem, ...]:
         """``view`` as a register-array request: whole only above the floor.
 
@@ -484,10 +488,12 @@ class SnapshotAlgorithm(Process):
         slack = self.config.n - self.majority
 
         def decided(replies: list[Message]) -> bool:
-            items = [reply.reg for reply in replies]
-            if self.equivalence_quorum(view, items):
+            # A reply's named clock stands for its items: ack_clock of a
+            # clock is the clock.  Each is derived once per message.
+            clocks = [_named_clock(reply) for reply in replies]
+            if self.equivalence_quorum(view, clocks):
                 return True
-            return sum(ack_clock(item) != clock for item in items) > slack
+            return sum(named != clock for named in clocks) > slack
 
         return AckCollector(
             self, kind, self.majority, match=match, decided=decided

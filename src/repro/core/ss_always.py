@@ -30,7 +30,13 @@ Differences from the Algorithm 2 baseline, following Section 4:
   clocks and corrupted own-task entries, and gossips register timestamps
   and task indices — giving the O(1)-cycle recovery of Theorem 2.  As in
   Algorithm 1 (:mod:`repro.core.ss_nonblocking`), a register entry
-  itself travels only when its owner is behind and pulls it.
+  itself travels only when its owner is behind and pulls it, and
+  requests stand in for digests under Algorithm 1's rule
+  (:class:`~repro.core.ss_nonblocking.RequestEvidence`) with an ``sns``
+  half added: ``WRITE`` and ``SNAPSHOT`` also name the sender's own
+  ``sns``, and while an operation is in flight a tick skips the digest
+  to ``p_k`` when requests since the last tick named ``p_k``'s current
+  ``reg[k].ts`` and, from ``p_k``, an ``sns`` at least ``pndTsk[k].sns``.
 """
 
 from __future__ import annotations
@@ -39,9 +45,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.core.base import DepositedWrites, SnapshotResult
+from repro.core.base import DepositedWrites, SnapshotResult, WriteMessage
 from repro.core.register import AckItem, RegisterArray, TimestampedValue
-from repro.core.ss_nonblocking import GossipPullMessage
+from repro.core.ss_nonblocking import GossipPullMessage, RequestEvidence
 from repro.net.message import Message
 
 __all__ = [
@@ -51,6 +57,7 @@ __all__ = [
     "TaskDescriptor",
     "GossipMessage3",
     "SnapshotMessage3",
+    "WriteMessage3",
     "SnapshotAckMessage3",
     "SaveMessage",
     "SaveAckMessage",
@@ -113,7 +120,9 @@ class GossipMessage3(Message):
     ``pndTsk_j[i].sns ≤ sns_i``, so the gossiped index must be the
     sender's view of the receiver's task, not the sender's own counter —
     absorbing the sender's own ``sns`` would manufacture phantom tasks at
-    every peer).
+    every peer).  While an operation is in flight the digest is skipped
+    where requests since the last tick already said both halves
+    (:meth:`SelfStabilizingAlwaysTerminating.stands_in`).
     """
 
     KIND = "GOSSIP"
@@ -127,13 +136,27 @@ class SnapshotMessage3(Message):
     """``SNAPSHOT(S ∩ Δ, reg, ssn)``: query carrying the served tasks.
 
     ``reg`` is request items
-    (:meth:`~repro.core.base.SnapshotAlgorithm.request_items`).
+    (:meth:`~repro.core.base.SnapshotAlgorithm.request_items`).  ``sns``
+    is the sender's own task index, as in :class:`WriteMessage3`.
     """
 
     KIND = "SNAPSHOT"
     tasks: tuple[TaskDescriptor, ...]
     reg: tuple[AckItem, ...]
     ssn: int
+    sns: int
+
+
+@dataclass(frozen=True)
+class WriteMessage3(WriteMessage):
+    """Algorithm 3's ``WRITE(lReg)``, also naming the sender's own ``sns``.
+
+    With it a request from ``p_k`` shows its receiver both halves of the
+    digest that receiver would send ``p_k`` (:class:`GossipMessage3`),
+    so the receiver's next tick may skip that digest.
+    """
+
+    sns: int
 
 
 @dataclass(frozen=True)
@@ -161,7 +184,7 @@ class SaveAckMessage(Message):
     ids: frozenset[tuple[int, int]]
 
 
-class SelfStabilizingAlwaysTerminating(DepositedWrites):
+class SelfStabilizingAlwaysTerminating(RequestEvidence, DepositedWrites):
     """Algorithm 3; δ comes from ``config.delta`` (∞ = UNBOUNDED_DELTA)."""
 
     SELF_STABILIZING = True
@@ -194,6 +217,44 @@ class SelfStabilizingAlwaysTerminating(DepositedWrites):
         #: Used by experiment E11.
         self.helping_listeners: list = []
         self.helping_episodes: int = 0
+
+    # -- requests stand in for digests (the sns half) ------------------------------
+
+    def forget_evidence(self) -> None:
+        """Also empties ``_heard_sns``: peer ``k`` → the largest ``sns``
+        its requests since the last tick named."""
+        super().forget_evidence()
+        self._heard_sns: dict[int, int] = {}
+
+    def stands_in(self, k: int) -> bool:
+        """Both halves of the digest to ``p_k`` were said since the last tick.
+
+        The ``ts`` half is Algorithm 1's.  The ``sns`` half: a request from
+        ``p_k`` named an ``sns`` at least ``pndTsk[k].sns``.  Outside a
+        fault ``sns_k`` only grows, so ``p_k``'s ``max{sns, snsJ}`` (line
+        99) would change nothing, and Definition 1(iii)'s ``pndTsk[k].sns
+        ≤ sns_k`` already holds for this node's view.
+        """
+        return (
+            super().stands_in(k)
+            and self._heard_sns.get(k, -1) >= self.pnd_tsk[k].sns
+        )
+
+    def heard_request(self, sender: int, message: Message) -> None:
+        """Note the own entry and the own ``sns`` ``p_sender``'s request named.
+
+        A ``WRITE`` of the shared base class names no ``sns``: it shows
+        the ``ts`` half only.
+        """
+        super().heard_request(sender, message)
+        sns = getattr(message, "sns", None)
+        if sns is not None and sender != self.node_id:
+            if self._heard_sns.get(sender, -1) < sns:
+                self._heard_sns[sender] = sns
+
+    def write_request(self, items: tuple[AckItem, ...]) -> WriteMessage3:
+        """A ``WRITE`` naming this node's own ``sns`` too."""
+        return WriteMessage3(reg=items, sns=self.sns)
 
     # -- macros (lines 69–72) --------------------------------------------------------
 
@@ -305,16 +366,20 @@ class SelfStabilizingAlwaysTerminating(DepositedWrites):
         # collectors filter on the current ssn and store nothing else.
         # Line 75: heal the operation indices from local evidence.  Each
         # branch fires only when the cleanup actually changed state — a
-        # corrupted-state detection, counted for E7/E8.
+        # corrupted-state detection, counted for E7/E8.  A detection on
+        # lines 75–77 also voids the digest-skip evidence, which the same
+        # fault may have written: this tick gossips to every peer.
         obs = self.obs
         reg_ts = self.reg[self.node_id].ts
         if self.ts < reg_ts:
             self.ts = reg_ts
+            self.forget_evidence()
             if obs is not None:
                 obs.ts_heals += 1
         task_sns = self.pnd_tsk[self.node_id].sns
         if self.sns < task_sns:
             self.sns = task_sns
+            self.forget_evidence()
             if obs is not None:
                 obs.sns_heals += 1
         # Line 76: clear vector clocks that could not have been sampled
@@ -325,17 +390,20 @@ class SelfStabilizingAlwaysTerminating(DepositedWrites):
                 sample > current for sample, current in zip(task.vc, vc)
             ):
                 task.vc = None
+                self.forget_evidence()
                 if obs is not None:
                     obs.vc_clears += 1
         # Line 77: re-assert the own-task invariant sns = pndTsk[i].sns.
         mine = self.pnd_tsk[self.node_id]
         if self.sns != mine.sns:
             self.pnd_tsk[self.node_id] = PendingTask(sns=self.sns)
+            self.forget_evidence()
             if obs is not None:
                 obs.task_repairs += 1
             self._notify()
-        # Line 78: gossip each peer its own entry's timestamp and task index.
-        for peer in self.peers():
+        # Line 78: gossip each peer its own entry's timestamp and task index,
+        # but for the peers requests since the last tick told both already.
+        for peer in self.digest_peers():
             self.send(
                 peer,
                 GossipMessage3(
@@ -493,6 +561,7 @@ class SelfStabilizingAlwaysTerminating(DepositedWrites):
                             tasks=tuple(served[k] for k in sorted(served)),
                             reg=self.request_items(self.reg),
                             ssn=self.ssn,
+                            sns=self.sns,
                         )
                     )
                     next_send = now + interval
@@ -599,6 +668,7 @@ class SelfStabilizingAlwaysTerminating(DepositedWrites):
         )
         if help_entries:
             self.send(sender, SaveMessage(entries=tuple(help_entries)))
+        self.heard_request(sender, message)
         self._notify()
 
     def _on_write(self, sender: int, message: Message) -> None:

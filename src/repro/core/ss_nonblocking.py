@@ -26,9 +26,10 @@ and a ``READ(j, …)`` carries ``reg[j]`` to ``p_j``, which is all a
 digest says; a request *from* ``p_k`` names its own entry's timestamp,
 which a digest would only echo.  So while an operation is in flight, a
 tick skips the digest to a peer whose *current* ``reg[k].ts`` a request
-since the previous tick named either way (``_told``, emptied every
-tick, so a scrambled one costs at most one digest per peer).  Idle, all
-n(n−1) digests still go out each cycle.
+since the previous tick named either way (:class:`RequestEvidence`,
+emptied every tick, so a scrambled one costs at most one digest per
+peer; Algorithm 3 shares the rule).  Idle, all n(n−1) digests still go
+out each cycle.
 
 Together these guarantee Theorem 1: within O(1) asynchronous cycles of a
 fair execution, ``ts_i`` dominates every timestamp attributed to ``p_i``
@@ -41,12 +42,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.base import ReadMessage, WriteMessage
+from repro.core.base import ReadMessage, SnapshotAlgorithm, WriteMessage
 from repro.core.dgfr_nonblocking import DgfrNonBlocking, SnapshotMessage
 from repro.core.register import AckItem, TimestampedValue, ack_clock
 from repro.net.message import Message
 
-__all__ = ["SelfStabilizingNonBlocking", "GossipMessage", "GossipPullMessage"]
+__all__ = [
+    "SelfStabilizingNonBlocking",
+    "RequestEvidence",
+    "GossipMessage",
+    "GossipPullMessage",
+]
 
 
 @dataclass(frozen=True)
@@ -78,26 +84,53 @@ class GossipPullMessage(Message):
     KIND = "GOSSIPpull"
 
 
-class SelfStabilizingNonBlocking(DgfrNonBlocking):
-    """Algorithm 1 with the boxed self-stabilizing additions enabled."""
+class RequestEvidence(SnapshotAlgorithm):
+    """Requests stand in for digests: the one skip rule of both loops.
 
-    SELF_STABILIZING = True
+    Every ``WRITE`` and ``SNAPSHOT`` names ``reg[k].ts`` to each ``p_k``,
+    shipped or elided, and a ``READ(j, …)`` carries ``reg[j]`` to
+    ``p_j``; a request *from* ``p_k`` names ``p_k``'s own entry.  Either
+    way ``p_k`` learns what a digest naming that timestamp would tell it.
+    ``_told`` keeps, per peer ``k``, a ``reg[k].ts`` that a request since
+    the last do-forever tick carried in either direction; the tick
+    (:meth:`digest_peers`) skips the digest to ``p_k`` while an operation
+    is in flight and :meth:`stands_in` holds, then empties the evidence,
+    so nothing in it outlives one gossip period — a corrupted ``_told``
+    suppresses at most one digest per peer.  A tick that repairs the
+    node's own state empties it first (:meth:`forget_evidence`): the
+    fault it detected may have written the evidence too.  Algorithm 3
+    adds its ``sns`` half to the same rule (:mod:`repro.core.ss_always`).
+    """
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.register_handler(GossipMessage.KIND, self._on_gossip)
-        self.register_handler(GossipPullMessage.KIND, self._on_gossip_pull)
+    #: The kinds of the requests that name every ``reg[k].ts``.
+    _ARRAY_REQUEST_KINDS = ("WRITE", "SNAPSHOT")
 
     def initialize_state(self) -> None:
-        """Adds ``_told``: peer ``k`` → a ``reg[k].ts`` that ``p_k`` holds.
-
-        Filled by the requests sent to or received from ``p_k`` since the
-        last do-forever tick and emptied by that tick, so nothing in it
-        outlives one gossip period — a corrupted ``_told`` suppresses at
-        most one digest per peer.
-        """
+        """Adds the evidence, empty: ``_told`` maps peer ``k`` → a ``reg[k].ts``."""
         super().initialize_state()
+        self.forget_evidence()
+
+    def forget_evidence(self) -> None:
+        """Empty the evidence (every tick, a tick's repair of local state,
+        and a bounded variant's reset)."""
         self._told: dict[int, int] = {}
+
+    def stands_in(self, k: int) -> bool:
+        """Whether requests since the last tick told ``p_k`` what its digest would."""
+        return self._told.get(k) == self.reg[k].ts
+
+    def digest_peers(self) -> list[int]:
+        """The peers this tick gossips to; empties the evidence.
+
+        Idle, every peer: there are no requests to stand in for anything,
+        so recovery from an arbitrary state (evidence scrambled to match
+        included) never waits on one.
+        """
+        peers = self.peers()
+        if self.busy:
+            peers = [k for k in peers if not self.stands_in(k)]
+        self.forget_evidence()
+        return peers
 
     def broadcast(self, message: Message, include_self: bool = True) -> None:
         """Broadcast, noting which own-entry timestamps a request carried.
@@ -112,7 +145,7 @@ class SelfStabilizingNonBlocking(DgfrNonBlocking):
         """
         if self.gate.is_open:
             told = self._told
-            if isinstance(message, (WriteMessage, SnapshotMessage)):
+            if message.KIND in self._ARRAY_REQUEST_KINDS:
                 clock = ack_clock(message.reg)
                 for k in self.peers():
                     told[k] = clock[k]
@@ -124,16 +157,20 @@ class SelfStabilizingNonBlocking(DgfrNonBlocking):
 
     def _on_write(self, sender: int, message: WriteMessage) -> None:
         super()._on_write(sender, message)
-        self._heard(sender, message.reg[sender])
-
-    def _on_snapshot_query(self, sender: int, message: SnapshotMessage) -> None:
-        super()._on_snapshot_query(sender, message)
-        self._heard(sender, message.reg[sender])
+        self.heard_request(sender, message)
 
     def _on_read(self, sender: int, message: ReadMessage) -> None:
         super()._on_read(sender, message)
         if message.j == sender:
             self._heard(sender, message.entry)
+
+    def heard_request(self, sender: int, message: Message) -> None:
+        """Note what ``p_sender``'s ``WRITE`` or ``SNAPSHOT`` showed us.
+
+        Its ``reg`` names ``p_sender``'s own ``reg[sender].ts``.  The
+        ``WRITE`` and ``SNAPSHOT`` handlers call this, after merging.
+        """
+        self._heard(sender, message.reg[sender])
 
     def _heard(self, sender: int, item: AckItem) -> None:
         """Note the own entry ``p_sender``'s request showed us.
@@ -151,6 +188,21 @@ class SelfStabilizingNonBlocking(DgfrNonBlocking):
         told = self._told
         if told.get(sender, -1) < ts:
             told[sender] = ts
+
+
+class SelfStabilizingNonBlocking(RequestEvidence, DgfrNonBlocking):
+    """Algorithm 1 with the boxed self-stabilizing additions enabled."""
+
+    SELF_STABILIZING = True
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.register_handler(GossipMessage.KIND, self._on_gossip)
+        self.register_handler(GossipPullMessage.KIND, self._on_gossip_pull)
+
+    def _on_snapshot_query(self, sender: int, message: SnapshotMessage) -> None:
+        super()._on_snapshot_query(sender, message)
+        self.heard_request(sender, message)
 
     # -- do-forever loop (lines 8–11) ---------------------------------------------
 
@@ -174,16 +226,14 @@ class SelfStabilizingNonBlocking(DgfrNonBlocking):
         if self.ts < reg_ts:
             # The branch only fires when local evidence contradicts ``ts``
             # (a transient fault or restart pushed it low) — that is a
-            # corrupted-state detection, counted for E7/E8.
+            # corrupted-state detection, counted for E7/E8.  It voids the
+            # digest-skip evidence too: this tick gossips to every peer.
             self.ts = reg_ts
+            self.forget_evidence()
             if self.obs is not None:
                 self.obs.ts_heals += 1
-        told = self._told if self.busy else {}
-        for peer in self.peers():
-            ts = self.reg[peer].ts
-            if told.get(peer) != ts:
-                self.send(peer, GossipMessage(ts=ts, entry=None))
-        self._told = {}
+        for peer in self.digest_peers():
+            self.send(peer, GossipMessage(ts=self.reg[peer].ts, entry=None))
 
     # -- gossip server side (lines 24–25) --------------------------------------------
 

@@ -2,7 +2,8 @@
 
 The paper's fault model lets a transient fault drive the system into an
 *arbitrary* state — control variables (``ts``, ``ssn``, ``sns``,
-``tag``, ``_told``, ``base``, the peer clocks), the register buffers —
+``tag``, the digest-skip evidence ``_told`` and ``_heard_sns``,
+``base``, the peer clocks), the register buffers —
 down to one key's seq inside a slot map — the pending-task table, the
 pending SAVEs, and the contents of every communication channel may all
 hold garbage (only the code stays intact).
@@ -85,8 +86,8 @@ class TransientFaultInjector:
 
         Each peer is left out, mapped to its current ``reg[k].ts`` (the
         worst case: its next digest is skipped) or mapped to a wild
-        index.  A node without ``_told`` (every variant but Algorithm 1
-        and its descendants) draws nothing.
+        index.  A node without ``_told`` (every variant but Algorithms 1
+        and 3 and their descendants) draws nothing.
         """
         for node_id in self._targets(node_ids):
             process = self._cluster.node(node_id)
@@ -100,6 +101,27 @@ class TransientFaultInjector:
                 elif choice == 2:
                     told[k] = self._wild_ts()
             process._told = told
+
+    def corrupt_heard_sns(self, node_ids: Iterable[int] | None = None) -> None:
+        """Overwrite ``_heard_sns``, Algorithm 3's ``sns`` evidence per peer.
+
+        Each peer is left out, mapped to its current ``pndTsk[k].sns``
+        (the worst case, with ``_told``: its next digest is skipped) or
+        mapped to a wild index.  A node without it (every variant but
+        Algorithm 3 and its bounded descendant) draws nothing.
+        """
+        for node_id in self._targets(node_ids):
+            process = self._cluster.node(node_id)
+            if not hasattr(process, "_heard_sns"):
+                continue
+            heard: dict[int, int] = {}
+            for k in process.peers():
+                choice = self._rng.randrange(3)
+                if choice == 1:
+                    heard[k] = process.pnd_tsk[k].sns
+                elif choice == 2:
+                    heard[k] = self._wild_ts()
+            process._heard_sns = heard
 
     def corrupt_registers(
         self,
@@ -346,11 +368,12 @@ class TransientFaultInjector:
         self.scramble_channels()
         # Last, so every draw above is the one it was before reads (and
         # then requests standing in for gossip, key-map deltas and the
-        # SAVE sender, then peer clocks) existed.  Key maps and pending
-        # SAVEs draw only where one is held, so a run that holds none
-        # draws exactly what it did before.
+        # SAVE sender, then peer clocks, then Algorithm 3's sns evidence)
+        # existed.  Key maps and pending SAVEs draw only where one is
+        # held, so a run that holds none draws exactly what it did before.
         self.corrupt_read_tags(node_ids)
         self.corrupt_told(node_ids)
         self.corrupt_key_maps(node_ids)
         self.corrupt_pending_saves(node_ids)
         self.corrupt_peer_clocks(node_ids)
+        self.corrupt_heard_sns(node_ids)

@@ -314,6 +314,7 @@ class _SpecRun:
         elif mode == "registers":
             self.injector.corrupt_registers()
             self.injector.corrupt_told()
+            self.injector.corrupt_heard_sns()
         elif mode == "consensus":
             self.injector.corrupt_consensus()
         else:

@@ -67,7 +67,9 @@ def e01_nonblocking_op_costs(n_values=(4, 8, 12, 16), seed=0):
 _E2_LOAD_DURATION = 40.0
 
 
-def e02_gossip_overhead(n_values=(4, 8, 12), cycles=5, seed=0):
+def e02_gossip_overhead(
+    n_values=(4, 8, 12), cycles=5, seed=0, algorithm="ss-nonblocking"
+):
     """E2 (Figure 1 lower / Contribution 1): SS gossip overhead.
 
     Paper claim: the self-stabilizing variant adds O(n²) gossip messages
@@ -76,13 +78,14 @@ def e02_gossip_overhead(n_values=(4, 8, 12), cycles=5, seed=0):
     Idle, every cycle sends all n(n−1) digests; under an 80:20 closed
     loop (n clients) a request that already carried ``reg[k].ts`` between
     a node and ``p_k`` stands in for that cycle's digest, so fewer are
-    sent.
+    sent.  ``algorithm`` may be ``ss-always`` too, whose requests also
+    name the sender's ``sns``, the other half of its digest.
     """
     from repro.load.driver import LoadGenerator, LoadSpec
 
     rows = []
     for n in n_values:
-        cluster = _cluster("ss-nonblocking", n, seed)
+        cluster = _cluster(algorithm, n, seed)
         cluster.write_sync(0, value_of_size(32))
         with cluster.metrics.window() as window:
             cluster.run_until(cluster.settle_cycles(cycles), max_events=None)

@@ -117,8 +117,8 @@ def _reset_validator(expected_epoch: int, n: int):
 class _BoundedCounterMixin:
     """The MAXINT/epoch/global-reset machinery shared by both variants.
 
-    Subclasses provide :meth:`_max_local_index` (overflow detection) and
-    :meth:`_apply_index_reset` (zero the indices, keep the values).
+    Subclasses may extend :meth:`_max_local_index` (overflow detection)
+    and :meth:`_apply_index_reset` (zero the indices, keep the values).
     """
 
     def initialize_state(self) -> None:
@@ -151,8 +151,10 @@ class _BoundedCounterMixin:
     def _apply_index_reset(self, values: RegisterArray) -> None:
         """Install the agreed values with all indices back at 0.
 
-        The peer clocks empty too: they name pre-reset timestamps, every
-        one too high for the restarted indices.
+        The peer clocks and the digest-skip evidence empty too: they name
+        pre-reset timestamps, which would be too high for, or match, the
+        restarted indices — and a resetting node skips the gossip tick
+        that empties the evidence.
         """
         for k in range(self.config.n):
             self.reg[k] = TimestampedValue(0, values[k].value)
@@ -160,6 +162,7 @@ class _BoundedCounterMixin:
         self.ssn = 0
         self.tag = 0
         self.peer_clocks = {}
+        self.forget_evidence()
 
     # -- epoch envelope ------------------------------------------------------------
 
@@ -372,12 +375,6 @@ class BoundedSelfStabilizingNonBlocking(
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._install_reset_handlers()
-
-    def _apply_index_reset(self, values: RegisterArray) -> None:
-        # A resetting node skips the gossip tick that empties ``_told``,
-        # and its pre-reset timestamps would match the restarted indices.
-        super()._apply_index_reset(values)
-        self._told = {}
 
 
 class BoundedSelfStabilizingAlwaysTerminating(

@@ -197,6 +197,24 @@ class BrokenGossipSticky(SelfStabilizingNonBlocking):
 register_algorithm("broken-gossip-sticky", BrokenGossipSticky)
 
 
+class BrokenAlwaysGossipSticky(SelfStabilizingAlwaysTerminating):
+    """Deliberately wrong, Algorithm 3's twin of ``broken-gossip-sticky``:
+    the do-forever tick never empties the digest-skip evidence (``_told``
+    and ``_heard_sns``), so requests a peer once saw stand in for every
+    later digest to their peer, and an owner whose entry a fault lowered
+    stays behind as long as that peer's operation waits."""
+
+    async def do_forever_iteration(self) -> None:
+        told, heard = self._told, self._heard_sns
+        await super().do_forever_iteration()
+        # The tick emptied both; what requests noted since stays on top.
+        self._told = {**told, **self._told}
+        self._heard_sns = {**heard, **self._heard_sns}
+
+
+register_algorithm("broken-always-gossip-sticky", BrokenAlwaysGossipSticky)
+
+
 class BrokenDeltaByTs(AmortizedSnapshot):
     """Deliberately wrong: a key-map delta is applied to whatever copy a
     server holds below its timestamp, without checking the base digest.

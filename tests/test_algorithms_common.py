@@ -409,7 +409,7 @@ class TestEntryExchange:
 def snapshot_query(algorithm, reg):
     """A ``SNAPSHOT`` carrying ``reg`` in the shape ``algorithm`` serves."""
     if algorithm == "ss-always":
-        return SnapshotMessage3(tasks=(), reg=reg, ssn=5), SnapshotAckMessage3
+        return SnapshotMessage3(tasks=(), reg=reg, ssn=5, sns=0), SnapshotAckMessage3
     if algorithm == "dgfr-always":
         return (
             TaskSnapshotMessage(source=1, sn=1, reg=reg, ssn=5),
@@ -436,8 +436,10 @@ class TestAckElision:
             ack = sent_ack(cluster, 2, 1, request, ack_class)
             assert ack.reg == (0, 4, 0, news, 0)
             assert cluster.node(2).reg[1] == reg[1]  # merged, not echoed
-            # Five timestamps and one 32-byte value come back, nothing else.
+            # Five timestamps and one 32-byte value come back, nothing else;
+            # Algorithm 3's query names the sender's sns, which no ack echoes.
             extra = request.wire_size() - WriteMessage(reg=reg).wire_size()
+            extra -= 8 * hasattr(request, "sns")
             assert ack.wire_size() == 16 + 5 * 8 + 32 + extra
 
     @pytest.mark.parametrize("algorithm", ALL + ["amortized"])

@@ -13,6 +13,7 @@ from repro import ClusterConfig, SimBackend, UNBOUNDED_DELTA
 from repro.analysis.linearizability import check_snapshot_history
 from repro.config import ChannelConfig
 from repro.core.base import WriteDeposit
+from repro.core.register import TimestampedValue
 from repro.errors import NodeCrashedError
 from repro.net.node import OpId
 
@@ -638,3 +639,120 @@ def test_a_run_ending_with_a_save_pending_leaves_nothing_unawaited():
     )
     assert result.returncode == 0, result.stderr
     assert "never awaited" not in result.stderr, result.stderr
+
+
+def digest_spy(cluster, src):
+    """Record the receivers of every do-forever digest ``src`` sends."""
+    from repro.core.ss_always import GossipMessage3
+
+    receivers = []
+    original = cluster.network.send
+
+    def spy(sender, dst, message):
+        if (
+            sender == src
+            and isinstance(message, GossipMessage3)
+            and message.entry is None
+        ):
+            receivers.append(dst)
+        original(sender, dst, message)
+
+    cluster.network.send = spy
+    return receivers
+
+
+def tick(node):
+    """Run one do-forever iteration that has nothing to serve."""
+    with pytest.raises(StopIteration):
+        node.do_forever_iteration().send(None)
+
+
+class TestRequestsStandInForDigests:
+    """Algorithm 3's digest names ``reg[k].ts`` and ``pndTsk[k].sns``;
+    its requests name the sender's own ``sns``, so a tick may skip the
+    digest to a peer whose requests since the last tick said both."""
+
+    def test_loaded_gossip_per_cycle_falls_below_idle(self):
+        """E2's 80:20 closed loop at n=4: 14.5 digests a cycle loaded
+        against 11.4 idle while no request stood in for any."""
+        from repro.harness.costs import e02_gossip_overhead
+
+        (row,) = e02_gossip_overhead(n_values=(4,), seed=0, algorithm="ss-always")
+        assert row["loaded_gossip_per_cycle"] < row["gossip_msgs_per_cycle"]
+
+    def test_a_request_naming_a_lower_sns_does_not_skip_the_digest(self):
+        """Busy, ``p_1``'s request carries its current own entry; its digest
+        is skipped only if the request's ``sns`` reaches ``pndTsk[1].sns``,
+        and idle it is never skipped."""
+        from repro.core.ss_always import SnapshotMessage3, WriteMessage3
+
+        cluster = make("ss-always", n=4, seed=21, delta=2)
+        for k in range(4):
+            cluster.write_sync(k, f"v{k}")
+        cluster.snapshot_sync(1)
+        cluster.run_until(cluster.settle_cycles(2))
+        node, peer = cluster.node(0), cluster.node(1)
+        assert node.pnd_tsk[1].sns == peer.sns == 1
+        receivers = digest_spy(cluster, 0)
+
+        def request(kind, sns):
+            if kind == "WRITE":
+                return WriteMessage3(reg=peer.reg.copy(), sns=sns)
+            return SnapshotMessage3(tasks=(), reg=peer.reg.copy(), ssn=9, sns=sns)
+
+        with node.operation("snapshot"):
+            for kind in ("WRITE", "SNAPSHOT"):
+                for sns, skipped in ((0, False), (1, True), (2, True)):
+                    receivers.clear()
+                    node.deliver(1, request(kind, sns))
+                    tick(node)
+                    assert receivers == ([2, 3] if skipped else [1, 2, 3])
+                    assert node._told == {} and node._heard_sns == {}
+            # Both halves, but p_1's entry moved on since: news.
+            receivers.clear()
+            node.deliver(1, request("WRITE", 1))
+            node.reg[1] = TimestampedValue(node.reg[1].ts + 1, "newer")
+            tick(node)
+            assert receivers == [1, 2, 3]
+        receivers.clear()
+        node.deliver(1, request("WRITE", 1))
+        tick(node)
+        assert receivers == [1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "algorithm, healed",
+        [("ss-always", True), ("broken-always-gossip-sticky", False)],
+    )
+    def test_owner_corrupted_low_heals_while_a_read_waits(
+        self, algorithm, healed
+    ):
+        """Peer 1 holds evidence that once stood in for its digest to the
+        owner, and its read of register 2 waits on two crashed servers.
+        Busy, it may skip one digest on that evidence, not every later
+        one: the next digest and the pull restore the owner within 5
+        cycles."""
+        import broken_algorithms  # noqa: F401  (registers the engine)
+
+        cluster = make(algorithm, n=4, seed=25, delta=2)
+        cluster.write_sync(0, "real")
+        cluster.snapshot_sync(1)
+        cluster.crash(2)
+        cluster.crash(3)
+        node, peer = cluster.node(0), cluster.node(1)
+
+        async def scenario():
+            read = cluster.spawn(cluster.read(1, 2))
+            await cluster.kernel.sleep(0.0)
+            assert not read.done()
+            peer._told[0] = 1  # what the owner's write showed
+            peer._heard_sns[0] = node.sns
+            node.reg[0] = TimestampedValue(0, None)  # corrupted low
+            node.ts = 0
+            await cluster.settle_cycles(5)
+            assert not read.done()
+            read.cancel()
+
+        cluster.run_until(scenario(), max_events=None)
+        # A digest crashed p3 had in flight may still raise ``ts``; only
+        # a live peer's digest draws the pull that brings the value back.
+        assert (node.reg[0] == TimestampedValue(1, "real")) is healed

@@ -209,6 +209,22 @@ class TestEpochHygiene:
         )
         assert node._told == {}
 
+    def test_commit_empties_both_halves_of_the_evidence_on_algorithm_3(self):
+        """Algorithm 3's reset takes the same path as Algorithm 1's: the
+        ``sns`` evidence of 0 would match every restarted task index."""
+        cluster = SimBackend(
+            "bounded-ss-always", ClusterConfig(n=4, seed=13, max_int=1000)
+        )
+        cluster.write_sync(0, "x")
+        node = cluster.node(1)
+        node._enter_reset()
+        node._told = {0: 0, 2: 0, 3: 0}
+        node._heard_sns = {0: 0, 2: 0, 3: 0}
+        node._apply_commit(
+            ResetCommitMessage(new_epoch=1, values=node.reg.copy())
+        )
+        assert node._told == {} and node._heard_sns == {}
+
     @pytest.mark.parametrize(
         "algorithm", ["bounded-ss-nonblocking", "bounded-ss-always"]
     )

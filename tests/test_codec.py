@@ -22,6 +22,7 @@ from repro.core.ss_always import (
     SaveMessage,
     SnapshotMessage3,
     TaskDescriptor,
+    WriteMessage3,
 )
 from repro.core.ss_nonblocking import GossipMessage, GossipPullMessage
 from repro.net.codec import (
@@ -42,6 +43,8 @@ def reg(*entries):
 
 ROUND_TRIP_CASES = [
     WriteMessage(reg=reg((1, b"a"), (0, None))),
+    # Algorithm 3's WRITE also names the sender's own sns.
+    WriteMessage3(reg=(TimestampedValue(2, "w"), 1), sns=3),
     # Acks ship an entry where it is news and name the timestamp otherwise.
     WriteAckMessage(reg=(TimestampedValue(3, "text"), 2)),
     SnapshotMessage(reg=reg((0, None), (0, None)), ssn=7),
@@ -60,6 +63,7 @@ ROUND_TRIP_CASES = [
         ),
         reg=reg((1, "v"), (0, None), (2, "w")),
         ssn=3,
+        sns=2,
     ),
     SaveMessage(entries=((1, 2, reg((1, "r"), (0, None))),)),
     SaveAckMessage(ids=frozenset({(1, 2), (3, 4)})),
@@ -69,6 +73,20 @@ ROUND_TRIP_CASES = [
 
 
 class TestRoundTrips:
+    def test_algorithm3_write_names_its_sns_in_one_int(self):
+        """The subclass decodes as itself and costs one int more, in the
+        size model and in the reference model alike."""
+        from reference_sizer import reference_measure_size
+
+        from repro.net.message import INT_BYTES, measure_size
+
+        items = (TimestampedValue(2, b"w" * 16), 1, 0)
+        plain, named = WriteMessage(reg=items), WriteMessage3(reg=items, sns=5)
+        decoded = decode_message(encode_message(named))
+        assert decoded == named and type(decoded) is WriteMessage3
+        assert named.wire_size() == plain.wire_size() + INT_BYTES
+        assert measure_size(named) == reference_measure_size(named)
+
     @pytest.mark.parametrize(
         "message", ROUND_TRIP_CASES, ids=lambda m: type(m).__name__
     )

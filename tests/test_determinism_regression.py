@@ -33,8 +33,10 @@ GOLDEN_FINGERPRINTS = {
     "ss-nonblocking": (("v4", "v1", "v2", "v3"), 108, 12.184287),
     # Re-pinned when a write deposit began ending the do-forever loop's
     # sleep instead of waiting out the gossip period (138 msgs,
-    # 17.875608 before).
-    "ss-always": (("v4", "v1", "v2", "v3"), 120, 13.877561),
+    # 17.875608 before), and again when Algorithm 3's requests began
+    # standing in for its digests: a skipped digest draws no channel
+    # delay, so every later delay shifts (120 msgs, 13.877561 before).
+    "ss-always": (("v4", "v1", "v2", "v3"), 126, 13.78219),
 }
 
 

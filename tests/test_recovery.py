@@ -300,6 +300,132 @@ def test_scrambled_peer_clocks_heal_within_the_cycle_bound(algorithm, seed):
     assert all(result is not None for result in cluster.snapshot_sync(0).values)
 
 
+def digest_receivers(cluster, src):
+    """Record the receivers of every do-forever digest ``src`` sends."""
+    receivers = []
+    original = cluster.network.send
+
+    def spy(sender, dst, message):
+        if sender == src and message.kind == "GOSSIP" and message.entry is None:
+            receivers.append(dst)
+        original(sender, dst, message)
+
+    cluster.network.send = spy
+    return receivers
+
+
+def node_tick(node):
+    """One do-forever iteration with nothing to serve (it never awaits)."""
+    with pytest.raises(StopIteration):
+        node.do_forever_iteration().send(None)
+
+
+def scramble_evidence(injector, node_ids=None):
+    """Both halves of the digest-skip evidence (a no-op where absent)."""
+    injector.corrupt_told(node_ids)
+    injector.corrupt_heard_sns(node_ids)
+
+
+@pytest.mark.parametrize("algorithm", ["ss-nonblocking", "ss-always"])
+def test_scrambled_evidence_suppresses_at_most_one_digest_per_peer(algorithm):
+    """Busy, a scrambled evidence map skips at most the next tick's digest
+    to each peer, and the tick after it gossips to every peer; idle, it
+    skips nothing."""
+    from contextlib import ExitStack
+
+    cluster = make(algorithm, n=4, seed=23)
+    cluster.write_sync(1, "x")
+    cluster.snapshot_sync(2)
+    node = cluster.node(0)
+    receivers = digest_receivers(cluster, 0)
+    injector = TransientFaultInjector(cluster, seed=5)
+    skipped = 0
+    with ExitStack() as in_flight:
+        for busy in (False, True):
+            if busy:
+                in_flight.enter_context(node.operation("snapshot"))
+            for _ in range(20):
+                scramble_evidence(injector, [0])
+                receivers.clear()
+                node_tick(node)
+                skipped += 3 - len(receivers)
+                assert busy or receivers == [1, 2, 3]
+                receivers.clear()
+                node_tick(node)
+                assert receivers == [1, 2, 3]
+    assert skipped > 0  # busy, the scramble does suppress digests
+
+
+@pytest.mark.parametrize("algorithm", ["ss-nonblocking", "ss-always"])
+def test_a_tick_that_detects_corruption_skips_no_digest(algorithm):
+    """Busy, with evidence naming every peer's current state, a tick skips
+    every digest; the same tick after a fault pushed ``ts`` below the
+    node's own entry heals it and gossips to every peer, since the fault
+    may have written the evidence too."""
+    cluster = make(algorithm, n=4, seed=23)
+    cluster.write_sync(0, "x")
+    node = cluster.node(0)
+    receivers = digest_receivers(cluster, 0)
+
+    def evidence_naming_every_peer():
+        node._told = {k: node.reg[k].ts for k in (1, 2, 3)}
+        if algorithm == "ss-always":
+            node._heard_sns = {k: node.pnd_tsk[k].sns for k in (1, 2, 3)}
+
+    with node.operation("snapshot"):
+        evidence_naming_every_peer()
+        node_tick(node)
+        assert receivers == []
+        evidence_naming_every_peer()
+        node.ts = 0  # below reg[0].ts = 1: a detected corruption
+        node_tick(node)
+        assert receivers == [1, 2, 3] and node.ts == 1
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("algorithm", ["ss-nonblocking", "ss-always"])
+def test_scrambled_evidence_heals_within_the_cycle_bound(algorithm, seed):
+    """Indices, registers, pending tasks and the digest-skip evidence
+    scrambled while every node keeps snapshotting, so every tick may skip
+    digests: the evidence costs at most one digest per peer, and the state
+    is Definition-1 consistent again within the cycle bound of Theorems
+    1–2."""
+    cluster = make(algorithm, seed=seed)
+    for node in range(5):
+        cluster.write_sync(node, f"pre{node}")
+    cluster.snapshot_sync(0)
+    injector = TransientFaultInjector(cluster, seed=seed)
+    injector.corrupt_write_indices()
+    injector.corrupt_snapshot_indices()
+    injector.corrupt_registers()
+    injector.corrupt_pending_tasks()
+    scramble_evidence(injector)
+    assert not definition1_consistent(cluster).ok
+    stopped = []
+
+    async def keep_snapshotting(node):
+        while not stopped:
+            await cluster.snapshot(node)
+
+    async def cycles_to_consistent():
+        busy = [cluster.spawn(keep_snapshotting(node)) for node in range(5)]
+        cluster.tracker.reset()
+        cycles = None
+        for _ in range(RECOVERY_CYCLE_BOUND + 1):
+            if definition1_consistent(cluster).ok:
+                cycles = cluster.tracker.cycles_elapsed
+                break
+            await cluster.tracker.wait_cycles(1)
+        stopped.append(True)
+        await cluster.kernel.gather(busy)
+        return cycles
+
+    cycles = cluster.run_until(cycles_to_consistent(), max_events=None)
+    assert cycles is not None and cycles <= RECOVERY_CYCLE_BOUND
+    cluster.write_sync(3, "post")
+    assert cluster.snapshot_sync(4).values[3] == "post"
+
+
 class TestFaultInjectorMechanics:
     def test_targets_specific_nodes(self):
         cluster = make("ss-nonblocking")

@@ -85,6 +85,7 @@ class TestSnapshotQueryHandler:
             tasks=(TaskDescriptor(2, 5, (0, 0, 0, 0)),),
             reg=RegisterArray(4),
             ssn=1,
+            sns=0,
         )
         node._on_snapshot_query(1, message)
         assert node.pnd_tsk[2].sns == 5
@@ -100,6 +101,7 @@ class TestSnapshotQueryHandler:
                 tasks=(TaskDescriptor(2, 5, None),),
                 reg=RegisterArray(4),
                 ssn=1,
+                sns=0,
             ),
         )
         assert node.pnd_tsk[2].sns == 9
@@ -117,6 +119,7 @@ class TestSnapshotQueryHandler:
                 ),
                 reg=RegisterArray(4),
                 ssn=1,
+                sns=0,
             ),
         )
         assert all(task.sns == 0 for task in node.pnd_tsk)
@@ -131,6 +134,7 @@ class TestSnapshotQueryHandler:
                 tasks=(TaskDescriptor(2, 5, (9, 9, 9, 9)),),
                 reg=RegisterArray(4),
                 ssn=1,
+                sns=0,
             ),
         )
         assert node.pnd_tsk[2].vc == (1, 1, 1, 1)
