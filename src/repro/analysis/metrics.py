@@ -5,6 +5,9 @@ O(n·ν) bits", "O(n²) gossip messages of O(ν) bits").  The network fabric
 reports every send here, tagged with the message kind, so benchmarks can
 regenerate those counts.  :meth:`MetricsCollector.window` measures the
 traffic attributable to one operation in a quiescent run.
+
+:func:`percentile` is the package's one exact quantile: a nearest-rank
+order statistic over recorded samples (load latencies, probe medians).
 """
 
 from __future__ import annotations
@@ -12,11 +15,23 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.errors import ObservabilityError
 
-__all__ = ["MetricsCollector", "MetricsSnapshot", "TrafficWindow"]
+__all__ = ["MetricsCollector", "MetricsSnapshot", "TrafficWindow", "percentile"]
+
+
+def percentile(sorted_values: Sequence[float], q: float) -> float:
+    """Nearest-rank ``q``-quantile of an ascending sequence (``q`` in 0..1).
+
+    The sample at index ``min(n - 1, int(q * n))``, never an
+    interpolation between two; ``0.0`` when there are no samples.  The
+    ledger's ``ledger.loadgen.percentile`` is defined the same way.
+    """
+    if not sorted_values:
+        return 0.0
+    return sorted_values[min(len(sorted_values) - 1, int(q * len(sorted_values)))]
 
 
 @dataclass(frozen=True, slots=True)

@@ -580,8 +580,9 @@ class DepositedWrites(SnapshotAlgorithm):
 
     A deposit wakes the loop (:meth:`~repro.net.node.Process.wake`): the
     paper runs the loop back to back, so its write waits for the next
-    iteration, not for the rest of a gossip period.  A snapshot task does
-    not wake it.
+    iteration, not for the rest of a gossip period.  Algorithm 3's
+    snapshot task wakes it the same way
+    (:meth:`~repro.core.ss_always.SelfStabilizingAlwaysTerminating.snapshot`).
     """
 
     def initialize_state(self) -> None:

@@ -25,6 +25,11 @@ Differences from the Algorithm 2 baseline, following Section 4:
 * **Many-jobs stealing.**  A single run of ``baseSnapshot`` serves *all*
   currently eligible tasks (the set Δ, line 70): one interference-free
   round resolves every one of them with a single ``safeReg`` hand-off.
+* **Work wakes the loop.**  The paper runs the do-forever loop back to
+  back; here it sleeps ``gossip_interval`` between iterations, and a
+  write deposit or a newly registered snapshot task ends that sleep
+  (:meth:`~repro.net.node.Process.wake`), so line 79 or line 80 serves
+  it in the next iteration rather than after the rest of a tick.
 * **Self-stabilization.**  The do-forever loop discards stale acks,
   re-asserts index consistency (``ts``, ``sns``), clears illogical vector
   clocks and corrupted own-task entries, and gossips register timestamps
@@ -431,13 +436,19 @@ class SelfStabilizingAlwaysTerminating(RequestEvidence, DepositedWrites):
     # -- operations (lines 81–83; the write is DepositedWrites') ------------------
 
     async def snapshot(self) -> SnapshotResult:
-        """Lines 82–83: register the task, wait for its final result."""
+        """Lines 82–83: register the task, wait for its final result.
+
+        Registering wakes the do-forever loop, as a write deposit does:
+        line 80 serves the task in the next iteration, not after the
+        rest of a gossip period.
+        """
         with self.operation("snapshot"):
             self.sns += 1
             self.pnd_tsk[self.node_id] = PendingTask(sns=self.sns)
             if self.obs is not None:
                 self.obs.phase("snapshot.task_registered")
             self._notify()
+            self.wake()
             mine = lambda: self.pnd_tsk[self.node_id]  # noqa: E731
             await self._wait_until(lambda: mine().fnl is not None)
             return SnapshotResult.from_registers(mine().fnl)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.analysis.metrics import percentile
 from repro.config import ChannelConfig, ClusterConfig, UNBOUNDED_DELTA
 from repro.backend.sim import SimBackend
 from repro.harness.workloads import ContinuousWriters
@@ -223,11 +224,6 @@ _WRITE_KINDS = ("WRITE", "WRITEack")
 _SNAPSHOT_KINDS = ("SNAPSHOT", "SNAPSHOTack", "SNAP", "END", "SAVE", "SAVEack")
 
 
-def _median(samples):
-    ordered = sorted(samples)
-    return ordered[len(ordered) // 2] if ordered else 0.0
-
-
 def backend_latency_probe(
     backend: str = "sim",
     algorithm: str = "ss-nonblocking",
@@ -269,8 +265,8 @@ def backend_latency_probe(
             "algorithm": algorithm,
             "n": n,
             "ops": ops,
-            "write_p50": round(_median(write_latency), 2),
-            "snapshot_p50": round(_median(snapshot_latency), 2),
+            "write_p50": round(percentile(sorted(write_latency), 0.5), 2),
+            "snapshot_p50": round(percentile(sorted(snapshot_latency), 0.5), 2),
             "write_msgs_per_op": round(stats.messages(*_WRITE_KINDS) / ops, 2),
             "snapshot_msgs_per_op": round(
                 stats.messages(*_SNAPSHOT_KINDS) / ops, 2

@@ -30,9 +30,10 @@ low-ranked targets (a Zipf-like weight ``1/(rank+1)^skew``).  Over nodes
 that is per-register skew; over keys it is key popularity, and popular
 keys hash to whichever shards own them, so the **hot-shard imbalance**
 shows up directly in the report (``per_shard`` counts and the max/mean
-``imbalance`` ratio).  Per-operation latency lands in
-:class:`~repro.obs.registry.QuantileHistogram` instruments
-(p50/p95/p99), and the recorded operation history is checked for
+``imbalance`` ratio).  Every operation's latency is kept, and the
+report's p50/p95/p99 are exact nearest-rank order statistics over those
+samples (:func:`~repro.analysis.metrics.percentile`); the recorded
+operation history is checked for
 linearizability at the end, so a load run is also a correctness
 campaign.
 
@@ -47,6 +48,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
 from repro.analysis.linearizability import check_snapshot_history
+from repro.analysis.metrics import percentile
 from repro.backend.base import run_on_backend
 from repro.config import ClusterConfig, scenario_config
 from repro.errors import ConfigurationError
@@ -61,6 +63,7 @@ __all__ = [
     "LoadSpec",
     "LoadReport",
     "parse_mix",
+    "latency_summary",
     "run_load",
     "run_load_campaigns",
 ]
@@ -170,6 +173,8 @@ class LoadReport:
     errors: int
     elapsed: float
     throughput: float
+    #: ``"all"``, ``"write"`` and ``"snapshot"`` → :func:`latency_summary`
+    #: of the completed operations' latencies.
     latency: dict[str, dict[str, float]]
     metrics: dict[str, Any]
     #: Critical-path attribution for the run (``None`` unless a single
@@ -185,6 +190,9 @@ class LoadReport:
     per_shard: dict[int, int] = field(default_factory=dict)
     composes: int = 0
     fenced_composes: int = 0
+    #: The latencies behind ``latency``, ascending, per kind (``"write"``,
+    #: ``"snapshot"``): what a caller pools across runs (E18).
+    samples: dict[str, list[float]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -225,6 +233,22 @@ class LoadReport:
             f"p50 {self.latency['all']['p50']:.1f}u"
             f" p99 {self.latency['all']['p99']:.1f}u, {verdict}"
         )
+
+
+def latency_summary(samples: list[float]) -> dict[str, float]:
+    """Count, sum, min, max, mean and exact p50/p95/p99 of ascending samples."""
+    count = len(samples)
+    total = sum(samples)
+    return {
+        "count": count,
+        "sum": total,
+        "min": samples[0] if samples else 0.0,
+        "max": samples[-1] if samples else 0.0,
+        "mean": total / count if count else 0.0,
+        "p50": percentile(samples, 0.50),
+        "p95": percentile(samples, 0.95),
+        "p99": percentile(samples, 0.99),
+    }
 
 
 async def _settle(task: Any) -> None:
@@ -280,6 +304,8 @@ class LoadGenerator:
             1.0 / (rank + 1) ** spec.skew for rank in range(len(self._targets))
         ]
         self._in_flight = 0
+        #: Completed operations' latencies per kind, in completion order.
+        self._latencies: dict[str, list[float]] = {"write": [], "snapshot": []}
         self._start = 0.0
         self._last_completion = 0.0
         self.submitted = 0
@@ -301,8 +327,7 @@ class LoadGenerator:
         gauge = self.registry.gauge("load.max_in_flight")
         if self._in_flight > gauge.value:
             gauge.set(self._in_flight)
-        hist = self.registry.quantile_histogram(f"load.{kind}_latency")
-        overall = self.registry.quantile_histogram("load.latency")
+        latencies = self._latencies[kind]
 
         def _on_done(done: Any) -> None:
             self._in_flight -= 1
@@ -311,9 +336,7 @@ class LoadGenerator:
                 self.errors += 1
                 self.registry.counter("load.ops_failed").inc()
                 return
-            latency = kernel.now - submitted_at
-            hist.observe(latency)
-            overall.observe(latency)
+            latencies.append(kernel.now - submitted_at)
             self.registry.counter("load.ops_completed").inc()
             self._last_completion = kernel.now
 
@@ -404,9 +427,9 @@ class LoadGenerator:
         ``fabric`` carries the fabric-only :class:`LoadReport` fields.
         """
 
-        def stats(name: str) -> dict[str, float]:
-            return self.registry.quantile_histogram(name).value
-
+        samples = {
+            kind: sorted(latencies) for kind, latencies in self._latencies.items()
+        }
         completed = self.registry.counter("load.ops_completed").value
         elapsed = max(self._last_completion - self._start, 1e-9)
         return LoadReport(
@@ -421,13 +444,16 @@ class LoadGenerator:
             elapsed=elapsed,
             throughput=completed / elapsed,
             latency={
-                "all": stats("load.latency"),
-                "write": stats("load.write_latency"),
-                "snapshot": stats("load.snapshot_latency"),
+                "all": latency_summary(
+                    sorted(samples["write"] + samples["snapshot"])
+                ),
+                "write": latency_summary(samples["write"]),
+                "snapshot": latency_summary(samples["snapshot"]),
             },
             metrics=self.registry.collect(),
             attribution=self.attribution(),
             failures=failures,
+            samples=samples,
             **fabric,
         )
 

@@ -13,8 +13,8 @@ paper's algorithms as deployed systems under saturation:
 * **E18** — the δ trade-off under real load: Algorithm 3's δ knob delays
   snapshot helping until δ concurrent writes are observed.  E10 measured
   its *message* cost; here we measure what a saturated mixed workload
-  actually experiences — aggregate throughput and snapshot tail latency
-  as δ grows.
+  actually experiences — write latency and snapshot tail latency as δ
+  grows, pooled over eight seeded runs per δ.
 * **E19** — the scaling claim behind the sharded fabric: one n-node
   cluster saturates at ≈1 op/u (the ``load --sweep`` knee at n=4), so K
   *independent* clusters behind the consistent-hash router should
@@ -29,7 +29,7 @@ pure functions of their seed.
 from __future__ import annotations
 
 from repro.config import scenario_config
-from repro.load.driver import CLOSED, LoadSpec, run_load
+from repro.load.driver import CLOSED, LoadSpec, latency_summary, run_load
 
 __all__ = [
     "e17_throughput_vs_n",
@@ -101,56 +101,63 @@ def e17_throughput_vs_n(
 
 
 def e18_delta_vs_throughput(
-    backend=None, deltas=(0, 2, 8), n=5, duration=30.0, seed=0
+    backend=None, deltas=(0, 2, 8), n=5, duration=300.0, seed=0, seeds=8
 ):
-    """E18 / Contribution 2 — δ vs throughput and snapshot tails under load.
+    """E18 / Contribution 2 — δ vs write and snapshot latency under load.
 
     Saturated closed-loop mixed workload (70:30 write:snapshot, ``n``
-    pipelined clients) against Algorithm 3 (``ss-always``) at several δ.
-    Larger δ lets writes run longer before snapshot helping blocks them —
-    faster writes (a lower write p50), longer snapshot tails — the same
-    trade-off E10 showed in messages, now in operation latency under load.
+    clients keeping two operations in flight) against Algorithm 3
+    (``ss-always``) at several δ.  Larger δ lets writes run longer before
+    snapshot helping blocks them — faster writes (a lower write p50),
+    longer snapshot tails — the same trade-off E10 showed in messages,
+    now in operation latency under load.
 
-    Each δ also runs with a transport batch window of 8 (the PR 10
-    batched row): clients here are FIFO-serialized per node, so the
-    window mostly coalesces retransmissions and gossip that share an
-    instant with operation traffic — the measurement shows transport
-    batching is safe (and roughly neutral) for serialized clients, in
-    contrast to the ``amortized`` variant's shared-round win in E17.
+    One run's tail is the largest of a few dozen snapshots, so each δ
+    pools the latency samples of ``seeds`` runs (seeds ``seed`` …
+    ``seed + seeds - 1``, ``duration`` time units each) and reports exact
+    quantiles of the pool, its sample counts and the pooled throughput
+    (completions over the runs' summed elapsed time).
     """
     backend = backend or "sim"
     rows = []
     for delta in deltas:
-        def drive(batch=None):
-            spec = LoadSpec(
-                mode=CLOSED,
-                clients=n,
-                depth=2,
-                duration=duration,
-                write_fraction=0.7,
-                seed=seed,
-            )
-            return run_load(
+        reports = [
+            run_load(
                 backend=backend,
                 algorithm="ss-always",
-                config=scenario_config(
-                    n=n, seed=seed, delta=delta, batch=batch
+                config=scenario_config(n=n, seed=run_seed, delta=delta),
+                spec=LoadSpec(
+                    mode=CLOSED,
+                    clients=n,
+                    depth=2,
+                    duration=duration,
+                    write_fraction=0.7,
+                    seed=run_seed,
                 ),
-                spec=spec,
             )
-
-        report = drive()
-        batched = drive(batch=8)
+            for run_seed in range(seed, seed + seeds)
+        ]
+        writes, snapshots = (
+            latency_summary(sorted(t for r in reports for t in r.samples[kind]))
+            for kind in ("write", "snapshot")
+        )
         rows.append(
             {
                 "backend": backend,
                 "delta": delta,
-                "throughput": round(report.throughput, 2),
-                "throughput_batch8": round(batched.throughput, 2),
-                "write_p50": round(report.latency["write"]["p50"], 1),
-                "snapshot_p50": round(report.latency["snapshot"]["p50"], 1),
-                "snapshot_p99": round(report.latency["snapshot"]["p99"], 1),
-                "linearizable": report.ok and batched.ok,
+                "runs": len(reports),
+                "writes": writes["count"],
+                "snapshots": snapshots["count"],
+                "throughput": round(
+                    sum(r.completed for r in reports)
+                    / sum(r.elapsed for r in reports),
+                    2,
+                ),
+                "write_p50": round(writes["p50"], 1),
+                "snapshot_p50": round(snapshots["p50"], 1),
+                "snapshot_p99": round(snapshots["p99"], 1),
+                "snapshot_max": round(snapshots["max"], 1),
+                "linearizable": all(r.ok for r in reports),
             }
         )
     return rows

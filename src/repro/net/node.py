@@ -263,7 +263,9 @@ class Process:
         A sleep in progress ends now; otherwise the loop skips the sleep
         after the iteration it is running.  Either way one call buys one
         early iteration, which is a whole one: the loop's period
-        (``gossip_interval``) paces every iteration after it.
+        (``gossip_interval``) paces every iteration after it.  The loops
+        that serve client work call it when work arrives: an Algorithm
+        2/3 write deposit and an Algorithm 3 snapshot task.
         """
         nap = self._nap
         if nap is None:

@@ -153,8 +153,11 @@ class Histogram:
 class QuantileHistogram:
     """A log-bucketed histogram with quantile estimates (p50/p95/p99).
 
-    The load driver needs tail latencies, which the streaming
-    :class:`Histogram` cannot provide (it keeps no distribution).  This
+    For live views and alert rules that need tail quantiles, which the
+    streaming :class:`Histogram` cannot provide (it keeps no
+    distribution), where keeping every sample is not an option; a caller
+    that keeps its samples takes exact order statistics instead
+    (:func:`repro.analysis.metrics.percentile`).  This
     instrument buckets samples geometrically (±2.5% relative error per
     bucket at the default growth factor), so memory stays bounded and —
     like every registry instrument — recording never draws RNG or

@@ -14,6 +14,7 @@ from repro.analysis.linearizability import check_snapshot_history
 from repro.config import ChannelConfig
 from repro.core.base import WriteDeposit
 from repro.core.register import TimestampedValue
+from repro.core.ss_always import SelfStabilizingAlwaysTerminating
 from repro.errors import NodeCrashedError
 from repro.net.node import OpId
 
@@ -434,6 +435,81 @@ def test_resetting_node_with_a_deposit_still_sleeps():
     assert cluster.run_until(scenario(), max_events=100_000) == 4
     assert cluster.kernel.now == 205.0
     assert node.resetting and not node.write_pending.taken
+
+
+def record_kinds(process, log):
+    """Append ``(time, kind)`` for every message ``process`` sends."""
+    send = process.send
+
+    def recording_send(dst, message):
+        log.append((process.kernel.now, getattr(message, "inner", message).KIND))
+        send(dst, message)
+
+    process.send = recording_send
+
+
+@pytest.mark.parametrize("algorithm", ["ss-always", "bounded-ss-always"])
+class TestSnapshotTaskWakesTheLoop:
+    """Registering a snapshot task ends the loop's sleep (line 80 is next)."""
+
+    def test_first_query_round_starts_when_the_task_registers(self, algorithm):
+        cluster = idle_cluster(algorithm)
+        node = cluster.node(0)
+        sent = []
+
+        async def scenario():
+            await cluster.kernel.sleep(10.0)  # the loop sleeps until t=50
+            record_kinds(node, sent)
+            start = cluster.kernel.now
+            await cluster.snapshot(0)
+            return cluster.kernel.now - start
+
+        # One query round trip; the parent's loop waited until t=50.
+        assert cluster.run_until(scenario()) == 2.0
+        assert min(t for t, kind in sent if kind == "SNAPSHOT") == 10.0
+
+    def test_the_woken_iteration_is_a_whole_one(self, algorithm):
+        cluster = idle_cluster(algorithm)
+        node = cluster.node(0)
+        sent = []
+
+        async def scenario():
+            await cluster.kernel.sleep(10.0)
+            record_kinds(node, sent)
+            before = node.iterations_completed
+            await cluster.snapshot(0)
+            return node.iterations_completed - before
+
+        assert cluster.run_until(scenario()) == 1
+        # Line 78's digests went out in the woken iteration, before line 80.
+        kinds = [kind for _t, kind in sent]
+        assert kinds.count("GOSSIP") == 2
+        assert kinds.index("GOSSIP") < kinds.index("SNAPSHOT")
+
+
+def test_resetting_node_with_a_snapshot_task_still_sleeps():
+    """Algorithm 3's snapshot wakes a resetting node once; it serves
+    nothing and sleeps again rather than spinning."""
+    cluster = idle_cluster("bounded-ss-always")
+    node = cluster.node(0)
+    cluster.crash(1)
+    cluster.crash(2)  # no majority: the reset never ends
+    node.resetting = True
+    ended = []
+    node.add_iteration_listener(lambda _node: ended.append(cluster.kernel.now))
+
+    async def scenario():
+        await cluster.kernel.sleep(10.0)
+        ended.clear()
+        # The unbounded snapshot itself: the bounded wrapper refuses a
+        # snapshot while resetting, before the task is registered.
+        cluster.kernel.create_task(SelfStabilizingAlwaysTerminating.snapshot(node))
+        await cluster.kernel.sleep(195.0)
+
+    cluster.run_until(scenario(), max_events=100_000)
+    assert ended == [10.0, 60.0, 110.0, 160.0]
+    assert node.resetting and node.pnd_tsk[0].sns == 1
+    assert node.pnd_tsk[0].fnl is None
 
 
 def hold_save_acks(cluster, node_id):

@@ -1,7 +1,7 @@
 """EXPERIMENTS.md's tables are the rows ``python -m repro experiments`` prints.
 
 The message-size tables (E2's write bytes and gossip, E15's request, ack
-and gossip sizes), E10's δ trade-off and E18's δ-under-load table are
+and gossip sizes), E10's δ trade-off and E18's pooled δ-under-load table are
 checked cell for cell against the registry's rows at their default
 kwargs, so a change that moves a byte count, a message count or a
 latency fails here until the table is regenerated.  A document cell is compared with the
@@ -40,11 +40,14 @@ TABLE_COLUMNS = {
     ),
     "e18": (
         "delta",
+        "runs",
+        "writes",
+        "snapshots",
         "throughput",
-        "throughput_batch8",
         "write_p50",
         "snapshot_p50",
         "snapshot_p99",
+        "snapshot_max",
         "linearizable",
     ),
 }

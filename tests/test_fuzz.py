@@ -375,7 +375,7 @@ class TestPinnedCounterexamples:
         spec, payload = load_counterexample(path)
         assert spec.shards == 2 and spec.decision_script is not None
         assert payload["shrink"] == {
-            "original_events": 150, "final_events": 9, "runs": 188
+            "original_events": 9, "final_events": 4, "runs": 32
         }
         assert "misses write" in payload["failures"][0]
         first, second = replay_counterexample(path), replay_counterexample(path)

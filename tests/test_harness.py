@@ -72,6 +72,14 @@ def test_gate_holds(name):
     assert entry.check_small() == []
 
 
+def test_e18_verdict_holds_on_disjoint_seed_sets():
+    """The pooled δ trade-off reads the same on seeds 8–15 and 16–23 as
+    on the registered 0–7."""
+    entry = EXPERIMENTS["e18"]
+    for seed in (8, 16):
+        assert list(entry.gate(entry.runner(seed=seed))) == [], seed
+
+
 class TestGatesFail:
     """A gate that cannot fail shows nothing: each of these breaks one
     claim in real rows and expects the gate to say so."""

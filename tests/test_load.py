@@ -26,6 +26,7 @@ from repro.load import (
     run_load_campaigns,
     sweep_rates,
 )
+from repro.analysis.metrics import percentile
 from repro.obs.registry import QuantileHistogram
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -88,6 +89,36 @@ class TestQuantileHistogram:
         hist.observe(-5.0)  # clamps to zero rather than corrupting buckets
         assert hist.value["max"] == 0.0
         assert hist.quantile(0.5) == 0.0
+
+
+class TestExactLatency:
+    def test_percentile_is_the_ledgers_nearest_rank(self):
+        from ledger.loadgen import percentile as ledger_percentile
+
+        for n in (0, 1, 2, 7, 100):
+            values = [float(value) for value in range(n)]
+            for q in (0.0, 0.5, 0.95, 0.99, 1.0):
+                assert percentile(values, q) == ledger_percentile(values, q)
+
+    def test_report_quantiles_are_order_statistics_of_its_samples(self):
+        report = run_load(
+            "sim",
+            "ss-nonblocking",
+            scenario_config(n=4, seed=3, delta=2),
+            LoadSpec(clients=4, duration=20.0, seed=3),
+        )
+        writes, snapshots = report.samples["write"], report.samples["snapshot"]
+        everything = sorted(writes + snapshots)
+        assert len(everything) == report.completed > 0
+        for kind, samples in (
+            ("all", everything), ("write", writes), ("snapshot", snapshots)
+        ):
+            assert samples == sorted(samples)
+            summary = report.latency[kind]
+            assert summary["count"] == len(samples)
+            assert summary["max"] == samples[-1]
+            for name, q in (("p50", 0.5), ("p95", 0.95), ("p99", 0.99)):
+                assert summary[name] == percentile(samples, q) in samples
 
 
 class TestOperationPipeline:
@@ -426,7 +457,7 @@ class TestCapacityGates:
         assert baseline.knee_rate == 0.5
         assert baseline.saturated_throughput >= self.SATURATED_FLOOR
         # Past the knee the baseline's open-loop queue diverges; shared
-        # rounds keep the amortized median flat (189.6 u vs 3.3 u).
+        # rounds keep the amortized median flat (176.6 u vs 3.2 u).
         baseline_p50 = baseline.points[-1].latency["all"]["p50"]
         for batch in (None, 8):
             top = sweep_rates(
