@@ -173,9 +173,6 @@ class LoadReport:
     errors: int
     elapsed: float
     throughput: float
-    #: ``"all"``, ``"write"`` and ``"snapshot"`` → :func:`latency_summary`
-    #: of the completed operations' latencies.
-    latency: dict[str, dict[str, float]]
     metrics: dict[str, Any]
     #: Critical-path attribution for the run (``None`` unless a single
     #: cluster ran under an ambient obs session — ``--stats``, ``top``):
@@ -190,9 +187,22 @@ class LoadReport:
     per_shard: dict[int, int] = field(default_factory=dict)
     composes: int = 0
     fenced_composes: int = 0
-    #: The latencies behind ``latency``, ascending, per kind (``"write"``,
-    #: ``"snapshot"``): what a caller pools across runs (E18).
+    #: The completed operations' latencies, ascending, per kind
+    #: (``"write"``, ``"snapshot"``): what :attr:`latency` summarises and
+    #: what a caller pools across runs (E18).
     samples: dict[str, list[float]] = field(default_factory=dict)
+
+    @property
+    def latency(self) -> dict[str, dict[str, float]]:
+        """``"all"``, ``"write"`` and ``"snapshot"`` → :func:`latency_summary`
+        of :attr:`samples`."""
+        writes = self.samples.get("write", [])
+        snapshots = self.samples.get("snapshot", [])
+        return {
+            "all": latency_summary(sorted(writes + snapshots)),
+            "write": latency_summary(writes),
+            "snapshot": latency_summary(snapshots),
+        }
 
     @property
     def ok(self) -> bool:
@@ -266,6 +276,12 @@ class LoadGenerator:
     ``issue(kind, target, payload)`` (``kind`` is ``"write"`` or
     ``"snapshot"``; the return value is the operation's task handle) and
     needs only a ``kernel`` attribute.
+
+    Every completed operation's latency is kept for :meth:`report`'s exact
+    quantiles, so memory grows with the operations of the run: accepted
+    for runs of a set ``spec.duration`` that end in a report.  A run that
+    never reads the report (``repro top``) passes ``record(kind,
+    latency)`` instead, and the generator keeps no latency itself.
     """
 
     def __init__(
@@ -275,6 +291,7 @@ class LoadGenerator:
         *,
         targets: Sequence[Any] | None = None,
         issue: Callable[[str, Any, Any], Any] | None = None,
+        record: Callable[[str, float], None] | None = None,
     ) -> None:
         self.cluster = cluster
         self.spec = spec
@@ -306,6 +323,9 @@ class LoadGenerator:
         self._in_flight = 0
         #: Completed operations' latencies per kind, in completion order.
         self._latencies: dict[str, list[float]] = {"write": [], "snapshot": []}
+        self._record = record or (
+            lambda kind, latency: self._latencies[kind].append(latency)
+        )
         self._start = 0.0
         self._last_completion = 0.0
         self.submitted = 0
@@ -327,7 +347,7 @@ class LoadGenerator:
         gauge = self.registry.gauge("load.max_in_flight")
         if self._in_flight > gauge.value:
             gauge.set(self._in_flight)
-        latencies = self._latencies[kind]
+        record = self._record
 
         def _on_done(done: Any) -> None:
             self._in_flight -= 1
@@ -336,7 +356,7 @@ class LoadGenerator:
                 self.errors += 1
                 self.registry.counter("load.ops_failed").inc()
                 return
-            latencies.append(kernel.now - submitted_at)
+            record(kind, kernel.now - submitted_at)
             self.registry.counter("load.ops_completed").inc()
             self._last_completion = kernel.now
 
@@ -427,9 +447,6 @@ class LoadGenerator:
         ``fabric`` carries the fabric-only :class:`LoadReport` fields.
         """
 
-        samples = {
-            kind: sorted(latencies) for kind, latencies in self._latencies.items()
-        }
         completed = self.registry.counter("load.ops_completed").value
         elapsed = max(self._last_completion - self._start, 1e-9)
         return LoadReport(
@@ -443,17 +460,13 @@ class LoadGenerator:
             errors=self.errors,
             elapsed=elapsed,
             throughput=completed / elapsed,
-            latency={
-                "all": latency_summary(
-                    sorted(samples["write"] + samples["snapshot"])
-                ),
-                "write": latency_summary(samples["write"]),
-                "snapshot": latency_summary(samples["snapshot"]),
-            },
             metrics=self.registry.collect(),
             attribution=self.attribution(),
             failures=failures,
-            samples=samples,
+            samples={
+                kind: sorted(latencies)
+                for kind, latencies in self._latencies.items()
+            },
             **fabric,
         )
 

@@ -10,7 +10,8 @@ campaigns and the dashboard can report what happened during a run.
 
 The default rule set mirrors the health states (limping/crashed/
 corrupt-suspect) plus a retransmit-storm rule; SLO rules over latency
-histograms can be added per run (``SloRule("load.latency", "p99", 50)``).
+histograms can be added per run (``SloRule("load.latency", "p99", 50)``
+over the workload latency ``repro top`` publishes).
 """
 
 from __future__ import annotations

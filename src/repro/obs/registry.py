@@ -153,10 +153,12 @@ class Histogram:
 class QuantileHistogram:
     """A log-bucketed histogram with quantile estimates (p50/p95/p99).
 
-    For live views and alert rules that need tail quantiles, which the
-    streaming :class:`Histogram` cannot provide (it keeps no
-    distribution), where keeping every sample is not an option; a caller
-    that keeps its samples takes exact order statistics instead
+    For live views of runs with no set end, which need tail quantiles
+    that the streaming :class:`Histogram` cannot provide (it keeps no
+    distribution) and cannot keep every sample: ``repro top`` records its
+    workload's ``load.latency`` here, for its frame header, the
+    ``--metrics-port`` exposition and SLO alert rules.  A run that keeps
+    its samples takes exact order statistics instead
     (:func:`repro.analysis.metrics.percentile`).  This
     instrument buckets samples geometrically (±2.5% relative error per
     bucket at the default growth factor), so memory stays bounded and —

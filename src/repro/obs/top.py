@@ -9,6 +9,12 @@ alerts (from :class:`~repro.obs.alerts.AlertEngine`).  With
 demo: the throttled node drifts to ``limping`` and tops the blame
 table within a few refresh intervals.
 
+The workload's latencies go to the session registry's ``load.latency``
+and ``load.<kind>_latency`` quantile histograms (bounded memory however
+long the run): the frame header shows their p50/p99, ``--metrics-port``
+serves them as summaries, and an ``SloRule("load.latency", "p99", …)``
+reads them.
+
 Rendering is split so it stays testable: :func:`render_frame` is a pure
 function of the session state (golden-testable, no terminal involved);
 :func:`run_top` owns the workload, the refresh loop, and the screen.
@@ -62,6 +68,9 @@ def render_frame(
         f"msgs={int(values.get('net.messages_total', 0))} "
         f"retransmits={int(values.get('ops.retransmits', 0))}"
     )
+    latency = values.get("load.latency")
+    if latency:
+        header += f" p50={latency['p50']:.2f} p99={latency['p99']:.2f}"
     parts = [header, "=" * len(header)]
     health_rows = []
     for index, nodes in obs.health_reports():
@@ -126,6 +135,10 @@ def run_top(args: Namespace) -> int:
         clients=args.clients, depth=2, duration=duration, seed=args.seed
     )
 
+    def record(kind: str, latency: float) -> None:
+        obs.registry.quantile_histogram("load.latency").observe(latency)
+        obs.registry.quantile_histogram(f"load.{kind}_latency").observe(latency)
+
     async def body(cluster: Any) -> None:
         kernel = cluster.kernel
         for node_id, factor in args.throttles:
@@ -139,7 +152,7 @@ def run_top(args: Namespace) -> int:
             )
             host, port = await exposition.start(port=args.metrics_port)
             print(f"serving metrics at http://{host}:{port}/metrics")
-        generator = LoadGenerator(cluster, spec)
+        generator = LoadGenerator(cluster, spec, record=record)
         workload = kernel.create_task(generator.run(), name="top-load")
         try:
             deadline = kernel.now + duration

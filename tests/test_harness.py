@@ -73,10 +73,10 @@ def test_gate_holds(name):
 
 
 def test_e18_verdict_holds_on_disjoint_seed_sets():
-    """The pooled δ trade-off reads the same on seeds 8–15 and 16–23 as
-    on the registered 0–7."""
+    """The pooled δ trade-off reads the same in cells 1 and 2 (seeds 8–15
+    and 16–23) as in the registered cell 0 (seeds 0–7)."""
     entry = EXPERIMENTS["e18"]
-    for seed in (8, 16):
+    for seed in (1, 2):
         assert list(entry.gate(entry.runner(seed=seed))) == [], seed
 
 
@@ -99,6 +99,24 @@ class TestGatesFail:
     def test_no_rows(self, name):
         """A run that measured nothing fails its gate, not passes it."""
         assert list(EXPERIMENTS[name].gate([])) != []
+
+    def test_e18_batched_run_that_is_not_linearizable(self, monkeypatch):
+        """The batch-8 run per δ is off the table but in the verdict."""
+        from repro.load import experiments as load_experiments
+
+        real = load_experiments.run_load
+
+        def run_load(**kwargs):
+            report = real(**kwargs)
+            if kwargs["config"].channel.batch_window > 1:
+                report.failures.append("injected")
+            return report
+
+        monkeypatch.setattr(load_experiments, "run_load", run_load)
+        rows = EXPERIMENTS["e18"].runner(deltas=(0, 8), duration=10.0, seeds=2)
+        assert "sim delta=0: not linearizable" in list(
+            EXPERIMENTS["e18"].gate(rows)
+        )
 
     def test_e07_unbounded_cell_over_the_bound(self):
         rows = EXPERIMENTS["e07"].runner(n_values=(4,))

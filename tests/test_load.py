@@ -120,6 +120,24 @@ class TestExactLatency:
             for name, q in (("p50", 0.5), ("p95", 0.95), ("p99", 0.99)):
                 assert summary[name] == percentile(samples, q) in samples
 
+    def test_a_record_sink_takes_every_latency_and_none_is_kept(self):
+        seen = []
+
+        async def body(cluster):
+            generator = LoadGenerator(
+                cluster,
+                LoadSpec(clients=3, duration=20.0, seed=1),
+                record=lambda kind, latency: seen.append(kind),
+            )
+            await generator.run()
+            return generator.report("sim", 3, [])
+
+        report = run_on_backend(
+            "sim", "ss-nonblocking", scenario_config(n=3, seed=1), body
+        )
+        assert len(seen) == report.completed > 0
+        assert report.samples == {"write": [], "snapshot": []}
+
 
 class TestOperationPipeline:
     def test_depth_must_be_positive(self):
@@ -332,8 +350,6 @@ def test_pinned_closed_loop_runs(monkeypatch, algorithm, depth, shards):
 
 
 def _point(offered, throughput, failures=()):
-    quantiles = {"count": 1, "sum": 1.0, "min": 1.0, "max": 1.0,
-                 "mean": 1.0, "p50": 1.0, "p95": 1.0, "p99": 1.0}
     return LoadReport(
         backend="sim",
         algorithm="ss-nonblocking",
@@ -345,9 +361,9 @@ def _point(offered, throughput, failures=()):
         errors=0,
         elapsed=10.0,
         throughput=throughput,
-        latency={"all": quantiles, "write": quantiles, "snapshot": quantiles},
         metrics={},
         failures=list(failures),
+        samples={"write": [1.0], "snapshot": [1.0]},
     )
 
 

@@ -154,6 +154,7 @@ class TestTopCommand:
         )
         out = capsys.readouterr().out
         assert "repro top — backend=sim" in out
+        assert " p99=" in out  # the live load.latency quantile histogram
         assert "node health" in out
         assert "limping" in out
         assert "alert(s) raised over the run" in out
