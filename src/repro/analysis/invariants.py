@@ -135,7 +135,7 @@ def sns_consistent(cluster: SimBackend) -> InvariantReport:
 
     ``sns_i = pndTsk_i[i].sns`` and
     ``pndTsk_j[i].sns ≤ pndTsk_i[i].sns`` for all ``i, j`` — and for a
-    result ``(i, s, r)`` pending at ``p_j``'s SAVE sender, ``s ≤
+    result ``(i, s, r)`` that ``p_j``'s outbox still owes, ``s ≤
     pndTsk_i[i].sns``: sent, it would plant ``s`` in ``pndTsk[i]``.
     Only meaningful for Algorithm 3 clusters.
     """
@@ -159,10 +159,10 @@ def sns_consistent(cluster: SimBackend) -> InvariantReport:
                     f"{observer.pnd_tsk[i].sns} > pndTsk_{i}[{i}].sns="
                     f"{owner.pnd_tsk[i].sns}"
                 )
-        for i, pending in observer.pending_saves.items():
-            if pending.sns > processes[i].pnd_tsk[i].sns:
+        for i, s, _result in observer.owed_saves():
+            if s > processes[i].pnd_tsk[i].sns:
                 report.fail(
-                    f"pending SAVE at {observer.node_id}: ({i}, {pending.sns}) "
+                    f"pending SAVE at {observer.node_id}: ({i}, {s}) "
                     f"> pndTsk_{i}[{i}].sns={processes[i].pnd_tsk[i].sns}"
                 )
     return report

@@ -12,7 +12,9 @@ This implementation combines two classic mechanisms:
   sender that crashes mid-broadcast cannot strand a partial delivery;
 * **per-peer acknowledgements with exponential backoff** — retransmission
   to a peer stops once the peer acks, and the retry period doubles up to a
-  cap so permanently crashed peers cost vanishing bandwidth.
+  cap so permanently crashed peers cost vanishing bandwidth.  Each
+  message is an entry of the node's :class:`~repro.net.outbox.Outbox`
+  with this backoff, so a broadcast starts no task.
 
 The service is deliberately *not* self-stabilizing and uses unbounded
 per-message bookkeeping — exactly the property of Algorithm 2 that the
@@ -26,15 +28,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.errors import CancelledError
 from repro.net.message import Message
 from repro.net.node import Process
 
 __all__ = ["ReliableBroadcast", "RbDataMessage", "RbAckMessage"]
 
-#: Initial retransmission period multiplier (relative to the cluster's
-#: retransmit interval) and the backoff cap.
-_BACKOFF_FACTOR = 2.0
+#: The backoff cap, relative to the cluster's retransmit interval.
 _BACKOFF_CAP = 16.0
 
 
@@ -89,7 +88,6 @@ class ReliableBroadcast:
         self._ack_cls = ack_cls
         self._seq = itertools.count(1)
         self._known: dict[tuple[int, int], Message] = {}
-        self._acked: dict[tuple[int, int], set[int]] = {}
         process.register_handler(data_cls.KIND, self._on_data)
         process.register_handler(ack_cls.KIND, self._on_ack)
 
@@ -108,45 +106,22 @@ class ReliableBroadcast:
         self._learn(message_id, message.payload)
 
     def _on_ack(self, sender: int, message: RbAckMessage) -> None:
-        acked = self._acked.get((message.origin, message.seq))
-        if acked is not None:
-            acked.add(sender)
+        key = (self._data_cls.KIND, (message.origin, message.seq))
+        self._process.outbox.ack(sender, [key])
 
     # -- core -----------------------------------------------------------------------
 
     def _learn(self, message_id: tuple[int, int], payload: Message) -> None:
+        """Deliver a new message and owe it to every peer until all ack."""
         if message_id in self._known:
             return
         self._known[message_id] = payload
-        self._acked[message_id] = {self._process.node_id}
         self._deliver(message_id[0], payload)
-        self._process.kernel.create_task(
-            self._retransmit(message_id, payload),
-            name=f"rb{self._process.node_id}.{message_id}",
-        )
-
-    async def _retransmit(
-        self, message_id: tuple[int, int], payload: Message
-    ) -> None:
-        """Push the message to every un-acked peer until all have acked."""
+        process = self._process
         origin, seq = message_id
         wire = self._data_cls(origin=origin, seq=seq, payload=payload)
-        interval = self._process.config.retransmit_interval
-        try:
-            while True:
-                acked = self._acked[message_id]
-                pending = [
-                    peer for peer in self._process.peers() if peer not in acked
-                ]
-                if not pending:
-                    return
-                await self._process.gate.passthrough()
-                for peer in pending:
-                    self._process.send(peer, wire)
-                await self._process.kernel.sleep(interval)
-                interval = min(
-                    interval * _BACKOFF_FACTOR,
-                    self._process.config.retransmit_interval * _BACKOFF_CAP,
-                )
-        except CancelledError:
-            raise
+        for peer in process.peers():
+            process.send(peer, wire)
+        cap = process.config.retransmit_interval * _BACKOFF_CAP
+        key = (self._data_cls.KIND, message_id)
+        process.outbox.post(key, wire, process.config.n - 1, cap=cap)

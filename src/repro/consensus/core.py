@@ -324,6 +324,10 @@ class ConsensusEndpoint:
         the round machine as far as the received tallies allow, and
         re-broadcasts the current vote; it then sleeps until new
         traffic arrives or the retransmission interval elapses.
+
+        Votes bypass the node's outbox: none is acknowledged, each pass
+        re-broadcasts the current one, and peers answer late votes from
+        their history.  Proposals reach it through reliable broadcast.
         """
         process = self.process
         try:

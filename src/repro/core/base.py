@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import le
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.core.register import (
     AckItem,
@@ -62,6 +62,9 @@ from repro.errors import ConfigurationError, NodeCrashedError
 from repro.net.message import Message
 from repro.net.node import OpId, Process
 from repro.net.quorum import AckCollector, broadcast_until
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.kernel import Event
 
 __all__ = [
     "DepositedWrites",
@@ -498,6 +501,25 @@ class SnapshotAlgorithm(Process):
         return AckCollector(
             self, kind, self.majority, match=match, decided=decided
         )
+
+    async def query_round(
+        self,
+        kind: str,
+        match: Callable[[int, Message], bool],
+        make_message: Callable[[], Message],
+        wake: Event | None = None,
+        wanted: Callable[[], bool] | None = None,
+    ) -> list[tuple[AckItem, ...]]:
+        """Broadcast ``make_message()`` until the :meth:`query_collector`
+        replies decide the round (``wake`` and ``wanted`` as in
+        :func:`~repro.net.quorum.broadcast_until`); merge and return them."""
+        with self.query_collector(kind, match) as collector:
+            await broadcast_until(
+                self, make_message, collector, wake=wake, wanted=wanted
+            )
+            views = [msg.reg for msg in collector.reply_messages()]
+        self.merge(views)
+        return views
 
     def _delta(self, j: int, entry: TimestampedValue) -> KeyDelta | None:
         """Our own key-map ``entry`` as a delta against :attr:`base`.

@@ -26,7 +26,6 @@ from repro.broadcast.reliable import ReliableBroadcast
 from repro.core.base import DepositedWrites, SnapshotResult
 from repro.core.register import AckItem, RegisterArray
 from repro.net.message import Message
-from repro.net.quorum import broadcast_until
 
 __all__ = [
     "DgfrAlwaysTerminating",
@@ -175,20 +174,11 @@ class DgfrAlwaysTerminating(DepositedWrites):
         def matches(sender: int, msg: Message) -> bool:
             return msg.source == source and msg.sn == sn and msg.ssn == self.ssn
 
-        with self.query_collector(TaskSnapshotAckMessage.KIND, matches) as collector:
-            await broadcast_until(
-                self,
-                lambda: TaskSnapshotMessage(
-                    source=source,
-                    sn=sn,
-                    reg=self.request_items(self.reg),
-                    ssn=self.ssn,
-                ),
-                collector,
-            )
-            views = [msg.reg for msg in collector.reply_messages()]
-        self.merge(views)
-        return views
+        def query() -> TaskSnapshotMessage:
+            reg = self.request_items(self.reg)
+            return TaskSnapshotMessage(source=source, sn=sn, reg=reg, ssn=self.ssn)
+
+        return await self.query_round(TaskSnapshotAckMessage.KIND, matches, query)
 
     # -- server side (lines 63–65) -------------------------------------------------------------
 

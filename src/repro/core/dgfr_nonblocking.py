@@ -26,7 +26,6 @@ from typing import Any
 from repro.core.base import SnapshotAlgorithm, SnapshotResult
 from repro.core.register import AckItem
 from repro.net.message import Message
-from repro.net.quorum import broadcast_until
 
 __all__ = ["DgfrNonBlocking", "SnapshotMessage", "SnapshotAckMessage"]
 
@@ -123,17 +122,8 @@ class DgfrNonBlocking(SnapshotAlgorithm):
         ack items, already merged into ``reg``.
         """
 
-        def matches(sender: int, msg: Message) -> bool:
-            return msg.ssn == self.ssn
-
-        with self.query_collector(SnapshotAckMessage.KIND, matches) as collector:
-            await broadcast_until(
-                self,
-                lambda: SnapshotMessage(
-                    reg=self.request_items(self.reg), ssn=self.ssn
-                ),
-                collector,
-            )
-            views = [msg.reg for msg in collector.reply_messages()]
-        self.merge(views)
-        return views
+        return await self.query_round(
+            SnapshotAckMessage.KIND,
+            lambda sender, msg: msg.ssn == self.ssn,
+            lambda: SnapshotMessage(reg=self.request_items(self.reg), ssn=self.ssn),
+        )

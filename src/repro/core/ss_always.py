@@ -12,9 +12,10 @@ Differences from the Algorithm 2 baseline, following Section 4:
   emulated *safe register*: the finisher stores them and re-broadcasts
   ``SAVE`` until a majority sends ``SAVEack`` (``safeReg``, line 71); any
   node holding a result for a task it sees queried forwards it (line
-  107).  The paper's finisher waits for that majority; here a per-node
-  SAVE sender re-broadcasts (``save_results``), so the do-forever loop
-  goes on to line 79's write while the acks are still on their way.
+  107).  The paper's finisher waits for that majority; here the node's
+  outbox (:class:`~repro.net.outbox.Outbox`) re-sends the ``SAVE``
+  (``save_results``), so the do-forever loop goes on to line 79's write
+  while the acks are still on their way.
 * **The δ knob.**  Other nodes join ("steal") a task only after observing
   at least δ write operations concurrent with it (measured as growth of
   the register vector clock since the task's ``vc`` sample).  ``δ = 0``
@@ -58,7 +59,6 @@ from repro.net.message import Message
 __all__ = [
     "SelfStabilizingAlwaysTerminating",
     "PendingTask",
-    "PendingSave",
     "TaskDescriptor",
     "GossipMessage3",
     "SnapshotMessage3",
@@ -86,21 +86,6 @@ class PendingTask:
     def copy(self) -> "PendingTask":
         """Independent copy (results are immutable once stored)."""
         return PendingTask(sns=self.sns, vc=self.vc, fnl=self.fnl)
-
-
-@dataclass(slots=True)
-class PendingSave:
-    """One result the SAVE sender still owes a majority: ``(k, s, r)``.
-
-    ``acked`` holds the peers that acknowledged ``(k, sns)``; the sender
-    stored the result first, so ``majority − 1`` of them make a majority.
-    ``due`` is the time of the next (re)transmission to the others.
-    """
-
-    sns: int
-    result: RegisterArray
-    acked: set[int]
-    due: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,11 +195,7 @@ class SelfStabilizingAlwaysTerminating(RequestEvidence, DepositedWrites):
         self.pnd_tsk: list[PendingTask] = [
             PendingTask() for _ in range(self.config.n)
         ]
-        #: The SAVE sender's work: at most one result per owner ``k``,
-        #: and the token of its armed retransmission timer (``None``
-        #: when none is).  A restart empties one and disarms the other.
-        self.pending_saves: dict[int, PendingSave] = {}
-        self._save_timer: object | None = None
+        self.outbox.drop(SaveMessage.KIND)  # results still owed a majority
         #: Observability hook: callables invoked as ``listener(process,
         #: foreign_tasks)`` when a baseSnapshot call starts serving a
         #: *foreign* task — i.e. a write-blocking helping episode begins;
@@ -303,65 +284,30 @@ class SelfStabilizingAlwaysTerminating(RequestEvidence, DepositedWrites):
 
         Each result is stored here first, by the rule a SAVE arriving
         from elsewhere follows, and sent to the other nodes at once; the
-        node's one SAVE sender then re-sends it every retransmit interval
-        to the nodes that have not acknowledged it, until a majority has.
-        A majority intersection then guarantees any future reader of the
-        task encounters the result.  The paper's finisher waits for that
+        node's outbox then owes ``(k, s, r)`` to ``majority − 1`` peers
+        (key ``("SAVE", k)``) and re-sends it every retransmit interval,
+        one ``SAVE`` per peer, to those yet to acknowledge it.  A majority
+        intersection then guarantees any future reader of the task
+        encounters the result.  The paper's finisher waits for that
         majority; this one returns at once, so the do-forever loop serves
         the next write during the round trip.  A newer result for an
-        owner replaces an older one still pending: that owner has moved
-        past the older task.
+        owner replaces an older one still owed: that owner has moved past
+        the older task.
         """
-        due = self.kernel.now + self.config.retransmit_interval
         for k, s, result in entries:
             self._store_result(k, s, result)
-            pending = self.pending_saves.get(k)
-            if pending is None or pending.sns < s:
-                self.pending_saves[k] = PendingSave(s, result, set(), due)
         self._notify()
         self.broadcast(SaveMessage(entries=tuple(entries)), include_self=False)
-        self._arm_save_timer()
+        for k, s, result in entries:
+            key = (SaveMessage.KIND, k)
+            owed = self.outbox.entries.get(key)
+            if owed is None or owed.item[1] < s:
+                self.outbox.post(key, (k, s, result), self.majority - 1, SaveMessage)
 
-    def _arm_save_timer(self) -> None:
-        """Arm the sender's one timer for the earliest retransmission due.
-
-        The sender has no task of its own: it is this timer, armed while
-        anything is pending, so nothing is left running, or unawaited,
-        once the pending set is empty or the process has stopped.
-        """
-        if self.pending_saves and self._save_timer is None:
-            token = self._save_timer = object()
-            due = min(pending.due for pending in self.pending_saves.values())
-            self.kernel.call_later(
-                max(due - self.kernel.now, 0.0), self._resend_saves, token
-            )
-
-    def _resend_saves(self, token: object) -> None:
-        """Re-send every due result to the nodes yet to acknowledge it."""
-        if token is not self._save_timer:
-            return  # disarmed: emptied, restarted or stopped since
-        self._save_timer = None
-        now = self.kernel.now
-        due = []
-        for k, pending in sorted(self.pending_saves.items()):
-            if len(pending.acked) >= self.majority - 1:
-                del self.pending_saves[k]  # a corrupted ack set, or quorum 1
-            elif pending.due <= now:
-                due.append((k, pending))
-        if due and not self.crashed:
-            if self.obs is not None:
-                self.obs.retransmit()  # as quorum.broadcast_until counts
-            for peer in self.peers():
-                entries = tuple(
-                    (k, pending.sns, pending.result)
-                    for k, pending in due
-                    if peer not in pending.acked
-                )
-                if entries:
-                    self.send(peer, SaveMessage(entries=entries))
-        for _k, pending in due:
-            pending.due = now + self.config.retransmit_interval
-        self._arm_save_timer()
+    def owed_saves(self) -> list[tuple[int, int, RegisterArray]]:
+        """The results ``(k, s, r)`` the outbox still owes, by owner."""
+        entries = self.outbox.entries
+        return [entries[key].item for key in self.outbox.keys(SaveMessage.KIND)]
 
     # -- the do-forever loop (lines 73–80) ------------------------------------------------
 
@@ -545,46 +491,21 @@ class SelfStabilizingAlwaysTerminating(RequestEvidence, DepositedWrites):
         def matches(sender: int, msg: Message) -> bool:
             return msg.ssn == self.ssn
 
-        interval = self.config.retransmit_interval
-        next_send = -math.inf
-        with self.query_collector(SnapshotAckMessage3.KIND, matches) as collector:
-            while True:
-                served = self._served_now(sampled)
-                if not served or collector.done:
-                    break
-                await self.gate.passthrough()
-                # Re-broadcast at most once per retransmit interval; wakes
-                # in between (SAVE arrivals shrinking the served set, acks)
-                # only re-evaluate the exit conditions.
-                now = self.kernel.now
-                if now >= next_send:
-                    if collector.satisfied:
-                        # An undecided majority: no re-send; the next
-                        # round has a fresh view and ssn.
-                        collector.expire()
-                        break
-                    if next_send != -math.inf and self.obs is not None:
-                        # Re-broadcasts after the first are retransmissions,
-                        # same accounting as quorum.broadcast_until.
-                        self.obs.retransmit()
-                    self.broadcast(
-                        SnapshotMessage3(
-                            tasks=tuple(served[k] for k in sorted(served)),
-                            reg=self.request_items(self.reg),
-                            ssn=self.ssn,
-                            sns=self.sns,
-                        )
-                    )
-                    next_send = now + interval
-                self._changed.clear()
-                await self.kernel.first_of(
-                    collector.wait(),
-                    self._changed.wait(),
-                    timeout=max(next_send - self.kernel.now, 0.0) or interval,
-                )
-            views = [msg.reg for msg in collector.reply_messages()]
-        self.merge(views)
-        return views
+        def query() -> SnapshotMessage3:
+            served = self._served_now(sampled)
+            return SnapshotMessage3(
+                tasks=tuple(served[k] for k in sorted(served)),
+                reg=self.request_items(self.reg),
+                ssn=self.ssn,
+                sns=self.sns,
+            )
+
+        def wanted() -> bool:
+            return bool(self._served_now(sampled))
+
+        return await self.query_round(
+            SnapshotAckMessage3.KIND, matches, query, wake=self._changed, wanted=wanted
+        )
 
     # -- server side (lines 95–107) -----------------------------------------------------------------
 
@@ -608,18 +529,9 @@ class SelfStabilizingAlwaysTerminating(RequestEvidence, DepositedWrites):
         self._notify()
 
     def _on_save_ack(self, sender: int, message: SaveAckMessage) -> None:
-        """Count an acknowledgment toward each pending result it names.
-
-        A result leaves the sender once a majority acknowledged it; the
-        timer is disarmed when nothing is left.
-        """
-        for k, pending in list(self.pending_saves.items()):
-            if (k, pending.sns) in message.ids:
-                pending.acked.add(sender)
-                if len(pending.acked) >= self.majority - 1:
-                    del self.pending_saves[k]
-        if not self.pending_saves:
-            self._save_timer = None
+        """Count an acknowledgment toward each owed result it names."""
+        named = [k for k, s, _r in self.owed_saves() if (k, s) in message.ids]
+        self.outbox.ack(sender, [(SaveMessage.KIND, k) for k in named])
 
     def _on_gossip(self, sender: int, message: GossipMessage3) -> None:
         """Lines 98–99: absorb operation indices; pull or merge own entry."""
@@ -696,11 +608,6 @@ class SelfStabilizingAlwaysTerminating(RequestEvidence, DepositedWrites):
         """A read's single-entry merge grows ``reg`` too; same notify."""
         super().merge_entry(j, entry)
         self._notify()
-
-    def stop(self) -> None:
-        """Also disarm the SAVE sender (end of an experiment)."""
-        super().stop()
-        self._save_timer = None
 
     @property
     def delta(self) -> float:

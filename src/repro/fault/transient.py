@@ -4,8 +4,8 @@ The paper's fault model lets a transient fault drive the system into an
 *arbitrary* state — control variables (``ts``, ``ssn``, ``sns``,
 ``tag``, the digest-skip evidence ``_told`` and ``_heard_sns``,
 ``base``, the peer clocks), the register buffers —
-down to one key's seq inside a slot map — the pending-task table, the
-pending SAVEs, and the contents of every communication channel may all
+down to one key's seq inside a slot map — the pending-task table, what
+each outbox owes, and the contents of every communication channel may all
 hold garbage (only the code stays intact).
 
 :class:`TransientFaultInjector` reproduces that model against any
@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.core.base import ReadAckMessage, ReadMessage
 from repro.core.register import KeyDelta, KeyMap, TimestampedValue
-from repro.core.ss_always import GossipMessage3
+from repro.core.ss_always import GossipMessage3, SaveMessage
 from repro.core.ss_nonblocking import GossipMessage
 from repro.net.message import Message
 
@@ -192,33 +192,31 @@ class TransientFaultInjector:
                 else:
                     task.vc = None
 
-    def corrupt_pending_saves(
-        self, node_ids: Iterable[int] | None = None
-    ) -> None:
-        """Scramble Algorithm 3's pending SAVEs (the SAVE sender's work).
+    def corrupt_outbox(self, node_ids: Iterable[int] | None = None) -> None:
+        """Scramble what each node's outbox still owes its peers.
 
-        Each pending result keeps its owner and gets a wild ``sns``, a
-        forged set of acknowledgers (any nodes, possibly a majority that
-        never stored it), or is dropped.  A node holding no pending SAVE
-        draws nothing.  The retransmission time is left alone: it is
-        the sender's timer, and no fault rewrites a timer.
+        Algorithm 3's ``SAVE`` entries come first, by owner: each keeps
+        its owner and gets a wild ``sns``, a forged set of acknowledgers
+        (any nodes, possibly a majority that never stored it), or is
+        dropped.  Every other entry (a reliable-broadcast message) then
+        gets a forged ack set.  An empty outbox draws nothing.  Due times
+        are left alone: no fault rewrites a timer.
         """
         n = self._cluster.config.n
         for node_id in self._targets(node_ids):
-            process = self._cluster.node(node_id)
-            pending_saves = getattr(process, "pending_saves", None)
-            if not pending_saves:
-                continue
-            for k in sorted(pending_saves):
+            outbox = self._cluster.node(node_id).outbox
+            entries = outbox.entries
+            for key in outbox.keys(SaveMessage.KIND):
                 choice = self._rng.randrange(3)
                 if choice == 0:
-                    pending_saves[k].sns = self._wild_ts()
+                    k, _s, result = entries[key].item
+                    entries[key].item = (k, self._wild_ts(), result)
                 elif choice == 1:
-                    pending_saves[k].acked = {
-                        self._rng.randrange(n) for _ in range(n)
-                    }
+                    entries[key].acked = {self._rng.randrange(n) for _ in range(n)}
                 else:
-                    del pending_saves[k]
+                    del entries[key]
+            for key in sorted(key for key in entries if key[0] != SaveMessage.KIND):
+                entries[key].acked = {self._rng.randrange(n) for _ in range(n)}
 
     def corrupt_peer_clocks(self, node_ids: Iterable[int] | None = None) -> None:
         """Overwrite ``peer_clocks``, each peer's latest ack clock.
@@ -368,12 +366,12 @@ class TransientFaultInjector:
         self.scramble_channels()
         # Last, so every draw above is the one it was before reads (and
         # then requests standing in for gossip, key-map deltas and the
-        # SAVE sender, then peer clocks, then Algorithm 3's sns evidence)
-        # existed.  Key maps and pending SAVEs draw only where one is
+        # outbox, then peer clocks, then Algorithm 3's sns evidence)
+        # existed.  Key maps and outbox entries draw only where one is
         # held, so a run that holds none draws exactly what it did before.
         self.corrupt_read_tags(node_ids)
         self.corrupt_told(node_ids)
         self.corrupt_key_maps(node_ids)
-        self.corrupt_pending_saves(node_ids)
+        self.corrupt_outbox(node_ids)
         self.corrupt_peer_clocks(node_ids)
         self.corrupt_heard_sns(node_ids)

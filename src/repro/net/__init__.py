@@ -3,13 +3,14 @@
 Implements the paper's system model (Section 2): ``n`` asynchronous
 processes connected by a full mesh of bounded-capacity channels that may
 lose, duplicate, and reorder packets, with a retransmitting quorum service
-layered on top.
+and one outbox per process (messages owed until acknowledged) on top.
 """
 
 from repro.net.channel import Channel
 from repro.net.message import Message, measure_size
 from repro.net.network import Network
 from repro.net.node import Process
+from repro.net.outbox import Outbox
 from repro.net.quorum import AckCollector, broadcast_until
 
 __all__ = [
@@ -17,6 +18,7 @@ __all__ = [
     "Channel",
     "Message",
     "Network",
+    "Outbox",
     "Process",
     "broadcast_until",
     "measure_size",

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 from repro.config import ClusterConfig
 from repro.errors import CancelledError, ReproError, SimulationError
 from repro.net.message import Message
+from repro.net.outbox import Outbox
 from repro.sim.kernel import Kernel, SimFuture, SimTask
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -82,6 +83,8 @@ class Process:
         self.obs = None
         self._op_seq = 0
         self._ops_in_flight: dict[OpId, str] = {}
+        #: Messages owed until acknowledged; a restart keeps them.
+        self.outbox = Outbox(self)
         network.attach(self)
         self.initialize_state()
 
@@ -228,10 +231,11 @@ class Process:
         )
 
     def stop(self) -> None:
-        """Cancel the do-forever loop task (end of an experiment)."""
+        """Cancel the do-forever loop task and disarm the outbox."""
         if self._loop_task is not None:
             self._loop_task.cancel()
             self._loop_task = None
+        self.outbox.disarm()
 
     async def _run_forever(self) -> None:
         try:

@@ -22,15 +22,22 @@ that masks those channel failures; this module is that service:
   follows whenever a majority of nodes is alive.  A decided round that
   a majority has answered but nothing has decided ends at the next
   retransmission instant instead of re-sending, so a crashed peer's
-  missing reply costs at most one interval.
+  missing reply costs at most one interval.  An optional wake ends a
+  round whose work went away (Algorithm 3's, once ``SAVE`` resolved it).
+
+Messages owed outside a round go to :class:`~repro.net.outbox.Outbox`.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import math
+from typing import TYPE_CHECKING, Callable
 
 from repro.net.message import Message
 from repro.net.node import Process
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.kernel import Event
 
 __all__ = ["AckCollector", "broadcast_until"]
 
@@ -134,6 +141,8 @@ async def broadcast_until(
     make_message: Callable[[], Message],
     collector: AckCollector,
     include_self: bool = True,
+    wake: Event | None = None,
+    wanted: Callable[[], bool] | None = None,
 ) -> None:
     """Re-broadcast ``make_message()`` until ``collector`` is done.
 
@@ -143,22 +152,38 @@ async def broadcast_until(
     the threshold reached but the round undecided expires the round
     instead.  While the node is crashed the loop holds at the step gate;
     on resume it picks up where it left off (undetectable restart).
+
+    With ``wake``, setting that event between retransmission instants
+    re-tests ``wanted``: once it is false the round ends at once, with
+    the collector not done; a wake that leaves it true sends nothing.
     """
     interval = process.config.retransmit_interval
-    first = True
-    while not collector.done:
+    next_send = -math.inf
+    while not collector.done and (wanted is None or wanted()):
         await process.gate.passthrough()
-        if not first:
-            # Every broadcast after the first is a retransmission — the
-            # quantity the observability layer attributes to the active
-            # operation span (lossy channels show up here directly).
-            obs = process.obs
-            if obs is not None:
-                obs.retransmit()
-        first = False
-        process.broadcast(make_message(), include_self=include_self)
-        try:
-            await process.kernel.wait_for(collector.wait(), timeout=interval)
-        except TimeoutError:
+        now = process.kernel.now
+        if now >= next_send:
             if collector.satisfied:
-                collector.expire()
+                collector.expire()  # an undecided majority: no re-send
+                break
+            if next_send != -math.inf:
+                # Every broadcast after the first is a retransmission.
+                process.outbox.retransmitted()
+            process.broadcast(make_message(), include_self=include_self)
+            next_send = now + interval
+        if wake is None:
+            # wait_for draws the kernel RNG differently from first_of, and
+            # this path expires before the step gate: the schedule every
+            # wake-less round always had.
+            try:
+                await process.kernel.wait_for(collector.wait(), timeout=interval)
+            except TimeoutError:
+                if collector.satisfied:
+                    collector.expire()
+        else:
+            wake.clear()
+            await process.kernel.first_of(
+                collector.wait(),
+                wake.wait(),
+                timeout=max(next_send - process.kernel.now, 0.0) or interval,
+            )

@@ -52,7 +52,11 @@ from repro.consensus.messages import (
 )
 from repro.core.base import SnapshotResult
 from repro.core.register import RegisterArray, TimestampedValue
-from repro.core.ss_always import PendingTask, SelfStabilizingAlwaysTerminating
+from repro.core.ss_always import (
+    PendingTask,
+    SaveMessage,
+    SelfStabilizingAlwaysTerminating,
+)
 from repro.core.ss_nonblocking import SelfStabilizingNonBlocking
 from repro.errors import ResetInProgressError
 from repro.net.message import Message
@@ -384,7 +388,7 @@ class BoundedSelfStabilizingAlwaysTerminating(
 
     On top of the Algorithm 1 machinery, the reset also restarts the
     snapshot-task indices (``sns``/``ssn``) and clears the pending-task
-    table and the SAVE sender's pending results: pre-reset tasks are
+    table and the results the outbox still owes: pre-reset tasks are
     among the aborted operations the criteria permit, and their
     initiators observe the abort through the epoch change.
     """
@@ -398,15 +402,14 @@ class BoundedSelfStabilizingAlwaysTerminating(
             self.ts, self.ssn, self.sns, self.tag, self.reg.max_timestamp()
         ]
         indices.extend(task.sns for task in self.pnd_tsk)
-        indices.extend(pending.sns for pending in self.pending_saves.values())
+        indices.extend(s for _k, s, _r in self.owed_saves())
         return max(indices)
 
     def _apply_index_reset(self, values: RegisterArray) -> None:
-        # A pending SAVE names a pre-reset (k, s): sent in the new epoch,
+        # An owed SAVE names a pre-reset (k, s): sent in the new epoch,
         # it would plant that index among the restarted ones.
         super()._apply_index_reset(values)
         self.sns = 0
         self.pnd_tsk = [PendingTask() for _ in range(self.config.n)]
-        self.pending_saves = {}
-        self._save_timer = None
+        self.outbox.drop(SaveMessage.KIND)
         self._notify()

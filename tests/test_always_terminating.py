@@ -601,15 +601,15 @@ class TestSaveDoesNotHoldTheLoop:
         release = hold_save_acks(cluster, 0)
         sent = record_saves(node)
         cluster.snapshot_sync(0)
-        assert [(k, p.sns) for k, p in node.pending_saves.items()] == [(0, 1)]
+        assert [(k, s) for k, s, _r in node.owed_saves()] == [(0, 1)]
         cluster.snapshot_sync(0)  # the loop is free: its next episode runs
-        assert [(k, p.sns) for k, p in node.pending_saves.items()] == [(0, 2)]
+        assert [(k, s) for k, s, _r in node.owed_saves()] == [(0, 2)]
         del sent[:]
         cluster.run_until(cluster.kernel.sleep(10.0))  # retransmissions only
         assert sent and set(sent) == {((0, 2),)}
         release()
         cluster.run_until(cluster.kernel.sleep(10.0))
-        assert node.pending_saves == {} and node._save_timer is None
+        assert node.owed_saves() == [] and not node.outbox.armed
 
     @SAVE_SENDERS
     def test_no_save_names_one_owner_twice(self, algorithm):
@@ -638,12 +638,12 @@ class TestSaveDoesNotHoldTheLoop:
         hold_save_acks(cluster, 0)
         sent = record_saves(node)
         cluster.snapshot_sync(0)
-        assert node.pending_saves and node._save_timer is not None
+        assert node.owed_saves() and node.outbox.armed
         cluster.crash(1)
         cluster.crash(2)  # no episode can end again: every SAVE is a resend
         cluster.crash(0)
         cluster.resume(0, restart=True)
-        assert node.pending_saves == {} and node._save_timer is None
+        assert node.owed_saves() == [] and not node.outbox.armed
         del sent[:]
         cluster.run_until(cluster.kernel.sleep(20.0))
         assert sent == []
@@ -658,7 +658,7 @@ class TestSaveDoesNotHoldTheLoop:
         cluster.crash(1)
         cluster.crash(2)  # nobody queries node 0 for a help-SAVE
         node.stop()
-        assert node.pending_saves and node._save_timer is None
+        assert node.owed_saves() and not node.outbox.armed
         del sent[:]
         cluster.run_until(cluster.kernel.sleep(20.0))
         assert sent == []
@@ -684,11 +684,12 @@ def test_a_global_reset_empties_the_sender_and_counts_its_indices():
     node = cluster.node(0)
     hold_save_acks(cluster, 0)
     cluster.snapshot_sync(0)
-    (pending,) = node.pending_saves.values()
-    pending.sns = 999
+    (key,) = node.outbox.keys("SAVE")
+    k, _s, result = node.outbox.entries[key].item
+    node.outbox.entries[key].item = (k, 999, result)
     assert node._max_local_index() == 999
     node._apply_index_reset(node.reg.copy())
-    assert node.pending_saves == {} and node._save_timer is None
+    assert node.owed_saves() == [] and not node.outbox.armed
 
 
 def test_a_run_ending_with_a_save_pending_leaves_nothing_unawaited():
@@ -702,7 +703,7 @@ def test_a_run_ending_with_a_save_pending_leaves_nothing_unawaited():
         node.sns += 1
         node.pnd_tsk[0].sns = node.sns
         node.save_results([(0, node.sns, node.reg.copy())])
-        assert node.pending_saves
+        assert node.owed_saves()
         """
     )
     src = pathlib.Path(__file__).resolve().parent.parent / "src"

@@ -60,13 +60,14 @@ class TestIds:
 class TestAcking:
     def test_receiver_acks_every_data_message(self):
         kernel, network, nodes = make()
+        nodes[2].crash()  # never acks, so node 0 keeps owing (0, 1)
         message = RbDataMessage(origin=0, seq=1, payload=Note(text="x"))
         nodes[1].deliver(0, message)
         nodes[1].deliver(0, message)  # duplicate: re-acked, not re-delivered
         kernel.run(until_time=5.0)
         assert len(nodes[1].delivered) == 1
         # Node 0 got acks and marked node 1.
-        assert 1 in nodes[0].rb._acked.get((0, 1), set())
+        assert nodes[0].outbox.entries[("RB", (0, 1))].acked == {1}
 
     def test_ack_for_unknown_message_ignored(self):
         kernel, network, nodes = make()
@@ -92,6 +93,48 @@ class TestBackoff:
         # responsible node without backoff; with x2-up-to-x16 backoff the
         # tail adds only a handful per node.
         assert late - early < 60
+
+    def test_resends_to_a_crashed_peer_double_up_to_the_cap(self):
+        """Gaps of 2, 4, 8, 16 and then 32 = 16 × the 2.0 interval."""
+        kernel, network, nodes = make(retransmit_interval=2.0)
+        nodes[2].crash()
+        sent = []
+        send = nodes[0].send
+
+        def recording_send(dst, message):
+            if dst == 2 and message.KIND == "RB":
+                sent.append(kernel.now)
+            send(dst, message)
+
+        nodes[0].send = recording_send
+        nodes[0].rb.broadcast(Note(text="x"))
+        kernel.run(until_time=130.0)
+        gaps = [later - earlier for earlier, later in zip(sent, sent[1:])]
+        assert sent[0] == 0.0
+        assert gaps == [2.0, 4.0, 8.0, 16.0, 32.0, 32.0, 32.0]
+
+    def test_a_crashed_senders_own_silence_does_not_back_off(self):
+        """Instants that fall due while the sender is crashed send nothing
+        and leave the interval as it was (8 here), so the first re-send
+        after the resume is at most one interval away."""
+        kernel, network, nodes = make(n=4, retransmit_interval=2.0)
+        nodes[3].crash()
+        sent = []
+        send = nodes[0].send
+
+        def recording_send(dst, message):
+            if dst == 3 and message.KIND == "RB":
+                sent.append(kernel.now)
+            send(dst, message)
+
+        nodes[0].send = recording_send
+        nodes[0].rb.broadcast(Note(text="x"))
+        kernel.run(until_time=7.0)
+        nodes[0].crash()
+        kernel.run(until_time=40.0)  # due at 14, 22, 30 and 38: all skipped
+        nodes[0].resume()
+        kernel.run(until_time=63.0)
+        assert sent == [0.0, 2.0, 6.0, 46.0, 62.0]
 
     def test_crashed_relayer_pauses_retransmission(self):
         kernel, network, nodes = make()

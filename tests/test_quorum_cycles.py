@@ -122,6 +122,79 @@ class TestAckCollector:
         assert not collector.satisfied
 
 
+def spy_requests(process):
+    """The times ``process`` sends a REQ, one entry per copy."""
+    sent = []
+    send = process.send
+
+    def recording_send(dst, message):
+        if message.KIND == "REQ":
+            sent.append(process.kernel.now)
+        send(dst, message)
+
+    process.send = recording_send
+    return sent
+
+
+class TestBroadcastUntilWake:
+    """A wake re-tests ``wanted`` between retransmission instants."""
+
+    def start_round(self, kernel, config, node, wake, wanted):
+        """A round no peer can answer (all crashed), run as a task."""
+        collector = AckCollector(node, "ACK", config.majority)
+
+        async def run():
+            with collector:
+                await broadcast_until(
+                    node,
+                    lambda: Req(round=7),
+                    collector,
+                    wake=wake,
+                    wanted=lambda: wanted[0],
+                )
+            return kernel.now
+
+        return collector, kernel.create_task(run())
+
+    def test_a_wake_that_makes_the_round_unwanted_ends_it_without_a_resend(self):
+        kernel, config, network, processes = make_cluster()
+        for peer in processes[1:]:
+            peer.crash()
+        node = processes[0]
+        sent = spy_requests(node)
+        wake, wanted = kernel.create_event(), [True]
+
+        def unwant():
+            wanted[0] = False
+            wake.set()
+
+        kernel.call_later(1.0, unwant)
+        collector, task = self.start_round(kernel, config, node, wake, wanted)
+        kernel.run(until_time=10.0)
+        assert task.done() and task.result() == 1.0
+        assert sent == [0.0] * config.n  # the first broadcast only
+        assert not collector.done
+
+    def test_a_wake_that_changes_nothing_resends_nothing_early(self):
+        kernel, config, network, processes = make_cluster()
+        for peer in processes[1:]:
+            peer.crash()
+        node = processes[0]
+        sent = spy_requests(node)
+        wake, wanted = kernel.create_event(), [True]
+        kernel.call_later(1.0, wake.set)
+        kernel.call_later(2.0, wake.set)
+        collector, task = self.start_round(kernel, config, node, wake, wanted)
+        kernel.run(until_time=config.retransmit_interval - 0.01)
+        assert sent == [0.0] * config.n and not task.done()
+        kernel.run(until_time=config.retransmit_interval + 0.01)
+        assert sent == [0.0] * config.n + [config.retransmit_interval] * config.n
+        wanted[0] = False
+        wake.set()
+        kernel.run(until_time=10.0)
+        assert task.done() and not collector.done
+
+
 class LoopingProcess(Process):
     """Process whose do-forever iteration just counts."""
 

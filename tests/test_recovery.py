@@ -217,7 +217,7 @@ def leave_a_save_pending_everywhere(cluster):
         process.deliver = filtered
     for node in range(cluster.config.n):
         cluster.snapshot_sync(node)
-    assert all(process.pending_saves for process in cluster.processes)
+    assert all(process.owed_saves() for process in cluster.processes)
     held.clear()
 
 
@@ -229,7 +229,7 @@ def test_scrambled_pending_saves_heal_within_e8s_cycle_bound(seed):
     senders empty, within E8's bound."""
     cluster = make("ss-always", seed=seed)
     leave_a_save_pending_everywhere(cluster)
-    TransientFaultInjector(cluster, seed=seed).corrupt_pending_saves()
+    TransientFaultInjector(cluster, seed=seed).corrupt_outbox()
     assert not sns_consistent(cluster).ok
     cluster.tracker.reset()
 
@@ -243,8 +243,50 @@ def test_scrambled_pending_saves_heal_within_e8s_cycle_bound(seed):
     cycles = cluster.run_until(cycles_to_consistent(), max_events=None)
     assert cycles is not None and cycles <= RECOVERY_CYCLE_BOUND
     recover(cluster)
-    assert all(not process.pending_saves for process in cluster.processes)
+    assert all(not process.owed_saves() for process in cluster.processes)
     assert cluster.snapshot_sync(0) is not None
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_scrambled_outbox_mid_reset_still_decides(seed):
+    """``corrupt_outbox`` on ``bounded-ss-always`` while the global reset's
+    consensus still owes reliable-broadcast messages: forged ack sets may
+    end their re-sending early, yet every node applies the decided reset,
+    and the state is Definition-1 consistent within the cycle bound."""
+    cluster = make("bounded-ss-always", seed=seed, max_int=8)
+    cluster.write_sync(0, "pre")
+    cluster.node(0).ts = 8  # an overflow: node 0 starts a global reset
+
+    def rb_owed():
+        return [
+            key
+            for process in cluster.processes
+            for key in process.outbox.entries
+            if key[0] != "SAVE"
+        ]
+
+    async def until_rb_owed():
+        while not rb_owed():
+            await cluster.kernel.sleep(0.1)
+
+    cluster.run_until(until_rb_owed(), max_events=None)
+    TransientFaultInjector(cluster, seed=seed).corrupt_outbox()
+    cluster.tracker.reset()
+
+    async def cycles_to_reset_and_consistent():
+        for _ in range(RECOVERY_CYCLE_BOUND + 1):
+            if all(
+                process.resets_completed >= 1 for process in cluster.processes
+            ) and definition1_consistent(cluster).ok:
+                return cluster.tracker.cycles_elapsed
+            await cluster.tracker.wait_cycles(1)
+        return None
+
+    cycles = cluster.run_until(cycles_to_reset_and_consistent(), max_events=None)
+    assert cycles is not None and cycles <= RECOVERY_CYCLE_BOUND
+    assert len({process.epoch for process in cluster.processes}) == 1
+    cluster.write_sync(3, "post")
+    assert cluster.snapshot_sync(4).values[3] == "post"
 
 
 def clock_errors(cluster):

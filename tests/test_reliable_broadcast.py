@@ -1,12 +1,14 @@
 """Unit tests for the reliable-broadcast substrate."""
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from repro.broadcast.reliable import ReliableBroadcast
 from repro.config import ChannelConfig, ClusterConfig
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.node import Process
+from repro.obs import session
 from repro.sim.kernel import Kernel
 
 
@@ -99,6 +101,69 @@ class TestReliableBroadcast:
         sent_before = network_rb_count(nodes)
         kernel.run(until_time=500.0)
         assert network_rb_count(nodes) == sent_before
+
+
+class TestThroughTheOutbox:
+    """Re-sending is the node's outbox: one timer, counted, no task."""
+
+    def test_lossy_resends_count_as_retransmissions(self):
+        kernel, nodes = make(loss_probability=0.5)
+        cluster = SimpleNamespace(
+            obs=None,
+            kernel=kernel,
+            config=nodes[0].config,
+            network=nodes[0].network,
+            processes=nodes,
+            algorithm_name="rb",
+        )
+        with session() as obs:
+            cobs = obs.attach(cluster)
+            nodes[0].rb.broadcast(Note(text="lossy"))
+            kernel.run(until_time=500.0)
+        assert all(len(node.delivered) == 1 for node in nodes)
+        retransmits = sum(pobs.retransmits for pobs in cobs.process_obs)
+        # Each node sends its first copies once, to its n - 1 peers; every
+        # later RB left at a counted retransmission instant.
+        first_copies = len(nodes) * (len(nodes) - 1)
+        assert network_rb_count(nodes) > first_copies
+        assert 0 < retransmits <= network_rb_count(nodes) - first_copies
+
+    def test_a_new_entry_is_resent_on_time_under_a_backed_off_one(self):
+        """The one timer re-arms for an entry due before the armed time."""
+        kernel, nodes = make()
+        nodes[3].crash()
+        sent = []  # (time, seq) of node 0's RB copies to node 3
+        send = nodes[0].send
+
+        def recording_send(dst, message):
+            if dst == 3 and message.KIND == "RB":
+                sent.append((kernel.now, message.seq))
+            send(dst, message)
+
+        nodes[0].send = recording_send
+        nodes[0].rb.broadcast(Note(text="old"))
+        kernel.run(until_time=31.0)  # seq 1 re-sent at 30, next due at 62
+        nodes[0].rb.broadcast(Note(text="new"))
+        kernel.run(until_time=40.0)
+        assert [t for t, seq in sent if seq == 2] == [31.0, 33.0, 37.0]
+        assert [t for t, seq in sent if seq == 1] == [0.0, 2.0, 6.0, 14.0, 30.0]
+
+    def test_fifty_broadcasts_create_no_task(self):
+        kernel, nodes = make(loss_probability=0.2)
+        created = []
+        create_task = kernel.create_task
+
+        def counting_create_task(coro, name=""):
+            created.append(name)
+            return create_task(coro, name)
+
+        kernel.create_task = counting_create_task
+        for i in range(50):
+            nodes[i % len(nodes)].rb.broadcast(Note(text=str(i)))
+        kernel.run(until_time=500.0)
+        assert created == []
+        assert all(len(node.delivered) == 50 for node in nodes)
+        assert all(not node.outbox.entries for node in nodes)
 
 
 def network_rb_count(nodes):
