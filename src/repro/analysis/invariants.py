@@ -48,14 +48,21 @@ def _in_flight_messages(cluster: SimBackend):
     from repro.net.batch import BatchMessage
 
     for channel in cluster.network.channels():
+        # A bounded variant's receiver drops a message from an older
+        # epoch, so such a message bounds none of the new epoch's indices.
+        epoch = getattr(cluster.processes[channel.dst], "epoch", 0)
         for message in channel.in_flight_messages():
             # A transport bundle is not itself protocol state; the
             # invariants apply to the messages it carries.
-            if isinstance(message, BatchMessage):
-                for inner in message.messages:
-                    yield channel.src, channel.dst, inner
-            else:
-                yield channel.src, channel.dst, message
+            batch = isinstance(message, BatchMessage)
+            for item in message.messages if batch else (message,):
+                if not _older_epoch(item, epoch):
+                    yield channel.src, channel.dst, item
+
+
+def _older_epoch(message, epoch: int) -> bool:
+    stamp = getattr(message, "epoch", epoch)
+    return isinstance(stamp, int) and stamp < epoch
 
 
 def ts_consistent(cluster: SimBackend) -> InvariantReport:

@@ -530,8 +530,12 @@ class SelfStabilizingAlwaysTerminating(RequestEvidence, DepositedWrites):
 
     def _on_save_ack(self, sender: int, message: SaveAckMessage) -> None:
         """Count an acknowledgment toward each owed result it names."""
-        named = [k for k, s, _r in self.owed_saves() if (k, s) in message.ids]
-        self.outbox.ack(sender, [(SaveMessage.KIND, k) for k in named])
+        named = [
+            key
+            for key, entry in self.outbox.entries.items()
+            if key[0] == SaveMessage.KIND and (key[1], entry.item[1]) in message.ids
+        ]
+        self.outbox.ack(sender, named)
 
     def _on_gossip(self, sender: int, message: GossipMessage3) -> None:
         """Lines 98–99: absorb operation indices; pull or merge own entry."""

@@ -60,6 +60,10 @@ OP_TERMINATION_BOUND = 300.0
 #: corruption burst.
 _RECOVERY_CYCLES = 8
 
+#: Cycles the final check grants a bounded variant's global reset that is
+#: under way to finish; one still under way after them is a failure.
+_RESET_CYCLES = 20
+
 #: Event kinds with a meaning on one target only; the other skips them.
 _FABRIC_ONLY = frozenset(("split", "reconfigure"))
 _CLUSTER_ONLY = frozenset(("partition", "heal", "corrupt"))
@@ -214,6 +218,32 @@ class _SpecRun:
             epochs = max(epochs, getattr(process, "epoch", 0))
             resets += getattr(process, "resets_completed", 0)
         return epochs, resets
+
+    def _reset_under_way(self) -> bool:
+        """A node is resetting, or the nodes name different epochs."""
+        processes = self.cluster.processes
+        epochs = {p.epoch for p in processes}
+        return len(epochs) > 1 or any(p.resetting for p in processes)
+
+    async def _finish_reset(self, context: str) -> None:
+        """Let a global reset under way finish before the final check.
+
+        Definition 1's ``ts`` checks know no epochs: mid-reset they
+        would compare nodes already in the new epoch (every ts 0) with
+        nodes still in the old one.  A reset still under way after
+        ``_RESET_CYCLES`` cycles is a failure.
+        """
+        if not self.bounded:
+            return
+        for _ in range(_RESET_CYCLES):
+            if not self._reset_under_way():
+                return
+            await self.cluster.tracker.wait_cycles(1)
+        if self._reset_under_way():
+            self.failures.append(
+                f"{context}: a global reset was still under way after "
+                f"{_RESET_CYCLES} cycles"
+            )
 
     def _void_history(self) -> None:
         """Start a fresh evidence window (past records impose nothing)."""
@@ -517,6 +547,7 @@ class _SpecRun:
         self._restore_liveness()
         if self.stabilizing:
             await cluster.tracker.wait_cycles(4)
+            await self._finish_reset("final")
         else:
             await cluster.kernel.sleep(4.0 * cluster.config.gossip_interval)
         self._check_history("final")

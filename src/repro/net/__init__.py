@@ -10,7 +10,6 @@ from repro.net.channel import Channel
 from repro.net.message import Message, measure_size
 from repro.net.network import Network
 from repro.net.node import Process
-from repro.net.outbox import Outbox
 from repro.net.quorum import AckCollector, broadcast_until
 
 __all__ = [
@@ -18,7 +17,6 @@ __all__ = [
     "Channel",
     "Message",
     "Network",
-    "Outbox",
     "Process",
     "broadcast_until",
     "measure_size",

@@ -7,14 +7,20 @@ key ``(kind, id)``, the item each peer is owed, an ack set, a threshold,
 a next-due time and an interval policy (doubling up to a cap; a cap
 equal to the interval keeps it fixed).  One kernel timer, and no task,
 re-sends every due entry to the peers that have not acked it; entries
-sharing a ``pack`` travel as one ``pack(items)`` message per peer.
+sharing a ``pack`` travel as one ``pack(items)`` message per peer.  A
+heap of due times orders the entries, so a post or a re-send touches
+only what is due, however many entries wait on a crashed peer.
 Retransmissions are counted in one place, :meth:`Outbox.retransmitted`.
-A fault may rewrite :attr:`Outbox.entries`; no fault rewrites the timer.
+A fault may rewrite an entry's item or ack set, or delete it; no fault
+rewrites a due time or the timer.  An entry whose ack set a fault filled
+goes at its due time.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
 
 from repro.net.message import Message
@@ -22,7 +28,7 @@ from repro.net.message import Message
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.node import Process
 
-__all__ = ["Outbox", "OutboxEntry"]
+__all__ = ["Outbox"]
 
 
 @dataclass(slots=True)
@@ -46,6 +52,10 @@ class Outbox:
     def __init__(self, process: "Process") -> None:
         self._process = process
         self.entries: dict[Hashable, OutboxEntry] = {}
+        #: ``(due, seq, key, entry)`` per posted or re-sent entry; an item
+        #: whose entry was since replaced, acked or re-timed is stale.
+        self._heap: list[tuple[float, int, Hashable, OutboxEntry]] = []
+        self._seq = count()
         #: The armed timer's token (``None``: disarmed) and its due time.
         self._timer: object | None = None
         self._timer_at = 0.0
@@ -74,9 +84,10 @@ class Outbox:
         interval = self._process.config.retransmit_interval
         cap = interval if cap is None else cap
         now = self._process.kernel.now
-        self.entries[key] = OutboxEntry(
+        entry = self.entries[key] = OutboxEntry(
             item, threshold, now + interval, min(2 * interval, cap), cap, pack
         )
+        self._push(key, entry)
         self._arm()
 
     def ack(self, sender: int, keys: Iterable[Hashable]) -> None:
@@ -89,18 +100,22 @@ class Outbox:
                 if len(entry.acked) >= entry.threshold:
                     del entries[key]
         if not entries:
-            self._timer = None
+            self._empty()
 
     def drop(self, kind: str) -> None:
         """Forget ``kind``'s entries (a restart or a reset voided them)."""
         for key in self.keys(kind):
             del self.entries[key]
         if not self.entries:
-            self._timer = None
+            self._empty()
 
     def disarm(self) -> None:
         """Schedule no further retransmission (end of an experiment)."""
         self._timer = None
+
+    def _empty(self) -> None:
+        self._timer = None
+        self._heap.clear()  # every item left is stale
 
     def retransmitted(self) -> None:
         """Count one retransmission against the node's active operation."""
@@ -108,10 +123,20 @@ class Outbox:
         if obs is not None:
             obs.retransmit()
 
+    def _push(self, key: Hashable, entry: OutboxEntry) -> None:
+        heapq.heappush(self._heap, (entry.due, next(self._seq), key, entry))
+
+    def _live(self, item: tuple) -> bool:
+        due, _seq, key, entry = item
+        return self.entries.get(key) is entry and entry.due == due
+
     def _arm(self) -> None:
-        if not self.entries:
+        heap = self._heap
+        while heap and not self._live(heap[0]):
+            heapq.heappop(heap)
+        if not heap:
             return
-        due = min(entry.due for entry in self.entries.values())
+        due = heap[0][0]
         if self._timer is not None and self._timer_at <= due:
             return
         token = self._timer = object()
@@ -126,13 +151,18 @@ class Outbox:
         self._timer = None
         process = self._process
         now = process.kernel.now
+        heap, keys = self._heap, []
+        while heap and heap[0][0] <= now:
+            item = heapq.heappop(heap)
+            if self._live(item):
+                keys.append(item[2])
         due = []
-        for key in sorted(self.entries):
+        for key in sorted(keys):
             entry = self.entries[key]
             if len(entry.acked) >= entry.threshold:
-                del self.entries[key]  # a corrupted ack set, or quorum 1
-            elif entry.due <= now:
-                due.append(entry)
+                del self.entries[key]  # a forged ack set, or quorum 1
+            else:
+                due.append((key, entry))
         # A crashed node sends nothing, and its own silence is no reason
         # to back off: the interval grows only after a re-send went out.
         sending = bool(due) and not process.crashed
@@ -140,7 +170,7 @@ class Outbox:
             self.retransmitted()
             for peer in process.peers():
                 packed: dict[Callable[[tuple], Message], list] = {}
-                for entry in due:
+                for _key, entry in due:
                     if peer in entry.acked:
                         continue
                     if entry.pack is None:
@@ -149,8 +179,14 @@ class Outbox:
                         packed.setdefault(entry.pack, []).append(entry.item)
                 for pack, items in packed.items():
                     process.send(peer, pack(tuple(items)))
-        for entry in due:
-            entry.due = now + entry.interval
+        # A skipped instant retries one base interval later, so a
+        # resumed sender re-sends within one interval of its resume.
+        base = process.config.retransmit_interval
+        for key, entry in due:
             if sending:
+                entry.due = now + entry.interval
                 entry.interval = min(2 * entry.interval, entry.cap)
+            else:
+                entry.due = now + base
+            self._push(key, entry)
         self._arm()

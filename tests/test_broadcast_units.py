@@ -114,9 +114,10 @@ class TestBackoff:
         assert gaps == [2.0, 4.0, 8.0, 16.0, 32.0, 32.0, 32.0]
 
     def test_a_crashed_senders_own_silence_does_not_back_off(self):
-        """Instants that fall due while the sender is crashed send nothing
-        and leave the interval as it was (8 here), so the first re-send
-        after the resume is at most one interval away."""
+        """Instants that fall due while the sender is crashed send nothing,
+        leave the interval as it was (16 after the re-send at 6) and
+        retry one base interval (2) later, so the first re-send after the
+        resume is at most one base interval away."""
         kernel, network, nodes = make(n=4, retransmit_interval=2.0)
         nodes[3].crash()
         sent = []
@@ -131,10 +132,10 @@ class TestBackoff:
         nodes[0].rb.broadcast(Note(text="x"))
         kernel.run(until_time=7.0)
         nodes[0].crash()
-        kernel.run(until_time=40.0)  # due at 14, 22, 30 and 38: all skipped
+        kernel.run(until_time=41.0)  # due at 14, 16, …, 40: all skipped
         nodes[0].resume()
         kernel.run(until_time=63.0)
-        assert sent == [0.0, 2.0, 6.0, 46.0, 62.0]
+        assert sent == [0.0, 2.0, 6.0, 42.0, 58.0]
 
     def test_crashed_relayer_pauses_retransmission(self):
         kernel, network, nodes = make()

@@ -368,6 +368,42 @@ class TestPinnedCounterexamples:
         assert not outcome.ok
         assert "NOT linearizable" in outcome.failures[0]
 
+    def test_the_final_check_waits_for_a_reset_under_way(self, monkeypatch):
+        """The final phase itself can start a bounded global reset; a
+        check landing mid-reset compared nodes already in the new epoch
+        (every ts 0) with nodes still in the old one."""
+        spec, payload = load_counterexample(
+            REGRESSIONS / "bounded-ss-always-141.json"
+        )
+        assert "reg_1[0].ts=2 > ts_0=0" in payload["failures"][0]
+        assert run_spec(spec).ok
+        from repro.fuzz import executor
+
+        async def no_wait(self, context):
+            return None
+
+        monkeypatch.setattr(executor._SpecRun, "_finish_reset", no_wait)
+        outcome = run_spec(spec)
+        assert not outcome.ok
+        assert "invariants violated" in outcome.failures[0]
+
+    def test_an_older_epochs_message_in_flight_bounds_nothing(
+        self, monkeypatch
+    ):
+        """After a reset, RESET_JOINs of the old epoch may still be in
+        flight; their receivers drop them, so Definition 1 skips them."""
+        spec, payload = load_counterexample(
+            REGRESSIONS / "bounded-ss-always-364.json"
+        )
+        assert "in-flight RESET_JOIN" in payload["failures"][0]
+        assert run_spec(spec).ok
+        from repro.analysis import invariants
+
+        monkeypatch.setattr(invariants, "_older_epoch", lambda *_: False)
+        outcome = run_spec(spec)
+        assert not outcome.ok
+        assert "in-flight RESET_JOIN" in outcome.failures[0]
+
     def test_fabric_counterexample_replays_bit_identically(self):
         """A fabric campaign's shrunk finding pins its schedule on the
         fabric's shared kernel and replays exactly, like any other."""
