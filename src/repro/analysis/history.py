@@ -190,7 +190,3 @@ class HistoryRecorder:
                     f"node {record.node_id}: operations {earlier.op_id} and "
                     f"{record.op_id} overlap; clients must be sequential"
                 )
-
-    def snapshot_results(self) -> list[Any]:
-        """The results of all completed snapshots (SnapshotResult objects)."""
-        return [r.result for r in self.snapshots(completed_only=True)]

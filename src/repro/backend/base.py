@@ -315,11 +315,6 @@ class ClusterBackend:
         """Ids of currently non-crashed nodes."""
         return [p.node_id for p in self.processes if not p.crashed]
 
-    def for_each_process(self, action: Callable[[Any], None]) -> None:
-        """Apply an action to every process (fault injection hooks)."""
-        for process in self.processes:
-            action(process)
-
     # -- operations --------------------------------------------------------
 
     async def _invoke(self, node_id: int, kind: str, *args: Any) -> Any:

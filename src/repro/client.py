@@ -140,7 +140,9 @@ class SnapshotClient:
         return self.fabric.epoch
 
     def check(self) -> list[str]:
-        """Run the full two-layer linearizability checker."""
+        """Check every shard's history, then the fabric's keyed writes,
+        keyed reads and composed cuts as one snapshot history over the
+        keys; an empty list means the run was linearizable."""
         return self.fabric.check()
 
     # -- synchronous helpers (simulator only) ------------------------------

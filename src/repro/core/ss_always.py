@@ -202,7 +202,6 @@ class SelfStabilizingAlwaysTerminating(RequestEvidence, DepositedWrites):
         #: ``foreign_tasks`` is the [(owner, sns), …] being helped.
         #: Used by experiment E11.
         self.helping_listeners: list = []
-        self.helping_episodes: int = 0
 
     # -- requests stand in for digests (the sns half) ------------------------------
 
@@ -441,7 +440,6 @@ class SelfStabilizingAlwaysTerminating(RequestEvidence, DepositedWrites):
             ]
             if not episode_reported and foreign:
                 episode_reported = True
-                self.helping_episodes += 1
                 for listener in self.helping_listeners:
                     listener(self, foreign)
             self.ssn += 1

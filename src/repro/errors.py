@@ -63,10 +63,6 @@ class HistoryError(ReproError):
     """An operation history is malformed (e.g. response without invocation)."""
 
 
-class LinearizabilityError(ReproError):
-    """Raised when a history fails a linearizability check in strict mode."""
-
-
 class ObservabilityError(ReproError):
     """Misuse of the observability layer (metrics registry, spans, windows).
 

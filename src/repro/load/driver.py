@@ -489,7 +489,7 @@ def run_load(
     ``config`` — drives it with ``spec`` (default: a closed-loop mixed
     workload), and returns a :class:`LoadReport`.  With ``check`` (the
     default) the recorded history is verified linearizable — per shard
-    and across the composed cuts on a fabric; violations land in
+    and over the keys on a fabric; violations land in
     ``report.failures``.
 
     The report's tail-latency attribution is filled when an ambient obs

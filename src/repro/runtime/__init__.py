@@ -1,11 +1,8 @@
 """Live runtimes: the same algorithms over an event loop or real UDP.
 
 This package holds the kernel/transport substrate the live backends are
-built from.  The legacy cluster facades (``AsyncioSnapshotCluster``,
-``UdpSnapshotCluster``) completed their deprecation cycle (aliases since
-PR 5, removed in PR 8); the replacements are
-:func:`repro.backend.create_backend` and
-:class:`repro.client.SnapshotClient`.
+built from; deployments start from :func:`repro.backend.create_backend`
+or :class:`repro.client.SnapshotClient`.
 """
 
 from repro.runtime.asyncio_kernel import AsyncioEvent, AsyncioGate, AsyncioKernel
@@ -18,18 +15,3 @@ __all__ = [
     "DatagramFaultGate",
     "UdpNetwork",
 ]
-
-_REMOVED = {
-    "AsyncioSnapshotCluster": "repro.backend.create_backend('asyncio', ...)",
-    "UdpSnapshotCluster": "repro.backend.create_backend('udp', ...)",
-}
-
-
-def __getattr__(name: str):
-    if name in _REMOVED:
-        raise ImportError(
-            f"{name} was removed after its deprecation cycle "
-            f"(PR 5 → PR 8). Use {_REMOVED[name]} for backend-agnostic "
-            f"code, or repro.client.SnapshotClient for the keyed facade."
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

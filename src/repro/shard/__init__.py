@@ -14,8 +14,9 @@ north star needs orders of magnitude more.  This package scales *out*:
   composed cross-shard snapshots via double collect with a writes-only
   fence, and online epoch changes (shard splits, cluster
   reconfigurations) that never lose or duplicate an in-flight operation.
-* :mod:`repro.shard.check` — two-layer linearizability checking
-  (per-shard histories + composed cuts).
+* :mod:`repro.shard.check` — the one snapshot checker, run on every
+  shard's history and once on the fabric's own history, whose registers
+  are keys (keyed writes, keyed reads, composed cuts).
 
 Keyed load with the Zipf hot-shard dial is the one load driver's
 ``run_load(..., shards=K)`` (:mod:`repro.load`), which also carries the

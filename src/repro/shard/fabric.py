@@ -58,12 +58,14 @@ Three mechanisms make the composition more than K disjoint objects:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Awaitable, Callable
 
+from repro.analysis.history import READ, SNAPSHOT, WRITE, HistoryRecorder
 from repro.backend.base import ClusterBackend, backend_class
 from repro.config import ClusterConfig
-from repro.core.register import EMPTY_KEY_MAP, KeyMap
+from repro.core.base import SnapshotResult
+from repro.core.register import EMPTY_KEY_MAP, KeyMap, TimestampedValue
 from repro.errors import ConfigurationError, ReproError
 from repro.shard.epoch import ConsensusEpochDecider
 from repro.shard.ring import DEFAULT_VNODES, ShardMap
@@ -74,24 +76,10 @@ __all__ = [
     "EpochReport",
     "KeyView",
     "ShardedFabric",
-    "WriteRecord",
     "build_sim_fabric",
     "create_fabric",
     "run_on_fabric",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class WriteRecord:
-    """One fabric-level write, as the per-key checker sees it."""
-
-    key: Any
-    seq: int
-    slot: tuple[int, int]
-    epoch: int
-    invoked: float
-    responded: float
-    ts: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,8 +247,15 @@ class ShardedFabric:
         self._writes = _Admission(self.kernel)
         self._admin_chain: Any = None
         self._closed = False
-        #: Fabric-level operation records for the composed checker.
-        self.writes: list[WriteRecord] = []
+        #: The fabric's own operations, as the history of one SWMR
+        #: snapshot object whose registers are keys: register ``i`` is
+        #: the key ``key_index`` maps to ``i`` (its index at first
+        #: sight).  A keyed write is a WRITE of it (argument the value,
+        #: result the seq), a keyed read a READ of it, and a composed
+        #: cut a SNAPSHOT of every key's ``(seq, value)``.  ``check()``
+        #: runs the snapshot checker over it.
+        self.history = HistoryRecorder()
+        self.key_index: dict[Any, int] = {}
         self.composed: list[ComposedSnapshot] = []
         self._label_shards()
 
@@ -288,6 +283,10 @@ class ShardedFabric:
         """Where ``key`` routes under the installed map."""
         return self.map.slot(key, self.n)
 
+    def _register(self, key: Any) -> int:
+        """``key``'s register index in :attr:`history`."""
+        return self.key_index.setdefault(key, len(self.key_index))
+
     def _label_shards(self) -> None:
         """Tag observed shard clusters so blame/health rows name shards."""
         for shard_id, backend in self._shards.items():
@@ -305,8 +304,9 @@ class ShardedFabric:
         order their tasks start in.
         """
         seq = self._key_seq[key] = self._key_seq.get(key, 0) + 1
+        op = self.history.invoke(self._register(key), WRITE, value, self.kernel.now)
         return self.kernel.create_task(
-            self._write(key, seq, value, self.kernel.now), name=f"w:{key}"
+            self._write(key, seq, value, op), name=f"w:{key}"
         )
 
     async def write(self, key: Any, value: Any) -> int:
@@ -315,15 +315,15 @@ class ShardedFabric:
 
     def submit_scan(self, key: Any) -> Any:
         """Pipelined keyed read of ``key`` (an atomic read of its slot)."""
-        return self.kernel.create_task(self._read(key), name=f"s:{key}")
+        index = self._register(key)
+        op = self.history.invoke(index, READ, index, self.kernel.now)
+        return self.kernel.create_task(self._read(key, op), name=f"s:{key}")
 
     async def scan(self, key: Any) -> KeyView:
         """Read ``key`` through an atomic read of its slot's register."""
         return await self.submit_scan(key)
 
-    async def _write(
-        self, key: Any, seq: int, value: Any, invoked: float
-    ) -> int:
+    async def _write(self, key: Any, seq: int, value: Any, op: int) -> int:
         if self._closed:
             raise ReproError("fabric is closed")
         async with self._writes:
@@ -340,21 +340,11 @@ class ShardedFabric:
                     state = self._slots[slot] = state.apply(((key, (seq, value)),))
                 return await backend.write(node, state)
 
-            ts = await backend.submit(node, publish)
-            self.writes.append(
-                WriteRecord(
-                    key=key,
-                    seq=seq,
-                    slot=slot,
-                    epoch=self.epoch,
-                    invoked=invoked,
-                    responded=self.kernel.now,
-                    ts=ts,
-                )
-            )
+            await backend.submit(node, publish)
+            self.history.respond(op, seq, self.kernel.now)
             return seq
 
-    async def _read(self, key: Any) -> KeyView:
+    async def _read(self, key: Any, op: int) -> KeyView:
         if self._closed:
             raise ReproError("fabric is closed")
         async with self._reads:
@@ -363,9 +353,9 @@ class ShardedFabric:
             # untouched by writes to the shard's other slots.
             result = await self._shards[shard_id].submit_read(node, node)
             entry = (result.value or {}).get(key)
-            if entry is None:
-                return KeyView(key, 0, None, False, shard_id, self.epoch)
-            return KeyView(key, entry[0], entry[1], True, shard_id, self.epoch)
+            seq, value = (0, None) if entry is None else entry
+            self.history.respond(op, TimestampedValue(seq, value), self.kernel.now)
+            return KeyView(key, seq, value, entry is not None, shard_id, self.epoch)
 
     # -- composed snapshots ------------------------------------------------
 
@@ -405,8 +395,12 @@ class ShardedFabric:
         if max_rounds is None:
             max_rounds = self.MAX_OPTIMISTIC_ROUNDS
         invoked = self.kernel.now
+        op = self.history.invoke(0, SNAPSHOT, now=invoked)
         rounds = 0
-        while not (fence and (self._writes.inflight or rounds >= max_rounds)):
+        cut = None
+        while cut is None and not (
+            fence and (self._writes.inflight or rounds >= max_rounds)
+        ):
             map_ = self.map
             first = await self._collect(map_)
             if first is None:
@@ -420,10 +414,20 @@ class ShardedFabric:
                 for sid in map_.shard_ids
             )
             if stable:
-                return self._record_compose(
+                cut = self._record_compose(
                     map_, second, invoked, rounds, fenced=False
                 )
-        return await self._admin(lambda: self._fenced_compose(invoked, rounds))
+        if cut is None:
+            cut = await self._admin(lambda: self._fenced_compose(invoked, rounds))
+        # The cut over the keys: one snapshot of the fabric's history.
+        seqs, values = [0] * len(self.key_index), [None] * len(self.key_index)
+        for key, (seq, value) in cut.items().items():
+            index = self.key_index[key]
+            seqs[index], values[index] = seq, value
+        self.history.respond(
+            op, SnapshotResult(tuple(values), tuple(seqs)), self.kernel.now
+        )
+        return cut
 
     async def _fenced_compose(
         self, invoked: float, optimistic_rounds: int
@@ -654,7 +658,7 @@ class ShardedFabric:
     # -- verification ------------------------------------------------------
 
     def check(self) -> list[str]:
-        """Check every shard history and the composed/per-key records."""
+        """Check every shard history, then :attr:`history` over the keys."""
         from repro.shard.check import check_fabric
 
         return check_fabric(self)

@@ -1,28 +1,25 @@
-"""The pairwise checkers, kept as oracles for the sort-and-sweep ones.
+"""The pairwise checker, kept as the oracle for the sort-and-sweep one.
 
-Until the sweep replaced them these were
-:func:`repro.analysis.linearizability.check_snapshot_history` and
-:func:`repro.shard.check.check_composed_records`: every real-time
-condition is a double loop over operation pairs, which is what makes
-them trustworthy references — nothing is summarised into a frontier —
-and what made them quadratic.  The property tests require the production
-checkers to reach the same verdict on valid, mutated and
-broken-algorithm histories.  :func:`check_exhaustive`, the Wing & Gill
-search straight from the sequential specification, lives here too: it
-cross-validates both on small histories.  Not a ``test_*`` module, so
+Until the sweep replaced it this was
+:func:`repro.analysis.linearizability.check_snapshot_history`: every
+real-time condition is a double loop over operation pairs, which is what
+makes it a trustworthy reference — nothing is summarised into a
+frontier — and what made it quadratic.  The property tests require the
+production checker to reach the same verdict on valid, mutated and
+broken-algorithm histories, a fabric's key history among them.
+:func:`check_exhaustive`, the Wing & Gill search straight from the
+sequential specification, lives here too: it cross-validates both on
+small histories.  Not a ``test_*`` module, so
 pytest never collects it (see ``broken_algorithms.py`` for why helpers
 live beside the tests).
 """
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.analysis.history import READ, SNAPSHOT, WRITE, OperationRecord
 from repro.analysis.linearizability import CheckReport
 from repro.errors import HistoryError
-
-if TYPE_CHECKING:
-    from repro.shard.fabric import ComposedSnapshot, ShardedFabric
 
 
 def _vc_leq(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -279,101 +276,3 @@ def check_exhaustive(records: Iterable[OperationRecord], n: int) -> bool:
         return search(0)
     finally:
         search.cache_clear()
-
-
-def _composed_leq(a: "ComposedSnapshot", b: "ComposedSnapshot") -> bool:
-    return all(
-        all(x <= y for x, y in zip(a.shard_vectors[sid], b.shard_vectors[sid]))
-        for sid in a.shard_vectors
-    )
-
-
-def reference_check_composed_records(fabric: "ShardedFabric") -> list[str]:
-    """The pairwise composed-cut checker (cut×cut and write×cut loops)."""
-    failures: list[str] = []
-    composed = list(fabric.composed)
-    items: list[dict[Any, tuple[int, Any]]] = [c.items() for c in composed]
-
-    # 1. Within an epoch, composed vectors form a total ⪯-order
-    #    (atomicity of the composed object, lifted from condition 3 of
-    #    the single-object checker).
-    by_epoch: dict[int, list[int]] = {}
-    for index, cut in enumerate(composed):
-        by_epoch.setdefault(cut.epoch, []).append(index)
-    for epoch, indices in by_epoch.items():
-        ordered = sorted(
-            indices,
-            key=lambda i: sum(
-                sum(vc) for vc in composed[i].shard_vectors.values()
-            ),
-        )
-        for earlier, later in zip(ordered, ordered[1:]):
-            if not _composed_leq(composed[earlier], composed[later]):
-                failures.append(
-                    f"composed cuts {earlier} and {later} (epoch {epoch}) "
-                    f"are ⪯-incomparable"
-                )
-
-    # 2. Real-time order between cuts: a cut that responded before
-    #    another was invoked must be ⪯ it (same epoch) and must not show
-    #    a larger seq for any key (any epoch — seqs survive migration).
-    for i, first in enumerate(composed):
-        for j, second in enumerate(composed):
-            if i == j or not first.responded < second.invoked:
-                continue
-            if first.epoch == second.epoch and not _composed_leq(first, second):
-                failures.append(
-                    f"composed cut {j} (after {i} in real time) returned "
-                    f"an older vector"
-                )
-            for key, (seq, _) in items[i].items():
-                other = items[j].get(key)
-                if other is None or other[0] < seq:
-                    failures.append(
-                        f"composed cut {j} (after {i} in real time) lost "
-                        f"key {key!r}: seq {seq} regressed to "
-                        f"{other[0] if other else 'absent'}"
-                    )
-
-    # 3. Write containment: effects respect real-time order in both
-    #    directions (conditions 5a/5b of the single-object checker,
-    #    restated over per-key seqs).
-    for w in fabric.writes:
-        for j, cut in enumerate(composed):
-            entry = items[j].get(w.key)
-            seen = entry[0] if entry is not None else 0
-            if w.responded < cut.invoked and seen < w.seq:
-                failures.append(
-                    f"composed cut {j} misses write {w.key!r}#{w.seq} "
-                    f"that preceded it (saw seq {seen})"
-                )
-            if cut.responded < w.invoked and seen >= w.seq:
-                failures.append(
-                    f"composed cut {j} saw future write {w.key!r}#{w.seq} "
-                    f"invoked after it responded"
-                )
-
-    # 4. Per-key seqs are unique, and a write that responded strictly
-    #    before another to the same key was invoked has the smaller seq.
-    #    (Not "increasing in list order": same-instant completions are
-    #    appended to ``fabric.writes`` in scheduler order.)
-    taken: set[tuple[Any, int]] = set()
-    for w in fabric.writes:
-        if (w.key, w.seq) in taken:
-            failures.append(
-                f"write seq not unique for key {w.key!r}: #{w.seq}"
-            )
-        taken.add((w.key, w.seq))
-    for first in fabric.writes:
-        for second in fabric.writes:
-            if (
-                first.key == second.key
-                and first.responded < second.invoked
-                and first.seq >= second.seq
-            ):
-                failures.append(
-                    f"write seq not increasing for key {second.key!r}: "
-                    f"#{second.seq} invoked after #{first.seq} responded"
-                )
-
-    return failures

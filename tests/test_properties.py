@@ -11,7 +11,6 @@ import dataclasses
 import enum
 import random
 import time
-import types
 
 import broken_algorithms  # noqa: F401  (registers "broken-first-ack")
 import pytest
@@ -19,7 +18,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from reference_checker import (
     check_exhaustive,
-    reference_check_composed_records,
     reference_check_snapshot_history,
 )
 from reference_sizer import reference_measure_size
@@ -39,8 +37,6 @@ from repro.core.register import RegisterArray, TimestampedValue
 from repro.fault import TransientFaultInjector
 from repro.net import codec
 from repro.net.message import HEADER_BYTES, measure_size
-from repro.shard.check import check_composed_records
-from repro.shard.fabric import ComposedSnapshot, WriteRecord
 
 # Simulation-heavy properties get fewer, deadline-free examples.
 SIM_SETTINGS = settings(
@@ -395,15 +391,6 @@ _HISTORY_KEYWORDS = (
     "saw future write",
     "cites write",
 )
-_COMPOSED_KEYWORDS = (
-    "not increasing",
-    "not unique",
-    "incomparable",
-    "older vector",
-    "lost key",
-    "misses write",
-    "saw future write",
-)
 
 
 def _conditions_hit(violations, keywords):
@@ -411,7 +398,7 @@ def _conditions_hit(violations, keywords):
 
 
 class TestSweepMatchesPairwiseOracle:
-    """The sort-and-sweep checkers reach the pairwise oracles' verdicts.
+    """The sort-and-sweep checker reaches the pairwise oracle's verdicts.
 
     Violation *counts* differ on purpose (the sweep reports one per
     offending operation, the oracle one per pair), so the comparison is
@@ -554,22 +541,26 @@ class TestSweepMatchesPairwiseOracle:
             assert "!= written 'new'" in check_snapshot_history(records, 5).summary()
 
     def test_sweep_is_not_quadratic(self):
-        """40 000 operations: minutes pairwise (12 s for the first 10 000,
-        and quadratic), 0.1 s swept.  The limit is fifty times the
-        expected cost — a guard against the pair loops coming back, not a
-        stopwatch race."""
+        """40 000 operations on 4 nodes, and a fabric's 20 000 on 300
+        keys with a few cuts: minutes pairwise (12 s for the first
+        10 000, and quadratic), 0.1 s swept.  The limit is fifty times
+        the expected cost — a guard against the pair loops coming back,
+        not a stopwatch race."""
         rng = random.Random(16)
-        records = linearizable_history(rng, 4, 40_000, loose_ends=False)
-        assert len(records) == 40_000
-        stale = mutate_stale_snapshot(records)
-        started = time.perf_counter()
-        report = check_snapshot_history(records, n=4)
-        rejected = check_snapshot_history(stale, n=4)
-        assert time.perf_counter() - started < 5.0
-        assert report.ok, report.summary()
-        assert "misses write" in rejected.summary()
+        cluster = linearizable_history(rng, 4, 40_000, loose_ends=False)
+        fabric = composed_records(rng, 20_000, keys=300, cut_share=0.0005)
+        assert len(cluster) == 40_000 and len(fabric) == 20_000
+        assert sum(r.kind == SNAPSHOT for r in fabric) >= 5
+        for records, n in ((cluster, 4), (fabric, 300)):
+            stale = mutate_stale_snapshot(records)
+            started = time.perf_counter()
+            report = check_snapshot_history(records, n=n)
+            rejected = check_snapshot_history(stale, n=n)
+            assert time.perf_counter() - started < 5.0
+            assert report.ok, report.summary()
+            assert "misses write" in rejected.summary()
 
-    # -- composed cuts -----------------------------------------------------
+    # -- a fabric's key history ----------------------------------------
 
     @given(
         seed=st.integers(min_value=0, max_value=1_000_000),
@@ -578,19 +569,14 @@ class TestSweepMatchesPairwiseOracle:
     )
     @settings(max_examples=300, deadline=None)
     def test_valid_and_mutated_composed_cuts(self, seed, ops, mutations):
+        """Keyed writes, keyed reads and composed cuts, keys as
+        registers: the one sweep and the pairwise oracle agree."""
         rng = random.Random(seed)
-        fabric = composed_records(rng, ops)
-        # Completion records land in scheduler order, not seq order.
-        rng.shuffle(fabric.writes)
-        assert check_composed_records(fabric) == []
-        assert reference_check_composed_records(fabric) == []
+        records = composed_records(rng, ops)
+        assert self.assert_same_verdict(records, _KEYS), "generator is broken"
         for _ in range(mutations):
-            mutate_composed(rng, fabric)
-            sweep = check_composed_records(fabric)
-            oracle = reference_check_composed_records(fabric)
-            assert _conditions_hit(sweep, _COMPOSED_KEYWORDS) == (
-                _conditions_hit(oracle, _COMPOSED_KEYWORDS)
-            ), (sweep, oracle)
+            records = mutate_history(rng, records)
+            self.assert_same_verdict(records, _KEYS)
 
 
 def mutate_stale_snapshot(records):
@@ -616,106 +602,58 @@ def mutate_stale_snapshot(records):
     raise AssertionError("no snapshot follows a write it shows")
 
 
-_SHARDS, _SLOTS, _KEYS = 2, 2, 6
+_KEYS = 6
 
 
-def composed_records(rng, ops):
-    """Linearizable fabric-level records: keyed writes and composed cuts.
+def composed_records(rng, ops, keys=_KEYS, cut_share=0.25):
+    """A linearizable fabric history, keys as registers, as
+    :attr:`ShardedFabric.history <repro.shard.fabric.ShardedFabric.history>`
+    records it: keyed writes, keyed reads and composed cuts.
 
-    Same construction as :func:`linearizable_history`.  Key ``k`` lives in
-    slot ``(k % _SHARDS, k // _SHARDS % _SLOTS)``; once, mid-run, the epoch
-    is bumped — shard vectors restart while per-key seqs carry over, as
-    after a split.
+    As in :func:`linearizable_history`, every operation takes effect at
+    one instant inside its interval and the instants never decrease.
+    Unlike there, one key's writes overlap freely (a caller pipelines
+    them), and each takes its seq at invocation, as ``submit_write``
+    does.  A write that takes effect after a larger seq of its key
+    leaves the key as it was, as the fabric's slot map keeps the
+    highest seq.  A few writes stay pending; they take effect too.
     """
-    writes, cuts = [], []
-    epoch = 0
-    bump_at = rng.randrange(ops + 1)
-    seqs = [0] * _KEYS
-    vectors = {sid: [0] * _SLOTS for sid in range(_SHARDS)}
-    slots = {sid: [{} for _ in range(_SLOTS)] for sid in range(_SHARDS)}
+    effects = []
     instant = 0
-    for step in range(ops):
-        if step == bump_at:
-            epoch += 1
-            vectors = {sid: [0] * _SLOTS for sid in range(_SHARDS)}
+    for _ in range(ops):
         instant += rng.randint(0, 2)
-        invoked = instant - rng.randint(0, 3)
-        responded = instant + rng.randint(0, 3)
-        if rng.random() < 0.6:
-            key = rng.randrange(_KEYS)
-            sid, slot = key % _SHARDS, key // _SHARDS % _SLOTS
-            seqs[key] += 1
-            vectors[sid][slot] += 1
-            slots[sid][slot][key] = (seqs[key], f"{key}#{seqs[key]}")
-            writes.append(
-                WriteRecord(
-                    key=key,
-                    seq=seqs[key],
-                    slot=(sid, slot),
-                    epoch=epoch,
-                    invoked=invoked,
-                    responded=responded,
-                    ts=vectors[sid][slot],
-                )
+        draw = rng.random()
+        kind = SNAPSHOT if draw < cut_share else WRITE if draw < 0.7 else READ
+        key = rng.randrange(keys)
+        effects.append(
+            OperationRecord(
+                op_id=0,
+                node_id=0 if kind == SNAPSHOT else key,
+                kind=kind,
+                argument=key if kind == READ else None,
+                invoked_at=max(0, instant - rng.randint(0, 3)),
+                responded_at=instant + rng.randint(0, 3),
             )
+        )
+    records = sorted(effects, key=lambda record: record.invoked_at)
+    seqs = [0] * keys
+    for op_id, record in enumerate(records, 1):
+        record.op_id = op_id
+        if record.kind == WRITE:
+            seqs[record.node_id] += 1
+            record.argument = f"v{seqs[record.node_id]}"
+            record.result = seqs[record.node_id]
+    state = [0] * keys
+    for record in effects:
+        if record.kind == WRITE:
+            state[record.node_id] = max(state[record.node_id], record.result)
+            if rng.random() < 0.03:
+                record.responded_at = record.result = None
+        elif record.kind == READ:
+            record.result = _entry_of(state[record.argument])
         else:
-            cuts.append(
-                ComposedSnapshot(
-                    epoch=epoch,
-                    invoked=invoked,
-                    responded=responded,
-                    shard_vectors={s: tuple(v) for s, v in vectors.items()},
-                    shard_slots={
-                        s: tuple(dict(m) or None for m in maps)
-                        for s, maps in slots.items()
-                    },
-                    rounds=2,
-                    fenced=False,
-                )
-            )
-    return types.SimpleNamespace(writes=writes, composed=cuts)
-
-
-def mutate_composed(rng, fabric):
-    """Nudge one field of one fabric-level record, in place in the lists."""
-    step = rng.choice([-3, -2, -1, 1, 2, 3])
-    unit = 1 if step > 0 else -1
-    what = rng.choice(["instant", "instant", "seq", "vector", "entry"])
-    if what == "instant":
-        records = rng.choice([fabric.writes, fabric.composed])
-    else:
-        records = fabric.writes if what == "seq" else fabric.composed
-    if not records:
-        return
-    index = rng.randrange(len(records))
-    record = records[index]
-    if what == "instant":
-        if rng.random() < 0.5:
-            change = {"invoked": min(record.invoked + step, record.responded)}
-        else:
-            change = {"responded": max(record.responded + step, record.invoked)}
-    elif what == "seq":
-        change = {"seq": max(1, record.seq + unit)}
-    elif what == "vector":
-        sid = rng.randrange(_SHARDS)
-        vc = list(record.shard_vectors[sid])
-        k = rng.randrange(_SLOTS)
-        vc[k] = max(0, vc[k] + unit)
-        change = {"shard_vectors": {**record.shard_vectors, sid: tuple(vc)}}
-    else:
-        sid = rng.randrange(_SHARDS)
-        k = rng.randrange(_SLOTS)
-        slot_map = dict(record.shard_slots[sid][k] or {})
-        if not slot_map:
-            return
-        key = rng.choice(sorted(slot_map))
-        seq, value = slot_map.pop(key)
-        if rng.random() < 0.7:  # else the key is dropped from the cut
-            slot_map[key] = (max(1, seq + unit), value)
-        maps = list(record.shard_slots[sid])
-        maps[k] = slot_map or None
-        change = {"shard_slots": {**record.shard_slots, sid: tuple(maps)}}
-    records[index] = dataclasses.replace(record, **change)
+            record.result = _snapshot_of(state)
+    return records
 
 
 def concurrent_run(algorithm, seed, loss):

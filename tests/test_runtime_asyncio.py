@@ -119,8 +119,3 @@ def test_unknown_algorithm_rejected():
             AsyncioBackend("bogus")
 
     run(main())
-
-
-def test_legacy_facade_removed():
-    with pytest.raises(ImportError, match="create_backend"):
-        from repro.runtime import AsyncioSnapshotCluster  # noqa: F401

@@ -169,8 +169,3 @@ class TestUdpFabric:
                 assert kinds["WRITE"] and kinds["READ"] and kinds["SNAPSHOT"]
 
         run_on_fabric("udp", 2, "ss-nonblocking", None, body)
-
-
-def test_legacy_facade_removed():
-    with pytest.raises(ImportError, match="create_backend"):
-        from repro.runtime import UdpSnapshotCluster  # noqa: F401

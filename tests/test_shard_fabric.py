@@ -8,6 +8,8 @@ closes every test that generates history.
 import pytest
 
 from repro import ClusterConfig
+from repro.core.base import SnapshotResult
+from repro.core.register import KeyMap, TimestampedValue
 from repro.shard import ShardedFabric, build_sim_fabric
 
 pytestmark = pytest.mark.shard
@@ -44,27 +46,34 @@ def keys_of_one_slot(fabric, count):
 def writes_across_a_split(fabric):
     """Ops in flight across a split all execute exactly once."""
 
+    async def split():
+        await fabric.split()
+        return fabric.kernel.now  # the new map is installed
+
     async def body():
         for i in range(16):
             await fabric.write(f"k{i}", 0)
         # Submit writes throughout the split, whose epoch decision is a
         # consensus round: some are admitted before the drain, the rest
         # wait at the gate and route under the new epoch.
-        split = fabric.kernel.create_task(fabric.split(), name="split")
+        installed = fabric.kernel.create_task(split(), name="split")
         handles = []
         for i in range(16):
             handles.append(fabric.submit_write(f"k{i}", 1))
             await fabric.kernel.sleep(0.5)
-        await split
-        return [await handle for handle in handles]
+        return [await handle for handle in handles], await installed
 
     # Exactly once: every key reaches seq 2, never 3.
-    assert drive(fabric, body()) == [2] * 16
+    acked, installed = drive(fabric, body())
+    assert acked == [2] * 16
     by_key = {}
-    for record in fabric.writes:
-        by_key.setdefault(record.key, []).append(record.seq)
+    for record in fabric.history.writes():
+        by_key.setdefault(record.node_id, []).append(record.result)
     assert all(seqs == [1, 2] for seqs in by_key.values())
-    assert {record.epoch for record in fabric.writes} == {0, 1}
+    # Some second writes completed under epoch 0, the rest after the
+    # new map was installed.
+    second = [r for r in fabric.history.writes() if r.result == 2]
+    assert {r.responded_at > installed for r in second} == {False, True}
     assert fabric.check() == []
 
 
@@ -389,7 +398,11 @@ class TestOnlineSplit:
                 await fabric.write(f"n{i}", i)
 
         drive(fabric, body())
-        recorded_slots = {record.slot for record in fabric.writes}
+        recorded_slots = {
+            (sid, record.node_id)
+            for sid in fabric.shard_ids
+            for record in fabric.shard(sid).history.writes()
+        }
         expected = {fabric.slot_of(f"n{i}") for i in range(12)}
         assert recorded_slots == expected
         assert len({shard for shard, _ in recorded_slots}) == 2
@@ -432,3 +445,96 @@ class TestFabricLifecycle:
         fabric.shard(1).history.invoke(0, "write", "y", now=1.5)
         failures = fabric.check()
         assert failures and all(f.startswith("shard1: ") for f in failures)
+
+
+class TestKeyHistory:
+    """``fabric.check()`` runs the one snapshot checker over the keys:
+    keyed reads, cut values and the ⪯-order of cuts across epochs."""
+
+    def test_rejects_a_read_below_a_write_that_preceded_it(self, monkeypatch):
+        fabric = make()
+        drive(fabric, fabric.write("a", "old"))
+        drive(fabric, fabric.write("a", "new"))
+        drive(fabric, fabric.kernel.sleep(1.0))  # strictly after, not concurrent
+        shard_id, _ = fabric.slot_of("a")
+
+        async def stale_read(node, j):
+            return TimestampedValue(1, KeyMap([("a", (1, "old"))]))
+
+        # The slot serves the map it held before the second write.
+        monkeypatch.setattr(
+            fabric.shard(shard_id),
+            "submit_read",
+            lambda node, j: fabric.kernel.create_task(stale_read(node, j)),
+        )
+        assert drive(fabric, fabric.scan("a")).value == "old"
+        failures = fabric.check()
+        assert failures and all(f.startswith("keys: read ") for f in failures)
+        assert "misses write" in failures[0]
+
+    def test_rejects_a_cut_value_that_was_never_written(self):
+        fabric = make()
+        key, other = keys_of_one_slot(fabric, 2)
+        drive(fabric, fabric.write(key, "written"))
+        slot = fabric.slot_of(key)
+        # A fault in the writer's copy of the slot's map keeps the seq
+        # and changes the value; the slot's next write publishes it.
+        fabric._slots[slot] = fabric._slots[slot].apply(((key, (1, "forged")),))
+        drive(fabric, fabric.write(other, 1))
+        assert drive(fabric, fabric.compose_snapshot()).get(key) == "forged"
+        failures = fabric.check()
+        assert failures and all(f.startswith("keys: snapshot ") for f in failures)
+        assert "'forged' != written 'written'" in failures[0]
+
+    def test_rejects_concurrent_cuts_of_two_epochs_that_are_incomparable(self):
+        fabric = make(shards=1)
+
+        async def body():
+            await fabric.write("a", "a1")
+            await fabric.write("b", "b1")
+            first = await fabric.compose_snapshot()
+            await fabric.split()
+            await fabric.write("a", "a2")
+            return first, await fabric.compose_snapshot()
+
+        first, second = drive(fabric, body())
+        assert (first.epoch, second.epoch) == (0, 1)
+        assert fabric.check() == []
+        # Stretch the second cut back over the whole run, so it is
+        # concurrent with every operation, and let it miss "b": it is
+        # then ahead of the first cut on "a" and behind it on "b".
+        cut = fabric.history.snapshots()[-1]
+        a, b = fabric.key_index["a"], fabric.key_index["b"]
+        seqs, values = list(cut.result.vector_clock), list(cut.result.values)
+        seqs[b], values[b] = 0, None
+        cut.invoked_at = 0.0
+        cut.result = SnapshotResult(tuple(values), tuple(seqs))
+        assert seqs[a] == 2
+        failures = fabric.check()
+        assert len(failures) == 1 and failures[0].startswith("keys: snapshots ")
+        assert "⪯-incomparable" in failures[0]
+
+    def test_a_regressed_shard_vector_fails_its_shards_history(self):
+        """A cut's shard vectors are snapshots its shards recorded, so
+        the shard's own history is where a regressed one shows."""
+        fabric = make()
+
+        async def body():
+            for i in range(4):
+                await fabric.write(f"k{i}", i)
+            return await fabric.compose_snapshot()
+
+        cut = drive(fabric, body())
+        sid, vc = next((s, vc) for s, vc in cut.shard_vectors.items() if any(vc))
+        record = [
+            r
+            for r in fabric.shard(sid).history.snapshots()
+            if r.result.vector_clock == vc
+        ][-1]
+        node = next(k for k, ts in enumerate(vc) if ts)
+        regressed = list(vc)
+        regressed[node] -= 1
+        record.result = SnapshotResult(record.result.values, tuple(regressed))
+        failures = fabric.check()
+        assert failures and all(f.startswith(f"shard{sid}: ") for f in failures)
+        assert any("misses write" in f for f in failures)
