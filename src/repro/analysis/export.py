@@ -79,7 +79,7 @@ def history_to_json(history: HistoryRecorder, indent: int | None = None) -> str:
             "responded_at": record.responded_at,
             "result": _encode_value(record.result),
             "aborted": record.aborted,
-            "meta": _encode_value(record.meta),
+            "meta": _encode_value(record.meta or {}),
         }
         for record in history.records()
     ]
@@ -108,7 +108,7 @@ def history_from_json(data: str) -> list[OperationRecord]:
                 responded_at=item["responded_at"],
                 result=_decode_value(item["result"]),
                 aborted=item.get("aborted", False),
-                meta=_decode_value(item.get("meta", {})),
+                meta=_decode_value(item.get("meta")) or None,
             )
         )
     return records

@@ -10,7 +10,7 @@ object the linearizability checkers in
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any
 
@@ -48,7 +48,8 @@ class OperationRecord:
         (e.g. rejected by a global reset); aborted operations are ignored
         by the linearizability checkers.
     meta:
-        Free-form diagnostics (message counts, rounds, …).
+        Free-form diagnostics (message counts, rounds, …); ``None`` until
+        :meth:`HistoryRecorder.annotate` writes some.
     """
 
     op_id: int
@@ -59,7 +60,7 @@ class OperationRecord:
     responded_at: float | None = None
     result: Any = None
     aborted: bool = False
-    meta: dict[str, Any] = field(default_factory=dict)
+    meta: dict[str, Any] | None = None
 
     @property
     def completed(self) -> bool:
@@ -130,6 +131,8 @@ class HistoryRecorder:
         record = self._records.get(op_id)
         if record is None:
             raise HistoryError(f"annotation for unknown operation {op_id}")
+        if record.meta is None:
+            record.meta = {}
         record.meta.update(meta)
 
     # -- views ---------------------------------------------------------------

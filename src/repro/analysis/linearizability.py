@@ -71,6 +71,7 @@ def check_snapshot_history(
     n: int,
     check_values: bool = True,
     allow_rebased_init: bool = False,
+    labels: Sequence[str] | None = None,
 ) -> CheckReport:
     """Check a completed SWMR snapshot-object history for linearizability.
 
@@ -91,6 +92,9 @@ def check_snapshot_history(
         *values* survive, so a history window opened after a reset
         legitimately observes survivor values at ts 0.  The history must
         still not span the reset itself (per-writer timestamps restart).
+    labels:
+        What violation text calls each register (default ``node i``; a
+        fabric's key history names its keys).
 
     Raises :class:`~repro.errors.HistoryError` on records that are not a
     history at all: a response before its invocation, a write by a node
@@ -99,6 +103,8 @@ def check_snapshot_history(
     of a register outside ``range(n)``.
     """
     report = CheckReport()
+    who = labels.__getitem__ if labels else "node {}".format
+    entry = labels.__getitem__ if labels else str
     # Aborted operations (e.g. rejected by a global reset) impose no
     # constraints: an aborted write is treated like a pending one (it may
     # or may not have taken effect); an aborted snapshot returned nothing.
@@ -198,7 +204,7 @@ def check_snapshot_history(
             #    invocation order.
             if ts <= last_ts[node_id]:
                 report.fail(
-                    f"write ts not increasing at node {node_id}: "
+                    f"write ts not increasing at {who(node_id)}: "
                     f"{ts} after {last_ts[node_id]} (op {op.op_id})"
                 )
             else:
@@ -209,7 +215,7 @@ def check_snapshot_history(
             if seer is not None and scanned[node_id] >= ts:
                 report.fail(
                     f"{seer.kind} {seer.op_id} saw future write {op.op_id} "
-                    f"(node {node_id}, ts {ts}) invoked after it responded"
+                    f"({who(node_id)}, ts {ts}) invoked after it responded"
                 )
             continue
 
@@ -220,7 +226,7 @@ def check_snapshot_history(
                 missed = written_by[node_id]
                 report.fail(
                     f"read {op.op_id} misses write {missed.op_id} "
-                    f"(node {node_id}, ts {missed.result}) that preceded "
+                    f"({who(node_id)}, ts {missed.result}) that preceded "
                     f"it; saw ts {seen}"
                 )
             if seen < scanned[node_id]:
@@ -238,7 +244,7 @@ def check_snapshot_history(
                 if missed is not None and seen < missed.result:
                     report.fail(
                         f"snapshot {op.op_id} misses write {missed.op_id} "
-                        f"(node {node_id}, ts {missed.result}) that preceded "
+                        f"({who(node_id)}, ts {missed.result}) that preceded "
                         f"it; saw ts {seen}"
                     )
         # 4. Real-time order among snapshots: not below any vector that
@@ -265,14 +271,14 @@ def check_snapshot_history(
                 if ts == 0:
                     if values[node_id] is not None and not allow_rebased_init:
                         report.fail(
-                            f"snapshot {snap.op_id}: entry {node_id} has "
+                            f"snapshot {snap.op_id}: entry {entry(node_id)} has "
                             f"ts 0 but non-⊥ value {values[node_id]!r}"
                         )
                     continue
                 write = write_table.get((node_id, ts))
                 if write is not None and values[node_id] != write.argument:
                     report.fail(
-                        f"snapshot {snap.op_id}: entry {node_id} cites write "
+                        f"snapshot {snap.op_id}: entry {entry(node_id)} cites write "
                         f"ts {ts} but value {values[node_id]!r} != written "
                         f"{write.argument!r}"
                     )
@@ -281,14 +287,14 @@ def check_snapshot_history(
             if ts == 0:
                 if value is not None and not allow_rebased_init:
                     report.fail(
-                        f"read {read.op_id}: entry {node_id} has "
+                        f"read {read.op_id}: entry {entry(node_id)} has "
                         f"ts 0 but non-⊥ value {value!r}"
                     )
                 continue
             write = write_table.get((node_id, ts))
             if write is not None and value != write.argument:
                 report.fail(
-                    f"read {read.op_id}: entry {node_id} cites write "
+                    f"read {read.op_id}: entry {entry(node_id)} cites write "
                     f"ts {ts} but value {value!r} != written "
                     f"{write.argument!r}"
                 )

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import le
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.register import (
     AckItem,
@@ -61,10 +61,7 @@ from repro.core.register import (
 from repro.errors import ConfigurationError, NodeCrashedError
 from repro.net.message import Message
 from repro.net.node import OpId, Process
-from repro.net.quorum import AckCollector, broadcast_until
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.kernel import Event
+from repro.net.quorum import AckCollector, Watches, broadcast_until
 
 __all__ = [
     "DepositedWrites",
@@ -507,15 +504,15 @@ class SnapshotAlgorithm(Process):
         kind: str,
         match: Callable[[int, Message], bool],
         make_message: Callable[[], Message],
-        wake: Event | None = None,
+        watches: Watches | None = None,
         wanted: Callable[[], bool] | None = None,
     ) -> list[tuple[AckItem, ...]]:
         """Broadcast ``make_message()`` until the :meth:`query_collector`
-        replies decide the round (``wake`` and ``wanted`` as in
+        replies decide the round (``watches`` and ``wanted`` as in
         :func:`~repro.net.quorum.broadcast_until`); merge and return them."""
         with self.query_collector(kind, match) as collector:
             await broadcast_until(
-                self, make_message, collector, wake=wake, wanted=wanted
+                self, make_message, collector, watches=watches, wanted=wanted
             )
             views = [msg.reg for msg in collector.reply_messages()]
         self.merge(views)
@@ -605,26 +602,32 @@ class DepositedWrites(SnapshotAlgorithm):
     iteration, not for the rest of a gossip period.  Algorithm 3's
     snapshot task wakes it the same way
     (:meth:`~repro.core.ss_always.SelfStabilizingAlwaysTerminating.snapshot`).
+
+    Every wait on the node's state (the writer's, a snapshot's, Algorithm
+    3's query round) is a watch in :attr:`watches`, which :meth:`_notify`
+    tests after each step that may change state: a waiter resumes only
+    once its own condition holds.  The watches outlive a detectable
+    restart, as the client operations waiting on them do.
     """
 
     def initialize_state(self) -> None:
         """An empty slot; a restart drops the deposit and fails its writer."""
         dropped = getattr(self, "write_pending", None)
         super().initialize_state()
+        self.write_pending: WriteDeposit | None = None
+        if not hasattr(self, "watches"):
+            self.watches = Watches(self.kernel)
         if dropped is not None:
             dropped.dropped = True
-            self._changed.set()  # its writer waits on this event
-        self.write_pending: WriteDeposit | None = None
-        self._changed = self.kernel.create_event()
+            self._notify()  # its writer watches for this
 
     def _notify(self) -> None:
-        self._changed.set()
+        """Test the watches: this node's state may have changed."""
+        self.watches.notify()
 
     async def _wait_until(self, condition: Callable[[], bool]) -> None:
-        """Block until ``condition()`` holds (woken by state changes)."""
-        while not condition():
-            self._changed.clear()
-            await self._changed.wait()
+        """Block until ``condition()`` holds, as :meth:`_notify` finds it."""
+        await self.watches.until(condition)
 
     async def write(self, value: Any) -> int:
         """Deposit the value; if cancelled, withdraw it unless it was taken."""

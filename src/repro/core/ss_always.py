@@ -26,11 +26,17 @@ Differences from the Algorithm 2 baseline, following Section 4:
 * **Many-jobs stealing.**  A single run of ``baseSnapshot`` serves *all*
   currently eligible tasks (the set Δ, line 70): one interference-free
   round resolves every one of them with a single ``safeReg`` hand-off.
-* **Work wakes the loop.**  The paper runs the do-forever loop back to
-  back; here it sleeps ``gossip_interval`` between iterations, and a
-  write deposit or a newly registered snapshot task ends that sleep
+* **Work wakes the loop; state changes wake only whom they concern.**
+  The paper runs the do-forever loop back to back; here it sleeps
+  ``gossip_interval`` between iterations, and a write deposit or a newly
+  registered snapshot task ends that sleep
   (:meth:`~repro.net.node.Process.wake`), so line 79 or line 80 serves
-  it in the next iteration rather than after the rest of a tick.
+  it in the next iteration rather than after the rest of a tick.  The
+  waits on the node's state — line 83's ``wait until pndTsk[i].fnl ≠ ⊥``
+  and the query round's exit once the served set empties — are watches
+  (:class:`~repro.net.quorum.Watches`): every handler that may change
+  the state tests them inline, and only a wait whose condition now holds
+  resumes.
 * **Self-stabilization.**  The do-forever loop discards stale acks,
   re-asserts index consistency (``ts``, ``sns``), clears illogical vector
   clocks and corrupted own-task entries, and gossips register timestamps
@@ -478,8 +484,9 @@ class SelfStabilizingAlwaysTerminating(RequestEvidence, DepositedWrites):
     ) -> list[tuple[AckItem, ...]]:
         """Lines 87–90: one ``repeat broadcast SNAPSHOT until …`` round.
 
-        Ends when the served set empties (results arrived via SAVE) or
-        the ssn-matching acks decide the round
+        Ends when the served set empties (results arrived via SAVE; a
+        watch tests that at each state change) or the ssn-matching acks
+        decide the round
         (:meth:`~repro.core.base.SnapshotAlgorithm.query_collector`), or
         at the first retransmission instant that finds a majority of them
         undecided; then merges the replies and returns their ack items —
@@ -502,7 +509,11 @@ class SelfStabilizingAlwaysTerminating(RequestEvidence, DepositedWrites):
             return bool(self._served_now(sampled))
 
         return await self.query_round(
-            SnapshotAckMessage3.KIND, matches, query, wake=self._changed, wanted=wanted
+            SnapshotAckMessage3.KIND,
+            matches,
+            query,
+            watches=self.watches,
+            wanted=wanted,
         )
 
     # -- server side (lines 95–107) -----------------------------------------------------------------

@@ -255,7 +255,7 @@ class Process:
     async def _sleep(self, delay: float) -> None:
         """``kernel.sleep(delay)``, except that :meth:`wake` ends it early."""
         nap = self._nap = self.kernel.create_future()
-        self.kernel.call_later(delay, _end_nap, nap)
+        self.kernel.call_later(delay, complete, nap)
         try:
             await nap
         finally:
@@ -275,7 +275,7 @@ class Process:
         if nap is None:
             self._woken = True
         else:
-            _end_nap(nap)
+            complete(nap)
 
     # -- misc ---------------------------------------------------------------------------
 
@@ -293,6 +293,7 @@ class Process:
         return f"<{type(self).__name__} p{self.node_id} {status}>"
 
 
-def _end_nap(nap: SimFuture) -> None:
-    if not nap.done():
-        nap.set_result(None)
+def complete(future: SimFuture) -> None:
+    """Complete ``future`` with ``None`` unless something already has."""
+    if not future.done():
+        future.set_result(None)

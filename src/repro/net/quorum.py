@@ -22,8 +22,15 @@ that masks those channel failures; this module is that service:
   follows whenever a majority of nodes is alive.  A decided round that
   a majority has answered but nothing has decided ends at the next
   retransmission instant instead of re-sending, so a crashed peer's
-  missing reply costs at most one interval.  An optional wake ends a
-  round whose work went away (Algorithm 3's, once ``SAVE`` resolved it).
+  missing reply costs at most one interval.  With :class:`Watches` a
+  round also ends once its work went away (Algorithm 3's, once ``SAVE``
+  resolved it): each retransmission interval waits on one future, which
+  the collector's end, the interval's timer or a watch of the round's
+  "no longer wanted" condition completes, whichever comes first.
+* :class:`Watches` holds a node's predicate waits: each is a condition
+  and a future, tested when the node's state changes and completed once
+  the condition holds, so a state change that decides nothing costs no
+  task and no kernel event.
 
 Messages owed outside a round go to :class:`~repro.net.outbox.Outbox`.
 """
@@ -31,15 +38,59 @@ Messages owed outside a round go to :class:`~repro.net.outbox.Outbox`.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable
+from typing import Any, Callable
 
 from repro.net.message import Message
-from repro.net.node import Process
+from repro.net.node import Process, complete
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.kernel import Event
+__all__ = ["AckCollector", "Watches", "broadcast_until"]
 
-__all__ = ["AckCollector", "broadcast_until"]
+
+class Watches:
+    """Predicate waits on one node's state, tested where it changes.
+
+    :meth:`watch` pairs a condition with a future; :meth:`notify`, which
+    the node calls after each step that may change what a condition
+    reads, tests every pair inline and completes the futures whose
+    condition now holds.  A notify that completes nothing schedules
+    nothing.  Only ``create_future``, ``done`` and ``set_result`` are
+    used, so a watch works on every kernel.
+    """
+
+    __slots__ = ("_kernel", "_pending")
+
+    def __init__(self, kernel: Any) -> None:
+        self._kernel = kernel
+        self._pending: list[tuple[Callable[[], bool], Any]] = []
+
+    def watch(self, condition: Callable[[], bool], future: Any) -> None:
+        """Complete ``future`` at the first :meth:`notify` that finds
+        ``condition()`` true (a future done by then is dropped)."""
+        self._pending.append((condition, future))
+
+    def notify(self) -> None:
+        """Test every watch; complete those whose condition holds."""
+        pending = self._pending
+        if not pending:
+            return
+        kept = []
+        for watch in pending:
+            condition, future = watch
+            if future.done():
+                continue
+            if condition():
+                future.set_result(None)
+            else:
+                kept.append(watch)
+        self._pending = kept
+
+    async def until(self, condition: Callable[[], bool]) -> None:
+        """Return once ``condition()`` holds: one watch per wait, and the
+        condition re-tested when the waiter resumes."""
+        while not condition():
+            held = self._kernel.create_future()
+            self.watch(condition, held)
+            await held
 
 
 class AckCollector:
@@ -67,7 +118,8 @@ class AckCollector:
         self._match = match
         self._decided = decided
         self._replies: dict[int, Message] = {}
-        self._event = process.kernel.create_event()
+        self._ended = False
+        self._waiters: list = []  # futures completed at the round's end
         self._round = None
 
     # -- lifecycle --------------------------------------------------------------
@@ -94,7 +146,7 @@ class AckCollector:
             return False
         replies = self._replies
         replies[sender] = message
-        if len(replies) >= self._threshold and not self._event.is_set():
+        if len(replies) >= self._threshold and not self._ended:
             decided = self._decided
             if decided is None or decided(list(replies.values())):
                 self._end(sender)
@@ -102,7 +154,7 @@ class AckCollector:
 
     def expire(self) -> None:
         """End the round undecided (a retransmission instant came first)."""
-        if not self._event.is_set():
+        if not self._ended:
             self._end(None)
 
     def _end(self, decider: int | None) -> None:
@@ -110,7 +162,10 @@ class AckCollector:
         if round_ is not None and round_.end is None:
             round_.completer = decider
             round_.end = self._process.kernel.now
-        self._event.set()
+        self._ended = True
+        waiters, self._waiters = self._waiters, []
+        for waiter in waiters:
+            complete(waiter)
 
     @property
     def satisfied(self) -> bool:
@@ -120,7 +175,7 @@ class AckCollector:
     @property
     def done(self) -> bool:
         """Whether the round is over: decided, or expired."""
-        return self._event.is_set()
+        return self._ended
 
     @property
     def replies(self) -> dict[int, Message]:
@@ -131,9 +186,16 @@ class AckCollector:
         """The accepted reply messages (the ``Rec`` set of ``merge(Rec)``)."""
         return list(self._replies.values())
 
+    def add_waiter(self, future: Any) -> None:
+        """Complete ``future`` when the round ends (it may be done first)."""
+        self._waiters.append(future)
+
     async def wait(self) -> None:
         """Block until the round is over."""
-        await self._event.wait()
+        if not self._ended:
+            waiter = self._process.kernel.create_future()
+            self._waiters.append(waiter)
+            await waiter
 
 
 async def broadcast_until(
@@ -141,7 +203,7 @@ async def broadcast_until(
     make_message: Callable[[], Message],
     collector: AckCollector,
     include_self: bool = True,
-    wake: Event | None = None,
+    watches: Watches | None = None,
     wanted: Callable[[], bool] | None = None,
 ) -> None:
     """Re-broadcast ``make_message()`` until ``collector`` is done.
@@ -153,11 +215,14 @@ async def broadcast_until(
     instead.  While the node is crashed the loop holds at the step gate;
     on resume it picks up where it left off (undetectable restart).
 
-    With ``wake``, setting that event between retransmission instants
-    re-tests ``wanted``: once it is false the round ends at once, with
-    the collector not done; a wake that leaves it true sends nothing.
+    With ``watches``, ``wanted`` is watched there: the round ends, with
+    the collector not done, at the first :meth:`Watches.notify` that
+    finds it false.  Each retransmission interval then waits on one
+    future, which the collector's end, that watch or the interval's
+    timer completes; a notify that leaves ``wanted`` true wakes nothing.
     """
     interval = process.config.retransmit_interval
+    unwanted = None if wanted is None else (lambda: not wanted())
     next_send = -math.inf
     while not collector.done and (wanted is None or wanted()):
         await process.gate.passthrough()
@@ -171,19 +236,22 @@ async def broadcast_until(
                 process.outbox.retransmitted()
             process.broadcast(make_message(), include_self=include_self)
             next_send = now + interval
-        if wake is None:
-            # wait_for draws the kernel RNG differently from first_of, and
-            # this path expires before the step gate: the schedule every
-            # wake-less round always had.
+        if watches is None:
+            # wait_for draws the kernel RNG differently from a watched
+            # wait, and this path expires before the step gate: the
+            # schedule every unwatched round always had.
             try:
                 await process.kernel.wait_for(collector.wait(), timeout=interval)
             except TimeoutError:
                 if collector.satisfied:
                     collector.expire()
         else:
-            wake.clear()
-            await process.kernel.first_of(
-                collector.wait(),
-                wake.wait(),
-                timeout=max(next_send - process.kernel.now, 0.0) or interval,
+            kernel = process.kernel
+            woken = kernel.create_future()
+            collector.add_waiter(woken)
+            if unwanted is not None:
+                watches.watch(unwanted, woken)
+            kernel.call_later(
+                max(next_send - kernel.now, 0.0) or interval, complete, woken
             )
+            await woken

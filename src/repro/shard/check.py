@@ -36,10 +36,13 @@ __all__ = ["check_fabric", "check_key_history", "check_shard_histories"]
 
 
 def _violations(
-    label: str, records: Iterable[OperationRecord], n: int
+    label: str,
+    records: Iterable[OperationRecord],
+    n: int,
+    labels: list[str] | None = None,
 ) -> list[str]:
     try:
-        report = check_snapshot_history(records, n)
+        report = check_snapshot_history(records, n, labels=labels)
     except HistoryError as exc:
         return [f"{label}: malformed history: {exc}"]
     return [f"{label}: {violation}" for violation in report.violations]
@@ -83,11 +86,14 @@ def _padded(record: OperationRecord, n: int) -> OperationRecord:
 
 
 def check_key_history(fabric: "ShardedFabric") -> list[str]:
-    """Check the fabric's keyed writes, keyed reads and composed cuts."""
+    """Check the fabric's keyed writes, keyed reads and composed cuts;
+    a violation names each key it concerns (``key 'a'``)."""
     n = len(fabric.key_index)
-    return _violations(
-        "keys", [_padded(record, n) for record in fabric.history.records()], n
-    )
+    labels = [""] * n
+    for key, index in fabric.key_index.items():
+        labels[index] = f"key {key!r}"
+    records = [_padded(record, n) for record in fabric.history.records()]
+    return _violations("keys", records, n, labels)
 
 
 def check_fabric(fabric: "ShardedFabric") -> list[str]:

@@ -1,5 +1,7 @@
 """Tests for JSON export/import of histories and traces."""
 
+import json
+
 import pytest
 
 from repro import ClusterConfig, SimBackend
@@ -53,6 +55,16 @@ class TestHistoryExport:
     def test_malformed_json_rejected(self):
         with pytest.raises(HistoryError):
             history_from_json("{not json")
+
+    def test_meta_is_none_until_annotated_and_exports_as_a_dict(self):
+        cluster, _ = run_cluster()
+        first, second = cluster.history.records()[:2]
+        cluster.history.annotate(second.op_id, rounds=2)
+        assert first.meta is None
+        payload = json.loads(history_to_json(cluster.history))
+        assert payload[0]["meta"] == {} and payload[1]["meta"] == {"rounds": 2}
+        records = history_from_json(history_to_json(cluster.history))
+        assert records[:2] == [first, second]
 
 
 class TestTraceExport:

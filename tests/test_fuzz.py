@@ -373,9 +373,9 @@ class TestPinnedCounterexamples:
         check landing mid-reset compared nodes already in the new epoch
         (every ts 0) with nodes still in the old one."""
         spec, payload = load_counterexample(
-            REGRESSIONS / "bounded-ss-always-141.json"
+            REGRESSIONS / "bounded-ss-always-2082.json"
         )
-        assert "reg_1[0].ts=2 > ts_0=0" in payload["failures"][0]
+        assert "reg_2[0].ts=2 > ts_0=0" in payload["failures"][0]
         assert run_spec(spec).ok
         from repro.fuzz import executor
 

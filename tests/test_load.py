@@ -302,11 +302,17 @@ class TestRunLoad:
 #: and ``("622d1ec8e8dc1465", 92, 2.788441590393926)``.  The fabric rows'
 #: scans run inside write fences, where the first majority always
 #: matches, and did not move.
+#: All four digests were re-pinned, with no schedule change, when
+#: ``OperationRecord.meta`` became ``None`` until annotated: each
+#: record's repr now ends ``meta=None)``.  With that text read as
+#: ``meta={})`` the four runs hash to the literals they had,
+#: ``b8be45809e5d0f41``, ``8811f2c564af536b``, ``b1bf268625d8efe6`` and
+#: ``02ef49b25f88f3e3``, and their counts and throughputs did not move.
 PINNED_RUNS = {
-    ("ss-nonblocking", 4, None): ("b8be45809e5d0f41", 56, 1.1152812356244166),
-    ("amortized", 4, None): ("8811f2c564af536b", 170, 4.901165516321818),
-    ("ss-nonblocking", 1, 2): ("b1bf268625d8efe6", 62, 1.8829318197710612),
-    ("amortized", 4, 2): ("02ef49b25f88f3e3", 233, 6.773242052676778),
+    ("ss-nonblocking", 4, None): ("d9207e9b90033308", 56, 1.1152812356244166),
+    ("amortized", 4, None): ("b396bf8e233ab6fc", 170, 4.901165516321818),
+    ("ss-nonblocking", 1, 2): ("5eeb917e08f65d46", 62, 1.8829318197710612),
+    ("amortized", 4, 2): ("7a4582b2ecf6ea92", 233, 6.773242052676778),
 }
 
 

@@ -1,5 +1,6 @@
 """Unit tests for the quorum service and the cycle tracker."""
 
+import asyncio
 from dataclasses import dataclass
 
 import pytest
@@ -9,7 +10,8 @@ from repro.config import ChannelConfig, ClusterConfig
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.node import Process
-from repro.net.quorum import AckCollector, broadcast_until
+from repro.net.quorum import AckCollector, Watches, broadcast_until
+from repro.runtime.asyncio_kernel import AsyncioKernel
 from repro.sim.kernel import Kernel
 
 
@@ -137,9 +139,9 @@ def spy_requests(process):
 
 
 class TestBroadcastUntilWake:
-    """A wake re-tests ``wanted`` between retransmission instants."""
+    """A watched round ends once ``wanted`` is false at a notify."""
 
-    def start_round(self, kernel, config, node, wake, wanted):
+    def start_round(self, kernel, config, node, watches, wanted):
         """A round no peer can answer (all crashed), run as a task."""
         collector = AckCollector(node, "ACK", config.majority)
 
@@ -149,7 +151,7 @@ class TestBroadcastUntilWake:
                     node,
                     lambda: Req(round=7),
                     collector,
-                    wake=wake,
+                    watches=watches,
                     wanted=lambda: wanted[0],
                 )
             return kernel.now
@@ -162,14 +164,14 @@ class TestBroadcastUntilWake:
             peer.crash()
         node = processes[0]
         sent = spy_requests(node)
-        wake, wanted = kernel.create_event(), [True]
+        watches, wanted = Watches(kernel), [True]
 
         def unwant():
             wanted[0] = False
-            wake.set()
+            watches.notify()
 
         kernel.call_later(1.0, unwant)
-        collector, task = self.start_round(kernel, config, node, wake, wanted)
+        collector, task = self.start_round(kernel, config, node, watches, wanted)
         kernel.run(until_time=10.0)
         assert task.done() and task.result() == 1.0
         assert sent == [0.0] * config.n  # the first broadcast only
@@ -181,18 +183,60 @@ class TestBroadcastUntilWake:
             peer.crash()
         node = processes[0]
         sent = spy_requests(node)
-        wake, wanted = kernel.create_event(), [True]
-        kernel.call_later(1.0, wake.set)
-        kernel.call_later(2.0, wake.set)
-        collector, task = self.start_round(kernel, config, node, wake, wanted)
+        watches, wanted = Watches(kernel), [True]
+        kernel.call_later(1.0, watches.notify)
+        kernel.call_later(2.0, watches.notify)
+        collector, task = self.start_round(kernel, config, node, watches, wanted)
         kernel.run(until_time=config.retransmit_interval - 0.01)
         assert sent == [0.0] * config.n and not task.done()
         kernel.run(until_time=config.retransmit_interval + 0.01)
         assert sent == [0.0] * config.n + [config.retransmit_interval] * config.n
         wanted[0] = False
-        wake.set()
+        watches.notify()
         kernel.run(until_time=10.0)
         assert task.done() and not collector.done
+
+    def test_a_notify_whose_watches_stay_false_schedules_nothing(self):
+        kernel, config, network, processes = make_cluster()
+        for peer in processes[1:]:
+            peer.crash()
+        watches, wanted = Watches(kernel), [True]
+        collector, task = self.start_round(
+            kernel, config, processes[0], watches, wanted
+        )
+        kernel.run(until_time=1.0)
+        held = kernel.create_future()
+        watches.watch(lambda: False, held)
+        heap, processed = len(kernel._heap), kernel.events_processed
+        for _ in range(3):
+            watches.notify()
+        assert len(kernel._heap) == heap
+        assert kernel.events_processed == processed
+        assert not held.done() and not task.done()
+
+    def test_a_watched_round_ends_promptly_on_asyncio(self):
+        async def main():
+            kernel = AsyncioKernel(seed=9, time_scale=0.001)
+            config = ClusterConfig(n=5, retransmit_interval=1000.0)
+            network = Network(kernel, config)
+            processes = [Responder(i, kernel, network, config) for i in range(5)]
+            for peer in processes[1:]:
+                peer.crash()
+            watches, wanted = Watches(kernel), [True]
+            collector, task = self.start_round(
+                kernel, config, processes[0], watches, wanted
+            )
+            await kernel.sleep(5.0)
+            started = kernel.now
+            wanted[0] = False
+            watches.notify()
+            ended = await asyncio.wait_for(task, timeout=5.0)
+            return ended - started, collector.done
+
+        # The retransmission interval is a whole second of wall clock:
+        # the round ended on the watch, not on its timer.
+        elapsed, collected = asyncio.run(main())
+        assert elapsed < 500.0 and not collected
 
 
 class LoopingProcess(Process):

@@ -471,6 +471,7 @@ class TestKeyHistory:
         failures = fabric.check()
         assert failures and all(f.startswith("keys: read ") for f in failures)
         assert "misses write" in failures[0]
+        assert "(key 'a', ts 2)" in failures[0]  # the key, not its index
 
     def test_rejects_a_cut_value_that_was_never_written(self):
         fabric = make()
